@@ -806,15 +806,19 @@ let served_cmd =
       \  shed %d, timeouts %d, bad requests %d, protocol errors %d@.\
       \  reloads %d ok / %d failed@.\
       \  cache: %d hits, %d misses, %d bypasses@.\
-      \  lost %d@."
+      \  lost %d@.\
+      \  of which peer hang-ups %d@."
       s.Serve_net.Daemon.connections s.Serve_net.Daemon.requests
       s.Serve_net.Daemon.answered s.Serve_net.Daemon.shed
       s.Serve_net.Daemon.timeouts s.Serve_net.Daemon.bad_requests
       s.Serve_net.Daemon.protocol_errors s.Serve_net.Daemon.reloads_ok
       s.Serve_net.Daemon.reloads_failed s.Serve_net.Daemon.cache.Core.Memo.hits
       s.Serve_net.Daemon.cache.Core.Memo.misses
-      s.Serve_net.Daemon.cache.Core.Memo.bypasses s.Serve_net.Daemon.lost;
-    if s.Serve_net.Daemon.lost > 0 then exit 1
+      s.Serve_net.Daemon.cache.Core.Memo.bypasses s.Serve_net.Daemon.lost
+      s.Serve_net.Daemon.hangups;
+    (* replies a peer abandoned by hanging up are its own loss; exit 1
+       only when the daemon itself dropped replies *)
+    if s.Serve_net.Daemon.lost > s.Serve_net.Daemon.hangups then exit 1
   in
   Cmd.v
     (Cmd.info "served"

@@ -17,6 +17,12 @@ val to_string : t -> string
 (** Compact (single-line) serialisation with full string escaping.
     Non-finite floats render as [null] (JSON has no literals for them). *)
 
+val add_float : Buffer.t -> float -> unit
+(** [add_float buf f] appends [f] as {!to_string} renders [Float f]:
+    [%.17g] (round-trips every finite float), or [null] for a non-finite
+    one.  For encoders that write JSON text straight into a buffer
+    without building a {!t}. *)
+
 val of_string : string -> (t, string) result
 (** Parse one complete JSON value; [Error] carries a position-annotated
     message.  Numbers without [./e] parse as {!Int}, others as {!Float}. *)

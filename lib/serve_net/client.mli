@@ -10,7 +10,13 @@ type t
 val connect : ?retries:int -> ?retry_delay_s:float -> Daemon.listener -> t
 (** Connect, retrying [ECONNREFUSED]/[ENOENT] (a daemon still binding)
     up to [retries] times (default 100 × 20 ms).  Other socket errors
-    propagate as [Unix.Unix_error]. *)
+    propagate as [Unix.Unix_error].
+
+    [connect] sets SIGPIPE to ignored for the whole process, so that a
+    daemon which goes away surfaces as an error from the next call
+    instead of killing the process: every call below raises
+    [Error.Archpred (Io_error _)] when the daemon closes or resets the
+    connection ([EPIPE]/[ECONNRESET]). *)
 
 val close : t -> unit
 
@@ -23,7 +29,7 @@ val reload : t -> ?path:string -> unit -> unit
 val recv : t -> Frame.response
 (** Block for the next response.  Raises [Error.Archpred (Parse_error _)]
     if the daemon desyncs the stream and [Error.Archpred (Io_error _)]
-    when the connection closes. *)
+    when the connection closes or resets. *)
 
 type load = {
   sent : int;
@@ -43,4 +49,7 @@ val drive : t -> Frame.wire -> ?pipeline:int -> float array array -> load
 (** [drive t wire points] sends one predict request per point with up
     to [pipeline] (default 64) outstanding, recording each request's
     round-trip latency; quantiles are over all replies whatever their
-    status. *)
+    status.  Each time replies free part of the window, the freed
+    requests are encoded into one buffer, which is written out whenever
+    it holds about 1 KiB; after each blocking read every reply already
+    decoded is handled. *)

@@ -82,6 +82,7 @@ type stats = {
   reloads_ok : int;
   reloads_failed : int;
   lost : int;
+  hangups : int;
   cache : Core.Memo.stats;
 }
 
@@ -112,12 +113,21 @@ let request_reload ?path c =
 (* Per-connection state                                           *)
 (* -------------------------------------------------------------- *)
 
+(* Egress is one growable byte buffer per connection: replies are
+   encoded straight into it and a tick flushes it with one write (more
+   only after a partial write).  A reply counts as answered once its last
+   byte is written, so each counted reply's end offset in the
+   connection's byte stream waits in an int ring until [sent] passes it. *)
 type conn = {
   fd : Unix.file_descr;
   dec : Frame.decoder;
-  egress : (string * bool) Queue.t;  (* payload, counts-as-answer *)
-  mutable egress_off : int;  (* bytes of the head already written *)
-  mutable egress_bytes : int;
+  mutable out : Bytes.t;  (* [out.[out_lo .. out_hi - 1]] is owed to the peer *)
+  mutable out_lo : int;
+  mutable out_hi : int;
+  mutable sent : int;  (* bytes written to the socket so far *)
+  mutable ends : int array;  (* ring of counted replies' end offsets *)
+  mutable ends_head : int;
+  mutable ends_len : int;
   mutable read_open : bool;  (* false after EOF or protocol error *)
   mutable alive : bool;  (* false once the fd is closed *)
   mutable unanswered : int;  (* parsed requests whose reply has not flushed *)
@@ -141,6 +151,7 @@ type state = {
   mutable conns : conn list;
   mutable draining : bool;
   read_buf : Bytes.t;
+  scratch : Buffer.t;  (* JSON frames are encoded here, then copied to egress *)
   mutable s_connections : int;
   mutable s_requests : int;
   mutable s_answered : int;
@@ -151,28 +162,105 @@ type state = {
   mutable s_reloads_ok : int;
   mutable s_reloads_failed : int;
   mutable s_lost : int;
+  mutable s_hangups : int;
 }
 
 let fresh_cache st space =
   Core.Memo.create ~obs:st.obs ~capacity:st.cfg.cache_capacity ~space
     ~sample_size:st.cfg.grid_sample_size ()
 
-let send _st conn wire resp ~reply =
-  let data = Frame.encode_response wire resp in
-  Queue.push (data, reply) conn.egress;
-  conn.egress_bytes <- conn.egress_bytes + String.length data
+(* -------------------------------------------------------------- *)
+(* Egress buffer                                                  *)
+(* -------------------------------------------------------------- *)
 
-let kill st conn =
+let out_initial = 4096
+let egress_bytes conn = conn.out_hi - conn.out_lo
+
+let new_conn ~max_frame fd =
+  {
+    fd;
+    dec = Frame.decoder ~max_frame ();
+    out = Bytes.create out_initial;
+    out_lo = 0;
+    out_hi = 0;
+    sent = 0;
+    ends = Array.make 64 0;
+    ends_head = 0;
+    ends_len = 0;
+    read_open = true;
+    alive = true;
+    unanswered = 0;
+  }
+
+(* Room for [n] more bytes at [out_hi]: slide the owed bytes to the
+   front when the written prefix frees enough, else double. *)
+let reserve conn n =
+  if conn.out_hi + n > Bytes.length conn.out then begin
+    let owed = egress_bytes conn in
+    let cap = Bytes.length conn.out in
+    let buf = if owed + n <= cap then conn.out else Bytes.create (max (owed + n) (2 * cap)) in
+    Bytes.blit conn.out conn.out_lo buf 0 owed;
+    conn.out <- buf;
+    conn.out_lo <- 0;
+    conn.out_hi <- owed
+  end
+
+(* Called right after a counted reply's bytes are appended: its end
+   offset in the connection's stream is everything sent plus everything
+   owed.  The ring's capacity stays a power of two. *)
+let push_end conn =
+  let cap = Array.length conn.ends in
+  if conn.ends_len = cap then begin
+    let grown = Array.make (2 * cap) 0 in
+    for i = 0 to cap - 1 do
+      grown.(i) <- conn.ends.((conn.ends_head + i) land (cap - 1))
+    done;
+    conn.ends <- grown;
+    conn.ends_head <- 0
+  end;
+  conn.ends.((conn.ends_head + conn.ends_len) land (Array.length conn.ends - 1)) <-
+    conn.sent + egress_bytes conn;
+  conn.ends_len <- conn.ends_len + 1
+
+let append_encoded st conn wire resp =
+  Buffer.clear st.scratch;
+  Frame.add_response st.scratch wire resp;
+  let n = Buffer.length st.scratch in
+  reserve conn n;
+  Buffer.blit st.scratch 0 conn.out conn.out_hi n;
+  conn.out_hi <- conn.out_hi + n
+
+(* A counted reply: binary replies are written in place (the per-request
+   hot path, zero-alloc), JSON ones are encoded via [st.scratch]. *)
+let send_reply st conn wire ~id ~status value =
+  (match wire with
+  | Frame.Binary_wire ->
+      reserve conn Frame.reply_len;
+      Frame.put_binary_reply conn.out conn.out_hi ~id ~status value;
+      conn.out_hi <- conn.out_hi + Frame.reply_len
+  | Frame.Json_wire -> append_encoded st conn wire (Frame.Reply { id; status; value }));
+  push_end conn
+
+(* An uncounted JSON message: reload outcomes and protocol-error notices
+   answer no predict request. *)
+let send_notice st conn resp = append_encoded st conn Frame.Json_wire resp
+
+(* [hangup]: the peer closed or reset the connection before reading
+   what it was owed, as opposed to the daemon cutting it off. *)
+let kill ?(hangup = false) st conn =
   if conn.alive then begin
     conn.alive <- false;
     conn.read_open <- false;
     (try Unix.close conn.fd with Unix.Unix_error (_, _, _) -> ());
     st.s_lost <- st.s_lost + conn.unanswered;
+    if hangup then st.s_hangups <- st.s_hangups + conn.unanswered;
     if conn.unanswered > 0 then
       Obs.count st.obs "served.lost" conn.unanswered;
     conn.unanswered <- 0;
-    Queue.clear conn.egress;
-    conn.egress_bytes <- 0
+    conn.out <- Bytes.empty;
+    conn.out_lo <- 0;
+    conn.out_hi <- 0;
+    conn.ends_len <- 0
   end
 
 (* A connection is finished once nothing can flow in either direction:
@@ -180,7 +268,7 @@ let kill st conn =
 let try_retire st conn =
   if
     conn.alive && (not conn.read_open)
-    && Queue.is_empty conn.egress
+    && egress_bytes conn = 0
     && conn.unanswered = 0
   then kill st conn (* nothing unanswered: closes without loss *)
 
@@ -247,22 +335,19 @@ let handle_request st conn req wire =
   match req with
   | Frame.Reload path ->
       (* control messages answer on the JSON wire only *)
-      send st conn Frame.Json_wire (do_reload st path) ~reply:false
+      send_notice st conn (do_reload st path)
   | Frame.Predict { id; point; natural } -> (
       st.s_requests <- st.s_requests + 1;
       Obs.incr st.obs "served.requests";
       conn.unanswered <- conn.unanswered + 1;
-      let reply status value =
-        send st conn wire (Frame.Reply { id; status; value }) ~reply:true
-      in
       if st.draining then begin
         Obs.incr st.obs "served.shutting_down";
-        reply Frame.Shutting_down Float.nan
+        send_reply st conn wire ~id ~status:Frame.Shutting_down Float.nan
       end
       else if Queue.length st.ingress >= st.cfg.max_pending then begin
         st.s_shed <- st.s_shed + 1;
         Obs.incr st.obs "served.shed";
-        reply Frame.Overloaded Float.nan
+        send_reply st conn wire ~id ~status:Frame.Overloaded Float.nan
       end
       else
         match
@@ -276,7 +361,7 @@ let handle_request st conn req wire =
         | exception (Invalid_argument _ | Error.Archpred _) ->
             st.s_bad_requests <- st.s_bad_requests + 1;
             Obs.incr st.obs "served.bad_request";
-            reply Frame.Bad_request Float.nan
+            send_reply st conn wire ~id ~status:Frame.Bad_request Float.nan
         | p ->
             Queue.push
               {
@@ -299,9 +384,8 @@ let rec drain_decoder st conn =
         Obs.incr st.obs "served.protocol_error";
         conn.read_open <- false;
         ignore msg;
-        send st conn Frame.Json_wire
+        send_notice st conn
           (Frame.Reply { id = -1; status = Frame.Bad_request; value = Float.nan })
-          ~reply:false
     | `Msg (req, wire) ->
         handle_request st conn req wire;
         drain_decoder st conn
@@ -323,38 +407,48 @@ let handle_readable st conn =
         Frame.feed conn.dec st.read_buf 0 n;
         drain_decoder st conn
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+    | exception Unix.Unix_error (ECONNRESET, _, _) -> kill ~hangup:true st conn
     | exception Unix.Unix_error (_, _, _) -> kill st conn
     | exception Fault.Injected _ ->
         Obs.incr st.obs "served.fault.read";
         kill st conn
   end
 
+(* Pop every counted reply whose last byte is now written. *)
+let retire_written st conn =
+  let k = ref 0 in
+  while conn.ends_len > 0 && conn.ends.(conn.ends_head) <= conn.sent do
+    conn.ends_head <- (conn.ends_head + 1) land (Array.length conn.ends - 1);
+    conn.ends_len <- conn.ends_len - 1;
+    incr k
+  done;
+  if !k > 0 then begin
+    st.s_answered <- st.s_answered + !k;
+    conn.unanswered <- conn.unanswered - !k;
+    Obs.count st.obs "served.answered" !k
+  end
+
+(* One write of everything owed; another only after a partial write,
+   which either makes progress or meets EAGAIN and waits for select. *)
 let handle_writable st conn =
-  if conn.alive && not (Queue.is_empty conn.egress) then begin
+  if conn.alive && egress_bytes conn > 0 then begin
     (try
-       Fault.point "serve.write";
-       let continue = ref true in
-       while !continue && not (Queue.is_empty conn.egress) do
-         let data, is_reply = Queue.peek conn.egress in
-         let len = String.length data - conn.egress_off in
-         let n = Unix.write_substring conn.fd data conn.egress_off len in
-         conn.egress_bytes <- conn.egress_bytes - n;
-         if n = len then begin
-           ignore (Queue.pop conn.egress);
-           conn.egress_off <- 0;
-           if is_reply then begin
-             st.s_answered <- st.s_answered + 1;
-             Obs.incr st.obs "served.answered";
-             conn.unanswered <- conn.unanswered - 1
-           end
-         end
-         else begin
-           conn.egress_off <- conn.egress_off + n;
-           continue := false
-         end
-       done
+       while egress_bytes conn > 0 do
+         Fault.point "serve.write";
+         let len = egress_bytes conn in
+         let n = Unix.single_write conn.fd conn.out conn.out_lo len in
+         conn.out_lo <- conn.out_lo + n;
+         conn.sent <- conn.sent + n;
+         retire_written st conn;
+         if n < len then Obs.incr st.obs "served.write.partial"
+       done;
+       (* fully flushed: rewind, and let a backlog's buffer go *)
+       conn.out_lo <- 0;
+       conn.out_hi <- 0;
+       if Bytes.length conn.out > 16 * out_initial then conn.out <- Bytes.create out_initial
      with
     | Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+    | Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> kill ~hangup:true st conn
     | Unix.Unix_error (_, _, _) -> kill st conn
     | Fault.Injected _ ->
         Obs.incr st.obs "served.fault.write";
@@ -377,18 +471,7 @@ let handle_accept st lfd =
           Unix.set_nonblock fd;
           st.s_connections <- st.s_connections + 1;
           Obs.incr st.obs "served.connections";
-          st.conns <-
-            {
-              fd;
-              dec = Frame.decoder ~max_frame:st.cfg.max_frame ();
-              egress = Queue.create ();
-              egress_off = 0;
-              egress_bytes = 0;
-              read_open = true;
-              alive = true;
-              unanswered = 0;
-            }
-            :: st.conns
+          st.conns <- new_conn ~max_frame:st.cfg.max_frame fd :: st.conns
         end
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
         continue := false
@@ -403,12 +486,17 @@ let handle_accept st lfd =
 (* Batched evaluation                                             *)
 (* -------------------------------------------------------------- *)
 
-(* [bucket_from] is top-level rather than local to [bucket]: a local
-   [let rec] would allocate a closure over [n] on every call, and
-   [bucket] sits on the per-request path (zero-alloc, enforced by
-   tools/analyze/hotpaths.sexp). *)
-let rec bucket_from b n = if b >= n then b else bucket_from (2 * b) n
-let bucket n = bucket_from 1 n
+(* Batch sizes are counted in power-of-two buckets: [bucket n] is the
+   smallest [k] with [2^k >= n], which indexes the counter names built
+   once here instead of a [sprintf] per batch.  [bucket_from] is
+   top-level rather than local to [bucket]: a local [let rec] would
+   allocate a closure over [n] on every call, and [bucket] sits on the
+   per-batch path (zero-alloc, enforced by tools/analyze/hotpaths.sexp). *)
+let rec bucket_from k n = if 1 lsl k >= n then k else bucket_from (k + 1) n
+let bucket n = bucket_from 0 n
+
+let batch_counter =
+  Array.init (Sys.int_size - 1) (fun k -> Printf.sprintf "served.batch.le%d" (1 lsl k))
 
 (* Probe the memo for the whole batch, kernel-evaluate only the misses
    (optionally sliced across domains — per-point results are
@@ -463,9 +551,7 @@ let process_ingress st =
       else if Int64.compare now p.p_deadline > 0 then begin
         st.s_timeouts <- st.s_timeouts + 1;
         Obs.incr st.obs "served.timeout";
-        send st p.p_conn p.p_wire
-          (Frame.Reply { id = p.p_id; status = Frame.Timeout; value = Float.nan })
-          ~reply:true
+        send_reply st p.p_conn p.p_wire ~id:p.p_id ~status:Frame.Timeout Float.nan
       end
       else begin
         batch := p :: !batch;
@@ -477,12 +563,9 @@ let process_ingress st =
       let points = Array.map (fun p -> p.p_point) batch in
       let values = eval_points st points in
       Obs.incr st.obs "served.batches";
-      Obs.incr st.obs (Printf.sprintf "served.batch.le%d" (bucket !size));
+      Obs.incr st.obs batch_counter.(bucket !size);
       Array.iteri
-        (fun i p ->
-          send st p.p_conn p.p_wire
-            (Frame.Reply { id = p.p_id; status = Frame.Ok; value = values.(i) })
-            ~reply:true)
+        (fun i p -> send_reply st p.p_conn p.p_wire ~id:p.p_id ~status:Frame.Ok values.(i))
         batch
     end
   done
@@ -532,11 +615,15 @@ let stats_of st =
     reloads_ok = st.s_reloads_ok;
     reloads_failed = st.s_reloads_failed;
     lost = st.s_lost;
+    hangups = st.s_hangups;
     cache = Core.Memo.stats st.cache;
   }
 
 let run ?(obs = Obs.null) ?(control = control ()) ~predictor cfg =
   validate_config cfg;
+  (* a peer that hangs up must cost its connection, not the process:
+     writes to it then fail with EPIPE, which kills the connection *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let st =
     {
       cfg;
@@ -551,6 +638,7 @@ let run ?(obs = Obs.null) ?(control = control ()) ~predictor cfg =
       conns = [];
       draining = false;
       read_buf = Bytes.create 65536;
+      scratch = Buffer.create 256;
       s_connections = 0;
       s_requests = 0;
       s_answered = 0;
@@ -561,6 +649,7 @@ let run ?(obs = Obs.null) ?(control = control ()) ~predictor cfg =
       s_reloads_ok = 0;
       s_reloads_failed = 0;
       s_lost = 0;
+      s_hangups = 0;
     }
   in
   let listener = open_listener cfg in
@@ -598,13 +687,13 @@ let run ?(obs = Obs.null) ?(control = control ()) ~predictor cfg =
     let writes =
       List.filter_map
         (fun c ->
-          if c.alive && not (Queue.is_empty c.egress) then Some c.fd else None)
+          if c.alive && egress_bytes c > 0 then Some c.fd else None)
         st.conns
     in
-    let readable, writable =
+    let readable =
       match Unix.select reads writes [] cfg.tick_s with
-      | r, w, _ -> (r, w)
-      | exception Unix.Unix_error (EINTR, _, _) -> ([], [])
+      | r, _, _ -> r
+      | exception Unix.Unix_error (EINTR, _, _) -> []
     in
     if List.mem listener readable then handle_accept st listener;
     List.iter
@@ -612,18 +701,14 @@ let run ?(obs = Obs.null) ?(control = control ()) ~predictor cfg =
         if c.alive && List.mem c.fd readable then handle_readable st c)
       st.conns;
     process_ingress st;
-    List.iter
-      (fun c ->
-        if
-          c.alive
-          && (List.mem c.fd writable || not (Queue.is_empty c.egress))
-        then handle_writable st c)
-      st.conns;
+    (* everything this tick owes goes out now, whatever select said:
+       replies appended since it returned are not in [writable] *)
+    List.iter (fun c -> handle_writable st c) st.conns;
     (* slow-reader bound: a peer that will not drain its socket cannot
        hold daemon memory hostage *)
     List.iter
       (fun c ->
-        if c.alive && c.egress_bytes > cfg.max_egress then begin
+        if c.alive && egress_bytes c > cfg.max_egress then begin
           Obs.incr obs "served.egress_overflow";
           kill st c
         end)
@@ -632,7 +717,7 @@ let run ?(obs = Obs.null) ?(control = control ()) ~predictor cfg =
       st.draining
       && Queue.is_empty st.ingress
       && List.for_all
-           (fun c -> (not c.alive) || Queue.is_empty c.egress)
+           (fun c -> (not c.alive) || egress_bytes c = 0)
            st.conns
     then finished := true
   done;

@@ -23,6 +23,11 @@
       sample — and swaps predictor and cache only on success; any
       failure keeps the old model serving.
 
+    Egress: replies are encoded straight into one growable buffer per
+    connection, which each loop tick flushes with one [write] (another
+    only after a partial write).  A reply counts as [answered] once its
+    last byte is written.
+
     Fault-injection sites (see {!Archpred_fault.Fault}):
     ["serve.accept"] before each accept, ["serve.read"] before each
     socket read, ["serve.write"] before each socket write,
@@ -61,7 +66,14 @@ type stats = {
   protocol_errors : int;  (** connections that desynced mid-stream *)
   reloads_ok : int;
   reloads_failed : int;
-  lost : int;  (** parsed requests whose reply never flushed *)
+  lost : int;
+      (** parsed requests whose reply never flushed: everything still
+          owed, down to the last byte, when its connection died;
+          [answered + lost = requests] once the daemon returns *)
+  hangups : int;
+      (** the part of [lost] owed to peers that closed or reset their
+          connection first ([EPIPE]/[ECONNRESET]), rather than ones the
+          daemon cut off (fault, [max_egress], I/O error) *)
   cache : Archpred_core.Memo.stats;
 }
 
@@ -87,6 +99,12 @@ val run :
   stats
 (** Serve until a drain completes.  Blocks the calling thread; drive it
     from another domain (tests) or wire signals to [control] (CLI).
+
+    [run] sets SIGPIPE to ignored for the whole process and leaves it so:
+    a peer that hangs up with replies pending must cost its own
+    connection (the write fails with [EPIPE], the connection is killed
+    and its owed replies count as [lost] and [hangups]), not kill the
+    daemon.
     Raises [Error.Archpred (Invalid_input _)] on a nonsensical config
     and lets listener-setup [Unix.Unix_error]s escape; once the loop is
     entered, per-connection failures never escape.
@@ -96,4 +114,5 @@ val run :
     [served.protocol_error], [served.connections], [served.batches],
     [served.batch.leN] (power-of-two batch-size histogram),
     [served.reload.ok], [served.reload.failed], [served.lost],
+    [served.write.partial] (writes the socket took only part of),
     [served.fault.*], and gauge [served.hit_rate]. *)

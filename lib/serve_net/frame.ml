@@ -77,17 +77,40 @@ let status_of_name = function
 (* Encoding                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let encode_request wire req =
+(* Encoders append to a caller's [Buffer.t], so a peer can batch many
+   frames into one socket write.  JSON predict frames are written as text
+   directly, without building a [Json.t]; the bytes are those
+   [Json.to_string] gives for the equivalent object (test_served pins
+   that). *)
+
+let binary_request ~id ~natural point =
+  let dim = Array.length point in
+  let payload = 7 + (8 * dim) in
+  let b = Bytes.create (header_len + payload) in
+  Bytes.set b 0 magic;
+  Bytes.set_int32_le b 1 (Int32.of_int payload);
+  Bytes.set_int32_le b 5 (Int32.of_int id);
+  Bytes.set_uint8 b 9 (if natural then 1 else 0);
+  Bytes.set_uint16_le b 10 dim;
+  Array.iteri
+    (fun i v -> Bytes.set_int64_le b (12 + (8 * i)) (Int64.bits_of_float v))
+    point;
+  Bytes.to_string b
+
+let add_request b wire req =
   match (wire, req) with
   | Json_wire, Predict { id; point; natural } ->
-      let fields =
-        [
-          ("id", Json.Int id);
-          ("point", Json.List (Array.to_list (Array.map (fun v -> Json.Float v) point)));
-        ]
-        @ if natural then [ ("natural", Json.Bool true) ] else []
-      in
-      Json.to_string (Json.Obj fields) ^ "\n"
+      Buffer.add_string b "{\"id\":";
+      Buffer.add_string b (string_of_int id);
+      Buffer.add_string b ",\"point\":[";
+      Array.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_char b ',';
+          Json.add_float b v)
+        point;
+      Buffer.add_char b ']';
+      if natural then Buffer.add_string b ",\"natural\":true";
+      Buffer.add_string b "}\n"
   | Json_wire, Reload path ->
       let fields =
         ("cmd", Json.String "reload")
@@ -96,49 +119,71 @@ let encode_request wire req =
         | Some p -> [ ("path", Json.String p) ]
         | None -> [])
       in
-      Json.to_string (Json.Obj fields) ^ "\n"
+      Buffer.add_string b (Json.to_string (Json.Obj fields));
+      Buffer.add_char b '\n'
   | Binary_wire, Predict { id; point; natural } ->
-      let dim = Array.length point in
-      let payload = 7 + (8 * dim) in
-      let b = Bytes.create (header_len + payload) in
-      Bytes.set b 0 magic;
-      Bytes.set_int32_le b 1 (Int32.of_int payload);
-      Bytes.set_int32_le b 5 (Int32.of_int id);
-      Bytes.set_uint8 b 9 (if natural then 1 else 0);
-      Bytes.set_uint16_le b 10 dim;
-      Array.iteri
-        (fun i v -> Bytes.set_int64_le b (12 + (8 * i)) (Int64.bits_of_float v))
-        point;
-      Bytes.to_string b
+      Buffer.add_string b (binary_request ~id ~natural point)
   | Binary_wire, Reload _ ->
       invalid_arg "Frame.encode_request: reload is a JSON-only control message"
 
-let encode_response wire resp =
+let reply_len = header_len + 13
+
+(* The binary reply is the daemon's per-request output on the hot path:
+   fixed-size, written in place, allocation-free (enforced by
+   tools/analyze/hotpaths.sexp). *)
+let[@inline] put_binary_reply b pos ~id ~status value =
+  Bytes.set b pos magic;
+  Bytes.set_int32_le b (pos + 1) 13l;
+  Bytes.set_int32_le b (pos + 5) (Int32.of_int id);
+  Bytes.set_uint8 b (pos + 9) (status_code status);
+  Bytes.set_int64_le b (pos + 10) (Int64.bits_of_float value)
+
+let binary_reply ~id ~status value =
+  let f = Bytes.create reply_len in
+  put_binary_reply f 0 ~id ~status value;
+  Bytes.to_string f
+
+let add_response b wire resp =
   match (wire, resp) with
   | Json_wire, Reply { id; status; value } ->
-      let fields =
-        [ ("id", Json.Int id); ("status", Json.String (status_name status)) ]
-        @ if status = Ok then [ ("value", Json.Float value) ] else []
-      in
-      Json.to_string (Json.Obj fields) ^ "\n"
+      Buffer.add_string b "{\"id\":";
+      Buffer.add_string b (string_of_int id);
+      Buffer.add_string b ",\"status\":\"";
+      Buffer.add_string b (status_name status);
+      Buffer.add_char b '"';
+      if status = Ok then begin
+        Buffer.add_string b ",\"value\":";
+        Json.add_float b value
+      end;
+      Buffer.add_string b "}\n"
   | Json_wire, Reload_reply { ok; detail } ->
-      Json.to_string
-        (Json.Obj
-           [
-             ("reload", Json.String (if ok then "ok" else "failed"));
-             ("detail", Json.String detail);
-           ])
-      ^ "\n"
+      Buffer.add_string b
+        (Json.to_string
+           (Json.Obj
+              [
+                ("reload", Json.String (if ok then "ok" else "failed"));
+                ("detail", Json.String detail);
+              ]));
+      Buffer.add_char b '\n'
   | Binary_wire, Reply { id; status; value } ->
-      let b = Bytes.create (header_len + 13) in
-      Bytes.set b 0 magic;
-      Bytes.set_int32_le b 1 13l;
-      Bytes.set_int32_le b 5 (Int32.of_int id);
-      Bytes.set_uint8 b 9 (status_code status);
-      Bytes.set_int64_le b 10 (Int64.bits_of_float value);
-      Bytes.to_string b
+      Buffer.add_string b (binary_reply ~id ~status value)
   | Binary_wire, Reload_reply _ ->
       invalid_arg "Frame.encode_response: reload replies are JSON-only"
+
+let encode_with add wire msg =
+  let b = Buffer.create 128 in
+  add b wire msg;
+  Buffer.contents b
+
+let encode_request wire req =
+  match (wire, req) with
+  | Binary_wire, Predict { id; point; natural } -> binary_request ~id ~natural point
+  | _ -> encode_with add_request wire req
+
+let encode_response wire resp =
+  match (wire, resp) with
+  | Binary_wire, Reply { id; status; value } -> binary_reply ~id ~status value
+  | _ -> encode_with add_response wire resp
 
 (* ------------------------------------------------------------------ *)
 (* Incremental decoding                                               *)

@@ -44,6 +44,23 @@ val encode_request : wire -> request -> string
 val encode_response : wire -> response -> string
 (** Raises [Invalid_argument] for [Binary_wire] reload replies. *)
 
+val add_request : Buffer.t -> wire -> request -> unit
+(** [add_request b wire req] appends the bytes of [encode_request wire
+    req] to [b], so a sender can batch many frames into one write. *)
+
+val add_response : Buffer.t -> wire -> response -> unit
+(** [add_response b wire resp] appends the bytes of [encode_response
+    wire resp] to [b]. *)
+
+val reply_len : int
+(** Size in bytes of a binary [Reply] frame (18). *)
+
+val put_binary_reply : bytes -> int -> id:int -> status:status -> float -> unit
+(** [put_binary_reply b pos ~id ~status value] writes the binary [Reply]
+    frame into [b.[pos .. pos + reply_len - 1]] — the bytes of
+    [encode_response Binary_wire (Reply {id; status; value})] — without
+    allocating.  [b] must have room. *)
+
 type decoder
 (** Incremental frame reassembler for one connection.  A protocol
     error is sticky: every subsequent [next_*] returns the same

@@ -605,9 +605,10 @@ let simulate p cfg ~max_cycles ~warm ~(stream : bp_stream) =
         if Array.unsafe_get cand_t r < !next_issue then
           next_issue := Array.unsafe_get cand_t r
       done;
-      let next_fetch =
-        if !tail < n && now < !fetch_resume then !fetch_resume else max_int
-      in
+      (* Fetch resumes at [fetch_resume] even after the last instruction
+         is fetched: the stall counters below stop there, as the
+         reference's per-cycle loop does. *)
+      let next_fetch = if now < !fetch_resume then !fetch_resume else max_int in
       let target = min next_commit (min !next_issue next_fetch) in
       let target = min target (max_cycles + 1) in
       let target = if target <= now then now + 1 else target in

@@ -1,7 +1,8 @@
 (* End-to-end smoke test for the real daemon binary: save a tiny model,
    start `archpred served` on a temp Unix socket, round-trip predictions
    on both framings (answers must match the scalar oracle bitwise),
-   hot-reload to a second model, then SIGTERM and require a clean
+   hot-reload to a second model, survive a client that aborts
+   mid-stream while serving another, then SIGTERM and require a clean
    drain — exit status 0.  The binary path arrives as argv.(1) from the
    dune runtest rule. *)
 
@@ -100,7 +101,36 @@ let () =
            fail "post-reload answer is not model B's"
      | _ -> fail "post-reload predict failed");
      Client.close c;
-     (* graceful drain on SIGTERM: the daemon must exit 0 *)
+     (* a client that aborts mid-stream: 4000 binary requests, then it
+        hangs up without reading a reply.  The daemon's writes to it
+        fail with EPIPE; that must cost only that connection (no
+        SIGPIPE death), and a second client is still served. *)
+     let abort = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+     Unix.connect abort (Unix.ADDR_UNIX sock);
+     let burst = Buffer.create (4000 * 84) in
+     for id = 0 to 3999 do
+       Frame.add_request burst Frame.Binary_wire
+         (Frame.Predict { id; point = points.(id mod Array.length points); natural = false })
+     done;
+     let data = Buffer.to_bytes burst in
+     let off = ref 0 in
+     while !off < Bytes.length data do
+       off := !off + Unix.write abort data !off (Bytes.length data - !off)
+     done;
+     Unix.close abort;
+     let c2 = Client.connect (Daemon.Unix_socket sock) in
+     let load = Client.drive c2 Frame.Binary_wire points in
+     Client.close c2;
+     let oracle =
+       Array.fold_left ( +. ) 0. (Core.Predictor.predict_batch pred_b points)
+     in
+     if load.Client.ok <> Array.length points then
+       fail "second client: %d of %d replies ok after an abort" load.Client.ok
+         (Array.length points);
+     if not (Int64.equal (bits oracle) (bits load.Client.checksum)) then
+       fail "second client: checksum is not model B's after an abort";
+     (* graceful drain on SIGTERM: the daemon must exit 0 — the aborted
+        client's replies are peer hang-ups, not daemon losses *)
      Unix.kill pid Sys.sigterm;
      (match Unix.waitpid [] pid with
      | _, Unix.WEXITED 0 -> ()
@@ -113,5 +143,6 @@ let () =
      raise e);
   cleanup ();
   Printf.printf
-    "ok: served round-trips both framings, hot-reloads, drains clean (%d points)\n"
+    "ok: served round-trips both framings, hot-reloads, survives an aborted \
+     client, drains clean (%d points)\n"
     (Array.length points)

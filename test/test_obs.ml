@@ -297,6 +297,23 @@ let test_error_guard () =
   | Error (Error.Invalid_input { where = "t"; what = "bad" }) -> ()
   | _ -> Alcotest.fail "guard missed error"
 
+(* Json renders floats through the %g primitive directly; the bytes must
+   be exactly Printf's. *)
+let qcheck_json_float_printf =
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, float);
+          (2, map Int64.float_of_bits ui64);
+          (1, oneofl [ 0.; -0.; Float.nan; Float.infinity; Float.neg_infinity; 5e-324; Float.max_float ]);
+        ])
+  in
+  QCheck.Test.make ~name:"json float = Printf %.17g" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen) (fun f ->
+      let expect = if Float.is_finite f then Printf.sprintf "%.17g" f else "null" in
+      String.equal (Json.to_string (Json.Float f)) expect)
+
 let () =
   Alcotest.run "obs"
     [
@@ -312,6 +329,7 @@ let () =
           Alcotest.test_case "memory shapes" `Quick test_memory_sink_event_shapes;
           Alcotest.test_case "jsonl parses" `Quick test_jsonl_sink_parses;
           Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
+          QCheck_alcotest.to_alcotest qcheck_json_float_printf;
         ] );
       ( "pipeline",
         [

@@ -55,7 +55,7 @@ let fresh_sock () =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "archpred_t%d_%d.sock" (Unix.getpid ()) !sock_counter)
 
-let start_daemon ?(tweak = fun c -> c) predictor =
+let start_daemon ?(tweak = fun c -> c) ?obs predictor =
   let sock = fresh_sock () in
   let control = Daemon.control () in
   let cfg =
@@ -67,7 +67,7 @@ let start_daemon ?(tweak = fun c -> c) predictor =
       }
   in
   let dom =
-    Domain.spawn (fun () -> Daemon.run ~control ~predictor cfg)
+    Domain.spawn (fun () -> Daemon.run ?obs ~control ~predictor cfg)
   in
   (sock, control, dom)
 
@@ -179,6 +179,45 @@ let test_response_roundtrip () =
           | `Error e -> Alcotest.failf "protocol error: %s" e)
         wires)
     resps
+
+(* The JSON encoders write text directly; the bytes must be those of the
+   equivalent Json tree, for any id and coordinates. *)
+let qcheck_json_encoding_pinned =
+  let module Json = Archpred_obs.Json in
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 0 10 in
+      let* id = int_range (-5) 0xFFFFFF in
+      let* natural = bool in
+      let* coords = array_repeat n (oneof [ float; float_range (-2.) 2. ]) in
+      let* st = oneofl [ Frame.Ok; Frame.Overloaded; Frame.Timeout; Frame.Bad_request; Frame.Shutting_down ] in
+      return (id, natural, coords, st))
+  in
+  QCheck.Test.make ~name:"json encoding = Json tree" ~count:300 (QCheck.make gen)
+    (fun (id, natural, point, status) ->
+      let line fields = Json.to_string (Json.Obj fields) ^ "\n" in
+      let req =
+        line
+          ([ ("id", Json.Int id); ("point", Json.List (Array.to_list (Array.map (fun v -> Json.Float v) point))) ]
+          @ if natural then [ ("natural", Json.Bool true) ] else [])
+      in
+      let value = if Array.length point > 0 then point.(0) else 0.5 in
+      let resp =
+        line
+          ([ ("id", Json.Int id); ("status", Json.String (Frame.status_name status)) ]
+          @ if status = Frame.Ok then [ ("value", Json.Float value) ] else [])
+      in
+      String.equal req (Frame.encode_request Frame.Json_wire (Frame.Predict { id; point; natural }))
+      && String.equal resp (Frame.encode_response Frame.Json_wire (Frame.Reply { id; status; value })))
+
+(* The in-place binary reply writer and the string encoder agree. *)
+let test_put_binary_reply () =
+  let b = Bytes.make (Frame.reply_len + 3) 'x' in
+  Frame.put_binary_reply b 3 ~id:4242 ~status:Frame.Timeout 1.5;
+  Alcotest.(check string) "same bytes"
+    (Frame.encode_response Frame.Binary_wire (Frame.Reply { id = 4242; status = Frame.Timeout; value = 1.5 }))
+    (Bytes.sub_string b 3 Frame.reply_len);
+  Alcotest.(check string) "prefix untouched" "xxx" (Bytes.sub_string b 0 3)
 
 (* QCheck: any request, any split of the byte stream, decodes back. *)
 let qcheck_chunked_roundtrip =
@@ -641,6 +680,188 @@ let test_domains_bit_identical () =
         (Int64.equal (bits v1) (bits a4.(i))))
     a1
 
+(* ---------------------------------------------------------------- *)
+(* Coalesced egress                                                 *)
+(* ---------------------------------------------------------------- *)
+
+(* Enough binary replies (18 bytes each) to overflow a Unix socket's
+   ~230 KB of in-flight data, so the daemon's writes go partial. *)
+let burst = 16_384
+
+let burst_points = grid_points ~seed:21 burst
+
+(* A raw peer that sends [burst] binary requests and reads nothing yet.
+   A small receive buffer, where the kernel honours it, makes the
+   daemon's writes go partial even sooner. *)
+let send_burst sock =
+  let rec connect attempt =
+    match raw_connect sock with
+    | fd -> fd
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) when attempt < 500 ->
+        (* the daemon domain may still be binding its socket *)
+        Unix.sleepf 0.002;
+        connect (attempt + 1)
+  in
+  let fd = connect 0 in
+  Unix.setsockopt_int fd Unix.SO_RCVBUF 4096;
+  let b = Buffer.create (burst * 84) in
+  Array.iteri
+    (fun id point -> Frame.add_request b Frame.Binary_wire (Frame.Predict { id; point; natural = false }))
+    burst_points;
+  (* the daemon may cut the peer off mid-burst (max_egress) *)
+  (try raw_send fd (Buffer.contents b)
+   with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+  fd
+
+(* Read until EOF or until [want] replies, [chunk] bytes per read with
+   [pause] between reads, after decoding [prefix] (bytes already read);
+   return the number of complete replies, checked bit-exact against the
+   oracle and in request order. *)
+let read_replies ?(chunk = 65536) ?(pause = 0.) ?want ?(prefix = "") predictor fd =
+  let d = Frame.decoder () in
+  let buf = Bytes.create chunk in
+  let got = ref 0 and bad = ref 0 in
+  let rec decode () =
+    match Frame.next_response d with
+    | `Msg (Frame.Reply { id; status = Frame.Ok; value }, _) ->
+        let expect = Rbf.Network.eval predictor.Core.Predictor.network burst_points.(id) in
+        if id <> !got || not (Int64.equal (bits expect) (bits value)) then incr bad;
+        incr got;
+        decode ()
+    | `Msg _ ->
+        incr bad;
+        decode ()
+    | `Need_more -> ()
+    | `Error e -> Alcotest.failf "reply stream: %s" e
+  in
+  Frame.feed_string d prefix;
+  decode ();
+  let continue = ref true in
+  while !continue && (match want with Some w -> !got < w | None -> true) do
+    match Unix.read fd buf 0 chunk with
+    | 0 -> continue := false
+    | n ->
+        Frame.feed d buf 0 n;
+        decode ();
+        if pause > 0. then Unix.sleepf pause
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> continue := false
+  done;
+  Alcotest.(check int) "replies ok, exact and in order" 0 !bad;
+  !got
+
+let test_partial_writes_exact () =
+  let predictor = tiny_predictor () in
+  let obs = Obs.create () in
+  let sock, control, dom = start_daemon ~obs predictor in
+  let fd = send_burst sock in
+  (* a slow reader: 4 KiB at a time *)
+  let got = read_replies ~chunk:4096 ~pause:0.0002 ~want:burst predictor fd in
+  Unix.close fd;
+  let s = stop_daemon control dom in
+  Alcotest.(check int) "every reply read" burst got;
+  Alcotest.(check int) "requests" burst s.Daemon.requests;
+  Alcotest.(check int) "answered" burst s.Daemon.answered;
+  Alcotest.(check int) "lost" 0 s.Daemon.lost;
+  Alcotest.(check bool) "writes went partial" true (Obs.counter obs "served.write.partial" > 0)
+
+(* Wait until the daemon has tried [ticks] more writes: with replies
+   pending it tries one every tick, so by then it has read and answered
+   everything the peer sent. *)
+let await_write_attempts ticks =
+  let h0 = Fault.hits "serve.write" in
+  while Fault.hits "serve.write" < h0 + ticks do
+    Unix.sleepf 0.002
+  done
+
+let test_write_fault_mid_buffer () =
+  let predictor = tiny_predictor () in
+  Fault.reset ();
+  Fault.record true;
+  let sock, control, dom = start_daemon predictor in
+  let fd = send_burst sock in
+  await_write_attempts 25;
+  (* free a little room: the daemon's next write fills it, most likely
+     stopping mid-reply, and leaves the rest of its buffer pending *)
+  let head = Bytes.create 20_000 in
+  let n = ref 0 in
+  while !n < Bytes.length head do
+    n := !n + Unix.read fd head !n (Bytes.length head - !n)
+  done;
+  await_write_attempts 3;
+  (* every later write faults: the connection dies with part of its
+     reply buffer still pending *)
+  Fault.arm ~site:"serve.write" ~after:(Fault.hits "serve.write" + 1) ~sticky:true ();
+  let got = read_replies ~prefix:(Bytes.to_string head) predictor fd in
+  Unix.close fd;
+  let s = stop_daemon control dom in
+  Fault.reset ();
+  Alcotest.(check int) "requests" burst s.Daemon.requests;
+  Alcotest.(check bool) "some replies flushed first" true (got > 0);
+  Alcotest.(check bool) "some replies still pending" true (got < burst);
+  Alcotest.(check int) "answered = replies fully flushed" got s.Daemon.answered;
+  Alcotest.(check int) "lost = replies not fully flushed" (burst - got) s.Daemon.lost;
+  Alcotest.(check int) "a daemon-side cut is no hang-up" 0 s.Daemon.hangups
+
+let test_max_egress_disconnect () =
+  let predictor = tiny_predictor () in
+  let obs = Obs.create () in
+  let sock, control, dom =
+    start_daemon ~obs ~tweak:(fun c -> { c with Daemon.max_egress = 4096 }) predictor
+  in
+  let fd = send_burst sock in
+  let got = read_replies predictor fd in
+  Unix.close fd;
+  let s = stop_daemon control dom in
+  Alcotest.(check int) "disconnected once" 1 (Obs.counter obs "served.egress_overflow");
+  Alcotest.(check int) "answered = replies fully flushed" got s.Daemon.answered;
+  Alcotest.(check bool) "replies lost" true (s.Daemon.lost > 0);
+  Alcotest.(check int) "identity" s.Daemon.requests (s.Daemon.answered + s.Daemon.lost)
+
+(* A peer that sends a burst and hangs up without reading costs its own
+   replies (counted as hang-ups) and nothing else. *)
+let test_peer_hangup () =
+  let predictor = tiny_predictor () in
+  let sock, control, dom = start_daemon predictor in
+  let fd = send_burst sock in
+  Unix.close fd;
+  let c = Client.connect (Daemon.Unix_socket sock) in
+  let points = grid_points ~seed:22 200 in
+  let load = Client.drive c Frame.Binary_wire points in
+  Client.close c;
+  let s = stop_daemon control dom in
+  Alcotest.(check int) "second client fully served" 200 load.Client.ok;
+  Alcotest.(check bool) "hang-up replies lost" true (s.Daemon.lost > 0);
+  Alcotest.(check int) "all of them hang-ups" s.Daemon.lost s.Daemon.hangups;
+  Alcotest.(check int) "identity" s.Daemon.requests (s.Daemon.answered + s.Daemon.lost)
+
+(* [drive] on both wires and several window depths, over a request
+   count that is no multiple of the send chunk: every reply arrives and
+   the checksum is the oracle's, bit for bit. *)
+let test_drive_checksum () =
+  let predictor = tiny_predictor () in
+  let sock, control, dom = start_daemon predictor in
+  let n = 1_001 in
+  let on_grid = grid_points ~seed:23 n in
+  let rng = Stats.Rng.create 24 in
+  let off_grid = Array.init n (fun _ -> Array.init dim (fun _ -> Stats.Rng.unit_float rng)) in
+  let c = Client.connect (Daemon.Unix_socket sock) in
+  List.iter
+    (fun (wire, points) ->
+      let oracle = Array.fold_left ( +. ) 0. (Core.Predictor.predict_batch predictor points) in
+      List.iter
+        (fun pipeline ->
+          let load = Client.drive c wire ~pipeline points in
+          Alcotest.(check int) (Printf.sprintf "pipeline %d: all ok" pipeline) n load.Client.ok;
+          Alcotest.(check bool)
+            (Printf.sprintf "pipeline %d: checksum is the oracle's" pipeline)
+            true
+            (Int64.equal (bits oracle) (bits load.Client.checksum)))
+        [ 1; 7; 64 ])
+    [ (Frame.Binary_wire, on_grid); (Frame.Json_wire, off_grid); (Frame.Binary_wire, off_grid) ];
+  Client.close c;
+  let s = stop_daemon control dom in
+  Alcotest.(check int) "lost none" 0 s.Daemon.lost
+
 let () =
   Alcotest.run "served"
     [
@@ -657,6 +878,8 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_garbage_total;
           Alcotest.test_case "oversized frames" `Quick
             test_oversized_frame_is_error;
+          QCheck_alcotest.to_alcotest qcheck_json_encoding_pinned;
+          Alcotest.test_case "binary reply in place" `Quick test_put_binary_reply;
         ] );
       ( "daemon",
         [
@@ -672,5 +895,17 @@ let () =
             test_fault_matrix;
           Alcotest.test_case "1 vs 4 domains bit-identical" `Quick
             test_domains_bit_identical;
+        ] );
+      ( "egress",
+        [
+          Alcotest.test_case "partial writes keep exact counts" `Quick
+            test_partial_writes_exact;
+          Alcotest.test_case "write fault mid-buffer" `Quick
+            test_write_fault_mid_buffer;
+          Alcotest.test_case "max_egress disconnect" `Quick
+            test_max_egress_disconnect;
+          Alcotest.test_case "peer hang-up isolated" `Quick test_peer_hangup;
+          Alcotest.test_case "drive checksum, both wires" `Quick
+            test_drive_checksum;
         ] );
     ]

@@ -830,6 +830,18 @@ let test_batch_invalid_config () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* Runs where a mispredicted branch resolves after the last fetch: the
+   quiet-cycle skip once ran past the fetch resume point and kept
+   counting branch stalls (seed 106/parser config 3 gave 206 against the
+   reference's 205, seed 338/mcf config 1 461 against 457). *)
+let test_batch_fetch_stall_tail () =
+  List.iter
+    (fun (seed, profile, cfg) ->
+      let trace = Archpred_workloads.Generator.generate ~seed profile ~length:1_000 in
+      let config = (batch_configs 5 seed).(cfg) in
+      check_batch_vs_reference (Printf.sprintf "seed %d config %d" seed cfg) [| config |] trace)
+    [ (106, Archpred_workloads.Spec2000.parser, 3); (338, Archpred_workloads.Spec2000.mcf, 1) ]
+
 let prop_batch_bit_identity =
   qtest ~count:12 "Batch.run == Processor.run (random traces)"
     QCheck2.Gen.(pair (int_range 0 1000) (int_range 0 3))
@@ -897,6 +909,7 @@ let () =
           Alcotest.test_case "cycle limit" `Quick test_batch_cycle_limit;
           Alcotest.test_case "empty batch" `Quick test_batch_empty;
           Alcotest.test_case "invalid config" `Quick test_batch_invalid_config;
+          Alcotest.test_case "fetch stall at trace end" `Quick test_batch_fetch_stall_tail;
           prop_batch_bit_identity;
         ] );
       ( "branch_predictor",

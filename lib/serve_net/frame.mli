@@ -12,12 +12,16 @@
     length, then the payload: requests are [id u32, kind u8 (0 =
     normalized, 1 = natural), dim u16, dim × f64 LE] (so the length
     must equal [7 + 8*dim]); responses are always 13 bytes: [id u32,
-    status u8, value f64 LE].
+    status u8, value f64 LE].  Binary ids are unsigned: they decode to
+    [\[0, 2^32)].
 
     Decoding is incremental and total: arbitrary chunking, truncation
     and corruption produce [`Need_more] or a sticky [`Error] value —
     never an exception — so a malformed peer can only ever kill its own
-    connection. *)
+    connection.  A JSON line decodes to exactly the message that
+    [Json.of_string] of the line and the first value of each key give
+    (any key order, whitespace, unknown keys skipped, escaped key names);
+    it is scanned in place, without building a [Json.t]. *)
 
 type request =
   | Predict of { id : int; point : float array; natural : bool }
@@ -39,7 +43,8 @@ val status_of_name : string -> status option
 
 val encode_request : wire -> request -> string
 (** Raises [Invalid_argument] for [Binary_wire] reload requests —
-    control messages are JSON-only. *)
+    control messages are JSON-only — and for [Binary_wire] ids outside
+    [\[0, 2^32)]. *)
 
 val encode_response : wire -> response -> string
 (** Raises [Invalid_argument] for [Binary_wire] reload replies. *)

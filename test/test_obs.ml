@@ -314,6 +314,134 @@ let qcheck_json_float_printf =
       let expect = if Float.is_finite f then Printf.sprintf "%.17g" f else "null" in
       String.equal (Json.to_string (Json.Float f)) expect)
 
+(* The integer %.17g path and its fallback, byte for byte against Printf
+   on the families where digit generation goes wrong: carries into the
+   next power of ten, the range edges, exact ties, subnormals. *)
+let qcheck_add_float_families =
+  let ulp_step f k = Int64.float_of_bits (Int64.add (Int64.bits_of_float f) (Int64.of_int k)) in
+  let gen =
+    QCheck.Gen.(
+      let finite_bits =
+        map
+          (fun b ->
+            let f = Int64.float_of_bits b in
+            if Float.is_finite f then f else 0.5)
+          ui64
+      in
+      let around =
+        let* f = oneofl [ 1e17; 1e-4; 0x1p53; 1e16; 1e15; 0.1; 1.; 10. ] in
+        let* k = int_range (-3) 3 in
+        let* neg = bool in
+        let v = ulp_step f k in
+        return (if neg then -.v else v)
+      in
+      let power_of_ten =
+        let* e = int_range (-30) 30 in
+        let* k = int_range (-1) 1 in
+        let* neg = bool in
+        let v = ulp_step (10. ** float_of_int e) k in
+        return (if neg then -.v else v)
+      in
+      let scaled =
+        let* u = float_bound_exclusive 1. in
+        let* e = int_range (-6) 18 in
+        let* neg = bool in
+        let v = u *. (10. ** float_of_int e) in
+        return (if neg then -.v else v)
+      in
+      (* x = k/4 just below 2^51: 18 significant digits ending in 5 *)
+      let tie =
+        let* k = int_range 0 1_000_000 in
+        return ((0x1p50 +. float_of_int k) +. 0.25)
+      in
+      let subnormal = map (fun b -> Int64.float_of_bits (Int64.logand b 0xF_FFFF_FFFF_FFFFL)) ui64 in
+      frequency
+        [
+          (3, finite_bits);
+          (3, float_bound_exclusive 1.);
+          (2, power_of_ten);
+          (2, around);
+          (2, scaled);
+          (1, tie);
+          (1, subnormal);
+          (1, oneofl [ 0x1p53 -. 1.; 0x1p53 +. 2.; 0x1p53; 0.; -0.; 5e-324 ]);
+        ])
+  in
+  QCheck.Test.make ~name:"json add_float = %.17g, integer path" ~count:20_000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen) (fun f ->
+      let b = Buffer.create 32 in
+      Json.add_float b f;
+      String.equal (Buffer.contents b) (Printf.sprintf "%.17g" f))
+
+(* The number lexers classify a token exactly as int_of_string_opt and
+   float_of_string_opt do, which is what the frame scanner and
+   [Json.of_string] both rely on. *)
+let qcheck_number_lexers =
+  let gen =
+    QCheck.Gen.(
+      let soup = string_size ~gen:(oneofl [ '0'; '1'; '5'; '9'; '-'; '+'; '.'; 'e'; 'E' ]) (int_range 0 12) in
+      let formatted =
+        let* f = oneof [ float; float_bound_exclusive 1. ] in
+        let* scale = int_range (-25) 25 in
+        let* digits = int_range 1 21 in
+        oneofl [ Printf.sprintf "%.17g" f; Printf.sprintf "%.*g" digits (f *. (10. ** float_of_int scale)) ]
+      in
+      (* halfway between two adjacent doubles, in at most 19 digits *)
+      let tie =
+        let* k = int_range 0 1_000_000_000 in
+        oneofl
+          [
+            Printf.sprintf "%d.5" (0x10_0000_0000_0000 + k);
+            string_of_int (0x20_0000_0000_0000 + (2 * k) + 1);
+            Printf.sprintf "%d.75e-3" (0x8_0000_0000_0000 + k);
+          ]
+      in
+      let decimal =
+        let digits n = string_size ~gen:(char_range '0' '9') (int_range 0 n) in
+        let* i = digits 22 in
+        let* f = digits 22 in
+        let* e = oneofl [ ""; "e"; "E-"; "e+" ] in
+        let* x = int_range 0 40 in
+        return (i ^ "." ^ f ^ if String.equal e "" then "" else e ^ string_of_int x)
+      in
+      let big =
+        let* digits = int_range 17 22 in
+        let* neg = bool in
+        let* s = string_size ~gen:(char_range '0' '9') (return digits) in
+        return ((if neg then "-" else "") ^ s)
+      in
+      frequency
+        [
+          (4, soup);
+          (3, formatted);
+          (1, tie);
+          (2, decimal);
+          (2, map string_of_int int);
+          (1, big);
+          ( 1,
+            oneofl
+              [ "-0"; "+0"; "1E-3"; "1e"; "1.2.3"; "+1"; "--1"; "4611686018427387903"; "4611686018427387904";
+                "-4611686018427387904"; "-4611686018427387905"; "007"; "." ; ""; "-"; "1e+"; ".5"; "5." ] );
+        ])
+  in
+  QCheck.Test.make ~name:"json number lexers = int/float_of_string" ~count:5000 (QCheck.make ~print:Fun.id gen)
+    (fun tok ->
+      (* embed the token between non-number bytes *)
+      let b = Bytes.of_string ("[" ^ tok ^ "]") in
+      let i = 1 in
+      let j = Json.number_end b i (Bytes.length b) in
+      let int_ok =
+        match int_of_string_opt tok with
+        | Some v -> Json.is_int_token b i j && Json.int_of_token b i j = v
+        | None -> not (Json.is_int_token b i j)
+      in
+      let float_ok =
+        match float_of_string_opt tok with
+        | Some v -> Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float (Json.float_of_token b i j))
+        | None -> Float.is_nan (Json.float_of_token b i j)
+      in
+      j = i + String.length tok && int_ok && float_ok)
+
 let () =
   Alcotest.run "obs"
     [
@@ -330,6 +458,8 @@ let () =
           Alcotest.test_case "jsonl parses" `Quick test_jsonl_sink_parses;
           Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_json_float_printf;
+          QCheck_alcotest.to_alcotest qcheck_add_float_families;
+          QCheck_alcotest.to_alcotest qcheck_number_lexers;
         ] );
       ( "pipeline",
         [

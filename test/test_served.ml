@@ -210,6 +210,333 @@ let qcheck_json_encoding_pinned =
       String.equal req (Frame.encode_request Frame.Json_wire (Frame.Predict { id; point; natural }))
       && String.equal resp (Frame.encode_response Frame.Json_wire (Frame.Reply { id; status; value })))
 
+(* ---------------------------------------------------------------- *)
+(* Codec: the JSON frame scanner against the Json.t reference       *)
+(* ---------------------------------------------------------------- *)
+
+(* The reference: the whole line through [Json.of_string], then the
+   first value of each key.  The frame scanner must agree on every
+   input: the same message with bit-identical coordinates, or an error
+   on both sides. *)
+module Reference = struct
+  module Json = Archpred_obs.Json
+
+  let max_dim = 1024 (* Frame's widest point *)
+
+  let number = function
+    | Json.Float v -> Some v
+    | Json.Int v -> Some (float_of_int v)
+    | _ -> None
+
+  let request line =
+    match Json.of_string line with
+    | Error _ -> None
+    | Ok j -> (
+        match Json.member "cmd" j with
+        | Some (Json.String "reload") ->
+            Some
+              (Frame.Reload
+                 (match Json.member "path" j with Some (Json.String p) -> Some p | _ -> None))
+        | Some _ -> None
+        | None -> (
+            match (Json.member "id" j, Json.member "point" j) with
+            | Some (Json.Int id), Some (Json.List vs) ->
+                let natural =
+                  match Json.member "natural" j with Some (Json.Bool b) -> b | _ -> false
+                in
+                let coords = List.filter_map number vs in
+                if List.length coords <> List.length vs || List.length coords > max_dim then None
+                else Some (Frame.Predict { id; point = Array.of_list coords; natural })
+            | _ -> None))
+
+  let response line =
+    match Json.of_string line with
+    | Error _ -> None
+    | Ok j -> (
+        match Json.member "reload" j with
+        | Some (Json.String outcome) ->
+            let detail = match Json.member "detail" j with Some (Json.String s) -> s | _ -> "" in
+            Some (Frame.Reload_reply { ok = outcome = "ok"; detail })
+        | Some _ -> None
+        | None -> (
+            match (Json.member "id" j, Json.member "status" j) with
+            | Some (Json.Int id), Some (Json.String s) ->
+                Option.map
+                  (fun status ->
+                    let value =
+                      match Option.bind (Json.member "value" j) number with
+                      | Some v -> v
+                      | None -> Float.nan
+                    in
+                    Frame.Reply { id; status; value })
+                  (Frame.status_of_name s)
+            | _ -> None))
+end
+
+let response_equal a b =
+  match (a, b) with
+  | Frame.Reply { id = i1; status = s1; value = v1 }, Frame.Reply { id = i2; status = s2; value = v2 } ->
+      i1 = i2 && s1 = s2 && Int64.equal (bits v1) (bits v2)
+  | Frame.Reload_reply { ok = o1; detail = d1 }, Frame.Reload_reply { ok = o2; detail = d2 } ->
+      o1 = o2 && String.equal d1 d2
+  | _ -> false
+
+(* Decode one line (no '\n' inside) as the daemon or the client would. *)
+let scan_line next line =
+  let d = Frame.decoder () in
+  Frame.feed_string d (line ^ "\n");
+  match next d with
+  | `Msg (m, Frame.Json_wire) -> Some m
+  | `Msg (_, Frame.Binary_wire) -> Alcotest.fail "JSON line decoded as binary"
+  | `Error _ -> None
+  | `Need_more -> Alcotest.failf "complete line asked for more: %S" line
+
+let agrees equal reference decoded =
+  match (reference, decoded) with
+  | Some a, Some b -> equal a b
+  | None, None -> true
+  | _ -> false
+
+let request_agrees line = agrees request_equal (Reference.request line) (scan_line Frame.next_request line)
+let response_agrees line = agrees response_equal (Reference.response line) (scan_line Frame.next_response line)
+
+(* Frames built from canonical pieces, then mutated: whitespace,
+   reordered, duplicate and unknown keys, escaped key names, odd number
+   tokens, and byte-level damage.  Lines keep their leading '{' and hold
+   no '\n', so framing is not what is under test. *)
+module Mutate = struct
+  open QCheck.Gen
+
+  let ws = frequency [ (6, return ""); (1, oneofl [ " "; "\t"; "\r"; " \t " ]) ]
+
+  let odd_numbers =
+    [ "-0"; "1E-3"; "12345678901234567890"; "4611686018427387904"; "4611686018427387903";
+      "-4611686018427387904"; "-4611686018427387905"; "1e"; "1.2.3"; "+1"; "--1"; "0"; "-0.0";
+      ".5"; "5."; "1e400"; "007"; "-"; "" ]
+
+  let number =
+    frequency
+      [
+        (8, map (Printf.sprintf "%.17g") (float_range (-2.) 2.));
+        (2, map (Printf.sprintf "%.17g") float);
+        (2, map string_of_int small_signed_int);
+        (1, oneofl odd_numbers);
+      ]
+
+  (* A key as written: raw, or with one character as a \u escape. *)
+  let key k =
+    frequency
+      [
+        (5, return k);
+        ( 1,
+          let* j = int_range 0 (String.length k - 1) in
+          return
+            (String.sub k 0 j
+            ^ Printf.sprintf "\\u%04x" (Char.code k.[j])
+            ^ String.sub k (j + 1) (String.length k - j - 1)) );
+      ]
+
+  (* Non-number values: mostly valid JSON, some malformed. *)
+  let other =
+    frequency
+      [
+        ( 6,
+          oneofl
+            [ "{\"a\":[1,2,{\"b\":null}]}"; "\"s\\\"q\""; "[]"; "-3.5e2"; "true"; "false"; "null";
+              "\"\\u0041\\n\""; "{}" ] );
+        (1, oneofl [ "[1,"; "{\"a\"}"; "tru"; "\"unterminated"; "\"\\x\"" ]);
+      ]
+
+  let point =
+    let elem = frequency [ (30, number); (1, other) ] in
+    frequency
+      [
+        ( 20,
+          let* n = int_range 0 10 in
+          let* xs = list_repeat n elem in
+          let* sep = map2 (fun a b -> a ^ "," ^ b) ws ws in
+          let* l = ws in
+          return ("[" ^ l ^ String.concat sep xs ^ "]") );
+        (1, other);
+        (1, number);
+      ]
+
+  let id = frequency [ (20, map string_of_int (int_range 0 100_000)); (2, number); (1, other) ]
+
+  let render fields =
+    let* fields = shuffle_l fields in
+    let* parts =
+      flatten_l
+        (List.map
+           (fun (k, v) ->
+             let* k = key k in
+             let* a = ws in
+             let* b = ws in
+             return ("\"" ^ k ^ "\"" ^ a ^ ":" ^ b ^ v))
+           fields)
+    in
+    let* sep = map2 (fun a b -> a ^ "," ^ b) ws ws in
+    let* a = ws in
+    let* b = ws in
+    return ("{" ^ a ^ String.concat sep parts ^ b ^ "}")
+
+  (* A second value for some key already present: the first must win. *)
+  let with_extras fields pool =
+    let* unknown = list_size (int_range 0 2) (pair (oneofl [ "x"; "Id"; "points"; "extra" ]) other) in
+    let* dup = frequency [ (3, return []); (1, map (fun (k, _) -> [ k ]) (oneofl fields)) ] in
+    let* dups = flatten_l (List.map (fun k -> map (fun v -> (k, v)) pool) dup) in
+    return (fields @ unknown @ dups)
+
+  (* Byte-level damage, never touching the leading '{'. *)
+  let damage line =
+    let n = String.length line in
+    if n < 2 then return line
+    else
+      frequency
+        [
+          (9, return line);
+          (1, map (fun k -> String.sub line 0 k) (int_range 1 (n - 1)));
+          ( 1,
+            let* k = int_range 1 (n - 1) in
+            return (String.sub line 0 k ^ String.sub line (k + 1) (n - k - 1)) );
+          ( 1,
+            let* k = int_range 1 n in
+            let* c = oneofl [ "{"; "}"; "["; "]"; ","; ":"; "\""; "\\"; "0"; "e"; "-"; "."; "x"; " " ] in
+            return (String.sub line 0 k ^ c ^ String.sub line k (n - k)) );
+        ]
+
+  let request =
+    let predict =
+      let* id_v = id in
+      let* point_v = point in
+      let* natural = frequency [ (3, return []); (1, map (fun v -> [ ("natural", v) ]) (oneofl [ "true"; "false"; "1"; "null" ])) ] in
+      let base = [ ("id", id_v); ("point", point_v) ] @ natural in
+      with_extras base (frequency [ (2, number); (1, point); (1, other) ])
+    in
+    let reload =
+      let* cmd = oneofl [ "\"reload\""; "\"stats\""; "1"; "null"; "\"rel\\u006fad\"" ] in
+      let* path = frequency [ (1, return []); (2, map (fun p -> [ ("path", p) ]) (oneofl [ "\"m.model\""; "3"; "\"a\\nb\"" ])) ] in
+      let* predict = frequency [ (3, return []); (1, predict) ] in
+      with_extras (("cmd", cmd) :: (path @ predict)) other
+    in
+    let* fields = frequency [ (5, predict); (1, reload) ] in
+    render fields >>= damage
+
+  let response =
+    let reply =
+      let* id_v = id in
+      let* status =
+        oneofl [ "\"ok\""; "\"overloaded\""; "\"timeout\""; "\"bad_request\""; "\"shutting_down\""; "\"nope\""; "\"o\\u006b\""; "3" ]
+      in
+      let* value = frequency [ (1, return []); (4, map (fun v -> [ ("value", v) ]) (frequency [ (5, number); (1, other) ])) ] in
+      with_extras ([ ("id", id_v); ("status", status) ] @ value) (frequency [ (2, number); (1, other) ])
+    in
+    let reload =
+      let* outcome = oneofl [ "\"ok\""; "\"failed\""; "1"; "\"\\u006fk\"" ] in
+      let* detail = oneofl [ []; [ ("detail", "\"checksum\"") ]; [ ("detail", "null") ] ] in
+      with_extras (("reload", outcome) :: detail) other
+    in
+    let* fields = frequency [ (5, reply); (1, reload) ] in
+    render fields >>= damage
+end
+
+let qcheck_request_scanner =
+  QCheck.Test.make ~name:"json request scanner = Json.of_string reference" ~count:3000
+    (QCheck.make ~print:Fun.id Mutate.request) request_agrees
+
+let qcheck_response_scanner =
+  QCheck.Test.make ~name:"json response scanner = Json.of_string reference" ~count:3000
+    (QCheck.make ~print:Fun.id Mutate.response) response_agrees
+
+(* Canonical frames cut at every byte: each prefix (closed by '\n') is an
+   error on both sides, or the same message. *)
+let test_scanner_truncation () =
+  let requests =
+    [
+      Frame.encode_request Frame.Json_wire (Frame.Predict { id = 12; point = [| 0.5; -0.; 1e-7; 3. |]; natural = true });
+      Frame.encode_request Frame.Json_wire (Frame.Reload (Some "m.model"));
+      "{ \"po\\u0069nt\" : [ 1 , -0 , 1E-3 ] , \"id\" : 4 , \"id\" : \"x\" }\n";
+    ]
+  in
+  let responses =
+    [
+      Frame.encode_response Frame.Json_wire (Frame.Reply { id = 3; status = Frame.Ok; value = 0.1 });
+      Frame.encode_response Frame.Json_wire (Frame.Reload_reply { ok = false; detail = "bad \"crc\"" });
+      "{\"value\":null,\"status\":\"timeout\",\"id\":9,\"extra\":[{}]}\n";
+    ]
+  in
+  let each agrees frames =
+    List.iter
+      (fun s ->
+        let s = String.sub s 0 (String.index s '\n') in
+        for cut = 1 to String.length s do
+          let line = String.sub s 0 cut in
+          if not (agrees line) then Alcotest.failf "scanner and reference disagree on %S" line
+        done)
+      frames
+  in
+  each request_agrees requests;
+  each response_agrees responses
+
+(* Binary ids are u32: the full range round-trips, anything else is
+   refused by the encoder. *)
+let test_binary_ids_u32 () =
+  List.iter
+    (fun id ->
+      let req = Frame.Predict { id; point = [| 0.5 |]; natural = false } in
+      (match decode_all_requests [ Frame.encode_request Frame.Binary_wire req ] with
+      | [ (got, _) ] -> Alcotest.(check bool) (Printf.sprintf "request id %d" id) true (request_equal req got)
+      | _ -> Alcotest.fail "expected one request");
+      let d = Frame.decoder () in
+      Frame.feed_string d (Frame.encode_response Frame.Binary_wire (Frame.Reply { id; status = Frame.Ok; value = 1. }));
+      match Frame.next_response d with
+      | `Msg (Frame.Reply r, _) -> Alcotest.(check int) "reply id" id r.id
+      | _ -> Alcotest.fail "expected one reply")
+    [ 0; (1 lsl 31) - 1; 1 lsl 31; (1 lsl 32) - 1 ];
+  List.iter
+    (fun id ->
+      match Frame.encode_request Frame.Binary_wire (Frame.Predict { id; point = [||]; natural = false }) with
+      | _ -> Alcotest.failf "binary id %d accepted" id
+      | exception Invalid_argument _ -> ())
+    [ -1; 1 lsl 32 ]
+
+(* A line near max_frame fed in small chunks still decodes, and a
+   newline that arrives on its own (or with the next line) is found. *)
+let test_long_line_chunked () =
+  let max_frame = 1 lsl 20 (* the decoder's default *) in
+  let line =
+    Frame.encode_request Frame.Json_wire
+      (Frame.Predict { id = 1; point = Array.make 1024 0.123456789012345678; natural = false })
+  in
+  let pad = String.make (max_frame - String.length line - 64) ' ' in
+  let long = String.sub line 0 (String.length line - 2) ^ pad ^ "}" in
+  let second = Frame.encode_request Frame.Json_wire (Frame.Predict { id = 2; point = [| 0.5 |]; natural = false }) in
+  let stream = long ^ "\n" ^ second in
+  let sliced chunk =
+    let chunks = ref [] in
+    let i = ref 0 in
+    while !i < String.length stream do
+      let n = min chunk (String.length stream - !i) in
+      chunks := String.sub stream !i n :: !chunks;
+      i := !i + n
+    done;
+    List.rev !chunks
+  in
+  List.iter
+    (fun (what, chunks) ->
+      match decode_all_requests chunks with
+      | [ (Frame.Predict a, _); (Frame.Predict b, _) ] ->
+          Alcotest.(check (pair int int)) (what ^ ": ids") (1, 2) (a.id, b.id);
+          Alcotest.(check int) (what ^ ": long point") 1024 (Array.length a.point)
+      | l -> Alcotest.failf "%s: expected 2 requests, got %d" what (List.length l))
+    [
+      ("4 KiB chunks", sliced 4096);
+      ("1000-byte chunks", sliced 1000);
+      ("64-byte chunks", sliced 64);
+      ("newline alone", [ long; "\n"; second ]);
+      ("newline leads the next chunk", [ long; "\n" ^ second ]);
+    ]
+
 (* The in-place binary reply writer and the string encoder agree. *)
 let test_put_binary_reply () =
   let b = Bytes.make (Frame.reply_len + 3) 'x' in
@@ -880,6 +1207,11 @@ let () =
             test_oversized_frame_is_error;
           QCheck_alcotest.to_alcotest qcheck_json_encoding_pinned;
           Alcotest.test_case "binary reply in place" `Quick test_put_binary_reply;
+          QCheck_alcotest.to_alcotest qcheck_request_scanner;
+          QCheck_alcotest.to_alcotest qcheck_response_scanner;
+          Alcotest.test_case "scanner truncation at every byte" `Quick test_scanner_truncation;
+          Alcotest.test_case "binary ids are u32" `Quick test_binary_ids_u32;
+          Alcotest.test_case "long line in small chunks" `Quick test_long_line_chunked;
         ] );
       ( "daemon",
         [

@@ -351,7 +351,7 @@ let train_cmd =
       trained.Core.Build.tune.Core.Tune.alpha
       (Core.Predictor.n_centers trained.Core.Build.predictor)
       trained.Core.Build.discrepancy
-      (Int64.to_float (Int64.sub (Archpred_obs.now_ns ()) t0) *. 1e-9)
+      (Archpred_obs.seconds_since t0)
       extra;
     (match err with
     | Some err -> Format.printf "test error: %a@." Stats.Error_metrics.pp err

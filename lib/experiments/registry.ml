@@ -50,5 +50,5 @@ let run_all ?(entries = all) ctx ppf =
       let t0 = Archpred_obs.now_ns () in
       e.run ctx ppf;
       Format.fprintf ppf "@.[%s finished in %.1fs]@." e.id
-        (Int64.to_float (Int64.sub (Archpred_obs.now_ns ()) t0) *. 1e-9))
+        (Archpred_obs.seconds_since t0))
     entries

@@ -6,6 +6,7 @@ module Sink = Sink
    long enough for NTP slews to matter); bechamel's clock stub reads
    CLOCK_MONOTONIC in nanoseconds without allocating. *)
 let now_ns () = Monotonic_clock.now ()
+let seconds_since t0 = Int64.to_float (Int64.sub (now_ns ()) t0) *. 1e-9
 
 type agg = { mutable total_ns : int64; mutable calls : int }
 

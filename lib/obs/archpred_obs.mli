@@ -24,6 +24,10 @@ val now_ns : unit -> int64
     lint rule forbids [Unix.gettimeofday]/[Sys.time] outside this
     library and [bench/]. *)
 
+val seconds_since : int64 -> float
+(** [seconds_since t0]: seconds elapsed since the {!now_ns} reading
+    [t0]. *)
+
 type t
 
 val null : t

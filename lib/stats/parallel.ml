@@ -210,9 +210,7 @@ let isolate ~retries ~deadline f x =
       let v = f x in
       (match deadline with
       | Some limit ->
-          let elapsed =
-            Int64.to_float (Int64.sub (Archpred_obs.now_ns ()) t0) *. 1e-9
-          in
+          let elapsed = Archpred_obs.seconds_since t0 in
           if elapsed > limit then
             raise (Deadline_exceeded { elapsed; deadline = limit })
       | None -> ());

@@ -84,21 +84,6 @@ let mul_vec a x =
       done;
       !acc)
 
-let tmul a b =
-  if a.rows <> b.rows then invalid_arg "Matrix.tmul: dimension mismatch";
-  let m = create a.cols b.cols in
-  for k = 0 to a.rows - 1 do
-    for i = 0 to a.cols - 1 do
-      let aki = a.data.((k * a.cols) + i) in
-      if not (Float.equal aki 0.) then
-        for j = 0 to b.cols - 1 do
-          m.data.((i * b.cols) + j) <-
-            m.data.((i * b.cols) + j) +. (aki *. b.data.((k * b.cols) + j))
-        done
-    done
-  done;
-  m
-
 let map2 name f a b =
   if a.rows <> b.rows || a.cols <> b.cols then
     invalid_arg ("Matrix." ^ name ^ ": dimension mismatch");

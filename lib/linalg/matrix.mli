@@ -32,9 +32,6 @@ val transpose : t -> t
 val mul : t -> t -> t
 val mul_vec : t -> Vector.t -> Vector.t
 
-val tmul : t -> t -> t
-(** [tmul a b] is [transpose a * b] without materialising the transpose. *)
-
 val add : t -> t -> t
 val sub : t -> t -> t
 val scale : float -> t -> t

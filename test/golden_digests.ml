@@ -3,7 +3,8 @@
    Prints one line per fixed, small training configuration: a name and
    the CRC-32 of the model's canonical serialisation
    ([Persist.to_string]), or of the float bits of the stepwise linear
-   baseline and of raw subset scores.  [runtest] diffs this output against
+   baseline, of raw subset scores and of least-squares moments, or the
+   bits of one discrepancy value.  [runtest] diffs this output against
    [golden_digests.expected], so any change to the bits a configuration
    trains fails the suite.  A deliberate change is recorded by
    regenerating the table, which then shows in the diff:
@@ -18,7 +19,9 @@ module Paper_space = Core.Paper_space
 module Rng = Archpred_stats.Rng
 module Linreg = Archpred_linreg.Model
 module Ils = Archpred_linalg.Incremental_ls
+module Matrix = Archpred_linalg.Matrix
 module Rbf = Archpred_rbf
+module Design = Archpred_design
 
 let crc s = Core.Crc32.to_hex (Core.Crc32.string s)
 let model (t : Build.trained) = Core.Persist.to_string t.Build.predictor
@@ -128,10 +131,46 @@ let subset_scores name ~n ~seed =
   done;
   line name (crc (Buffer.contents buf))
 
+(* The two quadratic loops of training at full size: the pair sums of
+   both discrepancies on a paper-space LHS sample (the candidate scoring
+   of [Optimize.best_lhs]), and the Gram and H'y moments of a 400-row
+   design as wide as a mid-size RBF candidate set.  The rows above train
+   on 80 points or fewer; these reach every block boundary of the
+   kernels at training sizes. *)
+let discrepancy name ~n ~seed =
+  let points = Design.Lhs.sample (Rng.create seed) Paper_space.space ~n in
+  line
+    (Printf.sprintf "%s.star.n%d" name n)
+    (float_bits (Design.Discrepancy.l2_star points));
+  line
+    (Printf.sprintf "%s.centered.n%d" name n)
+    (float_bits (Design.Discrepancy.centered_l2 points))
+
+let moments name ~rows ~cols ~seed =
+  let rng = Rng.create seed in
+  (* Dense like an RBF design, with exact zeros and negatives mixed in. *)
+  let design =
+    Matrix.init rows cols (fun _ _ ->
+        if Rng.int rng 8 = 0 then 0. else Rng.unit_float rng -. 0.25)
+  in
+  let responses = Array.init rows (fun _ -> Rng.unit_float rng -. 0.5) in
+  let ils = Ils.create ~design ~responses () in
+  let buf = Buffer.create (8 * cols * (cols + 1)) in
+  for a = 0 to cols - 1 do
+    for b = 0 to cols - 1 do
+      Buffer.add_int64_le buf (Int64.bits_of_float (Ils.gram ils a b))
+    done
+  done;
+  for a = 0 to cols - 1 do
+    Buffer.add_int64_le buf (Int64.bits_of_float (Ils.hy ils a))
+  done;
+  line (Printf.sprintf "%s.%dx%d" name rows cols) (crc (Buffer.contents buf))
+
 let () =
   print_string
     "# name                       crc32 of Persist.to_string (or of the\n\
-     # stepwise terms and coefficient bits).  Regenerate deliberately with\n\
+     # stepwise terms and coefficient bits, or of moment bits), or the\n\
+     # bits of one discrepancy.  Regenerate deliberately with\n\
      # dune build @test/runtest; dune promote test/golden_digests.expected\n";
   train "train.smooth.n40" ~response:smooth ~n:40 ~seed:99;
   train "train.mcf.n40" ~response:mcf ~n:40 ~seed:7;
@@ -140,4 +179,7 @@ let () =
   accuracy "stream_refit.mcf" ~response:mcf ~seed:7 ~stream:true;
   stepwise "linreg.stepwise.n30" ~n:30 ~seed:17;
   stepwise "linreg.stepwise.n80" ~n:80 ~seed:18;
-  subset_scores "subset_scores.n60" ~n:60 ~seed:19
+  subset_scores "subset_scores.n60" ~n:60 ~seed:19;
+  discrepancy "discrepancy" ~n:37 ~seed:23;
+  discrepancy "discrepancy" ~n:400 ~seed:24;
+  moments "ils.moments" ~rows:400 ~cols:389 ~seed:25

@@ -16,6 +16,7 @@ let init rows cols f =
 let identity n = init n n (fun i j -> if i = j then 1. else 0.)
 let rows m = m.rows
 let cols m = m.cols
+let data m = m.data
 
 let get m i j =
   if i < 0 || i >= m.rows || j < 0 || j >= m.cols then

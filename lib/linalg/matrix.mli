@@ -16,6 +16,11 @@ val init : int -> int -> (int -> int -> float) -> t
 val identity : int -> t
 val rows : t -> int
 val cols : t -> int
+
+val data : t -> float array
+(** The row-major backing store itself, not a copy: entry [(i, j)] is at
+    [i * cols m + j].  For kernels that read a matrix in place. *)
+
 val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
 val copy : t -> t

@@ -21,7 +21,7 @@ module Counters = struct
 
   let train t i taken =
     let c = Char.code (Bytes.get t i) in
-    let c' = if taken then min 3 (c + 1) else max 0 (c - 1) in
+    let c' = if taken then Int.min 3 (c + 1) else Int.max 0 (c - 1) in
     Bytes.set t i (Char.chr c')
 end
 

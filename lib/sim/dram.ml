@@ -39,9 +39,9 @@ let create cfg =
 let access t ~cycle ~addr =
   (* Interleave banks on 4KB granularity so streaming accesses spread. *)
   let bank = (addr lsr 12) land (t.cfg.banks - 1) in
-  let start_bank = max cycle t.bank_free.(bank) in
+  let start_bank = Int.max cycle t.bank_free.(bank) in
   let device_done = start_bank + t.cfg.base_latency in
-  let start_bus = max device_done t.bus_free in
+  let start_bus = Int.max device_done t.bus_free in
   let finish = start_bus + t.cfg.bus_occupancy in
   t.bank_free.(bank) <- start_bank + t.cfg.bank_occupancy;
   t.bus_free <- start_bus + t.cfg.bus_occupancy;

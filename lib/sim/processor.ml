@@ -177,7 +177,7 @@ let run ?max_cycles ?(warm = true) cfg trace =
                    | `Blocked -> -1
                    | `Forward c ->
                        if Fu_pool.try_issue fu ~cycle:now Fu_pool.Mem_port
-                       then max (now + 1) (c + 1)
+                       then Int.max (now + 1) (c + 1)
                        else -1
                    | `Memory ->
                        if Fu_pool.try_issue fu ~cycle:now Fu_pool.Mem_port

@@ -331,6 +331,152 @@ let test_discrepancy_domain_invariant () =
         [ 2; 3; 4; 7 ])
     [ Discrepancy.Star; Discrepancy.Centered ]
 
+(* The pair loops as they were before the row sums moved to C — the
+   diagonal and strict upper triangle, each row summed in ascending j from
+   +0, rows folded in order.  Every kernel path must return these bits. *)
+let oracle_l2_star points =
+  let d = Array.length points.(0) in
+  let n = Array.length points in
+  let nf = float_of_int n in
+  let term1 = 3. ** float_of_int (-d) in
+  let sum2 = ref 0. and diag = ref 0. in
+  Array.iter
+    (fun x ->
+      let prod = ref 1. and prod_diag = ref 1. in
+      for k = 0 to d - 1 do
+        prod := !prod *. (1. -. (x.(k) *. x.(k)));
+        prod_diag := !prod_diag *. (1. -. x.(k))
+      done;
+      sum2 := !sum2 +. !prod;
+      diag := !diag +. !prod_diag)
+    points;
+  let term2 = 2. ** float_of_int (1 - d) /. nf *. !sum2 in
+  let row_sums =
+    Array.init n (fun i ->
+        let xi = points.(i) in
+        let acc = ref 0. in
+        for j = i + 1 to n - 1 do
+          let xj = points.(j) in
+          let prod = ref 1. in
+          for k = 0 to d - 1 do
+            prod := !prod *. (1. -. Float.max xi.(k) xj.(k))
+          done;
+          acc := !acc +. !prod
+        done;
+        !acc)
+  in
+  let off = Array.fold_left ( +. ) 0. row_sums in
+  let term3 = (!diag +. (2. *. off)) /. (nf *. nf) in
+  sqrt (Float.max 0. (term1 -. term2 +. term3))
+
+let oracle_centered_l2 points =
+  let d = Array.length points.(0) in
+  let n = Array.length points in
+  let nf = float_of_int n in
+  let term1 = (13. /. 12.) ** float_of_int d in
+  let zs =
+    Array.map (fun x -> Array.map (fun v -> abs_float (v -. 0.5)) x) points
+  in
+  let sum2 = ref 0. and diag = ref 0. in
+  Array.iter
+    (fun z ->
+      let prod = ref 1. and prod_diag = ref 1. in
+      for k = 0 to d - 1 do
+        let zk = z.(k) in
+        prod := !prod *. (1. +. (0.5 *. zk) -. (0.5 *. zk *. zk));
+        prod_diag := !prod_diag *. (1. +. zk)
+      done;
+      sum2 := !sum2 +. !prod;
+      diag := !diag +. !prod_diag)
+    zs;
+  let term2 = 2. /. nf *. !sum2 in
+  let row_sums =
+    Array.init n (fun i ->
+        let xi = points.(i) and zi = zs.(i) in
+        let acc = ref 0. in
+        for j = i + 1 to n - 1 do
+          let xj = points.(j) and zj = zs.(j) in
+          let prod = ref 1. in
+          for k = 0 to d - 1 do
+            let dij = abs_float (xi.(k) -. xj.(k)) in
+            prod :=
+              !prod
+              *. (1. +. (0.5 *. zi.(k)) +. (0.5 *. zj.(k)) -. (0.5 *. dij))
+          done;
+          acc := !acc +. !prod
+        done;
+        !acc)
+  in
+  let off = Array.fold_left ( +. ) 0. row_sums in
+  let term3 = (!diag +. (2. *. off)) /. (nf *. nf) in
+  sqrt (Float.max 0. (term1 -. term2 +. term3))
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+(* Coordinates that stress the lanes and Float.max: exact zeros of both
+   signs (max(-0, +0) may pick either), subnormals, the cube's faces,
+   points outside [0, 1], and frequent ties between points. *)
+let awkward_coord rng =
+  match Rng.int rng 10 with
+  | 0 -> 0.
+  | 1 -> -0.
+  | 2 -> 1.
+  | 3 -> 0.5
+  | 4 -> 4.9e-324 *. float_of_int (Rng.int rng 1000 - 500)
+  | 5 -> Float.min_float *. (Rng.unit_float rng -. 0.5)
+  | 6 -> (Rng.unit_float rng -. 0.5) *. 6.
+  | _ -> Rng.unit_float rng
+
+(* Sample sizes on both sides of the 8-pair lane block (each row i has
+   n - 1 - i pairs, so n >= 9 reaches every tail length), and 0 to 11
+   dimensions. *)
+let awkward_sample rng =
+  let n =
+    if Rng.bool rng then
+      List.nth [ 1; 2; 7; 8; 9; 10; 16; 17; 18; 25; 33; 64; 65 ] (Rng.int rng 13)
+    else 1 + Rng.int rng 70
+  in
+  let d = Rng.int rng 12 in
+  Array.init n (fun _ -> Array.init d (fun _ -> awkward_coord rng))
+
+type kernel = ?force_scalar:bool -> ?domains:int -> Space.point array -> float
+
+let kinds =
+  [
+    (Discrepancy.Star, (Discrepancy.l2_star : kernel), oracle_l2_star);
+    (Discrepancy.Centered, Discrepancy.centered_l2, oracle_centered_l2);
+  ]
+
+let prop_discrepancy_paths_bit_identical =
+  qtest ~count:300 "SIMD = portable = OCaml oracle, bit for bit"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let pts = awkward_sample (Rng.create seed) in
+      List.for_all
+        (fun (kind, (f : kernel), oracle) ->
+          let v = f pts in
+          same_bits v (f ~force_scalar:true pts)
+          && same_bits v (oracle pts)
+          && same_bits v (Discrepancy.compute ~domains:1 kind pts)
+          && same_bits v (Discrepancy.compute ~domains:4 kind pts))
+        kinds)
+
+let prop_discrepancy_nan =
+  qtest ~count:200 "a NaN coordinate gives NaN on every path"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let pts = awkward_sample rng in
+      let n = Array.length pts and d = Array.length pts.(0) in
+      QCheck2.assume (d > 0);
+      pts.(Rng.int rng n).(Rng.int rng d) <- Float.nan;
+      List.for_all
+        (fun (_, (f : kernel), oracle) ->
+          Float.is_nan (f pts)
+          && Float.is_nan (f ~force_scalar:true pts)
+          && Float.is_nan (oracle pts))
+        kinds)
+
 (* ---------- Optimize ---------- *)
 
 let test_best_lhs_improves () =
@@ -554,6 +700,8 @@ let () =
             test_symmetric_matches_reference;
           Alcotest.test_case "domain-count invariant" `Quick
             test_discrepancy_domain_invariant;
+          prop_discrepancy_paths_bit_identical;
+          prop_discrepancy_nan;
         ] );
       ( "optimize",
         [

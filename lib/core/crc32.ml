@@ -1,19 +1,19 @@
+(* Built at module initialisation, not on first use: [update] runs
+   inside parallel sections, where a first force could race. *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        c :=
+          if Int32.logand !c 1l <> 0l then
+            Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else Int32.shift_right_logical !c 1
+      done;
+      !c)
 
 let update crc s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Crc32.update";
-  let table = Lazy.force table in
   let c = ref (Int32.lognot crc) in
   for i = pos to pos + len - 1 do
     let idx =

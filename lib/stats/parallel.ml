@@ -132,6 +132,17 @@ let reraise_first failures =
       | Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ())
     failures
 
+(* The lowest failing index of an [init] section, with its exception. *)
+type failure = { index : int; exn : exn; bt : Printexc.raw_backtrace }
+
+let rec record_failure slot index exn bt =
+  let cur = Atomic.get slot in
+  match cur with
+  | Some f when f.index < index -> ()
+  | Some _ | None ->
+      if not (Atomic.compare_and_set slot cur (Some { index; exn; bt })) then
+        record_failure slot index exn bt
+
 let init ?domains n f =
   if n < 0 then invalid_arg "Parallel.init: negative length";
   if n = 0 then [||]
@@ -147,26 +158,38 @@ let init ?domains n f =
       results
     end
     else begin
-      (* Element 0 is computed before any task is queued: it sizes an
-         unboxed result buffer, instead of an ['a option] per element. *)
-      let results = Array.make n (f 0) in
-      let failure = Array.make d None in
-      (* Strided partition balances work when cost varies along the
-         array; task [t] owns indices congruent to [t] modulo [d]. *)
-      let task t () =
-        try
-          let i = ref (if t = 0 then d else t) in
-          while !i < n do
-            results.(!i) <- f !i;
-            i := !i + d
-          done
-        with
-        (* archpred-lint: allow catchall-exn -- transported; reraise_first re-raises on the caller *)
-        | e -> failure.(t) <- Some (e, Printexc.get_raw_backtrace ())
+      (* Every task claims the next unclaimed index until none is left,
+         so a domain that drew cheap elements keeps drawing while another
+         finishes an expensive one.  Results land in their index slots.
+         The first result to finish sizes the unboxed buffer (filling it
+         with itself); a task that loses that race writes into the
+         winner's buffer, and every slot is overwritten by its owner. *)
+      let next = Atomic.make 0 in
+      let buffer = Atomic.make None in
+      let failure = Atomic.make None in
+      let store i v =
+        match Atomic.get buffer with
+        | Some a -> a.(i) <- v
+        | None ->
+            let a = Array.make n v in
+            if not (Atomic.compare_and_set buffer None (Some a)) then
+              (Option.get (Atomic.get buffer)).(i) <- v
       in
-      Pool.run (Array.init d task);
-      reraise_first failure;
-      results
+      let task () =
+        let i = ref (Atomic.fetch_and_add next 1) in
+        while !i < n do
+          (match f !i with
+          | v -> store !i v
+          (* archpred-lint: allow catchall-exn -- transported; the lowest failing index is re-raised on the caller *)
+          | exception e ->
+              record_failure failure !i e (Printexc.get_raw_backtrace ()));
+          i := Atomic.fetch_and_add next 1
+        done
+      in
+      Pool.run (Array.make d task);
+      match Atomic.get failure with
+      | Some fl -> Printexc.raise_with_backtrace fl.exn fl.bt
+      | None -> Option.get (Atomic.get buffer)
     end
 
 let map ?domains f xs =

@@ -28,18 +28,21 @@ val queue_depth : unit -> int
     probe for observability gauges. *)
 
 val map : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map f xs] evaluates [f] on every element, splitting the work across
-    [domains] strided tasks.  [f] must be safe to run concurrently (no
-    shared mutable state).  Results are in input order and independent of
-    the domain count.  With [domains <= 1] the evaluation is a plain
-    left-to-right loop.  If applications raise, the exception re-raised is
-    the first one captured by the lowest-numbered task, independent of
-    scheduling. *)
+(** [map f xs] evaluates [f] on every element across up to [domains]
+    domains.  Each participating domain, the caller included, claims the
+    next unclaimed index from one shared counter until none is left, so
+    elements of uneven cost keep every domain busy; no element is
+    evaluated before the work is handed out.  [f] must be safe to run
+    concurrently (no shared mutable state).  Results are in input order
+    and independent of the domain count.  With [domains <= 1] the
+    evaluation is a plain left-to-right loop that stops at the first
+    exception.  If applications raise, the exception re-raised is the
+    one at the lowest failing index, at every domain count. *)
 
 val init : ?domains:int -> int -> (int -> 'a) -> 'a array
 (** [init n f] is [map f [|0; ...; n-1|]] without materialising the index
-    array.  [f 0] is evaluated first, in the calling domain; with
-    [domains <= 1] the remaining indices follow left to right. *)
+    array.  With [domains <= 1] the indices are evaluated left to
+    right. *)
 
 exception Deadline_exceeded of { elapsed : float; deadline : float }
 (** The failure recorded when a task attempt outlives its wall-clock

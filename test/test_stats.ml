@@ -426,17 +426,86 @@ let test_parallel_init_matches () =
     (Parallel.init ~domains:4 53 f)
 
 let test_parallel_exception_lowest_task () =
-  (* With 4 strided tasks over indices 0..9, index 3 belongs to task 3 and
-     index 5 to task 1; the lowest-numbered failing task wins whatever the
-     scheduling, so the surfaced exception is always [Failure "5"]. *)
+  (* Indices 3 and 5 both fail; the lowest failing index wins whatever
+     the scheduling and the domain count, so the surfaced exception is
+     always [Failure "3"]. *)
   for _ = 1 to 20 do
-    Alcotest.check_raises "lowest task's exception" (Failure "5") (fun () ->
+    Alcotest.check_raises "lowest index's exception" (Failure "3") (fun () ->
         ignore
           (Parallel.map ~domains:4
              (fun x ->
                if x = 3 || x = 5 then failwith (string_of_int x) else x)
              (Array.init 10 Fun.id)))
   done
+
+(* A deterministic busy loop of [k] steps, opaque to the optimiser. *)
+let spin k =
+  let acc = ref 0 in
+  for j = 1 to k do
+    acc := (!acc * 31) + j
+  done;
+  Sys.opaque_identity !acc |> ignore
+
+(* Skewed cost: the flagged elements run 50x longer, so claimed indices
+   finish far out of order. *)
+let skewed_cost =
+  QCheck2.Gen.(
+    triple (int_range 1 8) (int_range 0 40) (list_size (int_range 0 6) (int_range 0 39)))
+
+let prop_parallel_skewed_cost =
+  qtest ~count:60 "init/map = Array.init/map under skewed cost" skewed_cost
+    (fun (d, n, slow) ->
+      let cost i = spin (if List.mem i slow then 50_000 else 1_000) in
+      let f i =
+        cost i;
+        (i * 7) - 3
+      in
+      Parallel.init ~domains:d n f = Array.init n f
+      && Parallel.map ~domains:d f (Array.init n Fun.id) = Array.init n f)
+
+let prop_parallel_lowest_failing_index =
+  qtest ~count:100 "lowest failing index surfaces at every domain count"
+    QCheck2.Gen.(
+      triple (int_range 1 8) (int_range 1 40)
+        (list_size (int_range 1 5) (int_range 0 39)))
+    (fun (d, n, fails) ->
+      let fails = List.filter (fun i -> i < n) fails in
+      let f i =
+        spin (if i mod 3 = 0 then 20_000 else 500);
+        if List.mem i fails then failwith (string_of_int i) else i
+      in
+      match (Parallel.init ~domains:d n f, fails) with
+      | _, [] -> true
+      | _, _ :: _ -> false
+      | exception Failure m ->
+          m = string_of_int (List.fold_left min max_int fails))
+
+let test_parallel_no_serial_head () =
+  (* Each element waits (up to 2 s) until a second element has started,
+     then records how many had started when it finished.  If element 0
+     ran alone before the others were handed out, the first finish would
+     see one start.  Needs a worker domain in the pool. *)
+  if Parallel.default_domains () < 2 then ()
+  else begin
+    let started = Atomic.make 0 in
+    let first_finish = Atomic.make (-1) in
+    let f i =
+      Atomic.incr started;
+      let t0 = Archpred_obs.now_ns () in
+      while
+        Atomic.get started < 2 && Archpred_obs.seconds_since t0 < 2.
+      do
+        Domain.cpu_relax ()
+      done;
+      ignore (Atomic.compare_and_set first_finish (-1) (Atomic.get started));
+      i
+    in
+    Alcotest.(check (array int)) "results" (Array.init 16 Fun.id)
+      (Parallel.init ~domains:2 16 f);
+    Alcotest.(check bool) "two elements started before the first finished"
+      true
+      (Atomic.get first_finish >= 2)
+  end
 
 let test_map_reduce_sum () =
   let xs = Array.init 101 (fun i -> i) in
@@ -561,6 +630,10 @@ let () =
           Alcotest.test_case "init matches" `Quick test_parallel_init_matches;
           Alcotest.test_case "exception from lowest task" `Quick
             test_parallel_exception_lowest_task;
+          prop_parallel_skewed_cost;
+          prop_parallel_lowest_failing_index;
+          Alcotest.test_case "no serial first element" `Quick
+            test_parallel_no_serial_head;
           Alcotest.test_case "map_reduce sum" `Quick test_map_reduce_sum;
           Alcotest.test_case "map_reduce chunk order" `Quick
             test_map_reduce_chunk_order;

@@ -13,7 +13,7 @@ module Parallel = Archpred_stats.Parallel
    domains).
 
    The per-config engine below is a transliteration of
-   [Processor.run]'s cycle loop with three structural accelerations,
+   [Processor.run]'s cycle loop with four structural accelerations,
    each argued semantics-preserving and enforced bit-identical by the
    QCheck properties in [test_sim]:
 
@@ -48,7 +48,16 @@ module Parallel = Archpred_stats.Parallel
      re-enters the quiet path), the jump is capped at the cycle limit
      so [Cycle_limit_exceeded] fires at the same count, and during a
      quiet stretch every per-cycle counter increment is the same one,
-     so multiplication reproduces the reference totals exactly. *)
+     so multiplication reproduces the reference totals exactly;
+
+   - flat functional units: each [simulate] call keeps its unit state
+     in int arrays indexed by a class number precomputed per opcode
+     (count, latency, pipelined flag, the pipelined classes' grants
+     and the cycle they count, the dividers' busy-until cycles), read
+     by one top-level issue helper.  Grants reset per class on the
+     class's first attempt in a cycle — observably the same as
+     [Fu_pool]'s reset of every class on the first attempt of the
+     cycle, since a class's count is only read by its own attempts. *)
 
 type plan = {
   n : int;
@@ -231,6 +240,86 @@ let rec store_walk prev_store (addrs : int array) slot_issued slot_complete
       store_walk prev_store addrs slot_issued slot_complete slot_mask head
         addr (Array.unsafe_get prev_store pr)
 
+(* Functional units of one [simulate] call, flat and indexed by
+   [Fu_pool.class_index]: the per-class unit count, latency and
+   pipelined flag from the config, the pipelined classes' grants in
+   cycle [granted_at], and the unpipelined classes' units' busy-until
+   cycles (class [c]'s units at [busy_off.(c)], [count.(c)] of them). *)
+type fu = {
+  count : int array;
+  latency : int array;
+  pipelined : Bytes.t;
+  granted : int array;
+  granted_at : int array;
+  busy_off : int array;
+  busy : int array;
+}
+
+let mem_port = Fu_pool.class_index Fu_pool.Mem_port
+
+(* Class of each opcode ([Opcode.to_int]-indexed), [-1] for a nop. *)
+let fu_class =
+  Array.init 11 (fun o ->
+      match Fu_pool.class_of_opcode (Opcode.of_int o) with
+      | Some c -> Fu_pool.class_index c
+      | None -> -1)
+
+let fu_create (spec : Fu_pool.config) =
+  let classes = Fu_pool.all_classes in
+  let n = Array.length classes in
+  let count = Array.map (Fu_pool.count spec) classes in
+  let busy_off = Array.make n 0 in
+  let units = ref 0 in
+  Array.iteri
+    (fun c cls ->
+      busy_off.(c) <- !units;
+      if not (Fu_pool.is_pipelined cls) then units := !units + count.(c))
+    classes;
+  {
+    count;
+    latency = Array.map (Fu_pool.latency spec) classes;
+    pipelined =
+      Bytes.init n (fun c ->
+          if Fu_pool.is_pipelined classes.(c) then '\001' else '\000');
+    granted = Array.make n 0;
+    granted_at = Array.make n (-1);
+    busy_off;
+    busy = Array.make !units 0;
+  }
+
+(* First unit in [busy.(k)], [k] in [[i, hi)], free at [now], or -1. *)
+let rec free_unit (busy : int array) (now : int) i hi =
+  if i >= hi then -1
+  else if Array.unsafe_get busy i <= now then i
+  else free_unit busy now (i + 1) hi
+
+(* [Fu_pool.try_issue] on the flat state: grant class [c] a unit in
+   cycle [now].  Top-level, like [store_walk], so each attempt is
+   closure-free.  [c] is a class index, below the arrays' length, and
+   [free_unit] stays inside the class's [busy] range, so the accesses
+   are in bounds. *)
+let fu_issue fu c now =
+  if Bytes.unsafe_get fu.pipelined c <> '\000' then begin
+    if Array.unsafe_get fu.granted_at c <> now then begin
+      Array.unsafe_set fu.granted_at c now;
+      Array.unsafe_set fu.granted c 0
+    end;
+    let g = Array.unsafe_get fu.granted c in
+    if g < Array.unsafe_get fu.count c then begin
+      Array.unsafe_set fu.granted c (g + 1);
+      true
+    end
+    else false
+  end
+  else
+    let lo = Array.unsafe_get fu.busy_off c in
+    let u = free_unit fu.busy now lo (lo + Array.unsafe_get fu.count c) in
+    if u < 0 then false
+    else begin
+      Array.unsafe_set fu.busy u (now + Array.unsafe_get fu.latency c);
+      true
+    end
+
 type stall_reason = No_stall | Icache_stall | Branch_stall
 type struct_stall = No_struct | Rob_full | Iq_full | Lsq_full
 
@@ -242,7 +331,7 @@ let simulate p cfg ~max_cycles ~warm ~(stream : bp_stream) =
       ~l2:(Config.l2_config cfg) ~dram:cfg.Config.dram ()
   in
   if warm then warm_memory p cfg mem;
-  let fu = Fu_pool.create cfg.Config.fu in
+  let fu = fu_create cfg.Config.fu in
   let rob = cfg.Config.rob_size in
   (* Slot arrays are sized to the next power of two so the instruction →
      slot map is a mask, not a division.  Any two in-flight indices
@@ -265,12 +354,6 @@ let simulate p cfg ~max_cycles ~warm ~(stream : bp_stream) =
   let pipe_depth = cfg.Config.pipe_depth in
   let mis = stream.mis in
   let issue_delay = Int.max 1 (pipe_depth / 4) in
-  let fu_cls = Array.map Fu_pool.class_of_opcode (Array.map Opcode.of_int (Array.init 11 Fun.id)) in
-  let fu_lat =
-    Array.map
-      (function None -> 0 | Some c -> Fu_pool.latency cfg.Config.fu c)
-      fu_cls
-  in
 
   let slot_complete = Array.make slot_size 0 in
   let slot_issued = Bytes.make slot_size '\000' in
@@ -327,12 +410,14 @@ let simulate p cfg ~max_cycles ~warm ~(stream : bp_stream) =
      The map and the issued test are written out at each use: as local
      functions they would be real calls on every loop iteration. *)
   let cand_insert i t =
+    (* Shift the larger indices up one place while looking for [i]'s:
+       the list is short, and a loop beats two [Array.blit] calls. *)
     ins_at := !cand_n;
     while !ins_at > 0 && cand_i.(!ins_at - 1) > i do
+      cand_i.(!ins_at) <- cand_i.(!ins_at - 1);
+      cand_t.(!ins_at) <- cand_t.(!ins_at - 1);
       decr ins_at
     done;
-    Array.blit cand_i !ins_at cand_i (!ins_at + 1) (!cand_n - !ins_at);
-    Array.blit cand_t !ins_at cand_t (!ins_at + 1) (!cand_n - !ins_at);
     cand_i.(!ins_at) <- i;
     cand_t.(!ins_at) <- t;
     incr cand_n
@@ -420,24 +505,18 @@ let simulate p cfg ~max_cycles ~warm ~(stream : bp_stream) =
               if o = op_load then begin
                 let sc = store_scan i in
                 if sc = -2 then -1
-                else if
-                  not (Fu_pool.try_issue fu ~cycle:now Fu_pool.Mem_port)
-                then -1
+                else if not (fu_issue fu mem_port now) then -1
                 else if sc >= 0 then Int.max (now + 1) (sc + 1)
                 else
                   Memory.load mem ~cycle:now ~addr:(Array.unsafe_get p.addr i)
               end
               else if o = op_store then
-                if Fu_pool.try_issue fu ~cycle:now Fu_pool.Mem_port then
-                  now + 1
-                else -1
+                if fu_issue fu mem_port now then now + 1 else -1
               else
-                match fu_cls.(o) with
-                | None -> now
-                | Some cls ->
-                    if Fu_pool.try_issue fu ~cycle:now cls then
-                      now + fu_lat.(o)
-                    else -1
+                let c = fu_class.(o) in
+                if c < 0 then now
+                else if fu_issue fu c now then now + fu.latency.(c)
+                else -1
             in
             if complete >= 0 then begin
               Bytes.unsafe_set slot_issued s '\001';

@@ -28,6 +28,15 @@ val class_of_opcode : Opcode.t -> unit_class option
 val latency : config -> unit_class -> int
 val count : config -> unit_class -> int
 
+val all_classes : unit_class array
+(** Every class, in {!class_index} order. *)
+
+val class_index : unit_class -> int
+(** Position of a class in {!all_classes}: [0] to [6]. *)
+
+val is_pipelined : unit_class -> bool
+(** [false] for the two dividers. *)
+
 type t
 
 val create : config -> t

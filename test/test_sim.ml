@@ -863,6 +863,53 @@ let prop_batch_bit_identity =
         (fun cfg r -> results_equal (Processor.run cfg trace) r)
         configs batch)
 
+(* Functional units away from the default: 1-3 units per class (so 2-3
+   unpipelined dividers) with latencies 1-20, over mcf, crafty and a
+   crafty variant dense in divides so that the dividers' unit choice is
+   exercised, warm and cold. *)
+let gen_fu =
+  let unit_spec = QCheck2.Gen.(pair (int_range 1 3) (int_range 1 20)) in
+  QCheck2.Gen.(
+    map
+      (fun l ->
+        match l with
+        | [ int_alu; int_mul; int_div; fp_add; fp_mul; fp_div; mem_port ] ->
+            { Fu.int_alu; int_mul; int_div; fp_add; fp_mul; fp_div;
+              mem_port }
+        | _ -> assert false)
+      (list_repeat 7 unit_spec))
+
+let prop_batch_functional_units =
+  qtest ~count:20 "Batch.run == Processor.run (functional units)"
+    QCheck2.Gen.(
+      quad (int_range 0 1000) (int_range 0 2) bool (pair gen_fu gen_fu))
+    (fun (seed, pidx, warm, (fu_a, fu_b)) ->
+      let crafty = Archpred_workloads.Spec2000.crafty in
+      let profile =
+        [|
+          Archpred_workloads.Spec2000.mcf;
+          crafty;
+          {
+            crafty with
+            Archpred_workloads.Profile.idiv_frac = 0.10;
+            fmul_frac = 0.05;
+            fdiv_frac = 0.05;
+          };
+        |].(pidx)
+      in
+      let trace =
+        Archpred_workloads.Generator.generate ~seed profile ~length:1_500
+      in
+      let configs =
+        Array.mapi
+          (fun k cfg -> { cfg with Config.fu = (if k mod 2 = 0 then fu_a else fu_b) })
+          (batch_configs 4 seed)
+      in
+      let batch = Batch.run ~warm configs trace in
+      Array.for_all2
+        (fun cfg r -> results_equal (Processor.run ~warm cfg trace) r)
+        configs batch)
+
 let () =
   Alcotest.run "sim"
     [
@@ -911,6 +958,7 @@ let () =
           Alcotest.test_case "invalid config" `Quick test_batch_invalid_config;
           Alcotest.test_case "fetch stall at trace end" `Quick test_batch_fetch_stall_tail;
           prop_batch_bit_identity;
+          prop_batch_functional_units;
         ] );
       ( "branch_predictor",
         [

@@ -559,7 +559,13 @@ let run_sim () =
     r.Core.Sim_bench.speedups;
   Printf.printf "  bit-identical to reference: %b\n"
     r.Core.Sim_bench.bit_identical;
-  Core.Sim_bench.record r;
+  let p = Core.Sim_bench.paper_shape () in
+  Printf.printf
+    "  paper shape (mcf %d insts, %d test-box configs, 1 domain): %.1f \
+     ns/inst/config, cycles crc %s\n"
+    p.Core.Sim_bench.paper_trace_length p.Core.Sim_bench.paper_configs
+    p.Core.Sim_bench.ns_per_inst_config p.Core.Sim_bench.cycles_crc;
+  Core.Sim_bench.record ~paper:p r;
   Printf.printf "wrote BENCH_parallel.json (sim section)\n"
 
 (* ------------------------------------------------------------------ *)

@@ -16,6 +16,13 @@ type speedup = {
   speedup : float;
 }
 
+type paper_shape = {
+  paper_trace_length : int;
+  paper_configs : int;
+  ns_per_inst_config : float;
+  cycles_crc : string;
+}
+
 type result = {
   trace_length : int;
   n_configs : int;
@@ -52,6 +59,41 @@ let results_identical (a : Sim.Processor.result) (b : Sim.Processor.result) =
   && a.Sim.Processor.cycles = b.Sim.Processor.cycles
   && feq a.Sim.Processor.cpi b.Sim.Processor.cpi
   && feq a.Sim.Processor.branch_accuracy b.Sim.Processor.branch_accuracy
+
+(* The paper build's per-config engine cost on its own: the Table 2
+   test box over the paper-sized mcf trace, on one domain so the figure
+   excludes scheduling.  Best of [reps] timed runs; the cycle CRC pins
+   that a faster engine simulates the same thing. *)
+let paper_shape ?(trace_length = 60_000) ?(n_configs = 64) ?(reps = 3) () =
+  let trace =
+    Archpred_workloads.Generator.generate ~seed:7
+      Archpred_workloads.Spec2000.mcf ~length:trace_length
+  in
+  let cfgs =
+    Array.map Paper_space.to_config
+      (Paper_space.test_points (Archpred_stats.Rng.create 7) ~n:n_configs)
+  in
+  let plan = Sim.Batch.plan trace in
+  let best = ref infinity and results = ref [||] in
+  for _ = 1 to reps do
+    let t0 = now () in
+    results := Sim.Batch.run_plan ~domains:1 plan cfgs;
+    best := Float.min !best (now () -. t0)
+  done;
+  let cycles =
+    String.concat ","
+      (Array.to_list
+         (Array.map
+            (fun (r : Sim.Processor.result) -> string_of_int r.Sim.Processor.cycles)
+            !results))
+  in
+  {
+    paper_trace_length = trace_length;
+    paper_configs = n_configs;
+    ns_per_inst_config =
+      !best /. float_of_int (trace_length * n_configs);
+    cycles_crc = Crc32.to_hex (Crc32.string cycles);
+  }
 
 let run ?(trace_length = 20_000) ?(n_configs = 16) ?(batches = [ 1; 4; 16 ]) ()
     =
@@ -122,9 +164,19 @@ let run ?(trace_length = 20_000) ?(n_configs = 16) ?(batches = [ 1; 4; 16 ]) ()
     bit_identical = !identical;
   }
 
-let json_of_result r =
+let json_of_paper_shape p =
   Json.Obj
     [
+      ("trace_length", Json.Int p.paper_trace_length);
+      ("n_configs", Json.Int p.paper_configs);
+      ("domains", Json.Int 1);
+      ("ns_per_inst_config", Json.Float p.ns_per_inst_config);
+      ("cycles_crc", Json.String p.cycles_crc);
+    ]
+
+let json_of_result ?paper r =
+  Json.Obj
+    ([
       ("trace_length", Json.Int r.trace_length);
       ("n_configs", Json.Int r.n_configs);
       ( "rates",
@@ -153,10 +205,14 @@ let json_of_result r =
              r.speedups) );
       ("bit_identical", Json.Bool r.bit_identical);
     ]
+    @
+    match paper with
+    | Some p -> [ ("paper_shape", json_of_paper_shape p) ]
+    | None -> [])
 
-let record ?(path = "BENCH_parallel.json") r =
+let record ?(path = "BENCH_parallel.json") ?paper r =
   (* [preserved] keeps the micro-benchmark section written by the
      Bechamel run; the two writers share BENCH_parallel.json. *)
   Bench_report.write ~path ~schema:"archpred-parallel-v1"
     (Bench_report.preserved ~path [ "results" ]
-    @ [ ("sim", json_of_result r) ])
+    @ [ ("sim", json_of_result ?paper r) ])

@@ -23,6 +23,17 @@ type speedup = {
   speedup : float;  (** [sequential_s /. batched_s] *)
 }
 
+type paper_shape = {
+  paper_trace_length : int;  (** mcf trace length (60_000) *)
+  paper_configs : int;
+      (** Table 2 test-box configs ({!Paper_space.test_points}, seed 7) *)
+  ns_per_inst_config : float;
+      (** best-of-three [Batch.run_plan ~domains:1] wall time per
+          simulated instruction per config *)
+  cycles_crc : string;  (** CRC-32 of the comma-joined cycle counts *)
+}
+(** The paper build's per-config engine cost, apart from scheduling. *)
+
 type result = {
   trace_length : int;
   n_configs : int;
@@ -44,10 +55,17 @@ val run :
     the timings vary run to run.  Raises [Archpred (Invalid_input _)] on
     a degenerate budget or a batch size outside [[1, n_configs]]. *)
 
-val json_of_result : result -> Archpred_obs.Json.t
-(** The [sim] section payload. *)
+val paper_shape :
+  ?trace_length:int -> ?n_configs:int -> ?reps:int -> unit -> paper_shape
+(** Time [Batch.run_plan ~domains:1] over the Table 2 test box on the
+    paper-sized mcf trace (defaults: 60_000 instructions, 64 configs,
+    best of 3 runs).  Only the timing varies run to run. *)
 
-val record : ?path:string -> result -> unit
+val json_of_result : ?paper:paper_shape -> result -> Archpred_obs.Json.t
+(** The [sim] section payload, with a [paper_shape] object when
+    [paper] is given. *)
+
+val record : ?path:string -> ?paper:paper_shape -> result -> unit
 (** Merge the [sim] section into the report at [path] (default
     [BENCH_parallel.json]), preserving the micro-benchmark [results]
     section if one is present. *)

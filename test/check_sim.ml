@@ -31,7 +31,8 @@ let () =
   Core.Bench_report.write ~path ~schema:"archpred-parallel-v1"
     [ ("results", Json.List [ Json.Obj [ ("name", Json.String "seeded") ] ]) ];
   let result = Core.Sim_bench.run ~trace_length:400 ~n_configs:5 ~batches:[ 1; 5 ] () in
-  Core.Sim_bench.record ~path result;
+  let paper = Core.Sim_bench.paper_shape ~trace_length:400 ~n_configs:3 ~reps:1 () in
+  Core.Sim_bench.record ~path ~paper result;
   let ic = open_in path in
   let text = In_channel.input_all ic in
   close_in ic;
@@ -105,4 +106,15 @@ let () =
   | Some (Json.Bool false) ->
       fail "batched engine diverged from the sequential reference"
   | _ -> fail "missing \"bit_identical\"");
-  Printf.printf "ok: archpred-parallel-v1 sim section valid (5 configs, 2 batch sizes)\n"
+  (match Json.member "paper_shape" sim with
+  | Some p ->
+      if expect_int "trace_length" p <> 400 then fail "wrong paper_shape trace_length";
+      if expect_int "n_configs" p <> 3 then fail "wrong paper_shape n_configs";
+      if expect_int "domains" p <> 1 then fail "paper_shape must run on 1 domain";
+      if not (expect_float "ns_per_inst_config" p > 0.) then
+        fail "ns_per_inst_config must be positive";
+      (match Json.member "cycles_crc" p with
+      | Some (Json.String c) when Core.Crc32.of_hex c <> None -> ()
+      | _ -> fail "paper_shape \"cycles_crc\" must be 8 hex digits")
+  | None -> fail "missing \"paper_shape\" object");
+  Printf.printf "ok: archpred-parallel-v1 sim section valid (5 configs, 2 batch sizes, paper shape)\n"

@@ -105,10 +105,11 @@ let micro_tests =
       let rng = fixture_rng () in
       fun () -> ignore (Core.Paper_space.test_points rng ~n:50) );
     ( "table3_simulate_5k_insts",
-      let trace = Lazy.force fixture_trace in
+      let plan = Archpred_sim.Batch.plan (Lazy.force fixture_trace) in
       fun () ->
-        ignore (Archpred_sim.Processor.cpi Archpred_sim.Config.default trace)
-    );
+        ignore
+          (Archpred_sim.Batch.run_plan ~domains:1 plan
+             [| Archpred_sim.Config.default |]) );
     ( "table4_tune_grid_cell",
       let tree = Lazy.force fixture_tree in
       let points = Lazy.force fixture_sample in
@@ -713,7 +714,6 @@ let run_shard () =
        Json.Int (shard_spec ~stream_refit:true).Shard.Spec.lhs_candidates);
       ("shard_unit",
        Json.Int (shard_spec ~stream_refit:true).Shard.Spec.shard_unit);
-      ("cores", Json.Int (Domain.recommended_domain_count ()));
       ("single_redraw_s", Json.Float redraw_s);
       ("single_stream_s", Json.Float stream_s);
       ("stream_vs_redraw_speedup", Json.Float (redraw_s /. stream_s));

@@ -215,7 +215,7 @@ let simulate_cmd =
       Obs.with_span obs "simulate.run" @@ fun () ->
       Obs.incr obs "sim.runs";
       Obs.count obs "sim.instructions" trace_length;
-      Sim.Processor.run cfg trace_
+      (Sim.Batch.run_plan ~domains:1 (Sim.Batch.plan trace_) [| cfg |]).(0)
     in
     Format.printf "%a@.@.%a@." Sim.Config.pp cfg Sim.Processor.pp_result result
   in

@@ -107,9 +107,7 @@ let stat_sim ctx ppf =
         Workloads.Generator.generate ~seed:(Context.seed ctx + 1) extracted
           ~length:trace_length
       in
-      let cpis trace =
-        Stats.Parallel.map (fun cfg -> Sim.Processor.cpi cfg trace) configs
-      in
+      let cpis trace = Sim.Batch.cpi configs trace in
       let orig_cpi = cpis original and clone_cpi = cpis clone in
       let err =
         Stats.Error_metrics.evaluate ~actual:orig_cpi ~predicted:clone_cpi

@@ -16,6 +16,7 @@ let git_describe () =
 
 let metadata () =
   [
+    ("cores", Json.Int (Domain.recommended_domain_count ()));
     ("domains", Json.Int (Stats.Parallel.default_domains ()));
     ("git_describe", Json.String (git_describe ()));
     ("simd", Json.String (Rbf.Batch_kernel.simd_level ()));

@@ -60,5 +60,4 @@ let reset_stats t =
   Cache.reset_stats t.il1;
   Cache.reset_stats t.dl1;
   Cache.reset_stats t.l2;
-  Dram.reset_stats t.dram;
   Dram.reset_stats t.dram

@@ -47,6 +47,9 @@ let () =
   (match Json.member "schema_version" j with
   | Some (Json.Int v) when v >= 1 -> ()
   | _ -> fail "missing envelope field \"schema_version\"");
+  (match Json.member "cores" j with
+  | Some (Json.Int c) when c >= 1 -> ()
+  | _ -> fail "missing metadata field \"cores\"");
   (match Json.member "domains" j with
   | Some (Json.Int d) when d >= 1 -> ()
   | _ -> fail "missing metadata field \"domains\"");

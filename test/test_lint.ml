@@ -130,12 +130,12 @@ let test_unsafe_index () =
   in
   Alcotest.check srules "batch kernel may skip bounds checks" []
     (rules_of findings);
-  (* ... as is the batched simulation engine *)
+  (* ... but the simulator's plan builder is not (its engine is C) *)
   let findings =
     Lint.scan_string ~scope:Lint.Lib ~rel:"lib/sim/batch.ml" ~mli_exists:true
       ~filename:"batch.ml" "let f b i = Bytes.unsafe_set b i 'x'\n"
   in
-  Alcotest.check srules "sim batch engine may skip bounds checks" []
+  Alcotest.check srules "sim batch is not sanctioned" [ "unsafe-index" ]
     (rules_of findings)
 
 let test_unix_net () =

@@ -167,8 +167,7 @@ let ident_rule ~scope parts =
             ( "unsafe-index",
               "`" ^ String.concat "." parts
               ^ "` skips bounds checks; only the sanctioned batch \
-                 kernels (rbf/batch_kernel, sim/batch, core/memo) may \
-                 do that" )
+                 kernels (rbf/batch_kernel, core/memo) may do that" )
       | _ -> None)
   | _ -> None
 
@@ -434,7 +433,6 @@ let sanctioned rule rel =
   | "unix-net" -> path_has_prefix rel "lib/serve_net/"
   | "unsafe-index" ->
       path_has_suffix rel "rbf/batch_kernel.ml"
-      || path_has_suffix rel "sim/batch.ml"
       || path_has_suffix rel "core/memo.ml"
   | _ -> false
 

@@ -159,6 +159,13 @@ let simulate_missing ~(config : Config.t) ~response ~journal ~results ~have
                | Some p -> "are journaled in " ^ p
                | None -> "were discarded (no checkpoint configured)")))
 
+(* [simulate_missing] as one stage of simulation: when it ends, the
+   simulator's idle engines free their memory, which the fitting that
+   follows would otherwise carry. *)
+let simulate_stage ~config ~response ~journal ~results ~have ~upto sample =
+  Fun.protect ~finally:Archpred_sim.Batch.trim (fun () ->
+      simulate_missing ~config ~response ~journal ~results ~have ~upto sample)
+
 let simulate ~(config : Config.t) ~response sample =
   let n = Array.length sample in
   let journal, replayed = start_journal ~config ~response ~n sample in
@@ -172,7 +179,7 @@ let simulate ~(config : Config.t) ~response sample =
           results.(r.Checkpoint.index) <- r.Checkpoint.value;
           have.(r.Checkpoint.index) <- true)
         replayed;
-      simulate_missing ~config ~response ~journal ~results ~have ~upto:n
+      simulate_stage ~config ~response ~journal ~results ~have ~upto:n
         sample;
       Option.iter Checkpoint.close journal;
       results)
@@ -267,7 +274,7 @@ let stream_to_accuracy ~(config : Config.t) ~space ~response ~sizes
             { steps; final = List.hd acc }
         | n :: rest ->
             (Obs.with_span obs "build.simulate" @@ fun () ->
-             simulate_missing ~config ~response ~journal ~results ~have
+             simulate_stage ~config ~response ~journal ~results ~have
                ~upto:n sample);
             let points = Array.sub sample 0 n in
             let responses = Array.sub results 0 n in

@@ -1,7 +1,8 @@
 (* Smoke validator for the --metrics JSON-lines stream: every line must
-   parse as a JSON object with a known "type", and the five pipeline
+   parse as a JSON object with a known "type", the five pipeline
    stages (LHS sampling, simulation, tree growth, center selection,
-   tuning) must all have left a trace.  Run by the dune smoke rule in
+   tuning) must all have left a trace, and the simulator must have
+   recorded its attribution counters.  Run by the dune smoke rule in
    this directory against a tiny `archpred train --metrics` run. *)
 
 module Json = Archpred_obs.Json
@@ -68,5 +69,13 @@ let () =
   List.iter
     (fun (stage, ok) -> if not ok then fail "stage %s left no events" stage)
     stages;
+  (* The simulator's attribution counters. *)
+  List.iter
+    (fun name -> if not (counter_seen name) then fail "no %s counter" name)
+    [
+      "sim.cycles_stepped"; "sim.cycles_skipped"; "sim.issue_attempts";
+      "sim.store_walk_steps"; "sim.il1_accesses"; "sim.dl1_accesses";
+      "sim.l2_accesses";
+    ];
   Printf.printf "ok: %d events, %d span paths, %d counters, %d gauges\n" !lines
     (List.length !spans) (List.length !counters) (List.length !gauges)

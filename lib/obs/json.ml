@@ -23,16 +23,58 @@ let escape s =
     s;
   Buffer.contents buf
 
+(* ------------------------------------------------------------------ *)
+(* Numbers, written in place                                          *)
+(* ------------------------------------------------------------------ *)
+
 (* %.17g round-trips every float; JSON has no nan/inf literals.  The
-   stub computes the digits in integer arithmetic for finite |f| in
-   [1e-4, 1e17) and hands every other value, with [fmt], to
+   stub writes the digits in integer arithmetic for finite |f| in
+   [1e-4, 1e17) and returns 0 for every other value, which then goes to
    caml_format_float (the primitive behind Printf's %g): the bytes are
    Printf's either way. *)
-external format_g17 : string -> (float[@unboxed]) -> string
-  = "archpred_json_g17_byte" "archpred_json_g17"
+external put_g17 :
+  bytes -> (int[@untagged]) -> (float[@unboxed]) -> (int[@untagged]) -> (int[@untagged])
+  = "archpred_json_put_g17_byte" "archpred_json_put_g17"
+[@@noalloc]
+
+external format_float : string -> float -> string = "caml_format_float"
+
+let float_room = 24
+
+let put_string b pos s =
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
+let put_formatted b pos f = put_string b pos (format_float "%.17g" f)
+
+let put_float ?(force_fallback = false) b pos f =
+  if not (Float.is_finite f) then put_string b pos "null"
+  else
+    let n = put_g17 b pos f (Bool.to_int force_fallback) in
+    if n > 0 then pos + n else put_formatted b pos f
+
+(* string_of_int's digits, produced from the non-positive side so that
+   min_int needs no special case. *)
+let put_int b pos v =
+  let m = if v < 0 then v else -v in
+  let len = ref 1 in
+  let t = ref (m / 10) in
+  while !t <> 0 do
+    incr len;
+    t := !t / 10
+  done;
+  let start = if v < 0 then pos + 1 else pos in
+  if v < 0 then Bytes.set b pos '-';
+  let q = ref m in
+  for k = start + !len - 1 downto start do
+    Bytes.set b k (Char.chr (Char.code '0' - (!q mod 10)));
+    q := !q / 10
+  done;
+  start + !len
 
 let add_float buf f =
-  Buffer.add_string buf (if Float.is_finite f then format_g17 "%.17g" f else "null")
+  let s = Bytes.create float_room in
+  Buffer.add_subbytes buf s 0 (put_float s 0 f)
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
@@ -90,55 +132,26 @@ let skip_ws b i n =
   done;
   !i
 
-let number_end b i n =
-  let i = ref i in
-  while
-    !i < n
-    &&
-    match Bytes.get b !i with
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
-  do
-    incr i
-  done;
-  !i
-
-(* min_int = 10 * int_lim - 4 *)
-let int_lim = min_int / 10
-
-(* Minus the magnitude of the token b.[i..j) as [int_of_string] reads a
-   number token (an optional sign, then decimal digits only, within
-   [min_int, max_int]), or 1 when [int_of_string] rejects it. *)
-let neg_magnitude b i j =
-  let neg = i < j && Bytes.get b i = '-' in
-  let k = if neg || (i < j && Bytes.get b i = '+') then i + 1 else i in
-  if k >= j then 1
-  else begin
-    let acc = ref 0 in
-    let p = ref k in
-    while !p < j do
-      let d = Char.code (Bytes.get b !p) - Char.code '0' in
-      if d < 0 || d > 9 || !acc < int_lim || (!acc = int_lim && d > 4) then begin
-        acc := 1;
-        p := j
-      end
-      else begin
-        acc := (10 * !acc) - d;
-        incr p
-      end
-    done;
-    if !acc = min_int && not neg then 1 else !acc
-  end
-
-let is_int_token b i j = neg_magnitude b i j <= 0
-
-let int_of_token b i j =
-  let m = neg_magnitude b i j in
-  if i < j && Bytes.get b i = '-' then m else -m
-
-external float_of_token : bytes -> (int[@untagged]) -> (int[@untagged]) -> (float[@unboxed])
-  = "archpred_json_strtod_byte" "archpred_json_strtod"
+(* One call reads a number token: see json_stubs.c for the rule. *)
+external number :
+  bytes ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  float array ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) = "archpred_json_number_byte" "archpred_json_number"
 [@@noalloc]
+
+let int_token = 0
+let float_token = 1
+let bad_token = 2
+let ints_as_floats = 1
+let fallback = 2
+
+let[@inline] token_end r = r lsr 2
+let[@inline] token_kind r = r land 3
+let[@inline] int_value dst k = Int64.to_int (Int64.bits_of_float dst.(k))
 
 (* [b.[lo..hi)] = [s] *)
 let bytes_equal b lo hi s =
@@ -234,17 +247,18 @@ let parse_string b n pos =
   pos := lex_string buf b !pos n;
   Buffer.contents buf
 
-let parse_number b n pos =
+(* [num] is a one-slot scratch for the number stub, [flags] its mode. *)
+let parse_number num flags b n pos =
   let i = !pos in
-  let j = number_end b i n in
+  let r = number b i n num 0 flags in
+  let j = token_end r in
   pos := j;
-  if is_int_token b i j then Int (int_of_token b i j)
-  else
-    let f = float_of_token b i j in
-    if Float.is_nan f then syntax_error j ("bad number " ^ Bytes.sub_string b i (j - i))
-    else Float f
+  let kind = token_kind r in
+  if kind = int_token then Int (int_value num 0)
+  else if kind = float_token then Float num.(0)
+  else syntax_error j ("bad number " ^ Bytes.sub_string b i (j - i))
 
-let rec parse_value b n pos =
+let rec parse_value num flags b n pos =
   pos := skip_ws b !pos n;
   if !pos >= n then syntax_error !pos "unexpected end of input";
   match Bytes.get b !pos with
@@ -265,7 +279,7 @@ let rec parse_value b n pos =
           let k = parse_string b n pos in
           pos := skip_ws b !pos n;
           expect b n pos ':';
-          let v = parse_value b n pos in
+          let v = parse_value num flags b n pos in
           pos := skip_ws b !pos n;
           if !pos < n && Bytes.get b !pos = ',' then begin
             incr pos;
@@ -287,7 +301,7 @@ let rec parse_value b n pos =
       end
       else
         let rec items acc =
-          let v = parse_value b n pos in
+          let v = parse_value num flags b n pos in
           pos := skip_ws b !pos n;
           if !pos < n && Bytes.get b !pos = ',' then begin
             incr pos;
@@ -300,21 +314,22 @@ let rec parse_value b n pos =
           else syntax_error !pos "expected , or ]"
         in
         items []
-  | _ -> parse_number b n pos
+  | _ -> parse_number num flags b n pos
 
-let value_at b i n =
+let value_at ?(force_fallback = false) b i n =
   let pos = ref i in
-  let v = parse_value b n pos in
+  let flags = if force_fallback then fallback else 0 in
+  let v = parse_value (Array.make 1 0.) flags b n pos in
   (v, !pos)
 
-let of_string text =
+let of_string ?force_fallback text =
   (* The lexers and the parser only read [b], so it can share [text]'s
      storage instead of copying the whole document. *)
   (* archpred-lint: allow unsafe-index -- read-only view of [text], no index is unchecked *)
   let b = Bytes.unsafe_of_string text in
   let n = Bytes.length b in
   match
-    let v, j = value_at b 0 n in
+    let v, j = value_at ?force_fallback b 0 n in
     if skip_ws b j n <> n then syntax_error (skip_ws b j n) "trailing input";
     v
   with

@@ -13,7 +13,8 @@ type t = {
   fd : Unix.file_descr;
   dec : Frame.decoder;
   buf : Bytes.t;  (* socket reads land here *)
-  out : Buffer.t;  (* requests encoded for the next send *)
+  mutable out : Bytes.t;  (* requests written in place for the next send *)
+  mutable out_len : int;
   mutable open_ : bool;
 }
 
@@ -38,7 +39,8 @@ let connect ?(retries = 100) ?(retry_delay_s = 0.02) listener =
           fd;
           dec = Frame.decoder ();
           buf = Bytes.create 65536;
-          out = Buffer.create 4096;
+          out = Bytes.create 4096;
+          out_len = 0;
           open_ = true;
         }
     | exception Unix.Unix_error ((ECONNREFUSED | ENOENT | EINTR), _, _)
@@ -62,27 +64,40 @@ let close t =
 let reset () =
   Error.io_error ~path:"<daemon socket>" "connection reset by the daemon"
 
+(* Room for [n] more bytes in [t.out]. *)
+let reserve t n =
+  if t.out_len + n > Bytes.length t.out then begin
+    let grown = Bytes.create (max (t.out_len + n) (2 * Bytes.length t.out)) in
+    Bytes.blit t.out 0 grown 0 t.out_len;
+    t.out <- grown
+  end
+
+(* Append one predict request to [t.out], written in place. *)
+let put_predict t wire ~id ~natural point =
+  reserve t (Frame.request_room wire (Array.length point));
+  t.out_len <- Frame.put_request t.out t.out_len wire ~id ~natural point
+
 (* Send everything in [t.out] and clear it. *)
 let flush_out t =
-  let data = Buffer.contents t.out in
-  Buffer.clear t.out;
-  let len = String.length data in
   let off = ref 0 in
-  while !off < len do
-    match Unix.single_write_substring t.fd data !off (len - !off) with
+  while !off < t.out_len do
+    match Unix.single_write t.fd t.out !off (t.out_len - !off) with
     | n -> off := !off + n
     | exception Unix.Unix_error (EINTR, _, _) -> ()
     | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> reset ()
-  done
-
-let send t wire req =
-  Frame.add_request t.out wire req;
-  flush_out t
+  done;
+  t.out_len <- 0
 
 let predict t wire ~id ?(natural = false) point =
-  send t wire (Frame.Predict { id; point; natural })
+  put_predict t wire ~id ~natural point;
+  flush_out t
 
-let reload t ?path () = send t Frame.Json_wire (Frame.Reload path)
+let reload t ?path () =
+  let s = Frame.encode_request Frame.Json_wire (Frame.Reload path) in
+  reserve t (String.length s);
+  Bytes.blit_string s 0 t.out t.out_len (String.length s);
+  t.out_len <- t.out_len + String.length s;
+  flush_out t
 
 (* One blocking read into the decoder. *)
 let fill t =
@@ -141,7 +156,7 @@ let drive t wire ?(pipeline = 64) points =
   let n = Array.length points in
   if n = 0 then Error.invalid_input ~where:"Client.drive" "no points";
   if pipeline < 1 then Error.invalid_input ~where:"Client.drive" "pipeline < 1";
-  let sent_ns = Array.make n 0L in
+  let sent_ns = Array.make n 0 in
   let lat = Array.make n 0. in
   let ok = ref 0 and shed = ref 0 and timeouts = ref 0 and other = ref 0 in
   let checksum = ref 0. in
@@ -150,7 +165,7 @@ let drive t wire ?(pipeline = 64) points =
   let handle = function
     | Frame.Reply { id; status; value } ->
         if id >= 0 && id < n then
-          lat.(!received) <- Int64.to_float (Int64.sub (Obs.now_ns ()) sent_ns.(id));
+          lat.(!received) <- float_of_int (Int64.to_int (Obs.now_ns ()) - sent_ns.(id));
         (match status with
         | Frame.Ok ->
             incr ok;
@@ -173,11 +188,10 @@ let drive t wire ?(pipeline = 64) points =
   let t0 = Obs.now_ns () in
   while !received < n do
     while !next < n && !next - !received < pipeline do
-      sent_ns.(!next) <- Obs.now_ns ();
-      Frame.add_request t.out wire
-        (Frame.Predict { id = !next; point = points.(!next); natural = false });
+      sent_ns.(!next) <- Int64.to_int (Obs.now_ns ());
+      put_predict t wire ~id:!next ~natural:false points.(!next);
       incr next;
-      if Buffer.length t.out >= drive_chunk then flush_out t
+      if t.out_len >= drive_chunk then flush_out t
     done;
     flush_out t;
     if not (handle_decoded false) then begin

@@ -151,7 +151,6 @@ type state = {
   mutable conns : conn list;
   mutable draining : bool;
   read_buf : Bytes.t;
-  scratch : Buffer.t;  (* JSON frames are encoded here, then copied to egress *)
   mutable s_connections : int;
   mutable s_requests : int;
   mutable s_answered : int;
@@ -222,28 +221,27 @@ let push_end conn =
     conn.sent + egress_bytes conn;
   conn.ends_len <- conn.ends_len + 1
 
-let append_encoded st conn wire resp =
-  Buffer.clear st.scratch;
-  Frame.add_response st.scratch wire resp;
-  let n = Buffer.length st.scratch in
-  reserve conn n;
-  Buffer.blit st.scratch 0 conn.out conn.out_hi n;
-  conn.out_hi <- conn.out_hi + n
-
-(* A counted reply: binary replies are written in place (the per-request
-   hot path, zero-alloc), JSON ones are encoded via [st.scratch]. *)
-let send_reply st conn wire ~id ~status value =
+(* A counted reply, written in place on either wire (the per-request hot
+   path, zero-alloc). *)
+let send_reply conn wire ~id ~status value =
   (match wire with
   | Frame.Binary_wire ->
       reserve conn Frame.reply_len;
       Frame.put_binary_reply conn.out conn.out_hi ~id ~status value;
       conn.out_hi <- conn.out_hi + Frame.reply_len
-  | Frame.Json_wire -> append_encoded st conn wire (Frame.Reply { id; status; value }));
+  | Frame.Json_wire ->
+      reserve conn Frame.json_reply_room;
+      conn.out_hi <- Frame.put_json_reply conn.out conn.out_hi ~id ~status value);
   push_end conn
 
 (* An uncounted JSON message: reload outcomes and protocol-error notices
    answer no predict request. *)
-let send_notice st conn resp = append_encoded st conn Frame.Json_wire resp
+let send_notice conn resp =
+  let s = Frame.encode_response Frame.Json_wire resp in
+  let n = String.length s in
+  reserve conn n;
+  Bytes.blit_string s 0 conn.out conn.out_hi n;
+  conn.out_hi <- conn.out_hi + n
 
 (* [hangup]: the peer closed or reset the connection before reading
    what it was owed, as opposed to the daemon cutting it off. *)
@@ -335,19 +333,19 @@ let handle_request st conn req wire =
   match req with
   | Frame.Reload path ->
       (* control messages answer on the JSON wire only *)
-      send_notice st conn (do_reload st path)
+      send_notice conn (do_reload st path)
   | Frame.Predict { id; point; natural } -> (
       st.s_requests <- st.s_requests + 1;
       Obs.incr st.obs "served.requests";
       conn.unanswered <- conn.unanswered + 1;
       if st.draining then begin
         Obs.incr st.obs "served.shutting_down";
-        send_reply st conn wire ~id ~status:Frame.Shutting_down Float.nan
+        send_reply conn wire ~id ~status:Frame.Shutting_down Float.nan
       end
       else if Queue.length st.ingress >= st.cfg.max_pending then begin
         st.s_shed <- st.s_shed + 1;
         Obs.incr st.obs "served.shed";
-        send_reply st conn wire ~id ~status:Frame.Overloaded Float.nan
+        send_reply conn wire ~id ~status:Frame.Overloaded Float.nan
       end
       else
         match
@@ -361,7 +359,7 @@ let handle_request st conn req wire =
         | exception (Invalid_argument _ | Error.Archpred _) ->
             st.s_bad_requests <- st.s_bad_requests + 1;
             Obs.incr st.obs "served.bad_request";
-            send_reply st conn wire ~id ~status:Frame.Bad_request Float.nan
+            send_reply conn wire ~id ~status:Frame.Bad_request Float.nan
         | p ->
             Queue.push
               {
@@ -384,7 +382,7 @@ let rec drain_decoder st conn =
         Obs.incr st.obs "served.protocol_error";
         conn.read_open <- false;
         ignore msg;
-        send_notice st conn
+        send_notice conn
           (Frame.Reply { id = -1; status = Frame.Bad_request; value = Float.nan })
     | `Msg (req, wire) ->
         handle_request st conn req wire;
@@ -551,7 +549,7 @@ let process_ingress st =
       else if Int64.compare now p.p_deadline > 0 then begin
         st.s_timeouts <- st.s_timeouts + 1;
         Obs.incr st.obs "served.timeout";
-        send_reply st p.p_conn p.p_wire ~id:p.p_id ~status:Frame.Timeout Float.nan
+        send_reply p.p_conn p.p_wire ~id:p.p_id ~status:Frame.Timeout Float.nan
       end
       else begin
         batch := p :: !batch;
@@ -565,7 +563,7 @@ let process_ingress st =
       Obs.incr st.obs "served.batches";
       Obs.incr st.obs batch_counter.(bucket !size);
       Array.iteri
-        (fun i p -> send_reply st p.p_conn p.p_wire ~id:p.p_id ~status:Frame.Ok values.(i))
+        (fun i p -> send_reply p.p_conn p.p_wire ~id:p.p_id ~status:Frame.Ok values.(i))
         batch
     end
   done
@@ -638,7 +636,6 @@ let run ?(obs = Obs.null) ?(control = control ()) ~predictor cfg =
       conns = [];
       draining = false;
       read_buf = Bytes.create 65536;
-      scratch = Buffer.create 256;
       s_connections = 0;
       s_requests = 0;
       s_answered = 0;

@@ -51,11 +51,26 @@ val encode_response : wire -> response -> string
 
 val add_request : Buffer.t -> wire -> request -> unit
 (** [add_request b wire req] appends the bytes of [encode_request wire
-    req] to [b], so a sender can batch many frames into one write. *)
+    req] to [b]. *)
 
-val add_response : Buffer.t -> wire -> response -> unit
-(** [add_response b wire resp] appends the bytes of [encode_response
-    wire resp] to [b]. *)
+(** {1 In-place writers}
+
+    The encoders of predict requests and replies, which [encode_*] and
+    [add_request] wrap: each writes one frame into [b] from [pos].  They
+    allocate nothing, except to format a float outside [%.17g]'s integer
+    range (see [Json.put_float]).  [b] must have the room stated; a
+    writer raises [Invalid_argument] rather than write past its end. *)
+
+val request_room : wire -> int -> int
+(** [request_room wire dim]: the most bytes a predict request of [dim]
+    coordinates takes on [wire]. *)
+
+val put_request :
+  bytes -> int -> wire -> id:int -> natural:bool -> float array -> int
+(** [put_request b pos wire ~id ~natural point] writes the bytes of
+    [encode_request wire (Predict {id; point; natural})] into [b] from
+    [pos] and returns the index past them.  Raises [Invalid_argument]
+    for [Binary_wire] ids outside [\[0, 2^32)]. *)
 
 val reply_len : int
 (** Size in bytes of a binary [Reply] frame (18). *)
@@ -63,18 +78,26 @@ val reply_len : int
 val put_binary_reply : bytes -> int -> id:int -> status:status -> float -> unit
 (** [put_binary_reply b pos ~id ~status value] writes the binary [Reply]
     frame into [b.[pos .. pos + reply_len - 1]] — the bytes of
-    [encode_response Binary_wire (Reply {id; status; value})] — without
-    allocating.  [b] must have room. *)
+    [encode_response Binary_wire (Reply {id; status; value})]. *)
+
+val json_reply_room : int
+(** The most bytes a JSON [Reply] frame takes (96). *)
+
+val put_json_reply : bytes -> int -> id:int -> status:status -> float -> int
+(** [put_json_reply b pos ~id ~status value] writes the bytes of
+    [encode_response Json_wire (Reply {id; status; value})] into [b]
+    from [pos] and returns the index past them. *)
 
 type decoder
 (** Incremental frame reassembler for one connection.  A protocol
     error is sticky: every subsequent [next_*] returns the same
     [`Error] and fed bytes are discarded. *)
 
-val decoder : ?max_frame:int -> unit -> decoder
+val decoder : ?max_frame:int -> ?force_fallback:bool -> unit -> decoder
 (** [max_frame] (default 1 MiB) bounds both binary payloads and JSON
     line length; an oversized frame is a protocol error, not an
-    allocation. *)
+    allocation.  [force_fallback] (default [false]) is for tests: every
+    float of a JSON frame is parsed by [strtod] (see [Json.number]). *)
 
 val feed : decoder -> bytes -> int -> int -> unit
 (** [feed d src pos n] appends [n] bytes of [src] starting at [pos]. *)

@@ -314,10 +314,11 @@ let qcheck_json_float_printf =
       let expect = if Float.is_finite f then Printf.sprintf "%.17g" f else "null" in
       String.equal (Json.to_string (Json.Float f)) expect)
 
-(* The integer %.17g path and its fallback, byte for byte against Printf
-   on the families where digit generation goes wrong: carries into the
-   next power of ten, the range edges, exact ties, subnormals. *)
-let qcheck_add_float_families =
+(* Floats of the families where %.17g digit generation goes wrong:
+   carries into the next power of ten, the edges of the integer path's
+   range, exact ties, subnormals.  Both printing paths are held byte for
+   byte to Printf on them. *)
+let float_families =
   let ulp_step f k = Int64.float_of_bits (Int64.add (Int64.bits_of_float f) (Int64.of_int k)) in
   let gen =
     QCheck.Gen.(
@@ -367,16 +368,25 @@ let qcheck_add_float_families =
           (1, oneofl [ 0x1p53 -. 1.; 0x1p53 +. 2.; 0x1p53; 0.; -0.; 5e-324 ]);
         ])
   in
-  QCheck.Test.make ~name:"json add_float = %.17g, integer path" ~count:20_000
-    (QCheck.make ~print:(Printf.sprintf "%h") gen) (fun f ->
+  QCheck.make ~print:(Printf.sprintf "%h") gen
+
+let qcheck_add_float_families =
+  QCheck.Test.make ~name:"json add_float = %.17g, integer path" ~count:20_000 float_families (fun f ->
       let b = Buffer.create 32 in
       Json.add_float b f;
       String.equal (Buffer.contents b) (Printf.sprintf "%.17g" f))
 
-(* The number lexers classify a token exactly as int_of_string_opt and
-   float_of_string_opt do, which is what the frame scanner and
-   [Json.of_string] both rely on. *)
-let qcheck_number_lexers =
+let qcheck_put_float_fallback =
+  QCheck.Test.make ~name:"json put_float = %.17g, fallback path" ~count:2000 float_families (fun f ->
+      let b = Bytes.create Json.float_room in
+      let e = Json.put_float ~force_fallback:true b 0 f in
+      String.equal (Bytes.sub_string b 0 e) (Printf.sprintf "%.17g" f))
+
+(* Number tokens, well and badly formed.  [Json.number] must classify
+   and convert each exactly as int_of_string_opt and float_of_string_opt
+   do, which is what the frame scanner and [Json.of_string] both rely
+   on. *)
+let number_tokens =
   let gen =
     QCheck.Gen.(
       let soup = string_size ~gen:(oneofl [ '0'; '1'; '5'; '9'; '-'; '+'; '.'; 'e'; 'E' ]) (int_range 0 12) in
@@ -424,23 +434,108 @@ let qcheck_number_lexers =
                 "-4611686018427387904"; "-4611686018427387905"; "007"; "." ; ""; "-"; "1e+"; ".5"; "5." ] );
         ])
   in
-  QCheck.Test.make ~name:"json number lexers = int/float_of_string" ~count:5000 (QCheck.make ~print:Fun.id gen)
-    (fun tok ->
-      (* embed the token between non-number bytes *)
-      let b = Bytes.of_string ("[" ^ tok ^ "]") in
-      let i = 1 in
-      let j = Json.number_end b i (Bytes.length b) in
-      let int_ok =
-        match int_of_string_opt tok with
-        | Some v -> Json.is_int_token b i j && Json.int_of_token b i j = v
-        | None -> not (Json.is_int_token b i j)
-      in
-      let float_ok =
-        match float_of_string_opt tok with
-        | Some v -> Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float (Json.float_of_token b i j))
-        | None -> Float.is_nan (Json.float_of_token b i j)
-      in
-      j = i + String.length tok && int_ok && float_ok)
+  QCheck.make ~print:Fun.id gen
+
+(* [Json.number] on [tok] embedded between non-number bytes: the token's
+   extent, kind and value are [int_of_string_opt]'s, else
+   [float_of_string_opt]'s, bit for bit, with ints read back both ways. *)
+let number_agrees ~flags tok =
+  let b = Bytes.of_string ("[" ^ tok ^ "]") in
+  let n = Bytes.length b in
+  let dst = Array.make 2 0. in
+  let r = Json.number b 1 n dst 1 flags in
+  let kind = Json.token_kind r in
+  let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  let value_ok =
+    match (int_of_string_opt tok, float_of_string_opt tok) with
+    | Some v, _ ->
+        kind = Json.int_token
+        && Json.int_value dst 1 = v
+        &&
+        let r' = Json.number b 1 n dst 1 (flags lor Json.ints_as_floats) in
+        r' = r && same_bits dst.(1) (float_of_int v)
+    | None, Some v -> kind = Json.float_token && same_bits dst.(1) v
+    | None, None -> kind = Json.bad_token
+  in
+  Json.token_end r = 1 + String.length tok && value_ok
+
+let qcheck_number_lexers =
+  QCheck.Test.make ~name:"json number lexers = int/float_of_string" ~count:5000 number_tokens
+    (number_agrees ~flags:0)
+
+let qcheck_number_fallback =
+  QCheck.Test.make ~name:"json number lexers, strtod path" ~count:5000 number_tokens
+    (number_agrees ~flags:Json.fallback)
+
+(* Printed and read back on each pair of paths, every finite float is
+   itself again, except -0, which prints as the int token "-0". *)
+let qcheck_number_round_trip =
+  QCheck.Test.make ~name:"json number round-trip, both paths" ~count:5000 float_families (fun f ->
+      (not (Float.is_finite f))
+      || List.for_all
+           (fun (force_fallback, flags) ->
+             let b = Bytes.create Json.float_room in
+             let e = Json.put_float ~force_fallback b 0 f in
+             let dst = [| 0. |] in
+             let r = Json.number b 0 e dst 0 (flags lor Json.ints_as_floats) in
+             Json.token_end r = e
+             && Json.token_kind r <> Json.bad_token
+             && (Int64.equal (Int64.bits_of_float dst.(0)) (Int64.bits_of_float f)
+                || Float.equal f 0.))
+           [ (false, 0); (false, Json.fallback); (true, 0); (true, Json.fallback) ])
+
+(* The edges of both fast paths, each side of each. *)
+let edge_floats =
+  let ulp f k = Int64.float_of_bits (Int64.add (Int64.bits_of_float f) (Int64.of_int k)) in
+  let around f = [ ulp f (-1); f; ulp f 1 ] in
+  List.concat_map
+    (fun f -> [ f; -.f ])
+    ([ 0.; 5e-324; ulp 5e-324 1; 0x0.fffffffffffffp-1022; 0x1p-1022; Float.max_float; 0x1p53; 1e-5 ]
+    @ around 1e-4 @ around 1e17 @ around 1e16 @ around 1.)
+
+let edge_tokens =
+  [ "0"; "-0"; "+0"; "0.0"; "-0.0"; "0e0"; "-0e-5"; "0.000e999";
+    (* subnormals, and the normal edge *)
+    "5e-324"; "4.9406564584124654e-324"; "2.4703282292062327e-324"; "2.4703282292062328e-324";
+    "2.2250738585072009e-308"; "2.2250738585072011e-308"; "2.2250738585072014e-308";
+    (* %.17g's integer range *)
+    "0.0001"; "0.00010000000000000000"; "9.9999999999999991e-05"; "0.00010000000000000001";
+    "1e17"; "1.0000000000000000e+17"; "99999999999999984"; "9.9999999999999984e+16"; "100000000000000000";
+    (* 19 and 20 significant digits *)
+    "1234567890123456789"; "9999999999999999999"; "1234567890123456789e-10"; "9999999999999999999e-27";
+    "0.1234567890123456789"; "12345678901234567890"; "12345678901234567890e-10"; "99999999999999999999e55";
+    "-9223372036854775808"; "18446744073709551615"; "18446744073709551616";
+    (* decimal exponents at the integer parser's limits, and the exponent cap *)
+    "1e-27"; "1e-28"; "9.999999999999999999e-9"; "1e55"; "1e56"; "9999999999999999999e55";
+    "9999999999999999999e56"; "1.5e-27"; "0.1e-26"; "10e54"; "1e9999"; "1e10000"; "1e-10000";
+    "1e99999999999999999999"; "1e400"; "-1e400"; "1e-400"; "1e308"; "1.7976931348623157e308";
+    "1.7976931348623159e308";
+    (* ints at +-2^62 *)
+    "4611686018427387903"; "4611686018427387904"; "-4611686018427387904"; "-4611686018427387905";
+    "+4611686018427387903"; "007"; "-007" ]
+
+let test_number_edges () =
+  List.iter
+    (fun flags ->
+      List.iter
+        (fun tok ->
+          if not (number_agrees ~flags tok) then
+            Alcotest.failf "Json.number disagrees with int/float_of_string on %S (flags %d)" tok flags)
+        edge_tokens;
+      List.iter
+        (fun f ->
+          let printed = Printf.sprintf "%.17g" f in
+          List.iter
+            (fun force_fallback ->
+              let b = Bytes.create Json.float_room in
+              let e = Json.put_float ~force_fallback b 0 f in
+              if not (String.equal (Bytes.sub_string b 0 e) printed) then
+                Alcotest.failf "put_float %h printed %S, not %S" f (Bytes.sub_string b 0 e) printed)
+            [ false; true ];
+          if not (number_agrees ~flags printed) then
+            Alcotest.failf "Json.number disagrees on %S (flags %d)" printed flags)
+        edge_floats)
+    [ 0; Json.fallback ]
 
 let () =
   Alcotest.run "obs"
@@ -459,7 +554,11 @@ let () =
           Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_json_float_printf;
           QCheck_alcotest.to_alcotest qcheck_add_float_families;
+          QCheck_alcotest.to_alcotest qcheck_put_float_fallback;
           QCheck_alcotest.to_alcotest qcheck_number_lexers;
+          QCheck_alcotest.to_alcotest qcheck_number_fallback;
+          QCheck_alcotest.to_alcotest qcheck_number_round_trip;
+          Alcotest.test_case "json number and float edges" `Quick test_number_edges;
         ] );
       ( "pipeline",
         [

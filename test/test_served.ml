@@ -281,9 +281,10 @@ let response_equal a b =
       o1 = o2 && String.equal d1 d2
   | _ -> false
 
-(* Decode one line (no '\n' inside) as the daemon or the client would. *)
-let scan_line next line =
-  let d = Frame.decoder () in
+(* Decode one line (no '\n' inside) as the daemon or the client would;
+   [force_fallback] parses its floats with strtod instead. *)
+let scan_line ?force_fallback next line =
+  let d = Frame.decoder ?force_fallback () in
   Frame.feed_string d (line ^ "\n");
   match next d with
   | `Msg (m, Frame.Json_wire) -> Some m
@@ -297,8 +298,11 @@ let agrees equal reference decoded =
   | None, None -> true
   | _ -> false
 
-let request_agrees line = agrees request_equal (Reference.request line) (scan_line Frame.next_request line)
-let response_agrees line = agrees response_equal (Reference.response line) (scan_line Frame.next_response line)
+let request_agrees ?force_fallback line =
+  agrees request_equal (Reference.request line) (scan_line ?force_fallback Frame.next_request line)
+
+let response_agrees ?force_fallback line =
+  agrees response_equal (Reference.response line) (scan_line ?force_fallback Frame.next_response line)
 
 (* Frames built from canonical pieces, then mutated: whitespace,
    reordered, duplicate and unknown keys, escaped key names, odd number
@@ -448,6 +452,16 @@ let qcheck_response_scanner =
   QCheck.Test.make ~name:"json response scanner = Json.of_string reference" ~count:3000
     (QCheck.make ~print:Fun.id Mutate.response) response_agrees
 
+(* The same, with the scanner's floats parsed by strtod and the
+   reference's by the integer path. *)
+let qcheck_request_scanner_fallback =
+  QCheck.Test.make ~name:"strtod-path request scanner = Json.of_string reference" ~count:3000
+    (QCheck.make ~print:Fun.id Mutate.request) (request_agrees ~force_fallback:true)
+
+let qcheck_response_scanner_fallback =
+  QCheck.Test.make ~name:"strtod-path response scanner = Json.of_string reference" ~count:3000
+    (QCheck.make ~print:Fun.id Mutate.response) (response_agrees ~force_fallback:true)
+
 (* Canonical frames cut at every byte: each prefix (closed by '\n') is an
    error on both sides, or the same message. *)
 let test_scanner_truncation () =
@@ -475,8 +489,11 @@ let test_scanner_truncation () =
         done)
       frames
   in
-  each request_agrees requests;
-  each response_agrees responses
+  List.iter
+    (fun force_fallback ->
+      each (request_agrees ~force_fallback) requests;
+      each (response_agrees ~force_fallback) responses)
+    [ false; true ]
 
 (* Binary ids are u32: the full range round-trips, anything else is
    refused by the encoder. *)
@@ -502,6 +519,40 @@ let test_binary_ids_u32 () =
 
 (* A line near max_frame fed in small chunks still decodes, and a
    newline that arrives on its own (or with the next line) is found. *)
+(* A long stream whose reads end mid-frame: the decoder slides the
+   unconsumed tail to the front of its buffer instead of growing it, so
+   its buffer allocations (major-heap words, the buffer being larger
+   than a minor block) stay far below the bytes fed.  A buffer that
+   doubled whenever the tail reached its end grew with the stream. *)
+let test_stream_buffer_bounded () =
+  let line id =
+    Frame.encode_request Frame.Json_wire
+      (Frame.Predict { id; point = Array.make 9 0.123456789012345678; natural = false })
+  in
+  let stream = String.concat "" (List.init 20_000 line) in
+  let chunk = 65_536 - 7 in
+  let d = Frame.decoder () in
+  let src = Bytes.of_string stream in
+  let decoded = ref 0 in
+  let major0 = (Gc.quick_stat ()).Gc.major_words in
+  let i = ref 0 in
+  while !i < Bytes.length src do
+    let n = min chunk (Bytes.length src - !i) in
+    Frame.feed d src !i n;
+    i := !i + n;
+    let more = ref true in
+    while !more do
+      match Frame.next_request d with
+      | `Msg _ -> incr decoded
+      | `Need_more -> more := false
+      | `Error e -> Alcotest.failf "stream decode: %s" e
+    done
+  done;
+  let major_bytes = ((Gc.quick_stat ()).Gc.major_words -. major0) *. 8. in
+  Alcotest.(check int) "every request decoded" 20_000 !decoded;
+  if major_bytes > float_of_int (Bytes.length src) /. 4. then
+    Alcotest.failf "decoder allocated %.0f major bytes for %d bytes fed" major_bytes (Bytes.length src)
+
 let test_long_line_chunked () =
   let max_frame = 1 lsl 20 (* the decoder's default *) in
   let line =
@@ -545,6 +596,36 @@ let test_put_binary_reply () =
     (Frame.encode_response Frame.Binary_wire (Frame.Reply { id = 4242; status = Frame.Timeout; value = 1.5 }))
     (Bytes.sub_string b 3 Frame.reply_len);
   Alcotest.(check string) "prefix untouched" "xxx" (Bytes.sub_string b 0 3)
+
+(* The JSON writers at an offset, on the widest frames their room
+   constants allow for: the bytes [encode_*] give, nothing else touched. *)
+let test_put_json_in_place () =
+  let widest = -2.2250738585072014e-308 in
+  let check name room put encoded =
+    let b = Bytes.make (room + 6) 'x' in
+    let e = put b 3 in
+    Alcotest.(check string) (name ^ ": same bytes") encoded (Bytes.sub_string b 3 (e - 3));
+    Alcotest.(check bool) (name ^ ": within its room") true (e - 3 <= room);
+    Alcotest.(check string) (name ^ ": rest untouched") ("xxx" ^ String.make (Bytes.length b - e) 'x')
+      (Bytes.sub_string b 0 3 ^ Bytes.sub_string b e (Bytes.length b - e))
+  in
+  List.iter
+    (fun (id, status, value) ->
+      check "reply" Frame.json_reply_room
+        (fun b pos -> Frame.put_json_reply b pos ~id ~status value)
+        (Frame.encode_response Frame.Json_wire (Frame.Reply { id; status; value })))
+    [ (min_int, Frame.Ok, widest); (min_int, Frame.Shutting_down, 0.); (7, Frame.Ok, Float.nan); (0, Frame.Timeout, 1.) ];
+  List.iter
+    (fun (wire, id, point, natural) ->
+      check "request" (Frame.request_room wire (Array.length point))
+        (fun b pos -> Frame.put_request b pos wire ~id ~natural point)
+        (Frame.encode_request wire (Frame.Predict { id; point; natural })))
+    [
+      (Frame.Json_wire, min_int, [||], true);
+      (Frame.Json_wire, min_int, Array.make 5 widest, true);
+      (Frame.Json_wire, max_int, [| 0.5; Float.infinity; -0. |], false);
+      (Frame.Binary_wire, 0xFFFF_FFFF, Array.make 3 widest, true);
+    ]
 
 (* QCheck: any request, any split of the byte stream, decodes back. *)
 let qcheck_chunked_roundtrip =
@@ -1207,11 +1288,15 @@ let () =
             test_oversized_frame_is_error;
           QCheck_alcotest.to_alcotest qcheck_json_encoding_pinned;
           Alcotest.test_case "binary reply in place" `Quick test_put_binary_reply;
+          Alcotest.test_case "json frames in place" `Quick test_put_json_in_place;
           QCheck_alcotest.to_alcotest qcheck_request_scanner;
           QCheck_alcotest.to_alcotest qcheck_response_scanner;
+          QCheck_alcotest.to_alcotest qcheck_request_scanner_fallback;
+          QCheck_alcotest.to_alcotest qcheck_response_scanner_fallback;
           Alcotest.test_case "scanner truncation at every byte" `Quick test_scanner_truncation;
           Alcotest.test_case "binary ids are u32" `Quick test_binary_ids_u32;
           Alcotest.test_case "long line in small chunks" `Quick test_long_line_chunked;
+          Alcotest.test_case "stream buffer stays bounded" `Quick test_stream_buffer_bounded;
         ] );
       ( "daemon",
         [

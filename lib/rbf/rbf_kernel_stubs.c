@@ -148,6 +148,11 @@ static void eval_avx2(const double *c, const double *ir, const double *w,
       _mm256_storeu_pd(out + i, acc0);
       _mm256_storeu_pd(out + i + 4, acc1);
     }
+  /* gcc emits no vzeroupper in these kernels: upper register halves
+     left dirty make every later legacy-SSE instruction of the process
+     slow (the scalar tail, OCaml float code, the JSON number stubs;
+     DESIGN 5h has the measurement), so clear them here. */
+  _mm256_zeroupper();
   eval_scalar(c, ir, w, m, dim, q, i, n, out, t2j, p2);
 }
 
@@ -209,6 +214,7 @@ static void eval_avx512(const double *c, const double *ir, const double *w,
       }
       _mm512_storeu_pd(out + i, acc);
     }
+  _mm256_zeroupper(); /* as in eval_avx2 */
   eval_scalar(c, ir, w, m, dim, q, i, n, out, t2j, p2);
 }
 

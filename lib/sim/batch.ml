@@ -69,10 +69,14 @@ type bytes_ba = (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) A1.t
 type int32_ba = (int32, Bigarray.int32_elt, Bigarray.c_layout) A1.t
 type int_ba = (int, Bigarray.int_elt, Bigarray.c_layout) A1.t
 
+(* One predictor configuration's interaction with the trace (see
+   [branch_stream] below). *)
+type bp_stream = { mis : bytes_ba; accuracy : float }
+
 (* The engine in batch_stubs.c reads this record by field position: keep
-   the order in step with its [F_*] enum.  Every stream is a Bigarray,
-   outside the OCaml heap, so the engine can run with the runtime
-   released. *)
+   the order in step with its [F_*] enum (the engine never reads
+   [streams], the last field).  Every stream is a Bigarray, outside the
+   OCaml heap, so the engine can run with the runtime released. *)
 type plan = {
   n : int;
   op : bytes_ba;  (* Opcode.to_int, lor [taken_bit] on a taken transfer *)
@@ -83,6 +87,8 @@ type plan = {
   target : int_ba;
   cons_start : int32_ba;  (* CSR row starts into [cons], length n+1 *)
   cons : int32_ba;  (* consumer indices of each instruction *)
+  streams : (Branch_predictor.config * bool * bp_stream) list Atomic.t;
+      (* mispredict streams built so far, by predictor config and [warm] *)
 }
 
 let taken_bit = 16
@@ -151,7 +157,7 @@ let plan trace =
       row.(d) <- row.(d) + 1
     end
   done;
-  { n; op; dep; prev_store; addr; pc; target; cons_start; cons }
+  { n; op; dep; prev_store; addr; pc; target; cons_start; cons; streams = Atomic.make [] }
 
 let length plan = plan.n
 
@@ -166,8 +172,6 @@ let length plan = plan.n
    interaction for every config sharing a predictor configuration, so
    the per-branch mispredict outcomes and the final accuracy can be
    computed once per distinct [Branch_predictor.config] and shared. *)
-
-type bp_stream = { mis : bytes_ba; accuracy : float }
 
 let branch_stream p ~warm bcfg =
   let bp = Branch_predictor.create bcfg in
@@ -216,6 +220,31 @@ let same_branch (a : Branch_predictor.config) (b : Branch_predictor.config) =
   same_scheme a.Branch_predictor.scheme b.Branch_predictor.scheme
   && a.Branch_predictor.history_bits = b.Branch_predictor.history_bits
   && a.Branch_predictor.btb_entries = b.Branch_predictor.btb_entries
+
+let rec find_stream bcfg warm = function
+  | [] -> None
+  | (b, w, s) :: rest ->
+      if Bool.equal w warm && same_branch b bcfg then Some s
+      else find_stream bcfg warm rest
+
+(* The plan's stream for [bcfg] and [warm], built on first use.  Domains
+   may run batches on one plan at once; a stream is a function of the
+   plan and its key alone, so when two build the same one, either copy
+   serves, and the first published is kept. *)
+let stream_of p ~warm bcfg =
+  match find_stream bcfg warm (Atomic.get p.streams) with
+  | Some s -> s
+  | None ->
+      let s = branch_stream p ~warm bcfg in
+      let rec publish () =
+        let known = Atomic.get p.streams in
+        match find_stream bcfg warm known with
+        | Some first -> first
+        | None ->
+            if Atomic.compare_and_set p.streams known ((bcfg, warm, s) :: known) then s
+            else publish ()
+      in
+      publish ()
 
 (* ------------------------------------------------------------------ *)
 (* Per-config engine                                                  *)
@@ -403,23 +432,10 @@ let run_plan_counted ?max_cycles ?(warm = true) ?domains p configs =
         params cfg ~max_cycles ~warm)
       configs
   in
-  (* one mispredict stream per distinct predictor configuration,
-     computed up front so the fan-out below only reads shared state *)
-  let classes = ref [] in
-  let streams =
-    Array.map
-      (fun cfg ->
-        let bcfg = cfg.Config.branch in
-        match
-          List.find_opt (fun (b, _) -> same_branch b bcfg) !classes
-        with
-        | Some (_, s) -> s
-        | None ->
-            let s = branch_stream p ~warm bcfg in
-            classes := (bcfg, s) :: !classes;
-            s)
-      configs
-  in
+  (* one mispredict stream per distinct predictor configuration and
+     plan, fetched or built here, on the caller, so the fan-out below
+     only reads shared state *)
+  let streams = Array.map (fun cfg -> stream_of p ~warm cfg.Config.branch) configs in
   Parallel.init ?domains (Array.length configs) (fun i ->
       simulate p packed.(i) ~stream:streams.(i))
 

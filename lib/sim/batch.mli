@@ -10,7 +10,8 @@
       one flat struct-of-arrays {!plan} read by every config;
     - the branch predictor interacts with the trace in pure program
       order, so its per-branch mispredict outcomes are computed once
-      per distinct predictor configuration and shared;
+      per plan, distinct predictor configuration and [warm], kept on the
+      plan and shared by every later run of it;
     - the per-config cycle walk skips provably quiet stretches (cache
       fills, misprediction refills, long dependency chains) in one
       jump instead of cycling through them.
@@ -26,8 +27,9 @@
     input order and independent of the domain count. *)
 
 type plan
-(** A workload trace decoded into shared, immutable simulation streams.
-    Safe to reuse across [run_plan] calls and across domains. *)
+(** A workload trace decoded into shared, immutable simulation streams,
+    plus the mispredict streams its runs have built.  Safe to reuse
+    across [run_plan] calls and across domains, also concurrently. *)
 
 val plan : Trace.t -> plan
 (** Decode [trace] once.  O(length) time and memory. *)

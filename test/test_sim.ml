@@ -996,6 +996,33 @@ let test_batch_mixed_predictors () =
         configs trace)
     [ (true, 1); (true, 2); (false, 1); (false, 2) ]
 
+(* One plan serves many batches: the mispredict streams it keeps from
+   earlier calls, whatever their predictors, warm-up and domain count,
+   give every later call the results of a fresh plan. *)
+let test_batch_plan_streams_reused () =
+  let trace =
+    Archpred_workloads.Generator.generate ~seed:31
+      Archpred_workloads.Spec2000.perlbmk ~length:2_000
+  in
+  let shared = Batch.plan trace in
+  let configs = table1_configs 9 7 in
+  let calls =
+    [ ([| 0; 1; 2 |], true, 1); ([| 3; 4 |], false, 2); ([| 5; 0; 7; 8 |], true, 2);
+      ([| 1; 6; 3 |], false, 1); ([| 2; 4; 8 |], true, 1); (Array.init 9 Fun.id, false, 2) ]
+  in
+  List.iteri
+    (fun call (picks, warm, domains) ->
+      let cfgs = Array.map (fun i -> configs.(i)) picks in
+      let reused = Batch.run_plan ~warm ~domains shared cfgs in
+      let fresh = Batch.run_plan ~warm ~domains (Batch.plan trace) cfgs in
+      Array.iteri
+        (fun i r ->
+          if not (results_equal r fresh.(i)) then
+            Alcotest.failf "call %d (warm=%b, %d domains), config %d: reused plan diverges" call warm
+              domains picks.(i))
+        reused)
+    calls
+
 (* A batch in which exactly one config runs past the cycle limit: the
    batch raises that config's exception, at the reference's count, and
    the limit is no obstacle to the others. *)
@@ -1147,6 +1174,7 @@ let () =
           Alcotest.test_case "invalid config" `Quick test_batch_invalid_config;
           Alcotest.test_case "fetch stall at trace end" `Quick test_batch_fetch_stall_tail;
           Alcotest.test_case "mixed predictors" `Quick test_batch_mixed_predictors;
+          Alcotest.test_case "plan keeps its streams" `Quick test_batch_plan_streams_reused;
           Alcotest.test_case "one config over the limit" `Quick test_batch_one_over_limit;
           Alcotest.test_case "zero-unit class hits the limit" `Quick test_batch_zero_units;
           Alcotest.test_case "attribution counters" `Quick test_batch_counters;

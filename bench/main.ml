@@ -15,7 +15,6 @@
      bench/main.exe                 run experiments (ARCHPRED_SCALE) + micro
      bench/main.exe table3 fig7     run the named experiments only
      bench/main.exe --micro         run only the micro-benchmarks
-     bench/main.exe --crashsafe     measure checkpoint-journal overhead
      bench/main.exe --sim           batched-simulation throughput record
      bench/main.exe --shard         sharded-search speedup record
      bench/main.exe --paper         run only the paper's tables and figures
@@ -296,90 +295,17 @@ let run_micro () =
 
 (* Sweep batch sizes over the same total prediction count so the rows
    are comparable; BENCH_serve.json is the committed record of the
-   batched kernel's speedup over the scalar reference, plus two extra
-   sections: the live-daemon load test and the batched-memo fix. *)
+   batched kernel's speedup over the scalar reference, plus the
+   batched-memo fix.  The daemon's own numbers come from a client in a
+   separate process (perfbench), not from this one. *)
 
 (* The per-lookup memo path measured at the PR-7 commit (batch 256,
    same fixture and machine class): the committed baseline the batched
    probe/commit rework is judged against. *)
 let memo_before_batch256 = (294.47, 132.16)
 
-(* Drive a live daemon (own domain, temp Unix socket) with [stream]
-   and return the client's load record and the daemon's exit stats. *)
-let daemon_load ~tweak ~pipeline stream =
-  let module Daemon = Archpred_serve_net.Daemon in
-  let module Client = Archpred_serve_net.Client in
-  let sock =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "archpred_bench_%d.sock" (Unix.getpid ()))
-  in
-  let predictor = Lazy.force fixture_predictor in
-  let control = Daemon.control () in
-  let cfg =
-    tweak
-      {
-        Daemon.default with
-        Daemon.listener = Daemon.Unix_socket sock;
-        tick_s = 0.002;
-      }
-  in
-  let dom = Domain.spawn (fun () -> Daemon.run ~control ~predictor cfg) in
-  let c = Client.connect (Daemon.Unix_socket sock) in
-  let load =
-    Client.drive c Archpred_serve_net.Frame.Binary_wire ~pipeline stream
-  in
-  Client.close c;
-  Daemon.request_drain control;
-  let stats = Domain.join dom in
-  (load, stats)
-
-(* K concurrent connections against one daemon, one client domain each:
-   the aggregate-throughput record a single socket cannot show (the
-   single-connection row is client-bound).  Aggregate throughput is
-   total answered predictions over the whole phase's wall-clock; each
-   client also reports its own p99. *)
-let multi_client_load ~clients ~pipeline streams =
-  let module Daemon = Archpred_serve_net.Daemon in
-  let module Client = Archpred_serve_net.Client in
-  let sock =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "archpred_bench_mc_%d.sock" (Unix.getpid ()))
-  in
-  let predictor = Lazy.force fixture_predictor in
-  let control = Daemon.control () in
-  let cfg =
-    { Daemon.default with Daemon.listener = Daemon.Unix_socket sock;
-      tick_s = 0.002 }
-  in
-  let dom = Domain.spawn (fun () -> Daemon.run ~control ~predictor cfg) in
-  (* One connection up front so the wall-clock below measures driving,
-     not the daemon binding its socket. *)
-  let probe = Client.connect (Daemon.Unix_socket sock) in
-  Client.close probe;
-  let t0 = Archpred_obs.now_ns () in
-  let doms =
-    Array.init clients (fun c ->
-        Domain.spawn (fun () ->
-            let conn = Client.connect (Daemon.Unix_socket sock) in
-            let load =
-              Client.drive conn Archpred_serve_net.Frame.Binary_wire ~pipeline
-                streams.(c)
-            in
-            Client.close conn;
-            load))
-  in
-  let loads = Array.map Domain.join doms in
-  let wall = Archpred_obs.seconds_since t0 in
-  Daemon.request_drain control;
-  let stats = Domain.join dom in
-  (loads, wall, stats)
-
 let run_serve () =
   let module Json = Archpred_obs.Json in
-  let module Client = Archpred_serve_net.Client in
-  let module Daemon = Archpred_serve_net.Daemon in
   let predictor = Lazy.force fixture_predictor in
   let total = 65_536 in
   let results =
@@ -426,116 +352,8 @@ let run_serve () =
           <= r256.Core.Serve.kernel_ns_per_point));
       ]
   in
-  (* the daemon load test: a steady stream over a reused point pool,
-     then the same stream against a tiny ingress bound at double the
-     pipelining — the overload record *)
-  let space = Core.Paper_space.space in
-  let dim = Design.Space.dimension space in
-  let rng = fixture_rng () in
-  let pool =
-    Array.init 512 (fun _ ->
-        Design.Space.snap space ~sample_size:90
-          (Array.init dim (fun _ -> Stats.Rng.unit_float rng)))
-  in
-  let stream = Array.init 16_384 (fun i -> pool.(i mod Array.length pool)) in
-  let load, stats = daemon_load ~tweak:Fun.id ~pipeline:256 stream in
-  Printf.printf
-    "daemon: %8.0f predictions/s  p50 %6.1f us  p99 %6.1f us  p999 %6.1f us \
-     (%d ok / %d sent)\n%!"
-    load.Client.throughput (load.Client.p50_ns /. 1e3)
-    (load.Client.p99_ns /. 1e3)
-    (load.Client.p999_ns /. 1e3)
-    load.Client.ok load.Client.sent;
-  let over_load, over_stats =
-    daemon_load
-      ~tweak:(fun c -> { c with Daemon.max_pending = 64; max_batch = 64 })
-      ~pipeline:512 stream
-  in
-  Printf.printf
-    "daemon 2x overload: %d shed, %d timeouts of %d sent (%d served, 0 \
-     lost: %b)\n%!"
-    over_load.Client.shed over_load.Client.timeouts over_load.Client.sent
-    over_load.Client.ok
-    (over_stats.Daemon.lost = 0);
-  let clients = 4 in
-  let streams =
-    Array.init clients (fun c ->
-        Array.init 8_192 (fun i ->
-            pool.(((c * 131) + (i * 7)) mod Array.length pool)))
-  in
-  let mc_loads, mc_wall, mc_stats = multi_client_load ~clients ~pipeline:64 streams in
-  let mc_ok = Array.fold_left (fun a l -> a + l.Client.ok) 0 mc_loads in
-  let mc_sent = Array.fold_left (fun a l -> a + l.Client.sent) 0 mc_loads in
-  let mc_throughput = float_of_int mc_ok /. mc_wall in
-  let mc_worst_p99 =
-    Array.fold_left (fun a l -> Float.max a l.Client.p99_ns) 0. mc_loads
-  in
-  Printf.printf
-    "daemon %d clients: %8.0f predictions/s aggregate  per-client p99 %s us \
-     (worst %6.1f us, %d ok / %d sent, %d lost)\n%!"
-    clients mc_throughput
-    (String.concat " "
-       (Array.to_list
-          (Array.map
-             (fun l -> Printf.sprintf "%.1f" (l.Client.p99_ns /. 1e3))
-             mc_loads)))
-    (mc_worst_p99 /. 1e3) mc_ok mc_sent mc_stats.Daemon.lost;
-  let multi_client =
-    Json.Obj
-      [
-        ("clients", Json.Int clients);
-        ("pipeline", Json.Int 64);
-        ("requests", Json.Int mc_sent);
-        ("ok", Json.Int mc_ok);
-        ("wall_s", Json.Float mc_wall);
-        ("aggregate_predictions_per_sec", Json.Float mc_throughput);
-        ( "per_client_p99_ns",
-          Json.List
-            (Array.to_list
-               (Array.map (fun l -> Json.Float l.Client.p99_ns) mc_loads)) );
-        ("worst_p99_ns", Json.Float mc_worst_p99);
-        ("lost", Json.Int mc_stats.Daemon.lost);
-        ("connections", Json.Int mc_stats.Daemon.connections);
-      ]
-  in
-  let daemon =
-    Json.Obj
-      [
-        ("listener", Json.String "unix");
-        ("pipeline", Json.Int 256);
-        ("requests", Json.Int load.Client.sent);
-        ("predictions_per_sec", Json.Float load.Client.throughput);
-        ("p50_ns", Json.Float load.Client.p50_ns);
-        ("p99_ns", Json.Float load.Client.p99_ns);
-        ("p999_ns", Json.Float load.Client.p999_ns);
-        ("ok", Json.Int load.Client.ok);
-        ("shed", Json.Int load.Client.shed);
-        ("timeouts", Json.Int load.Client.timeouts);
-        ("lost", Json.Int stats.Daemon.lost);
-        ("cache_hits", Json.Int stats.Daemon.cache.Core.Memo.hits);
-        ("checksum", Json.Float load.Client.checksum);
-        ( "overload",
-          Json.Obj
-            [
-              ("max_pending", Json.Int 64);
-              ("pipeline", Json.Int 512);
-              ("requests", Json.Int over_load.Client.sent);
-              ("ok", Json.Int over_load.Client.ok);
-              ("shed", Json.Int over_load.Client.shed);
-              ("timeouts", Json.Int over_load.Client.timeouts);
-              ("lost", Json.Int over_stats.Daemon.lost);
-            ] );
-      ]
-  in
   let path = "BENCH_serve.json" in
-  Core.Serve.write_json ~path
-    ~extra:
-      [
-        ("daemon", daemon);
-        ("multi_client", multi_client);
-        ("memo_fix", memo_fix);
-      ]
-    results;
+  Core.Serve.write_json ~path ~extra:[ ("memo_fix", memo_fix) ] results;
   Printf.printf "wrote %s\n" path
 
 (* ------------------------------------------------------------------ *)
@@ -633,9 +451,17 @@ let shard_sharded_run ~exe ~workers spec =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "archpred_bench_shard_%d_w%d" (Unix.getpid ()) workers)
   in
-  let argv id = [| exe; "worker"; "--dir"; dir; "--id"; id |] in
+  let workers =
+    if workers = 1 then Shard.Coordinator.In_process { domains = 1 }
+    else
+      Shard.Coordinator.Processes
+        {
+          count = workers;
+          argv = (fun id -> [| exe; "worker"; "--dir"; dir; "--id"; id |]);
+        }
+  in
   let t0 = Archpred_obs.now_ns () in
-  let outcome = Shard.Coordinator.run ~dir ~spec ~workers ~argv () in
+  let outcome = Shard.Coordinator.run ~dir ~spec ~workers () in
   (Archpred_obs.seconds_since t0, outcome)
 
 let run_shard () =
@@ -731,71 +557,9 @@ let run_shard () =
   Printf.printf "wrote %s\n" path
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint overhead: the crash-safety journal must not tax training. *)
-(* ------------------------------------------------------------------ *)
-
-(* Wall-clock of [Build.train] on a simulator-backed response, with and
-   without a checkpoint journal.  Each rep builds a fresh response so the
-   simulator's memo table starts cold — otherwise later reps skip the
-   simulation work and the journal's share of the run is exaggerated. *)
-let run_crashsafe () =
-  let reps = 5 in
-  let journal = Filename.temp_file "bench_crashsafe" ".journal" in
-  let rm path = try Sys.remove path with Sys_error _ -> () in
-  rm journal;
-  let base_config =
-    Core.Config.default |> Core.Config.with_seed 11
-    |> Core.Config.with_sample_size 40
-    |> Core.Config.with_p_min_grid [ 1; 3 ]
-    |> Core.Config.with_alpha_grid [ 7. ]
-  in
-  let train config =
-    let response =
-      Core.Response.simulator ~trace_length:20_000 ~seed:7
-        Archpred_workloads.Spec2000.mcf
-    in
-    let t0 = Archpred_obs.now_ns () in
-    ignore
-      (Core.Build.train ~config ~space:Core.Paper_space.space ~response ());
-    Archpred_obs.seconds_since t0
-  in
-  ignore (train base_config) (* warm up allocator and code paths *);
-  let baseline = ref 0. and checkpointed = ref 0. in
-  for _ = 1 to reps do
-    baseline := !baseline +. train base_config;
-    rm journal;
-    checkpointed :=
-      !checkpointed +. train (Core.Config.with_checkpoint journal base_config)
-  done;
-  rm journal;
-  let baseline = !baseline /. float_of_int reps in
-  let checkpointed = !checkpointed /. float_of_int reps in
-  let overhead_pct = (checkpointed -. baseline) /. baseline *. 100. in
-  Printf.printf "checkpoint overhead (%d reps, n=40, mcf 20k insts)\n" reps;
-  Printf.printf "  baseline      %.4f s/train\n" baseline;
-  Printf.printf "  checkpointed  %.4f s/train\n" checkpointed;
-  Printf.printf "  overhead      %+.2f %%\n" overhead_pct;
-  let path = "BENCH_crashsafe.json" in
-  let module Json = Archpred_obs.Json in
-  Core.Bench_report.write ~path ~schema:"archpred-crashsafe-v1"
-    [
-      ("reps", Json.Int reps);
-      ("sample_size", Json.Int 40);
-      ("trace_length", Json.Int 20_000);
-      ("baseline_s_per_train", Json.Float baseline);
-      ("checkpointed_s_per_train", Json.Float checkpointed);
-      ("overhead_pct", Json.Float overhead_pct);
-    ];
-  Printf.printf "wrote %s\n" path
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  if List.mem "--crashsafe" args then (
-    run_crashsafe ();
-    (* archpred-lint: allow exit -- CLI early-exit after the crashsafe-only run *)
-    exit 0);
   if List.mem "--serve" args then (
     run_serve ();
     (* archpred-lint: allow exit -- CLI early-exit after the serve-only run *)

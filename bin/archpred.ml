@@ -137,43 +137,63 @@ let sample_size_t =
     & opt int 90
     & info [ "n"; "sample-size" ] ~docv:"N" ~doc:"Training sample size.")
 
-(* Crash-safe training: --checkpoint journals each completed simulation;
-   --resume replays an existing journal instead of starting fresh.  The
-   two flags are shared by every subcommand that trains a model. *)
+(* Crash-safe training: --checkpoint DIR runs the build as a sharded run
+   in DIR, one worker in this process unless --shards asks for worker
+   processes.  Shared by every subcommand that trains a model. *)
 let checkpoint_t =
   Arg.(
     value
     & opt (some string) None
-    & info [ "checkpoint" ] ~docv:"FILE"
+    & info [ "checkpoint" ] ~docv:"DIR"
         ~doc:
-          "Journal each completed simulation to $(docv) (CRC-framed JSON \
-           lines, fsynced in batches).  If training is interrupted — \
-           crash, SIGINT, out of memory, or an infeasible design point — \
-           rerunning with $(b,--resume) replays the journal and \
-           re-simulates only the missing points, producing a bit-identical \
-           model.  Without $(b,--resume), an existing journal at $(docv) \
-           is overwritten.")
+          "Make the build crash-safe: journal every stage of it (test \
+           points, sampling, simulation, tuning) in the run directory \
+           $(docv), created if missing.  If training is interrupted — \
+           crash, SIGINT, out of memory — rerunning the same command \
+           resumes from the committed journals and produces a \
+           bit-identical model.  A directory that holds a different run \
+           is refused.")
 
-let resume_t =
-  Arg.(
-    value & flag
-    & info [ "resume" ]
-        ~doc:
-          "Replay the valid records of an existing $(b,--checkpoint) \
-           journal (skipping its torn tail, if any) before simulating.  A \
-           journal written by a different run configuration is rejected.")
+(* The shared problem statement of a run-directory build, from the same
+   defaults a single-process build takes. *)
+let run_spec ~(bench : Workloads.Profile.t) ~metric ~seed ~trace_length ~n
+    ~test_n ~stream_refit ~mode =
+  let base = Core.Config.default in
+  {
+    Shard.Spec.benchmark = bench.Workloads.Profile.name;
+    metric;
+    seed;
+    trace_length;
+    sample_size = n;
+    test_n;
+    lhs_candidates = base.Core.Config.lhs_candidates;
+    criterion = base.Core.Config.criterion;
+    p_min_grid = base.Core.Config.p_min_grid;
+    alpha_grid = base.Core.Config.alpha_grid;
+    shard_unit = base.Core.Config.shard_unit;
+    stream_refit;
+    refit_full_every = base.Core.Config.refit_full_every;
+    mode;
+  }
 
-(* Resolve the two flags into the config, rejecting --resume alone. *)
-let with_checkpoint ~checkpoint ~resume config =
-  match (checkpoint, resume) with
-  | None, true ->
-      Obs.Error.invalid_input ~where:"archpred"
-        "--resume requires --checkpoint FILE"
-  | None, false -> config
-  | Some path, resume ->
-      config
-      |> Core.Config.with_checkpoint path
-      |> Core.Config.with_resume resume
+(* Run (or resume) [spec] in run directory [dir]: one worker in this
+   process on the ARCHPRED_DOMAINS domains, or [shards] worker processes
+   of this executable with one domain each. *)
+let run_dir_build ~obs ~dir ~shards spec =
+  let workers =
+    if shards > 1 then
+      Shard.Coordinator.Processes
+        {
+          count = shards;
+          argv =
+            (fun id ->
+              [| Sys.executable_name; "worker"; "--dir"; dir; "--id"; id |]);
+        }
+    else
+      Shard.Coordinator.In_process
+        { domains = Stats.Parallel.default_domains () }
+  in
+  Shard.Coordinator.run ~obs ~dir ~spec ~workers ()
 
 (* ---------- benchmarks ---------- *)
 
@@ -316,17 +336,8 @@ let train_cmd =
       & info [ "shards" ] ~docv:"K"
           ~doc:
             "Run the build as K cooperating worker processes sharing a run \
-             directory ($(b,--shard-dir)).  The trained model is \
-             bit-identical to a single-process run.")
-  in
-  let shard_dir_t =
-    Arg.(
-      value
-      & opt string "shard-run"
-      & info [ "shard-dir" ] ~docv:"DIR"
-          ~doc:
-            "Run directory for $(b,--shards): spec, claim files and \
-             per-worker journals live here.")
+             directory ($(b,--checkpoint), default $(b,shard-run)).  The \
+             trained model is bit-identical to a single-process run.")
   in
   let stream_refit_t =
     Arg.(
@@ -362,61 +373,38 @@ let train_cmd =
         Format.printf "model written to %s@." path
     | None -> ()
   in
-  let run_sharded ~obs ~bench ~n ~trace_length ~seed ~test_n ~metric ~save
-      ~target ~sizes ~shards ~shard_dir ~stream_refit =
-    let base = base_config ~obs ~seed () in
-    let spec =
-      {
-        Shard.Spec.benchmark = bench.Workloads.Profile.name;
-        metric;
-        seed;
-        trace_length;
-        sample_size = n;
-        test_n;
-        lhs_candidates = base.Core.Config.lhs_candidates;
-        criterion = base.Core.Config.criterion;
-        p_min_grid = base.Core.Config.p_min_grid;
-        alpha_grid = base.Core.Config.alpha_grid;
-        shard_unit = base.Core.Config.shard_unit;
-        stream_refit;
-        refit_full_every = base.Core.Config.refit_full_every;
-        mode =
-          (match target with
-          | None -> Shard.Spec.Train
-          | Some target_mean_pct ->
-              Shard.Spec.Accuracy { sizes; target_mean_pct });
-      }
-    in
-    Format.printf "sharded build for %s: %d workers in %s...@."
-      bench.Workloads.Profile.name shards shard_dir;
-    let argv id =
-      [| Sys.executable_name; "worker"; "--dir"; shard_dir; "--id"; id |]
-    in
-    let t0 = Archpred_obs.now_ns () in
-    let outcome =
-      Shard.Coordinator.run ~obs ~dir:shard_dir ~spec ~workers:shards ~argv ()
-    in
-    let result = outcome.Shard.Coordinator.result in
-    report ~t0 ~save
-      ~extra:
-        (Printf.sprintf ", %d workers, %d respawns"
-           outcome.Shard.Coordinator.workers
-           outcome.Shard.Coordinator.respawns)
-      result.Shard.Stages.final result.Shard.Stages.steps
-      outcome.Shard.Coordinator.test_error
-  in
   let run bench n trace_length seed test_n metric save target sizes shards
-      shard_dir stream_refit checkpoint resume trace metrics =
+      stream_refit checkpoint trace metrics =
     with_obs ~trace ~metrics @@ fun obs ->
-    if shards > 1 then (
-      (match checkpoint with
-      | Some _ ->
-          Obs.Error.invalid_input ~where:"archpred"
-            "--checkpoint is not supported with --shards (per-worker \
-             journals live in --shard-dir)"
-      | None -> ());
-      run_sharded ~obs ~bench ~n ~trace_length ~seed ~test_n ~metric ~save
-        ~target ~sizes ~shards ~shard_dir ~stream_refit)
+    if shards > 1 || Option.is_some checkpoint then (
+      let dir = Option.value checkpoint ~default:"shard-run" in
+      let mode =
+        match target with
+        | None -> Shard.Spec.Train
+        | Some target_mean_pct -> Shard.Spec.Accuracy { sizes; target_mean_pct }
+      in
+      let spec =
+        run_spec ~bench ~metric ~seed ~trace_length ~n ~test_n ~stream_refit
+          ~mode
+      in
+      if shards > 1 then
+        Format.printf "sharded build for %s: %d workers in %s...@."
+          bench.Workloads.Profile.name shards dir
+      else
+        Format.printf "checkpointed build for %s in %s...@."
+          bench.Workloads.Profile.name dir;
+      let t0 = Archpred_obs.now_ns () in
+      let outcome = run_dir_build ~obs ~dir ~shards spec in
+      let result = outcome.Shard.Coordinator.result in
+      report ~t0 ~save
+        ~extra:
+          (if shards > 1 then
+             Printf.sprintf ", %d workers, %d respawns"
+               outcome.Shard.Coordinator.workers
+               outcome.Shard.Coordinator.respawns
+           else "")
+        result.Shard.Stages.final result.Shard.Stages.steps
+        outcome.Shard.Coordinator.test_error)
     else
     let rng = Stats.Rng.create seed in
     let response =
@@ -432,7 +420,6 @@ let train_cmd =
       |> Core.Config.with_sample_size n
       |> Core.Config.with_trace_length trace_length
       |> Core.Config.with_stream_refit stream_refit
-      |> with_checkpoint ~checkpoint ~resume
     in
     let t0 = Archpred_obs.now_ns () in
     let trained, steps =
@@ -467,8 +454,8 @@ let train_cmd =
        ~doc:"Train an RBF performance model and report its accuracy")
     Term.(
       const run $ bench_t $ sample_size_t $ trace_length_t $ seed_t $ test_n_t
-      $ metric_t $ save_t $ target_t $ sizes_t $ shards_t $ shard_dir_t
-      $ stream_refit_t $ checkpoint_t $ resume_t $ trace_t $ metrics_t)
+      $ metric_t $ save_t $ target_t $ sizes_t $ shards_t $ stream_refit_t
+      $ checkpoint_t $ trace_t $ metrics_t)
 
 (* ---------- worker ---------- *)
 
@@ -835,23 +822,37 @@ let served_cmd =
 (* ---------- search ---------- *)
 
 let search_cmd =
-  let run bench n trace_length seed checkpoint resume trace metrics =
+  let run bench n trace_length seed checkpoint trace metrics =
     with_obs ~trace ~metrics @@ fun obs ->
-    let rng = Stats.Rng.create seed in
     let response = Core.Response.simulator ~obs ~trace_length ~seed bench in
     let config =
       base_config ~obs ~seed ()
-      |> Core.Config.with_rng rng
       |> Core.Config.with_sample_size n
       |> Core.Config.with_trace_length trace_length
-      |> with_checkpoint ~checkpoint ~resume
     in
-    let trained =
-      Core.Build.train ~config ~space:Core.Paper_space.space ~response ()
+    let rng = Stats.Rng.create seed in
+    let predictor =
+      match checkpoint with
+      | None ->
+          let config = Core.Config.with_rng rng config in
+          (Core.Build.train ~config ~space:Core.Paper_space.space ~response ())
+            .Core.Build.predictor
+      | Some dir ->
+          let spec =
+            run_spec ~bench ~metric:Core.Response.Cpi ~seed ~trace_length ~n
+              ~test_n:0 ~stream_refit:false ~mode:Shard.Spec.Train
+          in
+          let outcome = run_dir_build ~obs ~dir ~shards:1 spec in
+          (* The search draws after the build, which advances the root
+             generator by one split per LHS candidate. *)
+          for _ = 1 to spec.Shard.Spec.lhs_candidates do
+            ignore (Stats.Rng.split rng)
+          done;
+          outcome.Shard.Coordinator.result.Shard.Stages.final
+            .Core.Build.predictor
     in
-    let result =
-      Core.Search.minimize ~config ~predictor:trained.Core.Build.predictor ()
-    in
+    let config = Core.Config.with_rng rng config in
+    let result = Core.Search.minimize ~config ~predictor () in
     let simulated = response.Core.Response.eval result.Core.Search.point in
     Format.printf "best point (%d model evaluations):@.  %a@."
       result.Core.Search.evaluations
@@ -865,7 +866,7 @@ let search_cmd =
        ~doc:"Find the design point with the lowest predicted CPI")
     Term.(
       const run $ bench_t $ sample_size_t $ trace_length_t $ seed_t
-      $ checkpoint_t $ resume_t $ trace_t $ metrics_t)
+      $ checkpoint_t $ trace_t $ metrics_t)
 
 (* ---------- sensitivity ---------- *)
 

@@ -1,8 +1,8 @@
 (** The shared envelope of every [BENCH_*.json] report.
 
     All machine-readable benchmark reports (the serving load test, the
-    micro-benchmark record, the checkpoint-overhead record, the batched
-    simulation record) carry the same leading fields — a schema tag, the
+    micro-benchmark record, the batched simulation record, the sharded
+    search record) carry the same leading fields — a schema tag, the
     envelope schema version, the host's core count, the default domain
     count, the [git describe] stamp and the SIMD level the prediction
     kernel dispatched to — so

@@ -13,70 +13,18 @@ type trained = {
   tune : Tune.result;
 }
 
-(* Bit-exact point comparison: replayed journal records must match the
-   deterministically re-drawn sample coordinate for coordinate. *)
-let bits_equal a b =
-  Array.length a = Array.length b
-  && (try
-        Array.iteri
-          (fun i x ->
-            if Int64.bits_of_float x <> Int64.bits_of_float b.(i) then
-              raise Exit)
-          a;
-        true
-      with Exit -> false)
-
-(* Obtain the sample's responses with worker fault isolation and, when
-   [config.checkpoint] is set, streaming journal durability.
+(* Simulate every not-yet-[have] design point with index below [upto],
+   filling [results]/[have] in place — the streaming schedule calls this
+   once per size step over one growing sample.
 
    Isolation: each simulation task gets [config.task_retries] retries and
    an optional wall-clock deadline; a permanently failing design point
-   ends as an [Error] slot instead of poisoning the pool, and after every
-   completed point is journaled the batch is reported as
-   [Archpred (Infeasible _)].  The per-stage retry / failed-task deltas
-   flow into [config.obs] as ["pool.retries"] / ["pool.failed_tasks"].
-
-   Journaling: completed (point, response) records stream to the journal
-   as tasks finish, so a crash — injected or real — forfeits at most the
-   current fsync batch.  On restart with [config.resume] (the default)
-   the journal's valid records are replayed and only the missing points
-   are re-simulated; the assembled response array is index-ordered, so
-   the final model is bit-identical to an uninterrupted run at any
-   domain count. *)
-(* Open (or resume) the run's journal and validate the replayed records
-   against the deterministically re-drawn [sample].  [n] is the header's
-   sample size — the streaming schedule journals its whole nested sample
-   under one header, so it may exceed the prefix any one step simulates. *)
-let start_journal ~(config : Config.t) ~response ~n sample =
-  match config.Config.checkpoint with
-  | None -> (None, [])
-  | Some path ->
-      let dim = if n = 0 then 0 else Array.length sample.(0) in
-      let j, records =
-        Checkpoint.start ~path ~n ~dim ~seed:config.Config.seed
-          ~response:response.Response.name ~resume:config.Config.resume ()
-      in
-      List.iter
-        (fun (r : Checkpoint.record) ->
-          if not (bits_equal r.Checkpoint.point sample.(r.Checkpoint.index))
-          then
-            Obs.Error.invalid_input ~where:"Build.train"
-              (Printf.sprintf
-                 "checkpoint journal %s: record %d does not match this \
-                  run's sample (was it written by a different \
-                  configuration?)"
-                 path r.Checkpoint.index))
-        records;
-      (Some j, records)
-
-(* Simulate every not-yet-[have] design point with index below [upto],
-   filling [results]/[have] in place and journaling each completed point.
-   The journal stays open — the streaming schedule calls this once per
-   size step against one journal; [simulate] closes it around a single
-   call.  On permanent task failures the journal is synced (a resumed run
-   must see every completed point) before [Infeasible] is raised. *)
-let simulate_missing ~(config : Config.t) ~response ~journal ~results ~have
-    ~upto sample =
+   ends as an [Error] slot instead of poisoning the pool, and the batch
+   is reported as [Archpred (Infeasible _)].  The per-stage retry /
+   failed-task deltas flow into [config.obs] as ["pool.retries"] /
+   ["pool.failed_tasks"]. *)
+let simulate_missing ~(config : Config.t) ~response ~results ~have ~upto
+    sample =
   let { Config.domains; obs; task_retries; task_deadline; _ } = config in
   let r0 = Stats.Parallel.retries_total () in
   let f0 = Stats.Parallel.failed_total () in
@@ -89,10 +37,7 @@ let simulate_missing ~(config : Config.t) ~response ~journal ~results ~have
   in
   (* Fast path: a response with a batched evaluator (the simulator)
      runs the missing points in [sim_batch]-sized fan-outs through
-     [Sim.Batch] — bit-identical to the pointwise path, so journals
-     written by either path replay into the other.  Each completed
-     chunk journals point by point; a crash forfeits at most one
-     chunk plus the current fsync batch. *)
+     [Sim.Batch] — bit-identical to the pointwise path. *)
   match response.Response.eval_many with
   | Some many when config.Config.sim_batch > 1 ->
       let bs = config.Config.sim_batch in
@@ -102,19 +47,7 @@ let simulate_missing ~(config : Config.t) ~response ~journal ~results ~have
         let len = min bs (Array.length missing - !pos) in
         let idx = Array.sub missing !pos len in
         let vals = many ?domains (Array.map (fun i -> sample.(i)) idx) in
-        Array.iteri
-          (fun k i ->
-            record i vals.(k);
-            match journal with
-            | Some j ->
-                Checkpoint.append j
-                  {
-                    Checkpoint.index = i;
-                    point = sample.(i);
-                    value = vals.(k);
-                  }
-            | None -> ())
-          idx;
+        Array.iteri (fun k i -> record i vals.(k)) idx;
         pos := !pos + len
       done
   | Some _ | None -> (
@@ -123,13 +56,7 @@ let simulate_missing ~(config : Config.t) ~response ~journal ~results ~have
           ?deadline:task_deadline
           (fun i ->
             Fault.point "sim.task";
-            let v = response.Response.eval sample.(i) in
-            (match journal with
-            | Some j ->
-                Checkpoint.append j
-                  { Checkpoint.index = i; point = sample.(i); value = v }
-            | None -> ());
-            v)
+            response.Response.eval sample.(i))
           missing
       in
       let failures = ref [] in
@@ -145,44 +72,26 @@ let simulate_missing ~(config : Config.t) ~response ~journal ~results ~have
       match failures with
       | [] -> ()
       | (i0, e0) :: _ ->
-          (* Make the journal durable before reporting: a resumed run
-             must see every completed point. *)
-          Option.iter Checkpoint.sync journal;
           Obs.Error.infeasible ~where:"Build.train"
             (Printf.sprintf
                "%d of %d design points failed permanently (retry budget \
-                %d; first failure at point %d: %s); completed simulations \
-                %s"
+                %d; first failure at point %d: %s)"
                (List.length failures) upto task_retries i0
-               (Printexc.to_string e0)
-               (match config.Config.checkpoint with
-               | Some p -> "are journaled in " ^ p
-               | None -> "were discarded (no checkpoint configured)")))
+               (Printexc.to_string e0)))
 
 (* [simulate_missing] as one stage of simulation: when it ends, the
    simulator's idle engines free their memory, which the fitting that
    follows would otherwise carry. *)
-let simulate_stage ~config ~response ~journal ~results ~have ~upto sample =
+let simulate_stage ~config ~response ~results ~have ~upto sample =
   Fun.protect ~finally:Archpred_sim.Batch.trim (fun () ->
-      simulate_missing ~config ~response ~journal ~results ~have ~upto sample)
+      simulate_missing ~config ~response ~results ~have ~upto sample)
 
-let simulate ~(config : Config.t) ~response sample =
+let simulate ~config ~response sample =
   let n = Array.length sample in
-  let journal, replayed = start_journal ~config ~response ~n sample in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Checkpoint.close_noerr journal)
-    (fun () ->
-      let results = Array.make n nan in
-      let have = Array.make n false in
-      List.iter
-        (fun (r : Checkpoint.record) ->
-          results.(r.Checkpoint.index) <- r.Checkpoint.value;
-          have.(r.Checkpoint.index) <- true)
-        replayed;
-      simulate_stage ~config ~response ~journal ~results ~have ~upto:n
-        sample;
-      Option.iter Checkpoint.close journal;
-      results)
+  let results = Array.make n nan in
+  simulate_stage ~config ~response ~results ~have:(Array.make n false) ~upto:n
+    sample;
+  results
 
 let train ?(config = Config.default) ~space ~response () =
   let config = Config.validate config in
@@ -247,66 +156,46 @@ let stream_to_accuracy ~(config : Config.t) ~space ~response ~sizes
       ~candidates:lhs_candidates ?domains rng space ~n:n_max
   in
   let sample = plan.Design.Optimize.points in
-  (* One journal spans the whole schedule (the sample is nested); the
-     [.stream] suffix keeps it apart from the per-size journals of the
-     default procedure, whose headers it would mismatch. *)
-  let config =
-    match config.Config.checkpoint with
-    | None -> config
-    | Some path -> Config.with_checkpoint (path ^ ".stream") config
+  let results = Array.make n_max nan in
+  let have = Array.make n_max false in
+  let refit = Refit.create config in
+  let dim = Design.Space.dimension space in
+  let rec go acc = function
+    | [] ->
+        let steps = List.rev acc in
+        { steps; final = List.hd acc }
+    | n :: rest ->
+        (Obs.with_span obs "build.simulate" @@ fun () ->
+         simulate_stage ~config ~response ~results ~have ~upto:n sample);
+        let points = Array.sub sample 0 n in
+        let responses = Array.sub results 0 n in
+        let tune = Refit.fit refit ~dim ~points ~responses in
+        let predictor =
+          Predictor.make ~space
+            ~network:tune.Tune.selection.Archpred_rbf.Selection.network
+            ~tree:tune.Tune.tree ~p_min:tune.Tune.p_min
+            ~alpha:tune.Tune.alpha ()
+        in
+        let trained =
+          {
+            predictor;
+            sample = points;
+            sample_responses = responses;
+            discrepancy = plan.Design.Optimize.discrepancy;
+            criterion = tune.Tune.criterion;
+            tune;
+          }
+        in
+        let test_error =
+          Predictor.errors_on trained.predictor ~points:test_points
+            ~actual:test_responses
+        in
+        let step = { size = n; trained; test_error } in
+        if test_error.Stats.Error_metrics.mean_pct <= target_mean_pct
+        then { steps = List.rev (step :: acc); final = step }
+        else go (step :: acc) rest
   in
-  let journal, replayed = start_journal ~config ~response ~n:n_max sample in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Checkpoint.close_noerr journal)
-    (fun () ->
-      let results = Array.make n_max nan in
-      let have = Array.make n_max false in
-      List.iter
-        (fun (r : Checkpoint.record) ->
-          results.(r.Checkpoint.index) <- r.Checkpoint.value;
-          have.(r.Checkpoint.index) <- true)
-        replayed;
-      let refit = Refit.create config in
-      let dim = Design.Space.dimension space in
-      let rec go acc = function
-        | [] ->
-            let steps = List.rev acc in
-            { steps; final = List.hd acc }
-        | n :: rest ->
-            (Obs.with_span obs "build.simulate" @@ fun () ->
-             simulate_stage ~config ~response ~journal ~results ~have
-               ~upto:n sample);
-            let points = Array.sub sample 0 n in
-            let responses = Array.sub results 0 n in
-            let tune = Refit.fit refit ~dim ~points ~responses in
-            let predictor =
-              Predictor.make ~space
-                ~network:tune.Tune.selection.Archpred_rbf.Selection.network
-                ~tree:tune.Tune.tree ~p_min:tune.Tune.p_min
-                ~alpha:tune.Tune.alpha ()
-            in
-            let trained =
-              {
-                predictor;
-                sample = points;
-                sample_responses = responses;
-                discrepancy = plan.Design.Optimize.discrepancy;
-                criterion = tune.Tune.criterion;
-                tune;
-              }
-            in
-            let test_error =
-              Predictor.errors_on trained.predictor ~points:test_points
-                ~actual:test_responses
-            in
-            let step = { size = n; trained; test_error } in
-            if test_error.Stats.Error_metrics.mean_pct <= target_mean_pct
-            then { steps = List.rev (step :: acc); final = step }
-            else go (step :: acc) rest
-      in
-      let history = go [] sizes in
-      Option.iter Checkpoint.close journal;
-      history)
+  go [] sizes
 
 let build_to_accuracy ?(config = Config.default) ~space ~response ~sizes
     ~test_points ~test_responses ~target_mean_pct () =
@@ -321,21 +210,14 @@ let build_to_accuracy ?(config = Config.default) ~space ~response ~sizes
     stream_to_accuracy ~config ~space ~response ~sizes ~test_points
       ~test_responses ~target_mean_pct
   else
-  (* Each size is its own simulation campaign, so each gets its own
-     journal ([path.n<size>]) — replaying a 30-point journal into a
-     50-point run would mismatch. *)
-  let config_for n =
-    let c = Config.with_sample_size n config in
-    match config.Config.checkpoint with
-    | None -> c
-    | Some path -> Config.with_checkpoint (Printf.sprintf "%s.n%d" path n) c
-  in
   let rec go acc = function
     | [] ->
         let steps = List.rev acc in
         { steps; final = List.hd acc }
     | n :: rest ->
-        let trained = train ~config:(config_for n) ~space ~response () in
+        let trained =
+          train ~config:(Config.with_sample_size n config) ~space ~response ()
+        in
         let test_error =
           Predictor.errors_on trained.predictor ~points:test_points
             ~actual:test_responses

@@ -39,18 +39,10 @@ val train :
     ["pool.queue_depth"] gauge.  Raises [Archpred (Invalid_input _)] on an
     invalid configuration ({!Config.validate}).
 
-    {b Crash safety.}  With [config.checkpoint] set, every completed
-    simulation streams to an append-only journal ({!Checkpoint}); a
-    restarted call with the same configuration replays the journal's
-    valid records, drops the torn tail, and re-simulates only the missing
-    design points — the final model is bit-identical
-    ({!Persist.to_string}) to an uninterrupted run, at any domain count.
-
     {b Worker fault isolation.}  Each simulation task is retried up to
     [config.task_retries] times (optionally under
     [config.task_deadline]); design points that keep failing are
-    collected — after every completed point is journaled — into one
-    [Archpred (Infeasible _)] instead of poisoning the worker pool.  The
+    collected into one [Archpred (Infeasible _)] instead of poisoning the worker pool.  The
     stage's retry and failure counts flow into [config.obs] as the
     ["pool.retries"] and ["pool.failed_tasks"] counters.
 
@@ -60,8 +52,11 @@ val train :
     [sim_batch]-sized fan-outs through {!Archpred_sim.Batch}: the trace
     is decoded once and shared across configurations.  The batched engine
     is bit-identical to [Processor.run], so the trained model does not
-    depend on [sim_batch], and journals written by either path replay
-    into the other. *)
+    depend on [sim_batch].
+
+    {b Crash safety} is the sharded pipeline's ({!Archpred_shard}): a
+    run directory journals every stage of the same build and reassembles
+    a bit-identical model after any interruption. *)
 
 type step = {
   size : int;
@@ -87,9 +82,7 @@ val build_to_accuracy :
 (** Run the procedure over the ascending [sizes] schedule
     ([config.sample_size] is ignored), stopping early once the mean test
     error falls at or below [target_mean_pct] percent.  Every size draws
-    from one shared generator stream resolved once from [config].  With
-    [config.checkpoint] set, each size journals to its own sidecar
-    ([path.n<size>]).  Raises [Archpred (Invalid_input _)] on an empty
+    from one shared generator stream resolved once from [config].  Raises [Archpred (Invalid_input _)] on an empty
     size schedule.
 
     {b Streaming refit.}  With [config.stream_refit] the schedule departs
@@ -99,8 +92,7 @@ val build_to_accuracy :
     extended by rank-1 moment pushes ({!Refit}) instead of refit from
     scratch — with a periodic from-scratch cross-check every
     [config.refit_full_every] steps.  Each step's [trained.discrepancy]
-    is then the discrepancy of the full nested sample, and the single
-    journal is suffixed [.stream] rather than [.n<size>].  The streamed
+    is then the discrepancy of the full nested sample.  The streamed
     model is deterministic in the configuration — identical at any
     domain or worker-process count — but (by design) differs from the
     default procedure's model. *)

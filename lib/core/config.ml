@@ -12,8 +12,6 @@ type t = {
   alpha_grid : float list;
   lhs_candidates : int;
   obs : Obs.t;
-  checkpoint : string option;
-  resume : bool;
   task_retries : int;
   task_deadline : float option;
   sim_batch : int;
@@ -39,14 +37,12 @@ let default =
     alpha_grid = default_alpha_grid;
     lhs_candidates = 100;
     obs = Obs.null;
-    checkpoint = None;
-    resume = true;
     task_retries = 1;
     task_deadline = None;
     sim_batch = 16;
     stream_refit = false;
     refit_full_every = 0;
-    shard_unit = 4;
+    shard_unit = 16;
   }
 
 let with_seed seed t = { t with seed; rng = None }
@@ -59,9 +55,6 @@ let with_p_min_grid p_min_grid t = { t with p_min_grid }
 let with_alpha_grid alpha_grid t = { t with alpha_grid }
 let with_lhs_candidates lhs_candidates t = { t with lhs_candidates }
 let with_obs obs t = { t with obs }
-let with_checkpoint path t = { t with checkpoint = Some path }
-let without_checkpoint t = { t with checkpoint = None }
-let with_resume resume t = { t with resume }
 let with_task_retries task_retries t = { t with task_retries }
 let with_task_deadline d t = { t with task_deadline = Some d }
 let with_sim_batch sim_batch t = { t with sim_batch }
@@ -83,9 +76,6 @@ let validate t =
     Obs.Error.invalid_input ~where:"Config" "empty alpha_grid";
   (match t.domains with
   | Some d when d < 1 -> Obs.Error.invalid_input ~where:"Config" "domains < 1"
-  | Some _ | None -> ());
-  (match t.checkpoint with
-  | Some "" -> Obs.Error.invalid_input ~where:"Config" "empty checkpoint path"
   | Some _ | None -> ());
   if t.task_retries < 0 then
     Obs.Error.invalid_input ~where:"Config" "task_retries < 0";

@@ -29,13 +29,6 @@ type t = {
   alpha_grid : float list;  (** tuning grid for the radius scale *)
   lhs_candidates : int;  (** latin hypercube candidates scored *)
   obs : Archpred_obs.t;  (** observability handle; {!Archpred_obs.null} off *)
-  checkpoint : string option;
-      (** journal each completed simulation to this file ({!Checkpoint});
-          a restarted run replays it and re-simulates only the missing
-          design points *)
-  resume : bool;
-      (** with [checkpoint] set: replay an existing journal (default)
-          instead of overwriting it with a fresh one *)
   task_retries : int;
       (** per-simulation-task retry budget in the fallible stages
           (default 1); deterministic, so the set of permanently failing
@@ -62,9 +55,11 @@ type t = {
           first step *)
   shard_unit : int;
       (** design points (or grid cells, or LHS candidates) per claimable
-          work unit when the run is sharded across worker processes
-          ({!Archpred_shard}); both coordinator and workers derive the
-          same partition from this value (default 4) *)
+          work unit of a run directory ({!Archpred_shard}); both
+          coordinator and workers derive the same partition from this
+          value.  Default 16, the [sim_batch] width: a unit is one
+          simulator fan-out, and the per-unit claim and commit stay a
+          small share of its cost *)
 }
 
 val default : t
@@ -90,16 +85,6 @@ val with_p_min_grid : int list -> t -> t
 val with_alpha_grid : float list -> t -> t
 val with_lhs_candidates : int -> t -> t
 val with_obs : Archpred_obs.t -> t -> t
-
-val with_checkpoint : string -> t -> t
-(** Journal completed simulations to this path; see {!Checkpoint} for
-    the format and {!Build.train} for the resume semantics. *)
-
-val without_checkpoint : t -> t
-
-val with_resume : bool -> t -> t
-(** Whether an existing journal at the checkpoint path is replayed
-    ([true], the default) or overwritten ([false]). *)
 
 val with_task_retries : int -> t -> t
 val with_task_deadline : float -> t -> t

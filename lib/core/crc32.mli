@@ -1,6 +1,5 @@
 (** CRC-32 (IEEE 802.3, polynomial 0xEDB88320), the checksum framing both
-    the checkpoint journal records and the model file's integrity
-    trailer.  Pure OCaml, table-driven; no external dependency. *)
+    the shard journal lines and the model file's integrity trailer.  Pure OCaml, table-driven; no external dependency. *)
 
 val string : string -> int32
 (** CRC-32 of a whole string. *)

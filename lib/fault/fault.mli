@@ -11,15 +11,20 @@
     Sites are addressed by name.  The conventional sites wired into the
     library are:
 
-    - ["sim.task"] — entry of every simulation task ({!Archpred_core.Build})
+    - ["sim.task"] — entry of every pointwise simulation task
+      ({!Archpred_core.Build})
+    - ["sim.batch"] — before each batched simulation fan-out
+      ({!Archpred_core.Build})
     - ["pool.task"] — entry of every attempt in
       {!Archpred_stats.Parallel.map_fallible}
     - ["io.write"] — before the body of an atomic file write
       ({!Archpred_core.Persist.save})
     - ["persist.rename"] — after the temp file is durable, before the
       rename commits it
-    - ["checkpoint.append"] — before a journal record is written
-    - ["checkpoint.sync"] — before a journal batch fsync
+    - ["shard.claim"] — before a work-unit claim ({!Archpred_shard})
+    - ["shard.unit"] — after a claim, before the unit is computed
+    - ["shard.append"] — before a journal result record is written
+    - ["shard.merge"] — before the journals of a run are merged
     - ["serve.accept"] — before each accept in the prediction daemon
       ({!Archpred_serve_net.Daemon})
     - ["serve.read"] — before each daemon socket read

@@ -46,7 +46,7 @@ let release ~dir ~name =
       (* Already gone (a concurrent release) — releasing is idempotent. *)
       ()
 
-let release_incomplete ~dir ~owner:dead ~complete =
+let release_where ~dir ~owned ~complete =
   let d = claims_dir dir in
   match Sys.readdir d with
   | exception Sys_error _ -> ()
@@ -60,15 +60,19 @@ let release_incomplete ~dir ~owner:dead ~complete =
               match Plan.unit_of_name name with
               | None -> ()
               | Some u ->
-                  let owned =
-                    match owner ~dir ~name with
-                    | Some o -> String.equal o dead
-                    | None -> false
-                  in
                   if
-                    owned
+                    owned name
                     && not
                          (complete ~stage:u.Plan.stage ~lo:u.Plan.lo
                             ~hi:u.Plan.hi)
                   then release ~dir ~name))
         files
+
+let release_incomplete ~dir ~owner:dead ~complete =
+  release_where ~dir ~complete ~owned:(fun name ->
+      match owner ~dir ~name with
+      | Some o -> String.equal o dead
+      | None -> false)
+
+let release_all_incomplete ~dir ~complete =
+  release_where ~dir ~complete ~owned:(fun _ -> true)

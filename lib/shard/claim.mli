@@ -38,3 +38,9 @@ val release_incomplete :
 (** Release every claim held by [owner] whose unit is not [complete] —
     the coordinator's crash-recovery step after a worker dies.  Claims
     on completed units are left in place (they are inert). *)
+
+val release_all_incomplete :
+  dir:string -> complete:(stage:string -> lo:int -> hi:int -> bool) -> unit
+(** {!release_incomplete} for every owner — the step that resumes a run
+    directory no process is working on, whose claims were all left by
+    processes that died. *)

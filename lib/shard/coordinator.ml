@@ -1,6 +1,10 @@
 module Obs = Archpred_obs
 module Fault = Archpred_fault.Fault
 
+type workers =
+  | In_process of { domains : int }
+  | Processes of { count : int; argv : string -> string array }
+
 type outcome = {
   result : Stages.outcome;
   test_error : Archpred_stats.Error_metrics.t option;
@@ -41,23 +45,36 @@ let kill_children live =
       | exception Unix.Unix_error (_, _, _) -> ())
     live
 
-let run ?(obs = Obs.null) ~dir ~spec ~workers ~argv ?(max_respawns = 8)
-    ?(poll = 0.05) () =
-  if workers < 1 then Obs.Error.invalid_input ~where "workers must be >= 1";
+(* Make [dir] the run directory of [spec]: a new directory gets the
+   spec, an existing one resumes only if it holds the same spec.  No
+   worker is running yet, so every claim on a unit the journals do not
+   commit was left by a process that died, and is released. *)
+let prepare ~dir spec =
   mkdir_p dir;
-  Spec.save ~dir spec;
+  let fingerprint = Spec.fingerprint spec in
+  (if Sys.file_exists (Filename.concat dir "spec.json") then (
+     if not (String.equal (Spec.fingerprint (Spec.load ~dir)) fingerprint) then
+       Obs.Error.parse_error ~where:dir ~line:1
+         "the run directory holds a different run's spec (fingerprint \
+          mismatch); use a fresh directory")
+   else Spec.save ~dir spec);
   Claim.init ~dir;
   Journal.init ~dir;
-  let fingerprint = Spec.fingerprint spec in
+  let scan = Journal.scan_dir ~dir ~fingerprint in
+  Claim.release_all_incomplete ~dir ~complete:(fun ~stage ~lo ~hi ->
+      Journal.unit_complete scan ~stage ~lo ~hi);
+  fingerprint
+
+(* Spawn [count] worker processes and monitor them until every one has
+   exited cleanly.  A child that dies — crash, signal, nonzero exit —
+   gets its incomplete claims released and is replaced (fresh id, so the
+   replacement's journal does not collide with the casualty's), within
+   the respawn budget.  Returns the number of respawns. *)
+let supervise ~obs ~dir ~fingerprint ~count ~argv ~max_respawns ~poll =
   let children =
-    List.init workers (fun k -> spawn ~argv (Printf.sprintf "w%d" k))
+    List.init count (fun k -> spawn ~argv (Printf.sprintf "w%d" k))
   in
-  Obs.count obs "shard.workers" workers;
   let respawns = ref 0 in
-  (* Monitor until every child has exited cleanly.  A child that dies —
-     crash, signal, nonzero exit — gets its incomplete claims released
-     and is replaced (fresh id, so the replacement's journal does not
-     collide with the casualty's), within the respawn budget. *)
   let rec monitor live =
     match live with
     | [] -> ()
@@ -92,9 +109,28 @@ let run ?(obs = Obs.null) ~dir ~spec ~workers ~argv ?(max_respawns = 8)
         monitor live
   in
   monitor children;
+  !respawns
+
+let run ?(obs = Obs.null) ~dir ~spec ~workers ?(max_respawns = 8)
+    ?(poll = 0.05) () =
+  let fingerprint = prepare ~dir spec in
+  let ctx, count, respawns =
+    match workers with
+    | In_process { domains } ->
+        let ctx = Stages.create ~obs ~domains spec in
+        Worker.work ~obs ctx ~dir ~id:"w0";
+        (ctx, 1, 0)
+    | Processes { count; argv } ->
+        if count < 1 then
+          Obs.Error.invalid_input ~where "worker count must be >= 1";
+        let respawns =
+          supervise ~obs ~dir ~fingerprint ~count ~argv ~max_respawns ~poll
+        in
+        (Stages.create ~obs spec, count, respawns)
+  in
+  Obs.count obs "shard.workers" count;
   Fault.point "shard.merge";
   let scan = Journal.scan_dir ~dir ~fingerprint in
-  let ctx = Stages.create ~obs spec in
   let result = Stages.assemble ctx scan in
   let test_error =
     if spec.Spec.test_n = 0 then None
@@ -105,4 +141,4 @@ let run ?(obs = Obs.null) ~dir ~spec ~workers ~argv ?(max_respawns = 8)
            ~points:(Stages.test_points ctx)
            ~actual:(Stages.test_actuals ctx scan))
   in
-  { result; test_error; workers; respawns = !respawns }
+  { result; test_error; workers = count; respawns }

@@ -1,7 +1,25 @@
 module Obs = Archpred_obs
 module Json = Archpred_obs.Json
 module Fault = Archpred_fault.Fault
-module Checkpoint = Archpred_core.Checkpoint
+module Crc32 = Archpred_core.Crc32
+
+let frame payload = Crc32.to_hex (Crc32.string payload) ^ " " ^ payload ^ "\n"
+
+(* Split the checksum from the payload and verify both: [None] means the
+   line is not an intact frame (a torn or corrupted tail). *)
+let unframe line =
+  if String.length line < 10 || line.[8] <> ' ' then None
+  else
+    let payload = String.sub line 9 (String.length line - 9) in
+    match Crc32.of_hex (String.sub line 0 8) with
+    | Some crc when Crc32.string payload = crc -> (
+        match Json.of_string payload with Ok j -> Some j | Error _ -> None)
+    | Some _ | None -> None
+
+(* Hexadecimal float literals round-trip every bit pattern (including the
+   sign of zero), unlike decimal shortest-form printing. *)
+let float_to_hex_string f = Printf.sprintf "%h" f
+let float_of_hex_string = float_of_string_opt
 
 let journals_dir dir = Filename.concat dir "journals"
 let path dir worker = Filename.concat (journals_dir dir) (worker ^ ".journal")
@@ -14,10 +32,16 @@ let init ~dir =
   | exception Unix.Unix_error (err, _, _) ->
       Obs.Error.io_error ~path:d (Unix.error_message err)
 
-type t = { path : string; oc : out_channel }
+type t = { path : string; oc : out_channel; mutable unsynced : int }
+
+(* Unit commits between fsyncs.  Every commit reaches the OS at once, so
+   a killed process loses nothing it committed; a power loss can cost the
+   last few units of recomputation, never a wrong merge, because a torn
+   or zeroed tail ends the valid prefix. *)
+let sync_every = 8
 
 let header_line fingerprint worker =
-  Checkpoint.frame
+  frame
     (Json.to_string
        (Json.Obj
           [
@@ -70,7 +94,7 @@ let valid_prefix content =
       | None -> (List.rev acc, pos)
       | Some nl -> (
           let line = String.sub content pos (nl - pos) in
-          match Checkpoint.unframe line with
+          match unframe line with
           | None -> (List.rev acc, pos)
           | Some json -> go (nl + 1) (json :: acc))
   in
@@ -78,44 +102,34 @@ let valid_prefix content =
 
 let sync t =
   flush t.oc;
-  Unix.fsync (Unix.descr_of_out_channel t.oc)
+  Unix.fsync (Unix.descr_of_out_channel t.oc);
+  t.unsynced <- 0
+
+let open_channel p flags =
+  match open_out_gen (Open_wronly :: Open_binary :: flags) 0o644 p with
+  | oc -> { path = p; oc; unsynced = 0 }
+  | exception Sys_error msg -> Obs.Error.io_error ~path:p msg
 
 let open_ ~dir ~worker ~fingerprint =
   let p = path dir worker in
   let fresh () =
-    let oc = open_out_gen [ Open_wronly; Open_trunc; Open_binary ] 0o644 p in
-    let t = { path = p; oc } in
-    output_string oc (header_line fingerprint worker);
+    let t = open_channel p [ Open_creat; Open_trunc ] in
+    output_string t.oc (header_line fingerprint worker);
     sync t;
     t
   in
-  if not (Sys.file_exists p) then (
-    let oc = open_out_gen [ Open_wronly; Open_creat; Open_binary ] 0o644 p in
-    let t = { path = p; oc } in
-    output_string oc (header_line fingerprint worker);
-    sync t;
-    t)
+  if not (Sys.file_exists p) then fresh ()
   else
     let content = read_all p in
-    let lines, keep = valid_prefix content in
-    match lines with
-    | [] -> fresh ()
-    | header :: _ ->
+    match valid_prefix content with
+    | [], _ -> fresh ()
+    | header :: _, keep ->
         check_header ~path:p ~fingerprint header;
         (if keep < String.length content then
-           let fd =
-             match Unix.openfile p [ Unix.O_WRONLY ] 0o644 with
-             | fd -> fd
-             | exception Unix.Unix_error (err, _, _) ->
-                 Obs.Error.io_error ~path:p (Unix.error_message err)
-           in
-           Fun.protect
-             ~finally:(fun () -> Unix.close fd)
-             (fun () -> Unix.ftruncate fd keep));
-        let oc =
-          open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 p
-        in
-        { path = p; oc }
+           try Unix.truncate p keep
+           with Unix.Unix_error (err, _, _) ->
+             Obs.Error.io_error ~path:p (Unix.error_message err));
+        open_channel p [ Open_append ]
 
 let append_result t ~stage ~index ~value =
   Fault.point "shard.append";
@@ -126,11 +140,10 @@ let append_result t ~stage ~index ~value =
            ("type", Json.String "result");
            ("stage", Json.String stage);
            ("index", Json.Int index);
-           ("value", Json.String (Checkpoint.float_to_hex_string value));
+           ("value", Json.String (float_to_hex_string value));
          ])
   in
-  output_string t.oc (Checkpoint.frame payload);
-  flush t.oc
+  output_string t.oc (frame payload)
 
 let commit_unit t ~stage ~lo ~hi =
   let payload =
@@ -143,8 +156,10 @@ let commit_unit t ~stage ~lo ~hi =
            ("hi", Json.Int hi);
          ])
   in
-  output_string t.oc (Checkpoint.frame payload);
-  sync t
+  output_string t.oc (frame payload);
+  flush t.oc;
+  t.unsynced <- t.unsynced + 1;
+  if t.unsynced >= sync_every then sync t
 
 let close t =
   match
@@ -167,6 +182,14 @@ let empty_scan () = { units = Hashtbl.create 64; values = Hashtbl.create 256 }
 
 let unit_complete scan ~stage ~lo ~hi = Hashtbl.mem scan.units (ukey stage lo hi)
 let value scan ~stage ~index = Hashtbl.find_opt scan.values (vkey stage index)
+
+let record_unit scan ~stage ~lo values =
+  Hashtbl.replace scan.units (ukey stage lo (lo + Array.length values)) ();
+  Array.iteri
+    (fun k v ->
+      let key = vkey stage (lo + k) in
+      if not (Hashtbl.mem scan.values key) then Hashtbl.replace scan.values key v)
+    values
 
 let stage_values scan ~stage ~count =
   Array.init count (fun i ->
@@ -205,7 +228,7 @@ let merge_lines scan lines =
     | Some "result" -> (
         match (str "stage", int "index", str "value") with
         | Some stage, Some index, Some value_hex -> (
-            match Checkpoint.float_of_hex_string value_hex with
+            match float_of_hex_string value_hex with
             | Some v -> (stage, index, v) :: pending
             | None -> pending)
         | _ -> pending)

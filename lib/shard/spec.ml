@@ -30,6 +30,7 @@ let validate t =
     Obs.Error.invalid_input ~where "lhs_candidates must be >= 1";
   if t.shard_unit < 1 then
     Obs.Error.invalid_input ~where "shard_unit must be >= 1";
+  if t.test_n < 0 then Obs.Error.invalid_input ~where "test_n must be >= 0";
   if t.refit_full_every < 0 then
     Obs.Error.invalid_input ~where "refit_full_every must be >= 0";
   (match t.p_min_grid, t.alpha_grid with
@@ -41,6 +42,8 @@ let validate t =
       (match sizes with
       | [] -> Obs.Error.invalid_input ~where "accuracy mode needs sizes"
       | _ :: _ -> ());
+      if List.exists (fun n -> n < 2) sizes then
+        Obs.Error.invalid_input ~where "accuracy sizes must be >= 2";
       if t.test_n < 1 then
         Obs.Error.invalid_input ~where "accuracy mode needs test points";
       if not (Float.is_finite target_mean_pct) then
@@ -53,10 +56,10 @@ let metric_of_string = function
   | "edp" -> Some Core.Response.Energy_delay_product
   | _ -> None
 
-let hex f = Json.String (Core.Checkpoint.float_to_hex_string f)
+let hex f = Json.String (Journal.float_to_hex_string f)
 
 let of_hex = function
-  | Json.String s -> Core.Checkpoint.float_of_hex_string s
+  | Json.String s -> Journal.float_of_hex_string s
   | _ -> None
 
 let to_json t =
@@ -99,7 +102,11 @@ let save ~dir t =
   let t = validate t in
   let p = path dir in
   let tmp = p ^ ".tmp" in
-  let oc = open_out_bin tmp in
+  let oc =
+    match open_out_bin tmp with
+    | oc -> oc
+    | exception Sys_error msg -> Obs.Error.io_error ~path:tmp msg
+  in
   (match
      output_string oc (Json.to_string (to_json t));
      output_char oc '\n';

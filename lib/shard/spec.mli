@@ -4,8 +4,8 @@
     spawning workers; every worker loads it and derives the {e same}
     configuration, response, and work plan from it — nothing else is
     communicated.  Floats serialise as hex literals
-    ({!Archpred_core.Checkpoint.float_to_hex_string}) so the round trip
-    is bit-exact, and {!fingerprint} hashes the canonical serialisation:
+    ({!Journal.float_to_hex_string}) so the round trip is bit-exact, and
+    {!fingerprint} hashes the canonical serialisation:
     journals stamp the fingerprint in their headers, which prevents a
     worker from mixing journals produced under a different spec into a
     merge. *)
@@ -35,9 +35,9 @@ type t = {
 }
 
 val validate : t -> t
-(** Check the invariants ([sample_size >= 2], nonempty grids, accuracy
-    mode needs sizes and test points, …).  Raises
-    [Archpred (Invalid_input _)]. *)
+(** Check the invariants ([sample_size >= 2], [test_n >= 0], nonempty
+    grids, accuracy mode needs sizes of at least 2 and test points, …).
+    Raises [Archpred (Invalid_input _)]. *)
 
 val to_json : t -> Archpred_obs.Json.t
 (** Canonical serialisation — field order is fixed, so equal specs
@@ -50,8 +50,10 @@ val save : dir:string -> t -> unit
 (** Validate and atomically write [<dir>/spec.json] (tmp + rename). *)
 
 val load : dir:string -> t
-(** Read and validate [<dir>/spec.json].  Raises [Archpred (Io_error _)]
-    or [Archpred (Parse_error _)]. *)
+(** Read and validate [<dir>/spec.json].  Total over the file's bytes:
+    any content gives a spec or a typed error — [Archpred (Io_error _)],
+    [Archpred (Parse_error _)], or [Archpred (Invalid_input _)] for a
+    well-formed spec that breaks an invariant. *)
 
 val config : ?obs:Archpred_obs.t -> t -> Archpred_core.Config.t
 (** The {!Archpred_core.Config.t} every participant derives from the

@@ -1,6 +1,7 @@
 module Design = Archpred_design
 module Stats = Archpred_stats
 module Rng = Archpred_stats.Rng
+module Parallel = Archpred_stats.Parallel
 module Obs = Archpred_obs
 module Core = Archpred_core
 module Tree = Archpred_regtree.Tree
@@ -11,6 +12,7 @@ type ctx = {
   config : Core.Config.t;
   response : Core.Response.t;
   obs : Obs.t;
+  domains : int;
   space : Design.Space.t;
   schedule : int array;
   stream : bool;
@@ -22,13 +24,14 @@ type ctx = {
   winners : (int, Design.Space.point array) Hashtbl.t;
   responses_cache : (int, float array) Hashtbl.t;
   trees : (string, Tree.t) Hashtbl.t;
+  selections : (int * int, Rbf.Selection.result) Hashtbl.t;
   trained_cache : (int, Core.Build.trained) Hashtbl.t;
   mutable refit : Core.Refit.t option;
 }
 
 let where = "Shard.Stages"
 
-let create ?(obs = Obs.null) spec =
+let create ?(obs = Obs.null) ?(domains = 1) spec =
   let spec = Spec.validate spec in
   let config = Spec.config ~obs spec in
   let response = Spec.response ~obs spec in
@@ -47,12 +50,16 @@ let create ?(obs = Obs.null) spec =
      the sharded run must burn the same draws to land on the same LHS
      candidate streams. *)
   let rng = Rng.create spec.Spec.seed in
-  let test_points = Core.Paper_space.test_points rng ~n:spec.Spec.test_n in
+  let test_points =
+    if spec.Spec.test_n = 0 then [||]
+    else Core.Paper_space.test_points rng ~n:spec.Spec.test_n
+  in
   {
     spec;
     config;
     response;
     obs;
+    domains;
     space = Core.Paper_space.space;
     schedule;
     stream;
@@ -62,10 +69,13 @@ let create ?(obs = Obs.null) spec =
     winners = Hashtbl.create 8;
     responses_cache = Hashtbl.create 8;
     trees = Hashtbl.create 16;
+    selections = Hashtbl.create 16;
     trained_cache = Hashtbl.create 8;
     refit = None;
   }
 
+let spec ctx = ctx.spec
+let domains ctx = ctx.domains
 let n_steps ctx = Array.length ctx.schedule
 let stream ctx = ctx.stream
 
@@ -140,7 +150,7 @@ let eval_sim_unit ctx scan ~step ~lo ~hi =
   let points =
     Array.init (hi - lo) (fun k -> sim_point ctx scan ~step ~index:(lo + k))
   in
-  Core.Response.evaluate_many ~domains:1 ctx.response points
+  Core.Response.evaluate_many ~domains:ctx.domains ctx.response points
 
 (* The size-n response prefix at step [step], assembled from the merged
    sim stages (one stage per step in stream mode, one per size
@@ -187,16 +197,34 @@ let step_sample ctx scan ~step =
     Array.sub (winner_points ctx scan ~step:0) 0 ctx.schedule.(step)
   else winner_points ctx scan ~step
 
-let eval_tune ctx scan ~step cell =
-  let p_min, alpha = ctx.cells.(cell) in
+let select ctx ~tree ~points ~responses ~alpha =
+  Core.Tune.eval_cell ~obs:ctx.obs ~criterion:ctx.spec.Spec.criterion ~tree
+    ~points ~responses ~alpha ()
+
+(* Fitting follows simulation, so the simulator's idle engines are freed
+   first, as [Build] frees them.  The ctx caches are not thread-safe, so
+   the sample, its responses and every p_min tree the unit needs are
+   built before the cells fan out, and the selections are cached (for
+   reassembly in this process) after it. *)
+let eval_tune_unit ctx scan ~step ~lo ~hi =
+  Archpred_sim.Batch.trim ();
   let points = step_sample ctx scan ~step in
   let responses = step_responses ctx scan ~step in
-  let tree = tree_at ctx ~step ~p_min ~points ~responses in
-  let selection =
-    Core.Tune.eval_cell ~obs:ctx.obs ~criterion:ctx.spec.Spec.criterion ~tree
-      ~points ~responses ~alpha ()
+  let trees =
+    Array.init (hi - lo) (fun k ->
+        let p_min, _ = ctx.cells.(lo + k) in
+        tree_at ctx ~step ~p_min ~points ~responses)
   in
-  selection.Rbf.Selection.criterion
+  let selections =
+    Parallel.init ~domains:ctx.domains (hi - lo) (fun k ->
+        let _, alpha = ctx.cells.(lo + k) in
+        select ctx ~tree:trees.(k) ~points ~responses ~alpha)
+  in
+  Array.mapi
+    (fun k selection ->
+      Hashtbl.replace ctx.selections (step, lo + k) selection;
+      selection.Rbf.Selection.criterion)
+    selections
 
 let tune_count ctx = Array.length ctx.cells
 
@@ -240,8 +268,9 @@ let rec trained_at ctx scan ~step =
           let p_min, alpha = ctx.cells.(cell) in
           let tree = tree_at ctx ~step ~p_min ~points ~responses in
           let selection =
-            Core.Tune.eval_cell ~obs:ctx.obs ~criterion:ctx.spec.Spec.criterion
-              ~tree ~points ~responses ~alpha ()
+            match Hashtbl.find_opt ctx.selections (step, cell) with
+            | Some selection -> selection
+            | None -> select ctx ~tree ~points ~responses ~alpha
           in
           {
             Core.Tune.p_min;
@@ -294,6 +323,7 @@ type outcome = {
 }
 
 let assemble ctx scan =
+  Archpred_sim.Batch.trim ();
   match ctx.spec.Spec.mode with
   | Spec.Train -> { final = trained_at ctx scan ~step:0; steps = [] }
   | Spec.Accuracy _ ->
@@ -316,8 +346,6 @@ type stage = {
   compute : Journal.scan -> lo:int -> hi:int -> float array;
 }
 
-let pointwise f _scan ~lo ~hi = Array.init (hi - lo) (fun k -> f (lo + k))
-
 let test_stage ctx =
   if ctx.spec.Spec.test_n = 0 then None
   else
@@ -327,7 +355,7 @@ let test_stage ctx =
         count = ctx.spec.Spec.test_n;
         compute =
           (fun _scan ~lo ~hi ->
-            Core.Response.evaluate_many ~domains:1 ctx.response
+            Core.Response.evaluate_many ~domains:ctx.domains ctx.response
               (Array.sub ctx.test_points lo (hi - lo)));
       }
 
@@ -337,7 +365,10 @@ let lhs_stage ctx ~step =
   {
     name = lhs_stage_name step;
     count = ctx.spec.Spec.lhs_candidates;
-    compute = pointwise (fun c -> eval_lhs ctx ~step c);
+    compute =
+      (fun _scan ~lo ~hi ->
+        Parallel.init ~domains:ctx.domains (hi - lo) (fun k ->
+            eval_lhs ctx ~step (lo + k)));
   }
 
 let sim_stage ctx ~step =
@@ -354,6 +385,5 @@ let tune_stage ctx ~step =
       {
         name = tune_stage_name step;
         count = tune_count ctx;
-        compute = (fun scan ~lo ~hi ->
-            Array.init (hi - lo) (fun k -> eval_tune ctx scan ~step (lo + k)));
+        compute = eval_tune_unit ctx ~step;
       }

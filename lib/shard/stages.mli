@@ -26,11 +26,20 @@
 type ctx
 (** Per-process context: spec, derived config/response, and caches of
     recomputed values.  Not thread-safe — one per worker process (or
-    per driving domain in tests). *)
+    per driving domain in tests); a stage's [compute] fans its own unit
+    out over [domains] but fills the caches before it does. *)
 
-val create : ?obs:Archpred_obs.t -> Spec.t -> ctx
+val create : ?obs:Archpred_obs.t -> ?domains:int -> Spec.t -> ctx
 (** Validate the spec and derive the context (draws the held-out test
-    points, fixing the post-test generator state). *)
+    points, fixing the post-test generator state; none when
+    [test_n = 0]).  [domains] (default 1) is the fan-out of each
+    unit's computation; values do not depend on it. *)
+
+val spec : ctx -> Spec.t
+(** The validated spec the context was derived from. *)
+
+val domains : ctx -> int
+(** The fan-out the context was created with. *)
 
 val n_steps : ctx -> int
 (** Schedule length: 1 in train mode, the number of distinct sizes in
@@ -46,8 +55,9 @@ type stage = {
   count : int;  (** indices in the stage *)
   compute : Journal.scan -> lo:int -> hi:int -> float array;
       (** the values at indices [lo..hi-1] — a pure function of the spec
-          and of {e completed earlier} stages in the scan.  Unit-granular
-          so simulation units run through the batched engine
+          and of {e completed earlier} stages in the scan, bit-identical
+          at any [domains].  Unit-granular so simulation units run
+          through the batched engine
           ({!Archpred_core.Response.evaluate_many}, bit-identical to the
           pointwise path) instead of one trace walk per index *)
 }

@@ -1,69 +1,125 @@
 module Obs = Archpred_obs
 module Fault = Archpred_fault.Fault
 
-(* Process every unit of one stage: rescan, claim the first unclaimed
-   incomplete unit, compute and journal it, repeat; when every unit is
-   committed (by anyone) the stage is done.  Workers that lose every
-   claim race just sleep until the stage resolves — a dead claimant's
-   units come back when the coordinator releases its claims. *)
-let run_stage ~obs ~dir ~owner ~fingerprint ~journal ~chunk ~poll
-    (stage : Stages.stage) =
-  let units =
-    Plan.units ~stage:stage.Stages.name ~count:stage.Stages.count ~chunk
+(* A worker's view of the merged journals.  It is read once when the
+   worker starts, folds in the worker's own commits as they happen, and
+   rereads the directory only when no unit of a stage can be claimed.  A
+   stale view can cost a failed claim — claims on committed units stay
+   in place — but never a duplicate commit, and a stage only ends once
+   the view holds all of it, so later stages always compute from
+   complete earlier ones. *)
+type view = {
+  obs : Obs.t;
+  dir : string;
+  fingerprint : string;
+  mutable scan : Journal.scan;
+}
+
+let rescan view =
+  Obs.incr view.obs "shard.scans";
+  view.scan <- Journal.scan_dir ~dir:view.dir ~fingerprint:view.fingerprint
+
+(* Claim the first claimable unit of [todo], then the units right after
+   it while they are claimable, up to [batch] units: one computation
+   covers the run, so a worker on D domains fans out over D units'
+   indices at a time.  Fault site ["shard.unit"] fires after each
+   successful claim. *)
+let claim_run view ~owner ~batch todo =
+  let claim (u : Plan.unit_) =
+    Claim.claim ~dir:view.dir ~name:(Plan.unit_name u) ~owner
+    && (Fault.point "shard.unit";
+        true)
   in
-  let rec drive () =
-    let scan = Journal.scan_dir ~dir ~fingerprint in
+  let rec extend run (last : Plan.unit_) = function
+    | (u : Plan.unit_) :: rest
+      when List.length run < batch && u.Plan.lo = last.Plan.hi && claim u ->
+        extend (u :: run) u rest
+    | _ -> List.rev run
+  in
+  let rec first = function
+    | [] -> []
+    | u :: rest -> if claim u then extend [ u ] u rest else first rest
+  in
+  first todo
+
+(* Process every unit of one stage: claim a run of unclaimed units the
+   view shows incomplete, compute it, journal and commit each unit,
+   repeat; when every unit is committed (by anyone) the stage is done.
+   A worker that loses every claim race rescans, and sleeps until the
+   stage resolves — a dead claimant's units come back when the
+   coordinator releases its claims. *)
+let run_stage view ~owner ~journal ~chunk ~batch ~poll (stage : Stages.stage)
+    =
+  let units =
+    Array.to_list
+      (Plan.units ~stage:stage.Stages.name ~count:stage.Stages.count ~chunk)
+  in
+  (* One span per stage kind whatever the step: "sim.3" -> "shard.sim". *)
+  let span =
+    "shard." ^ List.hd (String.split_on_char '.' stage.Stages.name)
+  in
+  let commit ~lo values (u : Plan.unit_) =
+    let values = Array.sub values (u.Plan.lo - lo) (u.Plan.hi - u.Plan.lo) in
+    Array.iteri
+      (fun k value ->
+        Journal.append_result journal ~stage:u.Plan.stage
+          ~index:(u.Plan.lo + k) ~value)
+      values;
+    Journal.commit_unit journal ~stage:u.Plan.stage ~lo:u.Plan.lo
+      ~hi:u.Plan.hi;
+    Journal.record_unit view.scan ~stage:u.Plan.stage ~lo:u.Plan.lo values;
+    Obs.incr view.obs "shard.units_done"
+  in
+  let rec drive ~fresh =
     let todo =
-      Array.to_list units
-      |> List.filter (fun (u : Plan.unit_) ->
-             not
-               (Journal.unit_complete scan ~stage:u.Plan.stage ~lo:u.Plan.lo
-                  ~hi:u.Plan.hi))
+      List.filter
+        (fun (u : Plan.unit_) ->
+          not
+            (Journal.unit_complete view.scan ~stage:u.Plan.stage ~lo:u.Plan.lo
+               ~hi:u.Plan.hi))
+        units
     in
     match todo with
     | [] -> ()
     | _ :: _ -> (
-        let claimed =
-          List.find_opt
-            (fun u -> Claim.claim ~dir ~name:(Plan.unit_name u) ~owner)
-            todo
+        let run =
+          Obs.with_span view.obs "shard.claim" @@ fun () ->
+          claim_run view ~owner ~batch todo
         in
-        match claimed with
-        | Some u ->
-            Fault.point "shard.unit";
+        match run with
+        | (first : Plan.unit_) :: _ ->
+            let lo = first.Plan.lo in
+            let hi = (List.nth run (List.length run - 1)).Plan.hi in
             let values =
-              stage.Stages.compute scan ~lo:u.Plan.lo ~hi:u.Plan.hi
+              Obs.with_span view.obs span @@ fun () ->
+              stage.Stages.compute view.scan ~lo ~hi
             in
-            Array.iteri
-              (fun k value ->
-                Journal.append_result journal ~stage:u.Plan.stage
-                  ~index:(u.Plan.lo + k) ~value)
-              values;
-            Journal.commit_unit journal ~stage:u.Plan.stage ~lo:u.Plan.lo
-              ~hi:u.Plan.hi;
-            Obs.incr obs "shard.units_done";
-            drive ()
-        | None ->
+            Obs.with_span view.obs "shard.commit" (fun () ->
+                List.iter (commit ~lo values) run);
+            drive ~fresh:false
+        | [] ->
             (* Everything left is claimed by someone else; wait for the
                commits (or for the coordinator to release dead claims). *)
-            Unix.sleepf poll;
-            drive ())
+            if fresh then Unix.sleepf poll;
+            rescan view;
+            drive ~fresh:true)
   in
-  drive ()
+  drive ~fresh:false
 
-let run ?(obs = Obs.null) ~dir ~id ?(poll = 0.02) () =
-  let spec = Spec.load ~dir in
+let work ?(obs = Obs.null) ?(poll = 0.02) ctx ~dir ~id =
+  let spec = Stages.spec ctx in
   let fingerprint = Spec.fingerprint spec in
-  Claim.init ~dir;
-  Journal.init ~dir;
-  let ctx = Stages.create ~obs spec in
+  Obs.incr obs "shard.scans";
+  let view =
+    { obs; dir; fingerprint; scan = Journal.scan_dir ~dir ~fingerprint }
+  in
   let journal = Journal.open_ ~dir ~worker:id ~fingerprint in
   Fun.protect
     ~finally:(fun () -> Journal.close journal)
     (fun () ->
-      let chunk = spec.Spec.shard_unit in
       let stage s =
-        run_stage ~obs ~dir ~owner:id ~fingerprint ~journal ~chunk ~poll s
+        run_stage view ~owner:id ~journal ~chunk:spec.Spec.shard_unit
+          ~batch:(Stages.domains ctx) ~poll s
       in
       Option.iter stage (Stages.test_stage ctx);
       let rec steps step =
@@ -72,7 +128,12 @@ let run ?(obs = Obs.null) ~dir ~id ?(poll = 0.02) () =
             stage (Stages.lhs_stage ctx ~step);
           stage (Stages.sim_stage ctx ~step);
           Option.iter stage (Stages.tune_stage ctx ~step);
-          let scan = Journal.scan_dir ~dir ~fingerprint in
-          if not (Stages.stop_after ctx scan ~step) then steps (step + 1))
+          if not (Stages.stop_after ctx view.scan ~step) then steps (step + 1))
       in
       steps 0)
+
+let run ?(obs = Obs.null) ~dir ~id ?poll () =
+  let spec = Spec.load ~dir in
+  Claim.init ~dir;
+  Journal.init ~dir;
+  work ~obs ?poll (Stages.create ~obs spec) ~dir ~id

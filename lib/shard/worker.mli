@@ -1,24 +1,44 @@
 (** The worker loop of a sharded run.
 
-    A worker loads [<dir>/spec.json], derives the same {!Stages.ctx} as
-    every other participant, and walks the stage sequence in order —
-    test, then per step: LHS, sim, tune.  Within a stage it repeatedly
-    claims the first unclaimed incomplete unit ({!Claim}), computes its
-    indices, journals the results, and commits the unit; when every
-    unit of the stage is committed (by any worker) it moves on.  All
-    control decisions (stage completion, early stop) are read off the
-    merged journals, so workers coordinate through the filesystem
-    alone and any of them can die at any point without corrupting the
-    run.
+    A worker derives the same {!Stages.ctx} as every other participant
+    and walks the stage sequence in order — test, then per step: LHS,
+    sim, tune.  Within a stage it repeatedly claims the first unclaimed
+    incomplete unit ({!Claim}), computes its indices, journals the
+    results, and commits the unit; when every unit of the stage is
+    committed (by any worker) it moves on.  All control decisions
+    (stage completion, early stop) are read off the merged journals, so
+    workers coordinate through the filesystem alone and any of them can
+    die at any point without corrupting the run.
 
-    Fault site ["shard.unit"] fires after a successful claim, before
-    the unit's first computation — the canonical mid-unit crash point
-    for tests. *)
+    A worker reads the run directory once when it starts, folds its own
+    commits into that view, and rereads it only when no unit of the
+    current stage can be claimed; each read bumps ["shard.scans"].  A
+    lone worker therefore reads the directory once however many units
+    the run has.
+
+    Fault site ["shard.unit"] fires after each successful claim, before
+    the unit's computation — the canonical mid-unit crash point for
+    tests. *)
+
+val work :
+  ?obs:Archpred_obs.t ->
+  ?poll:float ->
+  Stages.ctx ->
+  dir:string ->
+  id:string ->
+  unit
+(** Run worker [id] against run directory [dir] — whose [claims/] and
+    [journals/] exist and whose journals carry [ctx]'s spec — until the
+    spec's schedule completes.  A worker whose [ctx] has D domains
+    claims up to D consecutive units at a time and computes them in one
+    fan-out over those domains; each unit is still journaled and
+    committed on its own.  [poll] (default 20 ms) is the
+    back-off while waiting on units claimed by other workers.  Bumps
+    the ["shard.units_done"] counter on [obs] per committed unit.
+    Raises [Archpred _] on an unreadable or mismatched journal. *)
 
 val run :
   ?obs:Archpred_obs.t -> dir:string -> id:string -> ?poll:float -> unit -> unit
-(** Run worker [id] against run directory [dir] until the spec's
-    schedule completes.  [poll] (default 20 ms) is the back-off while
-    waiting on units claimed by other workers.  Bumps the
-    ["shard.units_done"] counter on [obs] per committed unit.  Raises
-    [Archpred _] on an unreadable or mismatched spec/journal. *)
+(** {!work} as a worker process runs it: load [<dir>/spec.json] and
+    derive a one-domain context from it first.  Raises [Archpred _] on
+    an unreadable or mismatched spec. *)

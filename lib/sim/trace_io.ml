@@ -19,8 +19,10 @@ let save trace path =
 let opcode_of_string s =
   List.find_opt (fun o -> Opcode.to_string o = s) Opcode.all
 
+let where = "Trace_io"
+
 let of_channel ic =
-  let fail line msg = failwith (Printf.sprintf "Trace_io: line %d: %s" line msg) in
+  let fail line msg = Archpred_obs.Error.parse_error ~where ~line msg in
   (match In_channel.input_line ic with
   | Some header -> (
       match String.split_on_char ' ' header with
@@ -69,9 +71,13 @@ let of_channel ic =
   let trace = Trace.Builder.finish builder in
   (match Trace.validate trace with
   | Ok () -> ()
-  | Error msg -> failwith ("Trace_io: invalid trace: " ^ msg));
+  | Error msg -> fail !line_no ("invalid trace: " ^ msg));
   trace
 
 let load path =
-  let ic = open_in path in
+  let ic =
+    match open_in_bin path with
+    | ic -> ic
+    | exception Sys_error msg -> Archpred_obs.Error.io_error ~path msg
+  in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> of_channel ic)

@@ -1,16 +1,20 @@
 (* Headless crash-safety smoke check, run under `dune runtest` (like
-   check_metrics): a condensed fault-injection crash matrix over the
-   training pipeline.  For each injected crash — a permanently failing
-   simulation task, a failing journal append, a torn journal tail, an
-   interrupted atomic model save — it kills a checkpointed training run,
-   resumes it, and asserts the resumed model is byte-identical
-   (Persist.to_string) to an uninterrupted run, at 1 and 4 domains. *)
+   check_metrics): a condensed fault-injection crash matrix over the run
+   directory that `archpred train --checkpoint DIR` journals a build
+   into.  For each injected crash — at a unit, at a result append, at a
+   claim, a torn journal tail — it kills a checkpointed build, reruns it
+   on the same directory, and asserts the model is byte-identical
+   (Persist.to_string) to an uninterrupted single-process build, at 1
+   and 2 domains.  A directory holding a different run must be refused,
+   and an interrupted atomic model save must leave the old model
+   intact. *)
 
 module Core = Archpred_core
 module Build = Core.Build
 module Config = Core.Config
 module Persist = Core.Persist
 module Response = Core.Response
+module Shard = Archpred_shard
 module Fault = Archpred_fault.Fault
 module Error = Archpred_obs.Error
 
@@ -24,62 +28,103 @@ let tmp suffix =
 
 let rm path = try Sys.remove path with Sys_error _ -> ()
 
-let config ~domains =
-  Config.default |> Config.with_seed 11 |> Config.with_sample_size 10
-  |> Config.with_lhs_candidates 5
-  |> Config.with_p_min_grid [ 1 ]
-  |> Config.with_alpha_grid [ 7. ]
-  |> Config.with_domains domains
+let rec rm_rf path =
+  match Unix.lstat path with
+  | exception Unix.Unix_error (_, _, _) -> ()
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Sys.remove path
 
-let train ~domains ?checkpoint () =
-  let response = Response.synthetic_smooth ~dim:9 in
-  let config =
-    match checkpoint with
-    | None -> config ~domains
-    | Some p -> config ~domains |> Config.with_checkpoint p
+let spec ?(seed = 11) () =
+  {
+    Shard.Spec.benchmark = "synthetic:smooth";
+    metric = Response.Cpi;
+    seed;
+    trace_length = 2000;
+    sample_size = 10;
+    test_n = 3;
+    lhs_candidates = 5;
+    criterion = Archpred_rbf.Criteria.Aicc;
+    p_min_grid = [ 1 ];
+    alpha_grid = [ 7. ];
+    shard_unit = 2;
+    stream_refit = false;
+    refit_full_every = 0;
+    mode = Shard.Spec.Train;
+  }
+
+(* The single-process twin: test points drawn first, then the build. *)
+let reference () =
+  let s = spec () in
+  let rng = Archpred_stats.Rng.create s.Shard.Spec.seed in
+  ignore (Core.Paper_space.test_points rng ~n:s.Shard.Spec.test_n);
+  let config = Shard.Spec.config s |> Config.with_rng rng in
+  Persist.to_string
+    (Build.train ~config ~space:Core.Paper_space.space
+       ~response:(Shard.Spec.response s) ())
+      .Build.predictor
+
+let checkpointed ?(spec = spec ()) ~domains dir =
+  let outcome =
+    Shard.Coordinator.run ~dir ~spec
+      ~workers:(Shard.Coordinator.In_process { domains })
+      ()
   in
-  Build.train ~config ~space:Core.Paper_space.space ~response ()
+  Persist.to_string
+    outcome.Shard.Coordinator.result.Shard.Stages.final.Build.predictor
 
 let checks = ref 0
 
-let check_identical ctx reference trained =
+let check_identical ctx reference model =
   incr checks;
-  if not (String.equal reference (Persist.to_string trained.Build.predictor))
-  then fail "%s: resumed model differs from uninterrupted run" ctx
+  if not (String.equal reference model) then
+    fail "%s: resumed model differs from uninterrupted run" ctx
+
+let with_run_dir f =
+  let dir = tmp ".run" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
 let crash_resume ~domains ~reference ~site ~k =
-  let path = tmp ".journal" in
-  Fun.protect ~finally:(fun () -> rm path) @@ fun () ->
+  with_run_dir @@ fun dir ->
   Fault.reset ();
   Fault.arm ~site ~after:k ~sticky:true ();
   let ctx = Printf.sprintf "%s k=%d domains=%d" site k domains in
-  (match train ~domains ~checkpoint:path () with
-  | trained ->
+  match checkpointed ~domains dir with
+  | model ->
       Fault.reset ();
-      check_identical (ctx ^ " (uninterrupted)") reference trained
-  | exception (Error.Archpred (Error.Infeasible _) | Fault.Injected _) ->
+      check_identical (ctx ^ " (uninterrupted)") reference model
+  | exception Fault.Injected _ ->
       Fault.reset ();
-      check_identical (ctx ^ " (resumed)") reference
-        (train ~domains ~checkpoint:path ()))
+      check_identical (ctx ^ " (resumed)") reference (checkpointed ~domains dir)
 
 let torn_tail ~domains ~reference =
-  let path = tmp ".journal" in
-  Fun.protect ~finally:(fun () -> rm path) @@ fun () ->
-  ignore (train ~domains ~checkpoint:path ());
-  let ic = open_in_bin path in
-  let full = In_channel.input_all ic in
-  close_in ic;
-  (* cut the journal in the middle of its last record *)
-  let oc = open_out_bin path in
-  output_string oc (String.sub full 0 (String.length full - 7));
-  close_out oc;
+  with_run_dir @@ fun dir ->
+  ignore (checkpointed ~domains dir);
+  let path = Filename.concat (Filename.concat dir "journals") "w0.journal" in
+  let full = In_channel.with_open_bin path In_channel.input_all in
+  (* cut the journal in the middle of its last line *)
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (String.sub full 0 (String.length full - 7)));
   check_identical
     (Printf.sprintf "torn tail domains=%d" domains)
-    reference
-    (train ~domains ~checkpoint:path ())
+    reference (checkpointed ~domains dir)
+
+let mismatch_refused () =
+  with_run_dir @@ fun dir ->
+  ignore (checkpointed ~domains:1 dir);
+  incr checks;
+  match checkpointed ~spec:(spec ~seed:12 ()) ~domains:1 dir with
+  | exception Error.Archpred (Error.Parse_error _) -> ()
+  | _ -> fail "a run directory holding another run was not refused"
 
 let persist_atomic () =
-  let trained = train ~domains:1 () in
+  let trained =
+    Build.train
+      ~config:(Config.default |> Config.with_seed 11 |> Config.with_sample_size 10)
+      ~space:Core.Paper_space.space
+      ~response:(Response.synthetic_smooth ~dim:9) ()
+  in
   let path = tmp ".model" in
   Fun.protect ~finally:(fun () -> rm path; rm (path ^ ".tmp")) @@ fun () ->
   Persist.save trained.Build.predictor path;
@@ -99,17 +144,19 @@ let persist_atomic () =
 
 let () =
   Fun.protect ~finally:Fault.reset @@ fun () ->
+  let reference = reference () in
   List.iter
     (fun domains ->
-      let reference = Persist.to_string (train ~domains ()).Build.predictor in
       List.iter
-        (fun (site, ks) -> List.iter (fun k -> crash_resume ~domains ~reference ~site ~k) ks)
+        (fun (site, ks) ->
+          List.iter (fun k -> crash_resume ~domains ~reference ~site ~k) ks)
         [
-          ("sim.task", [ 1; 4; 9; 25 ]);
-          ("checkpoint.append", [ 1; 5 ]);
-          ("checkpoint.sync", [ 1; 2 ]);
+          ("shard.unit", [ 1; 4; 9; 25 ]);
+          ("shard.append", [ 1; 5 ]);
+          ("shard.claim", [ 2 ]);
         ];
       torn_tail ~domains ~reference)
-    [ 1; 4 ];
+    [ 1; 2 ];
+  mismatch_refused ();
   persist_atomic ();
   Printf.printf "ok: crash matrix passed (%d bit-identical checks)\n" !checks

@@ -144,8 +144,8 @@ let test_unix_net () =
     (rules_of (scan "let f fds = Unix.select fds [] [] 0.1\n"));
   Alcotest.check srules "Unix.read detected" [ "unix-net" ]
     (rules_of (scan "let f fd b = Unix.read fd b 0 1\n"));
-  (* ... but the file-durability calls Persist/Checkpoint rely on stay
-     legal everywhere *)
+  (* ... but the file-durability calls Persist and the shard journals
+     rely on stay legal everywhere *)
   Alcotest.check srules "Unix.fsync is not networking" []
     (rules_of (scan "let f fd = Unix.fsync fd\n"));
   (* lib/serve_net owns the socket edge, and may also read the clock *)

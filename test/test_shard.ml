@@ -279,6 +279,76 @@ let test_journal_first_wins_across_workers () =
     (Journal.value scan ~stage:"s" ~index:0)
 
 (* ------------------------------------------------------------------ *)
+(* Total readers: any bytes give a value or a typed error              *)
+(* ------------------------------------------------------------------ *)
+
+let typed f =
+  match f () with
+  | _ -> true
+  | exception Obs.Error.Archpred _ -> true
+
+let byte_soup =
+  QCheck2.Gen.(string_size ~gen:(char_range '\x00' '\xff') (int_range 0 256))
+
+let write_file path data =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
+
+(* The bytes of a small committed journal. *)
+let committed_journal () =
+  with_dir @@ fun dir ->
+  Journal.init ~dir;
+  let j = Journal.open_ ~dir ~worker:"w0" ~fingerprint:"fp" in
+  for i = 0 to 3 do
+    Journal.append_result j ~stage:"s" ~index:i ~value:(float_of_int i /. 3.)
+  done;
+  Journal.commit_unit j ~stage:"s" ~lo:0 ~hi:4;
+  Journal.close j;
+  let path = Filename.concat dir (Filename.concat "journals" "w0.journal") in
+  In_channel.with_open_bin path In_channel.input_all
+
+(* The journal readers on [bytes] in a journal's place: the merge, and
+   the reopen for append. *)
+let journal_total bytes =
+  with_dir @@ fun dir ->
+  Journal.init ~dir;
+  let path = Filename.concat dir (Filename.concat "journals" "w0.journal") in
+  write_file path bytes;
+  typed (fun () -> Journal.scan_dir ~dir ~fingerprint:"fp")
+  && typed (fun () ->
+         Journal.close (Journal.open_ ~dir ~worker:"w0" ~fingerprint:"fp"))
+
+let test_journal_every_prefix () =
+  let full = committed_journal () in
+  for cut = 0 to String.length full do
+    if not (journal_total (String.sub full 0 cut)) then
+      Alcotest.failf "journal prefix %d raised an untyped exception" cut
+  done
+
+let journal_byte_soup =
+  prop "journal: byte soup gives a scan or a typed error" 300 byte_soup
+    journal_total
+
+let spec_total bytes =
+  with_dir @@ fun dir ->
+  write_file (Filename.concat dir "spec.json") bytes;
+  typed (fun () -> Spec.load ~dir)
+
+let test_spec_every_prefix () =
+  with_dir @@ fun dir ->
+  Spec.save ~dir (spec ());
+  let full =
+    In_channel.with_open_bin (Filename.concat dir "spec.json")
+      In_channel.input_all
+  in
+  for cut = 0 to String.length full do
+    if not (spec_total (String.sub full 0 cut)) then
+      Alcotest.failf "spec prefix %d raised an untyped exception" cut
+  done
+
+let spec_byte_soup =
+  prop "spec: byte soup gives a spec or a typed error" 300 byte_soup spec_total
+
+(* ------------------------------------------------------------------ *)
 (* End-to-end: N shards vs single process                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -408,6 +478,39 @@ let test_crash_mid_unit_recovers () =
         (model outcome.Stages.final))
     [ ("shard.unit", 2); ("shard.append", 5); ("shard.claim", 3) ]
 
+(* A search's build draws no test points, so its spec has [test_n = 0]:
+   the run must assemble the model [Build.train] gives on a generator
+   nothing else has drawn from. *)
+let test_no_test_points () =
+  let s = { (spec ()) with Spec.test_n = 0 } in
+  let config =
+    Spec.config s |> Config.with_rng (Rng.create s.Spec.seed)
+    |> Config.with_domains 1
+  in
+  let reference =
+    Build.train ~config ~space:Paper_space.space ~response:(Spec.response s) ()
+  in
+  Alcotest.(check string)
+    "test_n = 0 run is bit-identical" (model reference)
+    (model (sharded_outcome ~workers:1 s).Stages.final)
+
+(* A lone worker reads the run directory once, however finely the run
+   is cut into units. *)
+let test_scans_flat_in_units () =
+  let scans_and_units shard_unit =
+    with_dir @@ fun dir ->
+    Spec.save ~dir { (spec ()) with Spec.shard_unit };
+    let obs = Obs.create () in
+    Worker.run ~obs ~dir ~id:"w0" ();
+    (Obs.counter obs "shard.scans", Obs.counter obs "shard.units_done")
+  in
+  let coarse_scans, coarse_units = scans_and_units 6 in
+  let fine_scans, fine_units = scans_and_units 1 in
+  Alcotest.(check bool)
+    "finer units, more of them" true (fine_units > 2 * coarse_units);
+  Alcotest.(check int) "one scan, coarse" 1 coarse_scans;
+  Alcotest.(check int) "one scan, fine" 1 fine_scans
+
 let () =
   Alcotest.run "shard"
     [
@@ -427,6 +530,9 @@ let () =
         [
           Alcotest.test_case "round trip" `Quick test_spec_roundtrip;
           Alcotest.test_case "rejects invalid" `Quick test_spec_rejects_invalid;
+          Alcotest.test_case "every prefix is typed" `Quick
+            test_spec_every_prefix;
+          spec_byte_soup;
         ] );
       ( "journal",
         [
@@ -438,6 +544,11 @@ let () =
             test_journal_torn_tail;
           Alcotest.test_case "first wins canonically" `Quick
             test_journal_first_wins_across_workers;
+          Alcotest.test_case "every prefix is typed" `Quick
+            test_journal_every_prefix;
+          journal_byte_soup;
+          Alcotest.test_case "one scan per lone worker" `Quick
+            test_scans_flat_in_units;
         ] );
       ( "bit-identity",
         [
@@ -449,5 +560,6 @@ let () =
             test_shards_match_stream_refit;
           Alcotest.test_case "crash mid-unit recovers" `Quick
             test_crash_mid_unit_recovers;
+          Alcotest.test_case "no test points" `Quick test_no_test_points;
         ] );
     ]

@@ -495,7 +495,9 @@ let test_trace_io_rejects_garbage () =
       close_out oc;
       Alcotest.(check bool) "garbage fails" true
         (match Sim.Trace_io.load path with
-        | exception Failure _ -> true
+        | exception
+            Archpred_obs.Error.Archpred (Archpred_obs.Error.Parse_error _) ->
+            true
         | _ -> false))
 
 let test_trace_io_rejects_bad_fields () =
@@ -508,8 +510,57 @@ let test_trace_io_rejects_bad_fields () =
       close_out oc;
       Alcotest.(check bool) "bad int fails" true
         (match Sim.Trace_io.load path with
-        | exception Failure _ -> true
+        | exception
+            Archpred_obs.Error.Archpred (Archpred_obs.Error.Parse_error _) ->
+            true
         | _ -> false))
+
+(* [load] on [bytes] gives a trace or a typed error, never another
+   exception. *)
+let trace_io_total bytes =
+  let path = Filename.temp_file "archpred" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc bytes);
+      match Sim.Trace_io.load path with
+      | _ -> true
+      | exception Archpred_obs.Error.Archpred _ -> true)
+
+let test_trace_io_every_prefix () =
+  let trace =
+    Archpred_workloads.Generator.generate Archpred_workloads.Spec2000.mcf
+      ~length:40
+  in
+  let path = Filename.temp_file "archpred" ".trace" in
+  let full =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Sim.Trace_io.save trace path;
+        In_channel.with_open_bin path In_channel.input_all)
+  in
+  for cut = 0 to String.length full do
+    if not (trace_io_total (String.sub full 0 cut)) then
+      Alcotest.failf "trace prefix %d raised an untyped exception" cut
+  done
+
+(* Soup over the format's own alphabet reaches the field parsers and the
+   validator, not just the header check. *)
+let trace_io_byte_soup =
+  qtest ~count:300 "byte soup gives a trace or a typed error"
+    QCheck2.Gen.(
+      oneof
+        [
+          string_size ~gen:(char_range '\x00' '\xff') (int_range 0 256);
+          map
+            (fun body -> "archpred-trace 1\n" ^ body)
+            (string_size
+               ~gen:(oneofl [ '0'; '1'; '4'; '-'; ' '; '\n'; 'i'; 'a'; 'l'; 'u' ])
+               (int_range 0 256));
+        ])
+    trace_io_total
 
 (* ---------- Power ---------- *)
 
@@ -1222,6 +1273,9 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_trace_io_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_trace_io_rejects_garbage;
           Alcotest.test_case "rejects bad fields" `Quick test_trace_io_rejects_bad_fields;
+          Alcotest.test_case "every prefix is typed" `Quick
+            test_trace_io_every_prefix;
+          trace_io_byte_soup;
         ] );
       ( "power",
         [

@@ -44,7 +44,7 @@ let rules =
     ("exit", "exit outside bin/; libraries must raise, not terminate");
     ( "unsafe-cast",
       "Obj.* or Marshal.* breaks abstraction and portable persistence; \
-       use typed serialisation (Persist/Checkpoint)" );
+       use typed serialisation (Persist)" );
     ( "float-lit-eq",
       "(=)/(<>) against a float literal (or a float-literal pattern); use \
        Float.equal or an explicit tolerance" );
@@ -144,7 +144,7 @@ let ident_rule ~scope parts =
       Some
         ( "unsafe-cast",
           "`" ^ String.concat "." parts
-          ^ "` is unversioned binary persistence; use Persist/Checkpoint" )
+          ^ "` is unversioned binary persistence; use Persist" )
   (* Bounds-unchecked accessors on Bigarray / Float.Array / Bytes.
      Plain [Array.unsafe_*] stays legal (hot linalg loops use it after
      explicit dimension checks); the raw-memory and byte-string

@@ -502,7 +502,7 @@ let run_shard () =
         let wall, outcome =
           shard_sharded_run ~exe ~workers (shard_spec ~stream_refit:true)
         in
-        let final = outcome.Shard.Coordinator.result.Shard.Stages.final in
+        let final = outcome.Shard.Coordinator.result.Core.Pipeline.final in
         let identical =
           String.equal stream_model
             (Core.Persist.to_string final.Core.Build.predictor)

@@ -170,7 +170,7 @@ let run_spec ~(bench : Workloads.Profile.t) ~metric ~seed ~trace_length ~n
     criterion = base.Core.Config.criterion;
     p_min_grid = base.Core.Config.p_min_grid;
     alpha_grid = base.Core.Config.alpha_grid;
-    shard_unit = base.Core.Config.shard_unit;
+    shard_unit = base.Core.Config.sim_batch;
     stream_refit;
     refit_full_every = base.Core.Config.refit_full_every;
     mode;
@@ -403,7 +403,7 @@ let train_cmd =
                outcome.Shard.Coordinator.workers
                outcome.Shard.Coordinator.respawns
            else "")
-        result.Shard.Stages.final result.Shard.Stages.steps
+        result.Core.Pipeline.final result.Core.Pipeline.steps
         outcome.Shard.Coordinator.test_error)
     else
     let rng = Stats.Rng.create seed in
@@ -848,7 +848,7 @@ let search_cmd =
           for _ = 1 to spec.Shard.Spec.lhs_candidates do
             ignore (Stats.Rng.split rng)
           done;
-          outcome.Shard.Coordinator.result.Shard.Stages.final
+          outcome.Shard.Coordinator.result.Core.Pipeline.final
             .Core.Build.predictor
     in
     let config = Core.Config.with_rng rng config in

@@ -8,12 +8,14 @@
     independent random test set, until the target accuracy is reached or
     the size schedule is exhausted.
 
-    Both are configured by a {!Config.t} record (re-exported here as
-    [Build.Config]). *)
+    Both walk the stages of {!Pipeline} over an in-memory table of
+    stage values, in the order a lone run-directory worker claims their
+    units, and are configured by a {!Config.t} record (re-exported here
+    as [Build.Config]). *)
 
 module Config = Config
 
-type trained = {
+type trained = Pipeline.trained = {
   predictor : Predictor.t;
   sample : Archpred_design.Space.point array;
   sample_responses : float array;
@@ -34,31 +36,30 @@ val train :
     parallel stage — candidate scoring, simulation, and the tuning grid —
     and the trained predictor is identical for every value of it, and for
     any observability sink.  Records the ["build.train"] span with
-    ["build.sample"], ["build.simulate"] and (via {!Tune.tune})
-    ["build.tune"] stages on [config.obs], and samples the
-    ["pool.queue_depth"] gauge.  Raises [Archpred (Invalid_input _)] on an
-    invalid configuration ({!Config.validate}).
+    the stages' ["design.best_lhs"], ["build.simulate"] and
+    ["build.tune"] spans on [config.obs], and samples the
+    ["pool.queue_depth"] gauge.  [config.rng], when set, ends
+    [config.lhs_candidates] splits further on, as after
+    {!Archpred_design.Optimize.best_lhs}.  Raises
+    [Archpred (Invalid_input _)] on an invalid configuration
+    ({!Config.validate}).
 
-    {b Worker fault isolation.}  Each simulation task is retried up to
-    [config.task_retries] times (optionally under
-    [config.task_deadline]); design points that keep failing are
-    collected into one [Archpred (Infeasible _)] instead of poisoning the worker pool.  The
-    stage's retry and failure counts flow into [config.obs] as the
-    ["pool.retries"] and ["pool.failed_tasks"] counters.
+    {b Simulation} ({!Pipeline.walk} has the details).  A response with
+    a batched evaluator ({!Response.t.eval_many} — the simulator
+    responses do) runs [config.domains] x [config.sim_batch] points at a
+    time through {!Archpred_sim.Batch}: the trace is decoded once and
+    shared across configurations, bit-identically to [Processor.run].
+    Any other response (or [sim_batch = 1]) simulates each point as a
+    task retried up to [config.task_retries] times (optionally under
+    [config.task_deadline]); points that keep failing end the build
+    with one [Archpred (Infeasible _)], and the ["pool.retries"] and
+    ["pool.failed_tasks"] counters record the retries and failures.
 
-    {b Batched simulation.}  When the response carries a batched
-    evaluator ({!Response.t.eval_many} — the simulator responses do) and
-    [config.sim_batch > 1], the simulation stage runs missing points in
-    [sim_batch]-sized fan-outs through {!Archpred_sim.Batch}: the trace
-    is decoded once and shared across configurations.  The batched engine
-    is bit-identical to [Processor.run], so the trained model does not
-    depend on [sim_batch].
+    {b Crash safety} is a run directory's ({!Archpred_shard}): its
+    workers journal the same stages and reassemble a bit-identical
+    model after any interruption. *)
 
-    {b Crash safety} is the sharded pipeline's ({!Archpred_shard}): a
-    run directory journals every stage of the same build and reassembles
-    a bit-identical model after any interruption. *)
-
-type step = {
+type step = Pipeline.step = {
   size : int;
   trained : trained;
   test_error : Archpred_stats.Error_metrics.t;
@@ -82,8 +83,10 @@ val build_to_accuracy :
 (** Run the procedure over the ascending [sizes] schedule
     ([config.sample_size] is ignored), stopping early once the mean test
     error falls at or below [target_mean_pct] percent.  Every size draws
-    from one shared generator stream resolved once from [config].  Raises [Archpred (Invalid_input _)] on an empty
-    size schedule.
+    from one shared generator stream resolved once from [config].
+    [test_responses] are the responses at [test_points].  Raises
+    [Archpred (Invalid_input _)] on an empty size schedule or arrays of
+    different lengths.
 
     {b Streaming refit.}  With [config.stream_refit] the schedule departs
     from the paper's redraw-per-size procedure: one LHS campaign is run

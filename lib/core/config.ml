@@ -17,7 +17,6 @@ type t = {
   sim_batch : int;
   stream_refit : bool;
   refit_full_every : int;
-  shard_unit : int;
 }
 
 (* Table 4 of the paper finds the best leaf size is 1 or 2, and the best
@@ -42,7 +41,6 @@ let default =
     sim_batch = 16;
     stream_refit = false;
     refit_full_every = 0;
-    shard_unit = 16;
   }
 
 let with_seed seed t = { t with seed; rng = None }
@@ -60,7 +58,6 @@ let with_task_deadline d t = { t with task_deadline = Some d }
 let with_sim_batch sim_batch t = { t with sim_batch }
 let with_stream_refit stream_refit t = { t with stream_refit }
 let with_refit_full_every refit_full_every t = { t with refit_full_every }
-let with_shard_unit shard_unit t = { t with shard_unit }
 let rng_of t = match t.rng with Some rng -> rng | None -> Rng.create t.seed
 
 let validate t =
@@ -87,6 +84,4 @@ let validate t =
     Obs.Error.invalid_input ~where:"Config" "sim_batch < 1";
   if t.refit_full_every < 0 then
     Obs.Error.invalid_input ~where:"Config" "refit_full_every < 0";
-  if t.shard_unit < 1 then
-    Obs.Error.invalid_input ~where:"Config" "shard_unit < 1";
   t

@@ -38,9 +38,13 @@ type t = {
           attempt is failed with [Parallel.Deadline_exceeded];
           [None] = unlimited *)
   sim_batch : int;
-      (** design points simulated per {!Archpred_sim.Batch} fan-out when
-          the response carries a batched evaluator (default 16); [1]
-          forces the pointwise reference path *)
+      (** indices per unit of work of every training stage ({!Pipeline}):
+          design points per {!Archpred_sim.Batch} fan-out when the
+          response carries a batched evaluator, and the claimable unit
+          of a run directory ({!Archpred_shard}).  Default 16: a unit is
+          one simulator fan-out, and a unit's claim and commit stay a
+          small share of its cost.  [1] forces the pointwise reference
+          path *)
   stream_refit : bool;
       (** [build_to_accuracy] only: grow one nested sample across the size
           schedule and update the tuning-grid Gram moments by rank-1 row
@@ -53,13 +57,6 @@ type t = {
           cross-check the streamed criterion against the full refit) every
           this many size steps; [0] (default) never rebuilds after the
           first step *)
-  shard_unit : int;
-      (** design points (or grid cells, or LHS candidates) per claimable
-          work unit of a run directory ({!Archpred_shard}); both
-          coordinator and workers derive the same partition from this
-          value.  Default 16, the [sim_batch] width: a unit is one
-          simulator fan-out, and the per-unit claim and commit stay a
-          small share of its cost *)
 }
 
 val default : t
@@ -90,8 +87,8 @@ val with_task_retries : int -> t -> t
 val with_task_deadline : float -> t -> t
 
 val with_sim_batch : int -> t -> t
-(** Batch size for simulator-backed responses in {!Build.train}'s
-    simulation stage; bit-identical to the pointwise path at any value. *)
+(** Unit size of the training stages; the model is bit-identical at
+    any value. *)
 
 val with_stream_refit : bool -> t -> t
 (** Streaming incremental refit across [build_to_accuracy] size steps;
@@ -100,9 +97,6 @@ val with_stream_refit : bool -> t -> t
 val with_refit_full_every : int -> t -> t
 (** Full-refit (basis rebuild + cross-check) cadence under
     [stream_refit]; [0] disables. *)
-
-val with_shard_unit : int -> t -> t
-(** Work-unit granularity of the sharded search partition. *)
 
 val rng_of : t -> Archpred_stats.Rng.t
 (** The explicit generator when set, otherwise a fresh one from [seed].

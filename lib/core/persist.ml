@@ -9,10 +9,6 @@ let levels_to_string = function
   | Design.Parameter.Fixed l -> string_of_int l
   | Design.Parameter.Per_sample -> "S"
 
-let levels_of_string s =
-  if s = "S" then Design.Parameter.Per_sample
-  else Design.Parameter.Fixed (int_of_string s)
-
 let body_to_string (p : Predictor.t) =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
@@ -135,11 +131,17 @@ let of_string text =
       | Some v -> v
       | None -> fail i ("bad int " ^ s)
     in
+    (* A constructor's own check on a well-formed line is still a parse
+       error of that line. *)
+    let guard i f =
+      match f () with v -> v | exception Invalid_argument msg -> fail i msg
+    in
     let dim =
       match words 1 with
       | [ "space"; d ] -> int_of 1 d
       | _ -> fail 1 "expected: space <dim>"
     in
+    if dim < 1 then fail 1 "a space needs at least one parameter";
     let params =
       List.init dim (fun k ->
           let i = 2 + k in
@@ -150,13 +152,17 @@ let of_string text =
                 | Some t -> t
                 | None -> fail i ("bad transform " ^ transform)
               in
-              Design.Parameter.make name ~lo:(float_of i lo)
-                ~hi:(float_of i hi) ~levels:(levels_of_string levels)
-                ~transform
-                ~integer:(integer = "int")
+              let levels =
+                if levels = "S" then Design.Parameter.Per_sample
+                else Design.Parameter.Fixed (int_of i levels)
+              in
+              let lo = float_of i lo and hi = float_of i hi in
+              guard i (fun () ->
+                  Design.Parameter.make name ~lo ~hi ~levels ~transform
+                    ~integer:(integer = "int"))
           | _ -> fail i "expected: param <name> <lo> <hi> <levels> <tr> <int>")
     in
-    let space = Design.Space.create params in
+    let space = guard 1 (fun () -> Design.Space.create params) in
     let p_min =
       match words (2 + dim) with
       | [ "p_min"; v ] -> int_of (2 + dim) v
@@ -173,6 +179,7 @@ let of_string text =
       | _ -> fail (4 + dim) "expected: centers <m> <dim>"
     in
     if cdim <> dim then fail (4 + dim) "center dimension mismatch";
+    if m < 1 then fail (4 + dim) "a model needs at least one center";
     let centers = ref [] and weights = ref [] in
     for j = 0 to m - 1 do
       let i = 5 + dim + j in
@@ -181,6 +188,7 @@ let of_string text =
           let values = Array.of_list (List.map (float_of i) rest) in
           let c = Array.sub values 0 dim in
           let r = Array.sub values dim dim in
+          guard i (fun () -> Network.check_center { Network.c; r });
           centers := { Network.c; r } :: !centers;
           weights := values.((2 * dim)) :: !weights
       | _ -> fail i "expected: center <c..> <r..> <w>"
@@ -203,9 +211,8 @@ let of_string text =
         weights = Array.of_list (List.rev !weights);
       }
     in
-    Array.iter Network.check_center network.Network.centers;
     (* [make] packs the network into batch-kernel storage at load time *)
-    Predictor.make ~space ~network ~p_min ~alpha ()
+    guard (4 + dim) (fun () -> Predictor.make ~space ~network ~p_min ~alpha ())
   with Parse (line, msg) ->
     Archpred_obs.Error.parse_error ~where:"Persist.of_string" ~line msg
 

@@ -17,44 +17,17 @@ type cell = {
 }
 
 type t = {
-  criterion : Rbf.Criteria.t;
-  p_min_grid : int list;
-  alpha_grid : float list;
-  domains : int option;
-  obs : Obs.t;
-  full_every : int;
+  config : Config.t;
   mutable cells : cell array;  (* [||] until the first {!fit} *)
   mutable rows : int;  (* sample rows folded into every cell's moments *)
   mutable steps : int;  (* completed {!fit} calls *)
 }
 
 let create config =
-  let {
-    Config.criterion;
-    p_min_grid;
-    alpha_grid;
-    domains;
-    obs;
-    refit_full_every;
-    _;
-  } =
-    config
-  in
-  if p_min_grid = [] || alpha_grid = [] then
-    Obs.Error.invalid_input ~where:"Refit.create" "empty grid";
-  if refit_full_every < 0 then
+  ignore (Tune.cells config);
+  if config.Config.refit_full_every < 0 then
     Obs.Error.invalid_input ~where:"Refit.create" "refit_full_every < 0";
-  {
-    criterion;
-    p_min_grid;
-    alpha_grid;
-    domains;
-    obs;
-    full_every = refit_full_every;
-    cells = [||];
-    rows = 0;
-    steps = 0;
-  }
+  { config; cells = [||]; rows = 0; steps = 0 }
 
 let rows t = t.rows
 let steps t = t.steps
@@ -68,42 +41,18 @@ let result_of_cell (c : cell) (selection : Rbf.Selection.result) =
     selection;
   }
 
-let best_of (results : Tune.result array) =
-  let best = ref results.(0) in
-  for i = 1 to Array.length results - 1 do
-    if results.(i).Tune.criterion < !best.Tune.criterion then
-      best := results.(i)
-  done;
-  !best
-
 (* Build every cell from scratch at the current sample, retaining the tree,
    candidates and Gram moments for later streamed steps.  Cells are laid
-   out in canonical grid order (p_min outer, alpha inner) so the arg-min —
-   earliest cell on a tie — matches [Tune.tune] exactly. *)
+   out in canonical grid order so the arg-min matches [Tune.tune]. *)
 let full_build t ~dim ~points ~responses =
-  let obs = t.obs and criterion = t.criterion and domains = t.domains in
+  let { Config.obs; criterion; domains; _ } = t.config in
   let n = Array.length points in
-  let p_mins = Array.of_list t.p_min_grid in
-  let trees =
-    Parallel.map ?domains
-      (fun p_min -> Tree.build ~obs ~p_min ~dim ~points ~responses ())
-      p_mins
-  in
-  let tree_for p_min =
-    let rec find i = if p_mins.(i) = p_min then trees.(i) else find (i + 1) in
-    find 0
-  in
-  let grid =
-    Array.of_list
-      (List.concat_map
-         (fun p_min ->
-           List.map (fun alpha -> (p_min, alpha)) t.alpha_grid)
-         t.p_min_grid)
-  in
+  let grid = Tune.cells t.config in
+  let trees = Tune.cell_trees ~obs ?domains ~dim ~points ~responses grid in
   let built =
-    Parallel.map ?domains
-      (fun (p_min, alpha) ->
-        let tree = tree_for p_min in
+    Parallel.init ?domains (Array.length grid) (fun k ->
+        let p_min, alpha = grid.(k) in
+        let tree = trees.(k) in
         let candidates = Rbf.Tree_centers.of_tree ~alpha tree in
         let centers =
           Array.map (fun c -> c.Rbf.Tree_centers.center) candidates
@@ -116,23 +65,22 @@ let full_build t ~dim ~points ~responses =
             ~points ~responses ()
         in
         (cell, result_of_cell cell selection))
-      grid
   in
   Obs.count obs "refit.rows_full" (n * Array.length grid);
   t.cells <- Array.map fst built;
   t.rows <- n;
-  best_of (Array.map snd built)
+  Tune.best (Array.map snd built)
 
 (* Extend every cell's moments by the new sample rows (rank-1 pushes, in
    index order — the order is part of the determinism contract) and re-run
    the selection against the grown sample.  The tree and candidate set
    stay frozen: only the moments and the selected subset move. *)
 let stream_step t ~points ~responses =
-  let obs = t.obs and criterion = t.criterion in
+  let { Config.obs; criterion; domains; _ } = t.config in
   let n = Array.length points in
   let from = t.rows in
   let results =
-    Parallel.map ?domains:t.domains
+    Parallel.map ?domains
       (fun cell ->
         for i = from to n - 1 do
           let x = points.(i) in
@@ -150,7 +98,7 @@ let stream_step t ~points ~responses =
   in
   Obs.count obs "refit.rows_pushed" ((n - from) * Array.length t.cells);
   t.rows <- n;
-  best_of results
+  Tune.best results
 
 let fit t ~dim ~points ~responses =
   let n = Array.length points in
@@ -159,17 +107,19 @@ let fit t ~dim ~points ~responses =
   if n = 0 then invalid_arg "Refit.fit: empty sample";
   if n < t.rows then
     invalid_arg "Refit.fit: sample shrank (fit expects a growing prefix)";
-  Obs.with_span t.obs "build.refit" @@ fun () ->
+  let obs = t.config.Config.obs in
+  Obs.with_span obs "build.refit" @@ fun () ->
   t.steps <- t.steps + 1;
   if t.cells = [||] then full_build t ~dim ~points ~responses
   else
     let streamed = stream_step t ~points ~responses in
-    if t.full_every > 0 && t.steps mod t.full_every = 0 then (
+    let full_every = t.config.Config.refit_full_every in
+    if full_every > 0 && t.steps mod full_every = 0 then (
       (* Periodic drift check: rebuild from scratch, publish the criterion
          gap, and adopt the rebuilt basis going forward. *)
       let full = full_build t ~dim ~points ~responses in
-      Obs.incr t.obs "refit.crosschecks";
-      Obs.gauge t.obs "refit.crosscheck_delta"
+      Obs.incr obs "refit.crosschecks";
+      Obs.gauge obs "refit.crosscheck_delta"
         (Float.abs (streamed.Tune.criterion -. full.Tune.criterion));
       full)
     else streamed

@@ -16,7 +16,7 @@ let default_alpha_grid = Config.default_alpha_grid
 
 (* The canonical grid-cell order — p_min outer, alpha inner — is the serial
    iteration order every consumer (the grid walk below, the streaming refit,
-   the sharded tune stage) must share: the arg-min keeps the earliest cell
+   the pipeline's tune stage) must share: the arg-min keeps the earliest cell
    on ties, so the cell *order* is part of the model's determinism
    contract, not just the cell set. *)
 let cells config =
@@ -32,7 +32,43 @@ let eval_cell ?(obs = Obs.null) ~criterion ~tree ~points ~responses ~alpha () =
   let candidates = Rbf.Tree_centers.of_tree ~alpha tree in
   Rbf.Selection.select ~obs ~criterion ~tree ~candidates ~points ~responses ()
 
-let best_of results =
+(* The tuning row's trees: one per distinct p_min of [cells], built in
+   parallel, each shared read-only by every cell of its p_min. *)
+let cell_trees ?(obs = Obs.null) ?domains ~dim ~points ~responses cells =
+  let p_mins =
+    Array.to_list cells |> List.map fst
+    |> List.sort_uniq Int.compare |> Array.of_list
+  in
+  let trees =
+    Parallel.map ?domains
+      (fun p_min -> Tree.build ~obs ~p_min ~dim ~points ~responses ())
+      p_mins
+  in
+  let row = List.combine (Array.to_list p_mins) (Array.to_list trees) in
+  Array.map (fun (p_min, _) -> List.assoc p_min row) cells
+
+let evaluate ~(config : Config.t) ~dim ~points ~responses cells =
+  let { Config.criterion; domains; obs; _ } = config in
+  Obs.with_span obs "build.tune" @@ fun () ->
+  Obs.count obs "tune.cells" (Array.length cells);
+  let trees = cell_trees ~obs ?domains ~dim ~points ~responses cells in
+  (* Each cell's selection is deterministic, so the results — and the
+     arg-min over them — do not depend on the domain count. *)
+  Parallel.init ?domains (Array.length cells) (fun k ->
+      let p_min, alpha = cells.(k) in
+      let tree = trees.(k) in
+      let selection =
+        eval_cell ~obs ~criterion ~tree ~points ~responses ~alpha ()
+      in
+      {
+        p_min;
+        alpha;
+        criterion = selection.Rbf.Selection.criterion;
+        tree;
+        selection;
+      })
+
+let best results =
   let best = ref results.(0) in
   for i = 1 to Array.length results - 1 do
     if results.(i).criterion < !best.criterion then best := results.(i)
@@ -40,41 +76,4 @@ let best_of results =
   !best
 
 let tune ?(config = Config.default) ~dim ~points ~responses () =
-  let { Config.criterion; p_min_grid; alpha_grid; domains; obs; _ } = config in
-  if p_min_grid = [] || alpha_grid = [] then
-    Obs.Error.invalid_input ~where:"Tune.tune" "empty grid";
-  Obs.with_span obs "build.tune" @@ fun () ->
-  (* One tree per p_min, built once and shared read-only by every alpha
-     cell of its row. *)
-  let p_mins = Array.of_list p_min_grid in
-  let trees =
-    Parallel.map ?domains
-      (fun p_min -> Tree.build ~obs ~p_min ~dim ~points ~responses ())
-      p_mins
-  in
-  let tree_for p_min =
-    let rec find i = if p_mins.(i) = p_min then trees.(i) else find (i + 1) in
-    find 0
-  in
-  (* Fan the full p_min x alpha grid over the pool in canonical cell order;
-     each cell's selection is deterministic, so the arg-min — earliest cell
-     on ties — matches the serial grid walk bit for bit, whatever the
-     domain count. *)
-  let grid = Array.map (fun (p, a) -> (p, tree_for p, a)) (cells config) in
-  Obs.count obs "tune.cells" (Array.length grid);
-  let results =
-    Parallel.map ?domains
-      (fun (p_min, tree, alpha) ->
-        let selection =
-          eval_cell ~obs ~criterion ~tree ~points ~responses ~alpha ()
-        in
-        {
-          p_min;
-          alpha;
-          criterion = selection.Rbf.Selection.criterion;
-          tree;
-          selection;
-        })
-      grid
-  in
-  best_of results
+  best (evaluate ~config ~dim ~points ~responses (cells config))

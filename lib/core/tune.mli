@@ -23,7 +23,7 @@ val cells : Config.t -> (int * float) array
 (** The tuning grid in canonical cell order: [p_min] outer, [alpha] inner
     — the serial iteration order.  The arg-min over cells keeps the
     earliest cell on ties, so every consumer of the grid (this module's
-    walk, the streaming refit, the sharded tune stage) must enumerate
+    walk, the streaming refit, the pipeline's tune stage) must enumerate
     cells in exactly this order to reproduce the same winner.  Raises
     [Archpred (Invalid_input _)] on an empty grid. *)
 
@@ -38,9 +38,36 @@ val eval_cell :
   Archpred_rbf.Selection.result
 (** Evaluate one grid cell against a tree already built for its [p_min]:
     derive the candidate centers at [alpha] and run the tree-ordered
-    selection.  Deterministic in its inputs — {!tune} and the sharded
-    tune stage both call this, which is what makes a sharded grid walk
-    bit-identical to the serial one. *)
+    selection.  Deterministic in its inputs, which is what makes a grid
+    walked in pieces — by {!evaluate} over any subset of cells —
+    bit-identical to the whole. *)
+
+val cell_trees :
+  ?obs:Archpred_obs.t ->
+  ?domains:int ->
+  dim:int ->
+  points:float array array ->
+  responses:float array ->
+  (int * float) array ->
+  Archpred_regtree.Tree.t array
+(** The regression tree of each cell: one tree per distinct [p_min],
+    built in parallel over [domains] and shared by every cell of its
+    [p_min]. *)
+
+val evaluate :
+  config:Config.t ->
+  dim:int ->
+  points:float array array ->
+  responses:float array ->
+  (int * float) array ->
+  result array
+(** Fit each of the given cells: {!cell_trees}, then {!eval_cell} per
+    cell, fanned over [config.domains].  The results are identical for
+    every domain count.  Records the ["build.tune"] span and counts the
+    cells in ["tune.cells"]. *)
+
+val best : result array -> result
+(** The result with the least criterion, the earliest on ties. *)
 
 val tune :
   ?config:Config.t ->
@@ -49,11 +76,7 @@ val tune :
   responses:float array ->
   unit ->
   result
-(** Build a tree per [p_min] (once, shared by its alpha row), fan the
-    [p_min] x [alpha] cells over the domain pool, and return the
-    combination minimising the criterion.  Ties keep the earliest grid
-    cell, so the result is identical for every domain count.  Reads
-    [criterion], the grids, [domains] and [obs] from [config] (default
-    {!Config.default}); records the ["build.tune"] span and the
-    ["tune.cells"] counter, and threads [obs] into tree growth and center
-    selection.  Raises [Archpred (Invalid_input _)] on an empty grid. *)
+(** [best (evaluate ~config (cells config))]: fit the whole
+    [p_min] x [alpha] grid of [config] (default {!Config.default}) and
+    return the combination minimising the criterion.  Raises
+    [Archpred (Invalid_input _)] on an empty grid. *)

@@ -6,7 +6,7 @@ type workers =
   | Processes of { count : int; argv : string -> string array }
 
 type outcome = {
-  result : Stages.outcome;
+  result : Archpred_core.Pipeline.outcome;
   test_error : Archpred_stats.Error_metrics.t option;
   workers : int;
   respawns : int;
@@ -114,31 +114,31 @@ let supervise ~obs ~dir ~fingerprint ~count ~argv ~max_respawns ~poll =
 let run ?(obs = Obs.null) ~dir ~spec ~workers ?(max_respawns = 8)
     ?(poll = 0.05) () =
   let fingerprint = prepare ~dir spec in
-  let ctx, count, respawns =
+  let pipeline, count, respawns =
     match workers with
     | In_process { domains } ->
-        let ctx = Stages.create ~obs ~domains spec in
-        Worker.work ~obs ctx ~dir ~id:"w0";
-        (ctx, 1, 0)
+        let pipeline = Spec.pipeline ~obs ~domains spec in
+        Worker.work ~obs ~fingerprint pipeline ~dir ~id:"w0";
+        (pipeline, 1, 0)
     | Processes { count; argv } ->
         if count < 1 then
           Obs.Error.invalid_input ~where "worker count must be >= 1";
         let respawns =
           supervise ~obs ~dir ~fingerprint ~count ~argv ~max_respawns ~poll
         in
-        (Stages.create ~obs spec, count, respawns)
+        (Spec.pipeline ~obs spec, count, respawns)
   in
   Obs.count obs "shard.workers" count;
   Fault.point "shard.merge";
-  let scan = Journal.scan_dir ~dir ~fingerprint in
-  let result = Stages.assemble ctx scan in
+  let read = Journal.stage_values (Journal.scan_dir ~dir ~fingerprint) in
+  let result = Archpred_core.Pipeline.assemble pipeline read in
   let test_error =
     if spec.Spec.test_n = 0 then None
     else
       Some
         (Archpred_core.Predictor.errors_on
-           result.Stages.final.Archpred_core.Build.predictor
-           ~points:(Stages.test_points ctx)
-           ~actual:(Stages.test_actuals ctx scan))
+           result.Archpred_core.Pipeline.final.Archpred_core.Pipeline.predictor
+           ~points:(Archpred_core.Pipeline.test_points pipeline)
+           ~actual:(Archpred_core.Pipeline.test_actuals pipeline read))
   in
   { result; test_error; workers = count; respawns }

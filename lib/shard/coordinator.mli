@@ -8,7 +8,7 @@
     babysits — releasing a casualty's incomplete claims and respawning
     it under a fresh id within the respawn budget.  When the workers are
     done it merges the journals and reassembles the result
-    ({!Stages.assemble}); the model is bit-identical to the equivalent
+    ({!Archpred_core.Pipeline.assemble}); the model is bit-identical to the equivalent
     single-process build however the run was split, interrupted and
     resumed, because all values and decisions live in the journals, not
     in the processes. *)
@@ -23,7 +23,7 @@ type workers =
           respawned workers get ids ["<base>.r<k>"] *)
 
 type outcome = {
-  result : Stages.outcome;
+  result : Archpred_core.Pipeline.outcome;
   test_error : Archpred_stats.Error_metrics.t option;
       (** final model's error on the merged held-out test stage
           ([None] when [test_n = 0]) *)

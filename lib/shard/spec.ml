@@ -2,7 +2,9 @@ module Obs = Archpred_obs
 module Json = Archpred_obs.Json
 module Core = Archpred_core
 
-type mode = Train | Accuracy of { sizes : int list; target_mean_pct : float }
+type mode = Core.Pipeline.schedule =
+  | Train
+  | Accuracy of { sizes : int list; target_mean_pct : float }
 
 type t = {
   benchmark : string;
@@ -244,7 +246,7 @@ let config ?obs (t : t) =
     |> C.with_criterion t.criterion
     |> C.with_p_min_grid t.p_min_grid
     |> C.with_alpha_grid t.alpha_grid
-    |> C.with_shard_unit t.shard_unit
+    |> C.with_sim_batch t.shard_unit
     |> C.with_stream_refit t.stream_refit
     |> C.with_refit_full_every t.refit_full_every
   in
@@ -263,3 +265,17 @@ let response ?obs t =
       | None ->
           Obs.Error.invalid_input ~where
             (Printf.sprintf "unknown benchmark %S" name))
+
+let pipeline ?obs ?(domains = 1) t =
+  let t = validate t in
+  (* The root generator yields the held-out test points first, then
+     everything the build draws, as the CLI's single-process build
+     consumes it. *)
+  let rng = Archpred_stats.Rng.create t.seed in
+  let test_points =
+    if t.test_n = 0 then [||] else Core.Paper_space.test_points rng ~n:t.test_n
+  in
+  Core.Pipeline.create
+    ~config:(Core.Config.with_domains domains (config ?obs t))
+    ~space:Core.Paper_space.space ~response:(response ?obs t) ~rng
+    ~schedule:t.mode ~test_points

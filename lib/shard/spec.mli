@@ -10,7 +10,7 @@
     worker from mixing journals produced under a different spec into a
     merge. *)
 
-type mode =
+type mode = Archpred_core.Pipeline.schedule =
   | Train  (** one fixed-size model ({!Archpred_core.Build.train}) *)
   | Accuracy of { sizes : int list; target_mean_pct : float }
       (** grow through [sizes] until the held-out mean error drops to
@@ -28,7 +28,9 @@ type t = {
   criterion : Archpred_rbf.Criteria.t;
   p_min_grid : int list;
   alpha_grid : float list;
-  shard_unit : int;  (** indices per work unit ({!Plan.units} chunk) *)
+  shard_unit : int;
+      (** indices per work unit ({!Plan.units} chunk): the
+          [Config.sim_batch] of {!config} *)
   stream_refit : bool;
   refit_full_every : int;
   mode : mode;
@@ -57,7 +59,8 @@ val load : dir:string -> t
 
 val config : ?obs:Archpred_obs.t -> t -> Archpred_core.Config.t
 (** The {!Archpred_core.Config.t} every participant derives from the
-    spec (validated; [domains] is left at the library default). *)
+    spec (validated; [sim_batch] is [shard_unit], and [domains] is left
+    at the library default). *)
 
 val response : ?obs:Archpred_obs.t -> t -> Archpred_core.Response.t
 (** The response surface named by [benchmark] — a synthetic surface or a
@@ -66,3 +69,10 @@ val response : ?obs:Archpred_obs.t -> t -> Archpred_core.Response.t
 
 val metric_of_string : string -> Archpred_core.Response.metric option
 (** Inverse of {!Archpred_core.Response.metric_to_string}. *)
+
+val pipeline :
+  ?obs:Archpred_obs.t -> ?domains:int -> t -> Archpred_core.Pipeline.t
+(** The build every participant runs: {!config} on [domains] (default
+    1), {!response}, the paper space, and the root generator of [seed]
+    after it has drawn the [test_n] held-out test points.  Raises
+    [Archpred (Invalid_input _)] on an invalid spec. *)

@@ -1,5 +1,6 @@
 module Obs = Archpred_obs
 module Fault = Archpred_fault.Fault
+module Pipeline = Archpred_core.Pipeline
 
 (* A worker's view of the merged journals.  It is read once when the
    worker starts, folds in the worker's own commits as they happen, and
@@ -42,21 +43,26 @@ let claim_run view ~owner ~batch todo =
   in
   first todo
 
+(* The merged values of a completed stage, from the current view. *)
+let read view ~stage ~count = Journal.stage_values view.scan ~stage ~count
+
 (* Process every unit of one stage: claim a run of unclaimed units the
    view shows incomplete, compute it, journal and commit each unit,
    repeat; when every unit is committed (by anyone) the stage is done.
-   A worker that loses every claim race rescans, and sleeps until the
-   stage resolves — a dead claimant's units come back when the
-   coordinator releases its claims. *)
-let run_stage view ~owner ~journal ~chunk ~batch ~poll (stage : Stages.stage)
-    =
+   A worker that finds every unit left claimed by others rescans at
+   once, then backs off — 1 ms, doubling up to [poll] — until the stage
+   resolves: a dead claimant's units come back when the coordinator
+   releases its claims, and a live one's commits show within a few
+   milliseconds. *)
+let run_stage view ~owner ~journal ~chunk ~batch ~poll
+    (stage : Pipeline.stage) =
   let units =
     Array.to_list
-      (Plan.units ~stage:stage.Stages.name ~count:stage.Stages.count ~chunk)
+      (Plan.units ~stage:stage.Pipeline.name ~count:stage.Pipeline.count ~chunk)
   in
   (* One span per stage kind whatever the step: "sim.3" -> "shard.sim". *)
   let span =
-    "shard." ^ List.hd (String.split_on_char '.' stage.Stages.name)
+    "shard." ^ List.hd (String.split_on_char '.' stage.Pipeline.name)
   in
   let commit ~lo values (u : Plan.unit_) =
     let values = Array.sub values (u.Plan.lo - lo) (u.Plan.hi - u.Plan.lo) in
@@ -70,7 +76,7 @@ let run_stage view ~owner ~journal ~chunk ~batch ~poll (stage : Stages.stage)
     Journal.record_unit view.scan ~stage:u.Plan.stage ~lo:u.Plan.lo values;
     Obs.incr view.obs "shard.units_done"
   in
-  let rec drive ~fresh =
+  let rec drive ~idle =
     let todo =
       List.filter
         (fun (u : Plan.unit_) ->
@@ -92,23 +98,22 @@ let run_stage view ~owner ~journal ~chunk ~batch ~poll (stage : Stages.stage)
             let hi = (List.nth run (List.length run - 1)).Plan.hi in
             let values =
               Obs.with_span view.obs span @@ fun () ->
-              stage.Stages.compute view.scan ~lo ~hi
+              stage.Pipeline.compute (read view) ~lo ~hi
             in
             Obs.with_span view.obs "shard.commit" (fun () ->
                 List.iter (commit ~lo values) run);
-            drive ~fresh:false
+            drive ~idle:0
         | [] ->
             (* Everything left is claimed by someone else; wait for the
                commits (or for the coordinator to release dead claims). *)
-            if fresh then Unix.sleepf poll;
+            if idle > 0 then
+              Unix.sleepf (Float.min poll (Float.ldexp 0.001 (idle - 1)));
             rescan view;
-            drive ~fresh:true)
+            drive ~idle:(idle + 1))
   in
-  drive ~fresh:false
+  drive ~idle:0
 
-let work ?(obs = Obs.null) ?(poll = 0.02) ctx ~dir ~id =
-  let spec = Stages.spec ctx in
-  let fingerprint = Spec.fingerprint spec in
+let work ?(obs = Obs.null) ?(poll = 0.02) ~fingerprint pipeline ~dir ~id =
   Obs.incr obs "shard.scans";
   let view =
     { obs; dir; fingerprint; scan = Journal.scan_dir ~dir ~fingerprint }
@@ -117,23 +122,14 @@ let work ?(obs = Obs.null) ?(poll = 0.02) ctx ~dir ~id =
   Fun.protect
     ~finally:(fun () -> Journal.close journal)
     (fun () ->
-      let stage s =
-        run_stage view ~owner:id ~journal ~chunk:spec.Spec.shard_unit
-          ~batch:(Stages.domains ctx) ~poll s
-      in
-      Option.iter stage (Stages.test_stage ctx);
-      let rec steps step =
-        if step < Stages.n_steps ctx then (
-          if (not (Stages.stream ctx)) || step = 0 then
-            stage (Stages.lhs_stage ctx ~step);
-          stage (Stages.sim_stage ctx ~step);
-          Option.iter stage (Stages.tune_stage ctx ~step);
-          if not (Stages.stop_after ctx view.scan ~step) then steps (step + 1))
-      in
-      steps 0)
+      Pipeline.walk pipeline ~read:(read view)
+        (run_stage view ~owner:id ~journal
+           ~chunk:(Pipeline.unit_size pipeline)
+           ~batch:(Pipeline.domains pipeline) ~poll))
 
 let run ?(obs = Obs.null) ~dir ~id ?poll () =
   let spec = Spec.load ~dir in
   Claim.init ~dir;
   Journal.init ~dir;
-  work ~obs ?poll (Stages.create ~obs spec) ~dir ~id
+  work ~obs ?poll ~fingerprint:(Spec.fingerprint spec)
+    (Spec.pipeline ~obs spec) ~dir ~id

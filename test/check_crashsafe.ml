@@ -72,7 +72,7 @@ let checkpointed ?(spec = spec ()) ~domains dir =
       ()
   in
   Persist.to_string
-    outcome.Shard.Coordinator.result.Shard.Stages.final.Build.predictor
+    outcome.Shard.Coordinator.result.Core.Pipeline.final.Build.predictor
 
 let checks = ref 0
 

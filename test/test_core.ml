@@ -212,6 +212,40 @@ let test_build_to_accuracy_exhausts_schedule () =
   in
   Alcotest.(check int) "both steps" 2 (List.length history.Build.steps)
 
+(* The paper's shape claim on a simulated benchmark at reduced scale:
+   along the size schedule the mean test error does not rise by more
+   than a tenth from one size to the next.  The seed was fixed before
+   the first run. *)
+let test_build_to_accuracy_error_falls_on_mcf () =
+  let response =
+    Response.simulator ~trace_length:5_000 Archpred_workloads.Spec2000.mcf
+  in
+  let rng = Rng.create 2006 in
+  let test = Paper_space.test_points rng ~n:50 in
+  let actual = Response.evaluate_many response test in
+  let history =
+    Build.build_to_accuracy
+      ~config:
+        (Config.default |> Config.with_rng rng |> Config.with_lhs_candidates 20)
+      ~space:Paper_space.space ~response ~sizes:[ 20; 40; 80 ] ~test_points:test
+      ~test_responses:actual ~target_mean_pct:0. ()
+  in
+  let errors =
+    List.map
+      (fun (s : Build.step) ->
+        (s.Build.size, s.Build.test_error.Archpred_stats.Error_metrics.mean_pct))
+      history.Build.steps
+  in
+  Alcotest.(check (list int)) "every size built" [ 20; 40; 80 ] (List.map fst errors);
+  ignore
+    (List.fold_left
+       (fun (n0, e0) (n, e) ->
+         if e > 1.10 *. e0 then
+           Alcotest.failf "mean error rose from %.2f%% at n=%d to %.2f%% at n=%d"
+             e0 n0 e n;
+         (n, e))
+       (List.hd errors) (List.tl errors))
+
 (* ---------- Predictor ---------- *)
 
 let trained_synthetic () =
@@ -973,6 +1007,8 @@ let () =
           Alcotest.test_case "beats linear on cliff" `Quick test_build_beats_linear_on_cliff;
           Alcotest.test_case "early stop" `Quick test_build_to_accuracy_stops_early;
           Alcotest.test_case "exhausts schedule" `Quick test_build_to_accuracy_exhausts_schedule;
+          Alcotest.test_case "error falls along the schedule on mcf" `Quick
+            test_build_to_accuracy_error_falls_on_mcf;
           Alcotest.test_case "tune domain invariant" `Quick
             test_tune_domain_invariant;
           Alcotest.test_case "train domain invariant" `Quick

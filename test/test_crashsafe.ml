@@ -99,7 +99,7 @@ let checkpointed ?(spec = spec ()) ~domains dir =
       ()
   in
   ( Persist.to_string
-      outcome.Coordinator.result.Shard.Stages.final.Build.predictor,
+      outcome.Coordinator.result.Core.Pipeline.final.Build.predictor,
     Obs.counter obs "shard.units_done" )
 
 (* The single-process twin every checkpointed run must reproduce: the
@@ -384,6 +384,73 @@ let test_reject_center_count_mismatch () =
   | Some _ -> ()
   | None -> Alcotest.fail "trailing junk accepted")
 
+(* ---------- total model reader ---------- *)
+
+(* Any bytes give a model or a typed error, never an untyped exception. *)
+let persist_total text =
+  match Persist.of_string text with
+  | _ -> true
+  | exception Obs.Error.Archpred _ -> true
+
+let v1_model lines = String.concat "\n" ("archpred-model 1" :: lines) ^ "\n"
+
+let model_tail = [ "p_min 1"; "alpha 7"; "centers 1 1"; "center 0.5 0.5 1" ]
+let one_param = [ "space 1"; "param p 0 1 S linear float"; "p_min 1"; "alpha 7" ]
+
+(* Well-formed lines whose values a constructor rejects, each with the
+   line the error must name. *)
+let rejected_values =
+  [
+    ( "levels not an int", 3,
+      v1_model ("space 1" :: "param p 0 1 x linear int" :: model_tail) );
+    ( "lo = hi", 3,
+      v1_model ("space 1" :: "param p 1 1 S linear int" :: model_tail) );
+    ("no parameters", 2, v1_model [ "space 0" ]);
+    ("negative dimension", 2, v1_model [ "space -1" ]);
+    ("no centers", 6, v1_model (one_param @ [ "centers 0 1" ]));
+    ( "zero radius", 7,
+      v1_model (one_param @ [ "centers 1 1"; "center 0.5 0 1" ]) );
+  ]
+
+let test_persist_rejected_values () =
+  List.iter
+    (fun (what, line, text) ->
+      Alcotest.(check (option int))
+        (what ^ ": parse error at its line")
+        (Some line)
+        (parse_error_line (fun () -> Persist.of_string text)))
+    rejected_values
+
+let test_persist_every_prefix () =
+  let v2 = Persist.to_string (Lazy.force predictor) in
+  List.iter
+    (fun full ->
+      for cut = 0 to String.length full do
+        if not (persist_total (String.sub full 0 cut)) then
+          Alcotest.failf "model prefix %d raised an untyped exception" cut
+      done)
+    [ v2; as_version_1 v2 ]
+
+let byte_soup =
+  QCheck2.Gen.(string_size ~gen:(char_range '\x00' '\xff') (int_range 0 256))
+
+(* Version-1 files (no checksum) of random lines over the format's own
+   words and numbers, so the soup reaches every line's parser. *)
+let line_soup =
+  let open QCheck2.Gen in
+  let word =
+    oneofl
+      [ "space"; "param"; "p_min"; "alpha"; "centers"; "center"; "p"; "q";
+        "0"; "1"; "2"; "-1"; "0.5"; "1e308"; "nan"; "inf"; "S"; "x";
+        "linear"; "log"; "int"; "float" ]
+  in
+  let line = map (String.concat " ") (list_size (int_range 0 5) word) in
+  map v1_model (list_size (int_range 0 8) line)
+
+let persist_soup name gen =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name gen persist_total)
+
 (* ---------- worker fault isolation ---------- *)
 
 let shape = function Ok v -> Printf.sprintf "ok:%d" v | Error _ -> "error"
@@ -470,6 +537,12 @@ let () =
             test_version_1_still_loads;
           Alcotest.test_case "center count mismatch" `Quick
             test_reject_center_count_mismatch;
+          Alcotest.test_case "rejected values are parse errors" `Quick
+            test_persist_rejected_values;
+          Alcotest.test_case "every prefix is typed" `Quick
+            test_persist_every_prefix;
+          persist_soup "byte soup gives a model or a typed error" byte_soup;
+          persist_soup "line soup gives a model or a typed error" line_soup;
         ] );
       ( "isolation",
         [

@@ -10,9 +10,9 @@ module Plan = Shard.Plan
 module Claim = Shard.Claim
 module Spec = Shard.Spec
 module Journal = Shard.Journal
-module Stages = Shard.Stages
 module Worker = Shard.Worker
 module Core = Archpred_core
+module Pipeline = Core.Pipeline
 module Build = Core.Build
 module Config = Core.Config
 module Persist = Core.Persist
@@ -386,7 +386,7 @@ let sharded_outcome ?(workers = 2) (s : Spec.t) =
   in
   List.iter Domain.join doms;
   let scan = Journal.scan_dir ~dir ~fingerprint:(Spec.fingerprint s) in
-  Stages.assemble (Stages.create s) scan
+  Pipeline.assemble (Spec.pipeline s) (Journal.stage_values scan)
 
 let model (trained : Build.trained) = Persist.to_string trained.Build.predictor
 
@@ -402,7 +402,7 @@ let test_shards_match_single_process () =
       Alcotest.(check string)
         (Printf.sprintf "%d-shard run is bit-identical" workers)
         reference
-        (model outcome.Stages.final))
+        (model outcome.Pipeline.final))
     [ 1; 2; 4 ]
 
 let test_shards_match_accuracy_schedule () =
@@ -413,17 +413,17 @@ let test_shards_match_accuracy_schedule () =
   let outcome = sharded_outcome ~workers:2 s in
   Alcotest.(check string)
     "final model bit-identical" (model ref_trained)
-    (model outcome.Stages.final);
+    (model outcome.Pipeline.final);
   Alcotest.(check int)
     "same number of steps" (List.length ref_steps)
-    (List.length outcome.Stages.steps);
+    (List.length outcome.Pipeline.steps);
   List.iter2
     (fun (a : Build.step) (b : Build.step) ->
       Alcotest.(check int) "step size" a.Build.size b.Build.size;
       Alcotest.(check string)
         "step model bit-identical" (model a.Build.trained)
         (model b.Build.trained))
-    ref_steps outcome.Stages.steps
+    ref_steps outcome.Pipeline.steps
 
 let test_shards_match_stream_refit () =
   let s =
@@ -439,7 +439,7 @@ let test_shards_match_stream_refit () =
   let outcome = sharded_outcome ~workers:2 s in
   Alcotest.(check string)
     "streamed sharded model bit-identical" (model ref_trained)
-    (model outcome.Stages.final)
+    (model outcome.Pipeline.final)
 
 (* Kill one worker mid-unit (injected fault after it has claimed a unit),
    release its claims the way the coordinator does, run a replacement
@@ -464,7 +464,7 @@ let crash_and_recover (s : Spec.t) ~site ~after =
       Journal.unit_complete scan ~stage ~lo ~hi);
   Worker.run ~dir ~id:"w0.r1" ~poll:0.002 ();
   let scan = Journal.scan_dir ~dir ~fingerprint in
-  Stages.assemble (Stages.create s) scan
+  Pipeline.assemble (Spec.pipeline s) (Journal.stage_values scan)
 
 let test_crash_mid_unit_recovers () =
   let s = spec () in
@@ -475,7 +475,7 @@ let test_crash_mid_unit_recovers () =
       Alcotest.(check string)
         (Printf.sprintf "recovered model identical (%s after %d)" site after)
         reference
-        (model outcome.Stages.final))
+        (model outcome.Pipeline.final))
     [ ("shard.unit", 2); ("shard.append", 5); ("shard.claim", 3) ]
 
 (* A search's build draws no test points, so its spec has [test_n = 0]:
@@ -492,7 +492,7 @@ let test_no_test_points () =
   in
   Alcotest.(check string)
     "test_n = 0 run is bit-identical" (model reference)
-    (model (sharded_outcome ~workers:1 s).Stages.final)
+    (model (sharded_outcome ~workers:1 s).Pipeline.final)
 
 (* A lone worker reads the run directory once, however finely the run
    is cut into units. *)

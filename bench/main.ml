@@ -562,15 +562,15 @@ let () =
   let args = List.tl (Array.to_list Sys.argv) in
   if List.mem "--serve" args then (
     run_serve ();
-    (* archpred-lint: allow exit -- CLI early-exit after the serve-only run *)
+    (* archpred-analyze: allow exit -- CLI early-exit after the serve-only run *)
     exit 0);
   if List.mem "--sim" args then (
     run_sim ();
-    (* archpred-lint: allow exit -- CLI early-exit after the sim-only run *)
+    (* archpred-analyze: allow exit -- CLI early-exit after the sim-only run *)
     exit 0);
   if List.mem "--shard" args then (
     run_shard ();
-    (* archpred-lint: allow exit -- CLI early-exit after the shard-only run *)
+    (* archpred-analyze: allow exit -- CLI early-exit after the shard-only run *)
     exit 0);
   let micro_only = List.mem "--micro" args in
   let paper_flag = List.mem "--paper" args in

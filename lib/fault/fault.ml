@@ -13,7 +13,7 @@ let on = Atomic.make false
 
 let refresh_on () =
   Atomic.set on
-    (* archpred-lint: allow hashtbl-order -- commutative boolean OR over sites *)
+    (* archpred-analyze: allow hashtbl-order -- commutative boolean OR over sites *)
     (!recording || Hashtbl.fold (fun _ s acc -> acc || s.armed <> None) table false)
 
 let site_of name =
@@ -29,7 +29,7 @@ let point name =
     Mutex.lock lock;
     let fire =
       (* [on] may have flipped off between the load and the lock. *)
-      (* archpred-lint: allow hashtbl-order -- commutative boolean OR over sites *)
+      (* archpred-analyze: allow hashtbl-order -- commutative boolean OR over sites *)
       if not (!recording || Hashtbl.fold (fun _ s acc -> acc || s.armed <> None) table false)
       then false
       else begin

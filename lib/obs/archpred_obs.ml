@@ -79,12 +79,12 @@ let incr t name = count t name 1
    order is unspecified, and the values may carry floats (gauges), so
    determinism comes from sorting on the key alone. *)
 let sorted_bindings tbl =
-  (* archpred-lint: allow hashtbl-order -- sanctioned wrapper: fold feeds a total-order key sort *)
+  (* archpred-analyze: allow hashtbl-order -- sanctioned wrapper: fold feeds a total-order key sort *)
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let sweep_locked s (buf : buffer) =
-  (* archpred-lint: allow hashtbl-order -- commutative int-add merge into totals *)
+  (* archpred-analyze: allow hashtbl-order -- commutative int-add merge into totals *)
   Hashtbl.iter
     (fun name a ->
       let v = Atomic.exchange a 0 in

@@ -20,9 +20,9 @@ module Sink = Sink
 val now_ns : unit -> int64
 (** Monotonic clock read (CLOCK_MONOTONIC, nanoseconds).  Exported so
     elapsed-time measurements elsewhere (deadlines in [Stats.Parallel],
-    experiment timing) never touch the wall clock — the [wall-clock]
-    lint rule forbids [Unix.gettimeofday]/[Sys.time] outside this
-    library and [bench/]. *)
+    experiment timing) never touch the wall clock — archpred-analyze's
+    [impure] rule forbids [Unix.gettimeofday]/[Sys.time] outside this
+    library, [lib/serve_net] and [bench/]. *)
 
 val seconds_since : int64 -> float
 (** [seconds_since t0]: seconds elapsed since the {!now_ns} reading

@@ -325,7 +325,7 @@ let value_at ?(force_fallback = false) b i n =
 let of_string ?force_fallback text =
   (* The lexers and the parser only read [b], so it can share [text]'s
      storage instead of copying the whole document. *)
-  (* archpred-lint: allow unsafe-index -- read-only view of [text], no index is unchecked *)
+  (* archpred-analyze: allow unsafe-index -- read-only view of [text], no index is unchecked *)
   let b = Bytes.unsafe_of_string text in
   let n = Bytes.length b in
   match

@@ -1,9 +1,9 @@
 (* Struct-of-arrays packing and batched evaluation; the hot loops live
-   in rbf_kernel_stubs.c.  This module is the one place sanctioned by
-   archpred-lint's unsafe-index rule to use unchecked bigarray
-   accessors: every loop below runs behind an explicit length check, so
-   the per-element bounds tests would only re-verify what the guard
-   already established. *)
+   in rbf_kernel_stubs.c.  This module is one of the two places
+   sanctioned by archpred-analyze's unsafe-index rule to use unchecked
+   bigarray accessors: every loop below runs behind an explicit length
+   check, so the per-element bounds tests would only re-verify what the
+   guard already established. *)
 
 open Bigarray
 

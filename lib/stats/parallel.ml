@@ -180,7 +180,7 @@ let init ?domains n f =
         while !i < n do
           (match f !i with
           | v -> store !i v
-          (* archpred-lint: allow catchall-exn -- transported; the lowest failing index is re-raised on the caller *)
+          (* archpred-analyze: allow catchall-exn -- transported; the lowest failing index is re-raised on the caller *)
           | exception e ->
               record_failure failure !i e (Printexc.get_raw_backtrace ()));
           i := Atomic.fetch_and_add next 1
@@ -240,7 +240,7 @@ let isolate ~retries ~deadline f x =
       v
     with
     | v -> Ok v
-    (* archpred-lint: allow catchall-exn -- task isolation boundary: the retry budget, then Error e, is the sanctioned recovery path *)
+    (* archpred-analyze: allow catchall-exn -- task isolation boundary: the retry budget, then Error e, is the sanctioned recovery path *)
     | exception e ->
         if attempt < budget then begin
           Atomic.incr retries_counter;
@@ -284,7 +284,7 @@ let map_reduce ?domains ~map:m ~combine xs =
         done;
         partials.(t) <- Some !acc
       with
-      (* archpred-lint: allow catchall-exn -- transported; reraise_first re-raises on the caller *)
+      (* archpred-analyze: allow catchall-exn -- transported; reraise_first re-raises on the caller *)
       | e -> failure.(t) <- Some (e, Printexc.get_raw_backtrace ())
     in
     Pool.run (Array.init d task);

@@ -1,7 +1,7 @@
 let sorted_bindings ~cmp tbl =
   (* The one sanctioned raw fold: cons-accumulation in bucket order is
      immediately normalised by the key sort below. *)
-  (* archpred-lint: allow hashtbl-order -- sanctioned wrapper: fold feeds a total-order key sort *)
+  (* archpred-analyze: allow hashtbl-order -- sanctioned wrapper: fold feeds a total-order key sort *)
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.stable_sort (fun (a, _) (b, _) -> cmp a b)
 

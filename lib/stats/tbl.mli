@@ -5,8 +5,8 @@
     sums, list building, first-wins merges) silently depends on hashing
     internals.  These helpers materialise the bindings and sort them by
     key under an explicit comparator, giving a stable total order; the
-    [hashtbl-order] lint rule rejects direct [iter]/[fold] call sites in
-    result-path code and points here. *)
+    archpred-analyze rule [hashtbl-order] rejects direct [iter]/[fold]
+    call sites in result-path code and points here. *)
 
 val sorted_bindings :
   cmp:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> ('k * 'v) list

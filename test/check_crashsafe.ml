@@ -18,7 +18,7 @@ module Shard = Archpred_shard
 module Fault = Archpred_fault.Fault
 module Error = Archpred_obs.Error
 
-(* archpred-lint: allow exit -- check harness failure path *)
+(* archpred-analyze: allow exit -- check harness failure path *)
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("check_crashsafe: " ^ m); exit 1) fmt
 
 let tmp suffix =

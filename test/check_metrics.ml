@@ -7,7 +7,7 @@
 
 module Json = Archpred_obs.Json
 
-(* archpred-lint: allow exit -- check harness failure path *)
+(* archpred-analyze: allow exit -- check harness failure path *)
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
 let () =

@@ -10,7 +10,7 @@ module Core = Archpred_core
 module Rbf = Archpred_rbf
 module Stats = Archpred_stats
 
-(* archpred-lint: allow exit -- check harness failure path *)
+(* archpred-analyze: allow exit -- check harness failure path *)
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
 let tiny_predictor () =

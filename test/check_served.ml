@@ -14,7 +14,7 @@ module Frame = Archpred_serve_net.Frame
 module Daemon = Archpred_serve_net.Daemon
 module Client = Archpred_serve_net.Client
 
-(* archpred-lint: allow exit -- check harness failure path *)
+(* archpred-analyze: allow exit -- check harness failure path *)
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
 let tiny_predictor seed =

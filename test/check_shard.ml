@@ -7,7 +7,7 @@
    directory under another seed is refused with the parse-error exit
    code. *)
 
-(* archpred-lint: allow exit -- check harness failure path *)
+(* archpred-analyze: allow exit -- check harness failure path *)
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all

@@ -10,7 +10,7 @@
 module Json = Archpred_obs.Json
 module Core = Archpred_core
 
-(* archpred-lint: allow exit -- check harness failure path *)
+(* archpred-analyze: allow exit -- check harness failure path *)
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
 let expect_int name j =

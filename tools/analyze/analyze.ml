@@ -1,7 +1,6 @@
-(* archpred-analyze: typed interprocedural analysis over .cmt artifacts.
+(* The archpred-analyze engine: typed analysis over .cmt artifacts.
 
-   The linter (tools/lint) sees one Parsetree at a time; this engine
-   loads the Typedtrees dune already wrote under _build, so paths are
+   It loads the Typedtrees dune already wrote under _build, so paths are
    resolved (a local [module T = Archpred_regtree] alias and a direct
    reference both canonicalise to "Regtree.Tree") and facts can flow
    across files.  Three passes share one call-graph fixpoint:
@@ -18,11 +17,17 @@
      propagate through calls; a function whose scope bans an effect is
      flagged at the frontier where the effect enters it.
 
+   Beside them, one file-local walk per unit checks the resolved
+   identifiers, equalities, patterns and handlers that break
+   determinism on their own (poly-compare, hashtbl-order, exit,
+   unsafe-cast, float-lit-eq, catchall-exn, unsafe-index), and every
+   lib/ unit must have an interface (missing-mli).
+
    Deliberate optimism, documented here once: the analysis trusts that
    a function RESULT is fresh (no escape analysis), that sequential
    HOFs apply their closure to collection elements only, and it does
-   not look through functors or first-class modules.  DESIGN.md §5i
-   spells out the consequences. *)
+   not link functor applications or first-class modules to their
+   bodies.  DESIGN.md §5i spells out the consequences. *)
 
 module Error = Archpred_obs.Error
 module Json = Archpred_obs.Json
@@ -51,8 +56,33 @@ let rules =
        partial application, escaping ref, @@/|> indirection) inside a \
        function declared zero-alloc in tools/analyze/hotpaths.sexp" );
     ( "impure",
-      "RNG / wall-clock / stdout / Unix-network effect reachable through \
-       the call graph from code whose scope bans it" );
+      "global Random outside Stats.Rng, wall-clock reads outside lib/obs, \
+       lib/serve_net and bench/, stdout printing and Unix sockets/raw-fd \
+       I/O in lib/ (outside lib/serve_net), reached directly or through \
+       the call graph" );
+    ( "poly-compare",
+      "polymorphic compare in lib/, bench/ and tools/; use Float.compare, \
+       Int.compare, String.compare or a per-type comparator" );
+    ( "hashtbl-order",
+      "Hashtbl.iter/Hashtbl.fold in lib/, bench/ and tools/; iteration \
+       order is unspecified, use Stats.Tbl sorted helpers" );
+    ("exit", "exit outside bin/ and tools/; libraries must raise, not terminate");
+    ( "unsafe-cast",
+      "Obj.* or Marshal.* breaks abstraction and portable persistence; \
+       use typed serialisation (Persist)" );
+    ( "float-lit-eq",
+      "(=)/(<>) against a float literal (or a float-literal pattern); use \
+       Float.equal or an explicit tolerance" );
+    ( "catchall-exn",
+      "catch-all exception handler can swallow Fault.Injected or \
+       Parallel.Deadline_exceeded; match specific exceptions or re-raise" );
+    ( "unsafe-index",
+      "bounds-unchecked Bigarray / Bytes / Float.Array accessors \
+       (unsafe_get, unsafe_set) in lib/ outside rbf/batch_kernel and \
+       core/memo, which validate their ranges once per batch" );
+    ( "missing-mli",
+      "every lib/ unit must have an interface (.mli) so the public \
+       surface is reviewed, not accidental" );
     ("unused-pragma", "an allow pragma that suppressed nothing");
     ("bad-pragma", "malformed allow pragma (unknown rule, missing reason)");
   ]
@@ -285,11 +315,17 @@ let canon ctx p =
 (* Tables                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The walker looks every call up in these tables: hash them once. *)
+let table kvs =
+  let t = Hashtbl.create 64 in
+  List.iter (fun (k, v) -> Hashtbl.replace t k v) kvs;
+  t
+
 (* Mutator primitives: canonical name -> 0-based positional index of the
    argument that gets mutated.  Mutex/Condition are deliberately absent:
    locking is synchronization, not a data race. *)
 let mutators =
-  [
+  table [
     ":=", 0; "incr", 0; "decr", 0;
     "Hashtbl.add", 0; "Hashtbl.replace", 0; "Hashtbl.remove", 0;
     "Hashtbl.reset", 0; "Hashtbl.clear", 0; "Hashtbl.filter_map_inplace", 1;
@@ -323,7 +359,7 @@ let mutators =
    structure: name -> positional index of the argument whose root the
    result inherits. *)
 let accessors =
-  [
+  table [
     "!", 0; "Hashtbl.find", 0; "Hashtbl.find_opt", 0; "Hashtbl.find_all", 0;
     "Array.get", 0; "Array.unsafe_get", 0; "Atomic.get", 0;
     "Option.get", 0; "Option.value", 0; "fst", 0; "snd", 0;
@@ -336,7 +372,7 @@ let accessors =
    [List.iter (fun s -> Hashtbl.reset s) shared] registers as a
    mutation of [shared]. *)
 let hofs =
-  [
+  table [
     "List.iter", (0, 1); "List.map", (0, 1); "List.iteri", (0, 1);
     "List.mapi", (0, 1); "List.fold_left", (0, 2);
     "Array.iter", (0, 1); "Array.map", (0, 1); "Array.iteri", (0, 1);
@@ -396,7 +432,9 @@ let effect_desc mask =
   else if mask = eff_stdout then "stdout write"
   else "Unix network / raw-fd I/O"
 
-(* Where is each effect banned?  [file] is the repo-relative source. *)
+(* Where is each ban in force?  Its scopes, minus the module or
+   directory sanctioned to own the construct; [file] is the
+   repo-relative source. *)
 let banned_effect ~scope ~file mask =
   let under p = starts_with ~prefix:p file in
   if mask = eff_rng then not (String.equal file "lib/stats/rng.ml")
@@ -405,6 +443,17 @@ let banned_effect ~scope ~file mask =
     && not (under "lib/obs/" || under "lib/serve_net/")
   else if mask = eff_stdout then scope = Lib
   else scope = Lib && not (under "lib/serve_net/")
+
+let banned_rule ~scope ~file rule =
+  match rule with
+  | "poly-compare" | "hashtbl-order" -> (
+      match scope with Lib | Bench | Tools -> true | Bin | Test -> false)
+  | "exit" -> (match scope with Lib | Bench | Test -> true | Bin | Tools -> false)
+  | "unsafe-index" ->
+      scope = Lib
+      && not (List.mem file [ "lib/rbf/batch_kernel.ml"; "lib/core/memo.ml" ])
+  | "missing-mli" -> scope = Lib
+  | _ -> true
 
 (* ------------------------------------------------------------------ *)
 (* Facts                                                              *)
@@ -523,7 +572,7 @@ let rec root_of ctx env e =
           let args_e =
             List.filter_map (fun (l, a) -> Option.map (fun a -> (l, a)) a) args
           in
-          match List.assoc_opt name accessors with
+          match Hashtbl.find_opt accessors name with
           | Some i -> (
               match nth_positional args_e i with
               | Some a -> root_of ctx env a
@@ -725,7 +774,7 @@ and walk_apply ctx cbs env e f args =
             | None -> ());
             walk_args ~skip:!skip ())
         | _ -> (
-            match List.assoc_opt name mutators with
+            match Hashtbl.find_opt mutators name with
             | Some idx ->
                 (match nth_positional args_e idx with
                 | Some a ->
@@ -733,7 +782,7 @@ and walk_apply ctx cbs env e f args =
                 | None -> ());
                 walk_args ()
             | None ->
-                if List.mem_assoc name accessors then walk_args ()
+                if Hashtbl.mem accessors name then walk_args ()
                 else if List.mem name entry_names then begin
                   cbs.on_entry cbs.encl e.exp_loc name args_e env;
                   cbs.on_call e.exp_loc name (keyed_roots ctx env args_e);
@@ -762,7 +811,7 @@ and walk_apply ctx cbs env e f args =
                 end
                 else begin
                   let hof_skip = ref [] in
-                  (match List.assoc_opt name hofs with
+                  (match Hashtbl.find_opt hofs name with
                   | Some (fpos, cpos) -> (
                       let coll_root =
                         match nth_positional args_e cpos with
@@ -824,6 +873,169 @@ let mkf ~rule ~file (loc : Location.t) message =
     col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
     message;
   }
+
+(* ------------------------------------------------------------------ *)
+(* File-local checks                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The canonical parts of a path rooted outside the unit; [None] for a
+   local or the unit's own binding, which can never be the Stdlib
+   function a rule bans. *)
+let global_parts ctx p =
+  let p = expand_path ctx p in
+  let rec rooted_globally = function
+    | Path.Pident id -> Ident.global id
+    | Path.Pdot (q, _) | Path.Pextra_ty (q, _) -> rooted_globally q
+    | Path.Papply _ -> false
+  in
+  if rooted_globally p then Some (canon_parts (path_parts p)) else None
+
+let head_parts ctx f =
+  match head_ident f with Some p -> global_parts ctx p | None -> None
+
+(* The rule a resolved identifier breaks, before scoping. *)
+let ident_rule parts =
+  let q () = "`" ^ String.concat "." parts ^ "`" in
+  match parts with
+  | [ "compare" ] | [ "Pervasives"; "compare" ] ->
+      Some
+        ( "poly-compare",
+          "polymorphic " ^ q () ^ "; floats compare bitwise-unordered under it \
+                                -- use Float.compare / Int.compare / String.compare" )
+  | [ "Hashtbl"; ("iter" | "fold") ] ->
+      Some
+        ( "hashtbl-order",
+          q () ^ " iterates in unspecified order; use Stats.Tbl.sorted_bindings \
+               / iter_sorted / fold_sorted" )
+  | [ "exit" ] -> Some ("exit", "`exit` terminates the process from non-bin code")
+  | "Obj" :: _ -> Some ("unsafe-cast", q () ^ " defeats typing")
+  | "Marshal" :: _ ->
+      Some ("unsafe-cast", q () ^ " is unversioned binary persistence; use Persist")
+  | parts -> (
+      match List.rev parts with
+      | last :: mods
+        when starts_with ~prefix:"unsafe_" last
+             && (List.mem "Bigarray" mods || List.mem "Bytes" mods
+                || match mods with "Array" :: "Float" :: _ -> true | _ -> false)
+        ->
+          Some
+            ( "unsafe-index",
+              q () ^ " skips bounds checks; only the sanctioned batch kernels \
+                   (rbf/batch_kernel, core/memo) may do that" )
+      | _ -> None)
+
+let rec is_float_lit ctx e =
+  match e.exp_desc with
+  | Texp_constant (Asttypes.Const_float _) -> true
+  | Texp_apply (f, [ (_, Some a) ]) -> (
+      match head_parts ctx f with
+      | Some [ ("~-." | "~-" | "~+." | "~+") ] -> is_float_lit ctx a
+      | _ -> false)
+  | _ -> false
+
+(* A handler pattern that catches every exception: [_], a variable, or
+   an alias/or-pattern reducing to one.  Returns the bound ident if
+   any. *)
+let rec catchall : value general_pattern -> Ident.t option option =
+ fun p ->
+  match p.pat_desc with
+  | Tpat_any -> Some None
+  | Tpat_var (id, _) -> Some (Some id)
+  | Tpat_alias (inner, id, _) -> Option.map (fun _ -> Some id) (catchall inner)
+  | Tpat_or (a, b, _) -> (
+      match catchall a with Some r -> Some r | None -> catchall b)
+  | _ -> None
+
+(* The same for [match ... with exception p] cases. *)
+let rec exception_catchall : computation general_pattern -> Ident.t option option =
+ fun p ->
+  match p.pat_desc with
+  | Tpat_exception inner -> catchall inner
+  | Tpat_or (a, b, _) -> (
+      match exception_catchall a with
+      | Some r -> Some r
+      | None -> exception_catchall b)
+  | _ -> None
+
+(* Does [body] hand [id] back to raise / raise_notrace /
+   Printexc.raise_with_backtrace?  A handler that logs and re-raises
+   swallows nothing. *)
+let reraises ctx id body =
+  let found = ref false in
+  let expr sub e =
+    (match e.exp_desc with
+    | Texp_apply (f, args) -> (
+        match head_parts ctx f with
+        | Some ([ ("raise" | "raise_notrace") ] | [ "Printexc"; "raise_with_backtrace" ])
+          ->
+            if
+              List.exists
+                (function
+                  | _, Some { exp_desc = Texp_ident (Path.Pident v, _, _); _ } ->
+                      Ident.same v id
+                  | _ -> false)
+                args
+            then found := true
+        | _ -> ())
+    | _ -> ());
+    Tast_iterator.default_iterator.expr sub e
+  in
+  let it = { Tast_iterator.default_iterator with expr } in
+  it.expr it body;
+  !found
+
+(* One walk over the whole unit, including functor and class bodies. *)
+let local_findings ctx ~scope ~rel str =
+  let out = ref [] in
+  let add rule loc msg =
+    if banned_rule ~scope ~file:rel rule then
+      out := mkf ~rule ~file:ctx.file loc msg :: !out
+  in
+  let handler hit c =
+    match (hit, c.c_guard) with
+    | Some bound, None ->
+        let swallows =
+          match bound with None -> true | Some id -> not (reraises ctx id c.c_rhs)
+        in
+        if swallows then
+          add "catchall-exn" c.c_lhs.pat_loc
+            "catch-all exception handler (would swallow Fault.Injected / \
+             Parallel.Deadline_exceeded); match specific exceptions or re-raise"
+    | _ -> ()
+  in
+  let expr sub e =
+    (match e.exp_desc with
+    | Texp_ident (p, _, _) -> (
+        match Option.bind (global_parts ctx p) ident_rule with
+        | Some (rule, msg) -> add rule e.exp_loc msg
+        | None -> ())
+    | Texp_apply (f, args) -> (
+        match head_parts ctx f with
+        | Some [ ("=" | "<>" | "==" | "!=") ]
+          when List.exists
+                 (function _, Some a -> is_float_lit ctx a | _ -> false)
+                 args ->
+            add "float-lit-eq" e.exp_loc
+              "equality against a float literal; use Float.equal or a tolerance"
+        | _ -> ())
+    | Texp_try (_, cases) -> List.iter (fun c -> handler (catchall c.c_lhs) c) cases
+    | Texp_match (_, cases, _) ->
+        List.iter (fun c -> handler (exception_catchall c.c_lhs) c) cases
+    | _ -> ());
+    Tast_iterator.default_iterator.expr sub e
+  in
+  let pat : type k. Tast_iterator.iterator -> k general_pattern -> unit =
+   fun sub p ->
+    (match p.pat_desc with
+    | Tpat_constant (Asttypes.Const_float _) ->
+        add "float-lit-eq" p.pat_loc
+          "float literal in a pattern matches by exact equality"
+    | _ -> ());
+    Tast_iterator.default_iterator.pat sub p
+  in
+  let it = { Tast_iterator.default_iterator with expr; pat } in
+  it.structure it str;
+  !out
 
 type pragma = {
   p_file : string;
@@ -892,7 +1104,8 @@ type state = {
   mutable facts : fact SMap.t;
   mutable entries : entry_site list;
   mutable pragmas : pragma list;
-  mutable pre_findings : finding list;  (* alloc + bad-pragma findings *)
+  mutable pre_findings : finding list;  (* alloc, file-local, bad-pragma *)
+  mutable known : SSet.t;  (* every top-level name, for the registries *)
   hot : SSet.t;
 }
 
@@ -1039,8 +1252,16 @@ let rec unwrap_mod me =
   | Tmod_constraint (me', _, _, _) -> unwrap_mod me'
   | d -> d
 
+(* The structure a module binding defines, looking through functor
+   parameters: a functor body is walked like a plain submodule. *)
+let rec struct_of me =
+  match unwrap_mod me with
+  | Tmod_structure s -> Some s
+  | Tmod_functor (_, body) -> struct_of body
+  | _ -> None
+
 (* Pass 1 over a unit: register top-level names and module aliases. *)
-let rec register_items ctx prefix items =
+let rec register_items st ctx prefix items =
   List.iter
     (fun item ->
       match item.str_desc with
@@ -1049,25 +1270,24 @@ let rec register_items ctx prefix items =
             (fun vb ->
               List.iter
                 (fun id ->
-                  ctx.toplevels <-
-                    IdentMap.add id
-                      (String.concat "." (prefix @ [ Ident.name id ]))
-                      ctx.toplevels)
+                  let name = String.concat "." (prefix @ [ Ident.name id ]) in
+                  st.known <- SSet.add name st.known;
+                  ctx.toplevels <- IdentMap.add id name ctx.toplevels)
                 (pat_bound_idents vb.vb_pat))
             vbs
-      | Tstr_module mb -> register_mb ctx prefix mb
-      | Tstr_recmodule mbs -> List.iter (register_mb ctx prefix) mbs
+      | Tstr_module mb -> register_mb st ctx prefix mb
+      | Tstr_recmodule mbs -> List.iter (register_mb st ctx prefix) mbs
       | _ -> ())
     items
 
-and register_mb ctx prefix mb =
-  match mb.mb_id with
-  | None -> ()
-  | Some id -> (
-      match unwrap_mod mb.mb_expr with
-      | Tmod_ident (p, _) -> ctx.aliases <- IdentMap.add id p ctx.aliases
-      | Tmod_structure s -> register_items ctx (prefix @ [ Ident.name id ]) s.str_items
-      | _ -> ())
+and register_mb st ctx prefix mb =
+  match (mb.mb_id, unwrap_mod mb.mb_expr) with
+  | Some id, Tmod_ident (p, _) -> ctx.aliases <- IdentMap.add id p ctx.aliases
+  | Some id, _ ->
+      Option.iter
+        (fun s -> register_items st ctx (prefix @ [ Ident.name id ]) s.str_items)
+        (struct_of mb.mb_expr)
+  | None, _ -> ()
 
 (* Pass 2: collect facts for every top-level function; walk other
    top-level bindings under a per-unit `<init>` pseudo-function so
@@ -1096,23 +1316,17 @@ let rec facts_items st ctx prefix items =
       | Tstr_eval (e, _) ->
           let fact = init_fact () in
           walk ctx (fact_cbs st ctx fact) IdentMap.empty e
-      | Tstr_module mb -> (
-          match (mb.mb_id, unwrap_mod mb.mb_expr) with
-          | Some id, Tmod_structure s ->
-              facts_items st ctx (prefix @ [ Ident.name id ]) s.str_items
-          | _ -> ())
-      | Tstr_recmodule mbs ->
-          List.iter
-            (fun mb ->
-              match (mb.mb_id, unwrap_mod mb.mb_expr) with
-              | Some id, Tmod_structure s ->
-                  facts_items st ctx (prefix @ [ Ident.name id ]) s.str_items
-              | _ -> ())
-            mbs
+      | Tstr_module mb -> facts_mb st ctx prefix mb
+      | Tstr_recmodule mbs -> List.iter (facts_mb st ctx prefix) mbs
       | _ -> ())
     items
 
-let load_unit st ~root cmt_path =
+and facts_mb st ctx prefix mb =
+  match (mb.mb_id, struct_of mb.mb_expr) with
+  | Some id, Some s -> facts_items st ctx (prefix @ [ Ident.name id ]) s.str_items
+  | _ -> ()
+
+let load_unit st ~root ~rel_of cmt_path =
   let cmt =
     (* unreadable / other-compiler-version artifacts are skipped, not
        fatal: a stale .cmt must not wedge the whole sweep *)
@@ -1137,11 +1351,25 @@ let load_unit st ~root cmt_path =
               aliases = IdentMap.empty;
             }
           in
-          register_items ctx ctx.unit_parts str.str_items;
+          register_items st ctx ctx.unit_parts str.str_items;
           facts_items st ctx ctx.unit_parts str.str_items;
           let pragmas, bad = scan_pragmas ~file cmt.Cmt_format.cmt_comments in
           st.pragmas <- pragmas @ st.pragmas;
-          st.pre_findings <- bad @ st.pre_findings
+          st.pre_findings <- bad @ st.pre_findings;
+          let rel = rel_of file in
+          Option.iter
+            (fun scope ->
+              st.pre_findings <- local_findings ctx ~scope ~rel str @ st.pre_findings;
+              if
+                Filename.check_suffix file ".ml"
+                && banned_rule ~scope ~file:rel "missing-mli"
+                && not (Sys.file_exists (Filename.remove_extension cmt_path ^ ".cmti"))
+              then
+                st.pre_findings <-
+                  { rule = "missing-mli"; file; line = 1; col = 0;
+                    message = "module has no .mli interface" }
+                  :: st.pre_findings)
+            (scope_of_rel rel)
       | _ -> ())
 
 (* ------------------------------------------------------------------ *)
@@ -1335,17 +1563,17 @@ let race_pass st ~race_barriers ~race_globals out =
 (* Pass 3: purity frontiers                                           *)
 (* ------------------------------------------------------------------ *)
 
-let purity_pass st ~purity_barriers ~scope_fn out =
+let purity_pass st ~purity_barriers ~rel_of out =
   SMap.iter
     (fun _ f ->
-      match scope_fn f.ffile with
+      match scope_of_rel (rel_of f.ffile) with
       | None -> ()
       | Some sc ->
           List.iter
             (fun mask ->
               if
                 f.effects land mask <> 0
-                && banned_effect ~scope:sc ~file:f.ffile mask
+                && banned_effect ~scope:sc ~file:(rel_of f.ffile) mask
               then begin
                 List.iter
                   (fun (m, name, loc) ->
@@ -1362,9 +1590,9 @@ let purity_pass st ~purity_barriers ~scope_fn out =
                       match SMap.find_opt c.callee st.facts with
                       | Some g when g.effects land mask <> 0 ->
                           let callee_banned =
-                            match scope_fn g.ffile with
+                            match scope_of_rel (rel_of g.ffile) with
                             | Some gsc ->
-                                banned_effect ~scope:gsc ~file:g.ffile mask
+                                banned_effect ~scope:gsc ~file:(rel_of g.ffile) mask
                             | None -> false
                           in
                           if not callee_banned then
@@ -1392,15 +1620,19 @@ let discover_cmts ~root =
       Array.iter
         (fun ent ->
           let p = Filename.concat dir ent in
-          if Sys.is_directory p then walk_fs p
+          if Sys.is_directory p then begin
+            (* the seeded violations are the fixtures' point *)
+            if not (String.equal ent "analyze_fixtures") then walk_fs p
+          end
           else if Filename.check_suffix ent ".cmt" then out := p :: !out)
         entries
     end
   in
   List.iter
     (fun base ->
-      walk_fs (Filename.concat base "lib");
-      walk_fs (Filename.concat base "bin"))
+      List.iter
+        (fun dir -> walk_fs (Filename.concat base dir))
+        [ "lib"; "bin"; "bench"; "test"; "tools" ])
     [ Filename.concat root "_build/default"; root ];
   List.sort String.compare !out
 
@@ -1456,8 +1688,7 @@ let apply_pragmas pragmas findings =
   in
   keep @ unused
 
-let analyze ?sanctions ?hotpaths ?(scope_of = scope_of_rel) ~root ~cmt_paths ()
-    =
+let analyze ?sanctions ?hotpaths ?(rel_of = Fun.id) ~root ~cmt_paths () =
   let sanctions =
     match sanctions with
     | Some s -> s
@@ -1486,21 +1717,28 @@ let analyze ?sanctions ?hotpaths ?(scope_of = scope_of_rel) ~root ~cmt_paths ()
       entries = [];
       pragmas = [];
       pre_findings = [];
+      known = SSet.empty;
       hot = SSet.of_list hotpaths;
     }
   in
-  List.iter (fun p -> load_unit st ~root p) cmt_paths;
-  SSet.iter
-    (fun h ->
-      if not (SMap.mem h st.facts) then
-        Error.invalid_input ~where:"archpred-analyze"
-          ("hot-path `" ^ h
-         ^ "` names no known function; fix tools/analyze/hotpaths.sexp"))
-    st.hot;
+  List.iter (fun p -> load_unit st ~root ~rel_of p) cmt_paths;
+  (* A registry entry that names nothing would silently drop a hot path
+     or keep a sanction alive after a rename: fail loudly instead. *)
+  let check_registry file names =
+    List.iter
+      (fun n ->
+        if not (SSet.mem n st.known) then
+          Error.invalid_input ~where:"archpred-analyze"
+            ("`" ^ n ^ "` names no known function or value; fix tools/analyze/"
+           ^ file))
+      names
+  in
+  check_registry "hotpaths.sexp" hotpaths;
+  check_registry "sanctions.sexp" (List.map (fun s -> s.s_name) sanctions);
   fixpoint st ~race_barriers ~purity_barriers;
   let out = ref st.pre_findings in
   race_pass st ~race_barriers ~race_globals out;
-  purity_pass st ~purity_barriers ~scope_fn:scope_of out;
+  purity_pass st ~purity_barriers ~rel_of out;
   let filtered = apply_pragmas st.pragmas !out in
   List.sort_uniq compare_finding filtered
 

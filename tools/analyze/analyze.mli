@@ -1,11 +1,15 @@
-(** [archpred-analyze]: typed interprocedural analysis over [.cmt]
-    artifacts.
+(** [archpred-analyze]: typed analysis over [.cmt] artifacts, the one
+    static analyzer of the repo.
 
-    Where [archpred-lint] (tools/lint) checks each source file's
-    {i syntax} in isolation, this engine loads the {b Typedtree} the
-    compiler already produced under [_build], rebuilds a module-aware
-    call graph with resolved paths, and runs three passes that need
-    cross-file knowledge:
+    The paper's model is a pure function of its sample; parallel
+    training and run-directory resume are tested bit-identical, and one
+    stray [Random.self_init], polymorphic [compare] on a float-bearing
+    value, or unordered [Hashtbl.iter] in a result path silently breaks
+    that promise.  This engine loads the {b Typedtree} the compiler
+    already produced under [_build], so every identifier is a resolved
+    path, and runs two kinds of check.
+
+    Three passes need cross-file knowledge and share one call graph:
 
     - {b domain-race} — top-level mutable state (refs, [Hashtbl],
       [Buffer], [Atomic], bigarrays, mutable record fields) that is
@@ -21,19 +25,25 @@
       closure creation, tuple/record/constructor/array literals,
       partial application, [ref] cells the compiler cannot unbox, and
       [@@]/[|>] indirection.
-    - {b impure} — syntactic effect facts (RNG, wall clock, stdout,
+    - {b impure} — effect seeds (global [Random], wall clock, stdout,
       [Unix] networking) are propagated through the call graph, so a
-      result-path function that reaches an effect {i through a helper in
-      another file} is flagged even though its own text is clean.
+      function is flagged where it uses an effect its scope bans, or
+      where it reaches one {i through a helper in another file}.
 
-    Findings can be suppressed per site with the same pragma grammar as
-    the linter, under this tool's own key:
+    The rest are file-local, one walk per unit: [poly-compare],
+    [hashtbl-order], [exit], [unsafe-cast], [float-lit-eq],
+    [catchall-exn] and [unsafe-index] flag resolved identifiers,
+    equalities, patterns and handlers; [missing-mli] asks every [lib/]
+    unit for a [.cmti].  {!rules} has the full table.
+
+    Findings can be suppressed per site with a pragma comment on the
+    finding's line or the line above:
 
     {v (* archpred-analyze: allow <rule> -- reason *) v}
 
-    placed on the finding's line or the line above.  Unknown rules and
-    missing reasons are reported ([bad-pragma]); a pragma that
-    suppresses nothing is itself a finding ([unused-pragma]). *)
+    Unknown rules and missing reasons are reported ([bad-pragma]); a
+    pragma that suppresses nothing is itself a finding
+    ([unused-pragma]). *)
 
 type finding = {
   rule : string;
@@ -43,15 +53,20 @@ type finding = {
   message : string;
 }
 
-(** Same top-level directory classification as [Lint_engine.Lint]:
-    decides which purity effects are banned where. *)
+(** Which top-level directory a file belongs to; decides which rules
+    apply where (wall-clock reads are legal in [bench/], [exit] in
+    [bin/]).  [Tools] covers the analyzer itself: determinism rules
+    apply as in [Lib], while CLI conveniences (stdout, [exit]) stay
+    legal as in [Bin]. *)
 type scope = Lib | Bin | Bench | Test | Tools
 
 val scope_of_rel : string -> scope option
+(** Classify a repo-relative path ["lib/…"], ["bin/…"], ["bench/…"],
+    ["test/…"], ["tools/…"]; [None] for anything else. *)
 
 val rules : (string * string) list
-(** [(id, one-line description)] for the three passes plus the pragma
-    meta-rules, in stable order. *)
+(** [(id, one-line description)] for every rule, the pragma meta-rules
+    last, in stable order (drives [--rules] and pragma validation). *)
 
 (** {1 Registries} *)
 
@@ -86,7 +101,8 @@ val load_hotpaths : path:string -> string list
 (** {1 Running} *)
 
 val discover_cmts : root:string -> string list
-(** All [.cmt] files for [lib/] and [bin/] units, probing both
+(** All [.cmt] files for [lib/], [bin/], [bench/], [test/] and
+    [tools/] units, skipping [test/analyze_fixtures/], probing both
     [root/_build/default] and [root] itself (so the tool works from the
     repo root and from inside the build context).  Deterministic
     order. *)
@@ -94,28 +110,32 @@ val discover_cmts : root:string -> string list
 val analyze :
   ?sanctions:sanction list ->
   ?hotpaths:string list ->
-  ?scope_of:(string -> scope option) ->
+  ?rel_of:(string -> string) ->
   root:string ->
   cmt_paths:string list ->
   unit ->
   finding list
-(** Load every [.cmt], build the call graph, run the three passes and
-    the pragma filter.  [root] anchors source-file resolution (pragma
-    reading, stale-artifact detection: a cmt whose recorded source no
-    longer exists under [root] is skipped).  [sanctions]/[hotpaths]
-    default to loading the registry files under
-    [root/tools/analyze/]; [scope_of] defaults to {!scope_of_rel}
-    (tests override it to re-scope fixture modules).  Findings are
+(** Load every [.cmt], build the call graph, run the passes and the
+    file-local checks, then the pragma filter.  [root] anchors
+    source-file resolution (stale-artifact detection: a cmt whose
+    recorded source no longer exists under [root] is skipped).
+    [sanctions]/[hotpaths] default to loading the registry files under
+    [root/tools/analyze/]; every entry of either must name a top-level
+    function or value of a loaded unit.  [rel_of] (default identity)
+    maps a unit's recorded source path to the repo-relative path whose
+    scope and module sanctions it is judged by; tests use it to place a
+    fixture under [lib/].  Findings keep the recorded path and are
     sorted by (file, line, col, rule).
 
-    @raise Archpred_obs.Error.Archpred [Io_error] if a cmt or registry
-    file cannot be read, [Parse_error] if a registry file is
-    malformed. *)
+    @raise Archpred_obs.Error.Archpred [Invalid_input] if a registry
+    entry names nothing, [Io_error] if a cmt or registry file cannot be
+    read, [Parse_error] if a registry file is malformed. *)
 
 val errors : finding list -> int
 
 val to_json : finding -> Archpred_obs.Json.t
-(** One finding as a JSON object, same shape as the linter's. *)
+(** One finding as a JSON object ([event], [rule], [severity],
+    [file], [line], [col], [message]). *)
 
 val pp_finding : Format.formatter -> finding -> unit
 (** Human rendering: [file:line:col: [rule] message]. *)

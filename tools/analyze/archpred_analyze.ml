@@ -1,5 +1,5 @@
-(* archpred_analyze: interprocedural analysis over the .cmt artifacts
-   dune already built (see tools/analyze/analyze.mli).
+(* archpred_analyze: the repo's static analysis, over the .cmt
+   artifacts dune already built (see tools/analyze/analyze.mli).
 
    Exit codes follow Core.Error's CLI convention:
      0  clean
@@ -16,10 +16,11 @@ module Analyze = Analyze_engine.Analyze
 
 let usage =
   "usage: archpred_analyze [--root DIR] [--json] [--rules]\n\
-   Loads every lib/ and bin/ .cmt under --root (default .), probing both\n\
-   ROOT/_build/default and ROOT itself, and runs the domain-race,\n\
-   hot-alloc and purity passes.  Registries live in tools/analyze/\n\
-   (sanctions.sexp, hotpaths.sexp).  --rules prints the rule table."
+   Loads every lib/ bin/ bench/ test/ tools/ .cmt under --root (default .),\n\
+   probing both ROOT/_build/default and ROOT itself, and runs the\n\
+   domain-race, hot-alloc and purity passes and the file-local checks.\n\
+   Registries live in tools/analyze/ (sanctions.sexp, hotpaths.sexp).\n\
+   --rules prints the rule table."
 
 let bad_usage what =
   raise (Error.Archpred (Error.Invalid_input { where = "archpred_analyze"; what }))

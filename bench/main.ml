@@ -15,7 +15,7 @@
      bench/main.exe                 run experiments (ARCHPRED_SCALE) + micro
      bench/main.exe table3 fig7     run the named experiments only
      bench/main.exe --micro         run only the micro-benchmarks
-     bench/main.exe --sim           batched-simulation throughput record
+     bench/main.exe --sim           simulation-engine record (paper shape)
      bench/main.exe --shard         sharded-search speedup record
      bench/main.exe --paper         run only the paper's tables and figures
      bench/main.exe --trace         print a span-tree summary after the runs
@@ -242,7 +242,7 @@ let write_bench_json measured =
           ])
       measured
   in
-  (* [preserved] keeps the batched-simulation section written by
+  (* [preserved] keeps the simulation-engine section written by
      [bench --sim], so the two writers share the report file. *)
   Core.Bench_report.write ~path ~schema:"archpred-parallel-v1"
     (Core.Bench_report.preserved ~path [ "sim" ]
@@ -357,34 +357,17 @@ let run_serve () =
   Printf.printf "wrote %s\n" path
 
 (* ------------------------------------------------------------------ *)
-(* Batched simulation: throughput and speedup of the multi-config core. *)
+(* Simulation: the per-config engine on the paper build's shape.       *)
 (* ------------------------------------------------------------------ *)
 
 let run_sim () =
-  let r = Core.Sim_bench.run ~trace_length:20_000 ~n_configs:16 () in
-  Printf.printf "batched simulation (mcf, %d insts, %d configs)\n"
-    r.Core.Sim_bench.trace_length r.Core.Sim_bench.n_configs;
-  List.iter
-    (fun (c : Core.Sim_bench.rate) ->
-      Printf.printf "  %s  %-9s  %8.3f cpi  %10.0f inst/s\n"
-        c.Core.Sim_bench.name c.Core.Sim_bench.policy c.Core.Sim_bench.cpi
-        c.Core.Sim_bench.inst_per_sec)
-    r.Core.Sim_bench.rates;
-  List.iter
-    (fun (s : Core.Sim_bench.speedup) ->
-      Printf.printf "  batch %2d: %.4f s sequential, %.4f s batched, %.2fx\n"
-        s.Core.Sim_bench.batch s.Core.Sim_bench.sequential_s
-        s.Core.Sim_bench.batched_s s.Core.Sim_bench.speedup)
-    r.Core.Sim_bench.speedups;
-  Printf.printf "  bit-identical to reference: %b\n"
-    r.Core.Sim_bench.bit_identical;
   let p = Core.Sim_bench.paper_shape () in
   Printf.printf
-    "  paper shape (mcf %d insts, %d test-box configs, 1 domain): %.1f \
-     ns/inst/config, cycles crc %s\n"
+    "simulation engine, paper shape (mcf %d insts, %d test-box configs, 1 \
+     domain): %.1f ns/inst/config, cycles crc %s\n"
     p.Core.Sim_bench.paper_trace_length p.Core.Sim_bench.paper_configs
     p.Core.Sim_bench.ns_per_inst_config p.Core.Sim_bench.cycles_crc;
-  Core.Sim_bench.record ~paper:p r;
+  Core.Sim_bench.record p;
   Printf.printf "wrote BENCH_parallel.json (sim section)\n"
 
 (* ------------------------------------------------------------------ *)

@@ -237,7 +237,7 @@ let simulate_cmd =
       Obs.count obs "sim.instructions" trace_length;
       (Sim.Batch.run_plan ~domains:1 (Sim.Batch.plan trace_) [| cfg |]).(0)
     in
-    Format.printf "%a@.@.%a@." Sim.Config.pp cfg Sim.Processor.pp_result result
+    Format.printf "%a@.@.%a@." Sim.Config.pp cfg Sim.Batch.pp_result result
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Simulate one benchmark at one configuration")

@@ -27,11 +27,13 @@ let () =
   List.iter
     (fun (p : Workloads.Profile.t) ->
       let trace = Workloads.Generator.generate p ~length:50_000 in
-      let weak_r = Sim.Processor.run weak trace in
-      let base_r = Sim.Processor.run Sim.Config.default trace in
-      let strong_r = Sim.Processor.run strong trace in
+      let r =
+        Sim.Batch.run_plan (Sim.Batch.plan trace)
+          [| weak; Sim.Config.default; strong |]
+      in
+      let base_r = r.(1) in
       Printf.printf "%-12s %7.3f %7.3f %7.3f | %6.3f %6.3f %6.3f %6.3f %7.1f\n"
-        p.name weak_r.cpi base_r.cpi strong_r.cpi base_r.branch_accuracy
+        p.name r.(0).cpi base_r.cpi r.(2).cpi base_r.branch_accuracy
         base_r.il1_miss_rate base_r.dl1_miss_rate base_r.l2_miss_rate
         (1000. *. float_of_int base_r.dram_accesses
         /. float_of_int base_r.instructions))

@@ -32,14 +32,14 @@ let () =
           ~l2_size:(512 * 1024) ~l2_latency:16 ~il1_size:(16 * 1024)
           ~dl1_size:(16 * 1024) ~dl1_latency:3 ()
       in
+      let cpi = Sim.Batch.cpi [| Sim.Config.default; weak |] trace in
       Printf.printf "\nsimulated CPI: default %.3f, weak machine %.3f\n"
-        (Sim.Processor.cpi Sim.Config.default trace)
-        (Sim.Processor.cpi weak trace);
+        cpi.(0) cpi.(1);
 
       (* Statistical simulation: profile the trace, regenerate a clone. *)
       let profile = Workloads.Extractor.profile_of_trace ~name:"clone" trace in
       Format.printf "\nextracted profile:@.%a@." Workloads.Profile.pp profile;
       let clone = Workloads.Generator.generate ~seed:7 profile ~length:30_000 in
       Printf.printf "\noriginal vs clone CPI at the default machine: %.3f vs %.3f\n"
-        (Sim.Processor.cpi Sim.Config.default trace)
-        (Sim.Processor.cpi Sim.Config.default clone))
+        cpi.(0)
+        (Sim.Batch.cpi [| Sim.Config.default |] clone).(0))

@@ -48,7 +48,7 @@ val train :
     a batched evaluator ({!Response.t.eval_many} — the simulator
     responses do) runs [config.domains] x [config.sim_batch] points at a
     time through {!Archpred_sim.Batch}: the trace is decoded once and
-    shared across configurations, bit-identically to [Processor.run].
+    shared across configurations.
     Any other response (or [sim_batch = 1]) simulates each point as a
     task retried up to [config.task_retries] times (optionally under
     [config.task_deadline]); points that keep failing end the build

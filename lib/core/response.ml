@@ -88,9 +88,9 @@ let simulator_metric ?(obs = Archpred_obs.null) ?(trace_length = 100_000)
      run inside [Parallel] tasks, and two domains must not race to force
      one lazy value. *)
   let plan = Sim.Batch.plan trace in
-  let of_result cfg (result : Sim.Processor.result) =
+  let of_result cfg (result : Sim.Batch.result) =
     match metric with
-    | Cpi -> result.Sim.Processor.cpi
+    | Cpi -> result.Sim.Batch.cpi
     | Energy_per_instruction ->
         (Sim.Power.estimate cfg result).Sim.Power.energy_per_instruction
     | Energy_delay_product ->

@@ -2,24 +2,24 @@ module Parallel = Archpred_stats.Parallel
 
 (* Batched multi-config simulation.
 
-   [Processor.run] walks one (config, trace) pair and re-derives, on
-   every run, work that depends only on the trace: opcode decode,
-   dependency-distance resolution, the store chain, and — because the
-   design space holds the predictor fixed — the entire branch-predictor
-   interaction.  A batch run decodes the trace once into flat
-   struct-of-arrays streams ([plan]), computes the mispredict stream
-   once per distinct predictor configuration, and then fans the per-
-   config pipeline walk out across the batch (optionally across
-   domains).
+   A run of one (config, trace) pair re-derives work that depends only
+   on the trace: opcode decode, dependency-distance resolution, the
+   store chain, and — because the design space holds the predictor
+   fixed — the entire branch-predictor interaction.  A batch run
+   decodes the trace once into flat struct-of-arrays streams ([plan]),
+   computes the mispredict stream once per distinct predictor
+   configuration, and then fans the per-config pipeline walk out across
+   the batch (optionally across domains).
 
    The per-config engine is C (batch_stubs.c): one call runs a whole
    config — warm-up, cycle loop, caches, DRAM and functional units —
    with the domain's runtime released, and returns integer counters
-   from which [simulate] computes the result's floats with
-   [Processor.run]'s expressions.  Its cycle loop is a transliteration
-   of [Processor.run]'s with four structural accelerations, each argued
-   semantics-preserving and enforced bit-identical (against the OCaml
-   [Processor], [Memory], [Cache], [Dram] and [Fu_pool]) by the QCheck
+   from which [simulate] computes the result's floats.  Its cycle loop
+   is a transliteration of the OCaml reference engine kept with the
+   tests (test/sim_oracle: [Processor], [Memory], [Dram] and [Fu_pool]
+   over this library's [Cache]), which walks every cycle and re-scans
+   the whole window, with four structural accelerations, each argued
+   semantics-preserving and enforced bit-identical by the QCheck
    properties in [test_sim]:
 
    - shared streams: slot-local copies of opcode, operand producers and
@@ -59,9 +59,42 @@ module Parallel = Archpred_stats.Parallel
      indexed by a class number per opcode (count, latency, the
      pipelined classes' grants and the cycle they count, the dividers'
      busy-until cycles).  Grants reset per class on the class's first
-     attempt in a cycle — observably the same as
-     [Fu_pool]'s reset of every class on the first attempt of the
-     cycle, since a class's count is only read by its own attempts. *)
+     attempt in a cycle — observably the same as the reference's reset
+     of every class on the first attempt of the cycle, since a class's
+     count is only read by its own attempts. *)
+
+type result = {
+  instructions : int;
+  cycles : int;
+  cpi : float;
+  branch_accuracy : float;
+  il1_miss_rate : float;
+  dl1_miss_rate : float;
+  l2_miss_rate : float;
+  dram_accesses : int;
+  dram_avg_latency : float;
+  avg_rob_occupancy : float;
+  avg_iq_occupancy : float;
+  avg_lsq_occupancy : float;
+  dispatch_stall_rob : int;
+  dispatch_stall_iq : int;
+  dispatch_stall_lsq : int;
+  fetch_stall_icache : int;
+  fetch_stall_branch : int;
+}
+
+exception Cycle_limit_exceeded of int
+
+let pp_result ppf r =
+  Format.fprintf ppf
+    "@[<v>insts=%d cycles=%d cpi=%.4f@ bp_acc=%.4f il1_mr=%.4f dl1_mr=%.4f \
+     l2_mr=%.4f@ dram: n=%d avg_lat=%.1f@ occ: rob=%.1f iq=%.1f lsq=%.1f@ \
+     stalls: rob=%d iq=%d lsq=%d icache=%d branch=%d@]"
+    r.instructions r.cycles r.cpi r.branch_accuracy r.il1_miss_rate
+    r.dl1_miss_rate r.l2_miss_rate r.dram_accesses r.dram_avg_latency
+    r.avg_rob_occupancy r.avg_iq_occupancy r.avg_lsq_occupancy
+    r.dispatch_stall_rob r.dispatch_stall_iq r.dispatch_stall_lsq
+    r.fetch_stall_icache r.fetch_stall_branch
 
 module A1 = Bigarray.Array1
 
@@ -321,13 +354,13 @@ let params cfg ~max_cycles ~warm =
   let units = Array.map (Fu_pool.count fu) Fu_pool.all_classes in
   let latencies = Array.map (Fu_pool.latency fu) Fu_pool.all_classes in
   if Array.exists (fun c -> c < 0) units then
-    invalid_arg "Batch.run: functional-unit count < 0";
+    invalid_arg "Batch.run_plan: functional-unit count < 0";
   (* The deferred-wakeup issue stage needs every completion to lie
      strictly past its issue cycle; a zero-latency functional unit (not
      constructible through [Config.make]) would break that. *)
   if Array.exists (fun l -> l < 1) latencies then
-    invalid_arg "Batch.run: functional-unit latency < 1";
-  if dram.Dram.banks < 1 then invalid_arg "Batch.run: DRAM banks < 1";
+    invalid_arg "Batch.run_plan: functional-unit latency < 1";
+  if dram.Dram.banks < 1 then invalid_arg "Batch.run_plan: DRAM banks < 1";
   Array.concat
     [
       [|
@@ -380,14 +413,14 @@ let simulate p params ~(stream : bp_stream) =
   let out = Array.make r_count 0 in
   (match simulate_stub p stream.mis params out with
   | 0 -> ()
-  | 1 -> raise (Processor.Cycle_limit_exceeded out.(r_cycles))
+  | 1 -> raise (Cycle_limit_exceeded out.(r_cycles))
   | 2 -> raise Out_of_memory
   | _ -> invalid_arg "index out of bounds");
   let n = p.n in
   let cycles = out.(r_cycles) in
   let cyclesf = float_of_int (Int.max 1 cycles) in
   ( {
-      Processor.instructions = n;
+      instructions = n;
       cycles;
       cpi = float_of_int cycles /. float_of_int (Int.max 1 n);
       branch_accuracy = stream.accuracy;
@@ -428,7 +461,7 @@ let run_plan_counted ?max_cycles ?(warm = true) ?domains p configs =
       (fun cfg ->
         (match Config.validate cfg with
         | Ok () -> ()
-        | Error msg -> invalid_arg ("Batch.run: " ^ msg));
+        | Error msg -> invalid_arg ("Batch.run_plan: " ^ msg));
         params cfg ~max_cycles ~warm)
       configs
   in
@@ -442,10 +475,7 @@ let run_plan_counted ?max_cycles ?(warm = true) ?domains p configs =
 let run_plan ?max_cycles ?warm ?domains p configs =
   Array.map fst (run_plan_counted ?max_cycles ?warm ?domains p configs)
 
-let run ?max_cycles ?warm ?domains configs trace =
-  run_plan ?max_cycles ?warm ?domains (plan trace) configs
-
 let cpi ?max_cycles ?warm ?domains configs trace =
   Array.map
-    (fun (r : Processor.result) -> r.Processor.cpi)
-    (run ?max_cycles ?warm ?domains configs trace)
+    (fun r -> r.cpi)
+    (run_plan ?max_cycles ?warm ?domains (plan trace) configs)

@@ -5,14 +5,15 @@
  * (candidate-list issue, deferred wakeups, the quiet-cycle jump), over
  * the L1I/L1D/L2 caches with all four replacement policies, the
  * next-line L2 prefetch, and the DRAM banks and bus.  It returns integer
- * counters only; every float of [Processor.result] is computed from them
+ * counters only; every float of [Batch.result] is computed from them
  * in OCaml, with the reference's expressions.
  *
- * The reference model is the OCaml Processor/Memory/Cache/Dram/Fu_pool
- * stack, and the test_sim properties hold this engine to it bit for bit,
- * so each routine below mirrors one of those modules line for line.
+ * The reference model is the OCaml Processor/Memory/Dram/Fu_pool stack
+ * kept with the tests (test/sim_oracle, over lib/sim's Cache), and the
+ * test_sim properties hold this engine to it bit for bit, so each
+ * routine below mirrors one of those modules line for line.
  *
- * Memory.  The plan's streams are Bigarrays, allocated outside the OCaml
+ * Memory use.  The plan's streams are Bigarrays, allocated outside the OCaml
  * heap, so the engine reads nothing the GC can move and the stub runs
  * the whole config with the domain's runtime released.  Per-config
  * state lives in an engine taken from a small pool and returned after
@@ -486,7 +487,7 @@ static void engine_give(engine_t *e) {
 }
 
 /* ------------------------------------------------------------------ */
-/* The per-config walk (batch.ml's design notes; Processor.run)       */
+/* The per-config walk (batch.ml's design notes; the oracle's run)    */
 /* ------------------------------------------------------------------ */
 
 typedef struct {
@@ -508,7 +509,7 @@ enum { NO_STRUCT, ROB_FULL, IQ_FULL, LSQ_FULL };
    cycle, so "issued and complete before now" is one comparison. */
 #define UNISSUED LONG_MAX
 
-/* Store-queue walk for a load (Processor.run's store_scan): -1 no
+/* Store-queue walk for a load (the oracle's store_scan): -1 no
    older in-window store, -2 blocked on an unissued one, else the
    forwarding store's completion. */
 static inline long store_walk(const intnat *addrs, const int32_t *prev_store,

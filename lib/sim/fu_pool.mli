@@ -16,7 +16,7 @@ type config = {
   fp_mul : int * int;
   fp_div : int * int;
   mem_port : int * int;  (** ports to the data cache; latency unused
-                             (memory timing comes from {!Memory}) *)
+                             (memory timing comes from the caches and DRAM) *)
 }
 
 val default_config : config
@@ -36,16 +36,3 @@ val class_index : unit_class -> int
 
 val is_pipelined : unit_class -> bool
 (** [false] for the two dividers. *)
-
-type t
-
-val create : config -> t
-
-val try_issue : t -> cycle:int -> unit_class -> bool
-(** Claim a unit of the class in this cycle.  Returns [false] if all units
-    are taken this cycle (pipelined classes) or busy (unpipelined). *)
-
-val structural_stalls : t -> int
-(** Number of [try_issue] calls refused so far. *)
-
-val reset_stats : t -> unit

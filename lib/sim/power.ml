@@ -14,17 +14,17 @@ let array_access_energy bytes = sqrt (float_of_int bytes /. 32768.)
 (* CAM-style structures (issue queue wakeup) scale linearly with entries. *)
 let cam_access_energy entries = float_of_int entries /. 32.
 
-let estimate (cfg : Config.t) (r : Processor.result) =
-  let insts = float_of_int r.Processor.instructions in
-  let cycles = float_of_int r.Processor.cycles in
+let estimate (cfg : Config.t) (r : Batch.result) =
+  let insts = float_of_int r.Batch.instructions in
+  let cycles = float_of_int r.Batch.cycles in
   (* Event counts reconstructed from rates. *)
   let il1_accesses = insts /. 4. (* roughly one line probe per fetch group *) in
   let dl1_accesses = insts *. 0.35 (* memory-op share upper bound *) in
   let l2_accesses =
-    (il1_accesses *. r.Processor.il1_miss_rate)
-    +. (dl1_accesses *. r.Processor.dl1_miss_rate)
+    (il1_accesses *. r.Batch.il1_miss_rate)
+    +. (dl1_accesses *. r.Batch.dl1_miss_rate)
   in
-  let dram_accesses = float_of_int r.Processor.dram_accesses in
+  let dram_accesses = float_of_int r.Batch.dram_accesses in
   let dynamic =
     (il1_accesses *. array_access_energy cfg.Config.il1_size)
     +. (dl1_accesses *. array_access_energy cfg.Config.dl1_size)
@@ -56,7 +56,7 @@ let estimate (cfg : Config.t) (r : Processor.result) =
     leakage;
     total;
     energy_per_instruction = epi;
-    energy_delay_product = epi *. r.Processor.cpi;
+    energy_delay_product = epi *. r.Batch.cpi;
   }
 
 let pp ppf t =

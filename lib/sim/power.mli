@@ -22,7 +22,7 @@ type t = {
   energy_delay_product : float;  (** EPI x CPI — the classic EDP metric *)
 }
 
-val estimate : Config.t -> Processor.result -> t
+val estimate : Config.t -> Batch.result -> t
 (** Combine a configuration's structure sizes with a run's event counts. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,25 +1,3 @@
-type result = {
-  instructions : int;
-  cycles : int;
-  cpi : float;
-  branch_accuracy : float;
-  il1_miss_rate : float;
-  dl1_miss_rate : float;
-  l2_miss_rate : float;
-  dram_accesses : int;
-  dram_avg_latency : float;
-  avg_rob_occupancy : float;
-  avg_iq_occupancy : float;
-  avg_lsq_occupancy : float;
-  dispatch_stall_rob : int;
-  dispatch_stall_iq : int;
-  dispatch_stall_lsq : int;
-  fetch_stall_icache : int;
-  fetch_stall_branch : int;
-}
-
-exception Cycle_limit_exceeded of int
-
 type stall_reason = No_stall | Icache_stall | Branch_stall
 
 let log2 n =
@@ -129,7 +107,7 @@ let run ?max_cycles ?(warm = true) cfg trace =
 
   while !committed < n do
     let now = !cycle in
-    if now > max_cycles then raise (Cycle_limit_exceeded now);
+    if now > max_cycles then raise (Batch.Cycle_limit_exceeded now);
 
     (* ---- commit: in order, completed strictly before this cycle ---- *)
     let quota = ref cfg.Config.commit_width in
@@ -317,7 +295,7 @@ let run ?max_cycles ?(warm = true) cfg trace =
   let cyclesf = float_of_int (max 1 cycles) in
   let dram = Dram.stats (Memory.dram mem) in
   {
-    instructions = n;
+    Batch.instructions = n;
     cycles;
     cpi = float_of_int cycles /. float_of_int (max 1 n);
     branch_accuracy = Branch_predictor.accuracy bp;
@@ -336,15 +314,4 @@ let run ?max_cycles ?(warm = true) cfg trace =
     fetch_stall_branch = !stall_branch;
   }
 
-let cpi ?max_cycles ?warm cfg trace = (run ?max_cycles ?warm cfg trace).cpi
-
-let pp_result ppf r =
-  Format.fprintf ppf
-    "@[<v>insts=%d cycles=%d cpi=%.4f@ bp_acc=%.4f il1_mr=%.4f dl1_mr=%.4f \
-     l2_mr=%.4f@ dram: n=%d avg_lat=%.1f@ occ: rob=%.1f iq=%.1f lsq=%.1f@ \
-     stalls: rob=%d iq=%d lsq=%d icache=%d branch=%d@]"
-    r.instructions r.cycles r.cpi r.branch_accuracy r.il1_miss_rate
-    r.dl1_miss_rate r.l2_miss_rate r.dram_accesses r.dram_avg_latency
-    r.avg_rob_occupancy r.avg_iq_occupancy r.avg_lsq_occupancy
-    r.dispatch_stall_rob r.dispatch_stall_iq r.dispatch_stall_lsq
-    r.fetch_stall_icache r.fetch_stall_branch
+let cpi ?max_cycles ?warm cfg trace = (run ?max_cycles ?warm cfg trace).Batch.cpi

@@ -222,7 +222,7 @@ let rule_table =
     ( "poly-compare", "fx_poly_compare.ml", [ "lib"; "bench"; "tools" ],
       each "poly-compare" [ "sort"; "qualified" ] );
     ( "hashtbl-order", "fx_hashtbl_order.ml", [ "lib"; "bench"; "tools" ],
-      each "hashtbl-order" [ "visit"; "total" ] );
+      each "hashtbl-order" [ "visit"; "total"; "keys" ] );
     ("exit", "fx_exit.ml", [ "lib"; "bench"; "test" ], each "exit" [ "quit"; "qualified" ]);
     ("unsafe-cast", "fx_unsafe_cast.ml", dirs, each "unsafe-cast" [ "cast"; "freeze" ]);
     ( "float-lit-eq", "fx_float_lit_eq.ml", dirs,
@@ -233,7 +233,7 @@ let rule_table =
       each "unsafe-index" [ "get1"; "set2"; "byte"; "fget" ] );
     ("missing-mli", "fx_missing_mli.ml", [ "lib" ], [ ("missing-mli", "line 1") ]);
     ( "random-global", "fx_random_global.ml", dirs,
-      each "impure" [ "draw"; "coin"; "roll" ] );
+      each "impure" [ "draw"; "coin"; "roll"; "flip" ] );
     ( "wall-clock", "fx_wall_clock.ml", [ "lib"; "bin"; "test"; "tools" ],
       each "impure" [ "stamp"; "cpu" ] );
     ("stdout-print", "fx_stdout_print.ml", [ "lib" ], each "impure" [ "()"; "say" ]);

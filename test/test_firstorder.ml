@@ -119,7 +119,7 @@ let test_model_ballpark () =
   in
   let m = Model.create trace in
   let predicted = Model.cpi m Sim.Config.default in
-  let simulated = Sim.Processor.cpi Sim.Config.default trace in
+  let simulated = (Sim.Batch.cpi [| Sim.Config.default |] trace).(0) in
   let ratio = predicted /. simulated in
   Alcotest.(check bool) "within 2x" true (ratio > 0.5 && ratio < 2.)
 

@@ -1,20 +1,31 @@
 (* Tests for archpred.sim: opcodes, traces, caches, branch prediction,
-   DRAM, the memory hierarchy, functional units, configurations and the
-   cycle-level pipeline itself (hand-built traces with known behaviour). *)
+   configurations and the cycle-level pipeline itself (hand-built traces
+   with known behaviour, through the batched engine production runs);
+   the reference engine's DRAM, memory hierarchy and functional units;
+   and the batched engine held bit for bit to that reference. *)
 
 module Sim = Archpred_sim
 module Opcode = Sim.Opcode
 module Trace = Sim.Trace
 module Cache = Sim.Cache
 module Bp = Sim.Branch_predictor
-module Dram = Sim.Dram
-module Memory = Sim.Memory
-module Fu = Sim.Fu_pool
+module Dram = Sim_oracle.Dram
+module Memory = Sim_oracle.Memory
+module Fu = Sim_oracle.Fu_pool
 module Config = Sim.Config
-module Processor = Sim.Processor
+module Batch = Sim.Batch
+module Processor = Sim_oracle.Processor
 
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+
+(* [configs] through a fresh plan of [trace]; the oracle properties'
+   names call it [Batch.run]. *)
+let run_batch ?max_cycles ?warm ?domains configs trace =
+  Batch.run_plan ?max_cycles ?warm ?domains (Batch.plan trace) configs
+
+(* One config through the batched engine. *)
+let simulate ?warm cfg trace = (run_batch ?warm [| cfg |] trace).(0)
 
 let inst ?(op = Opcode.Ialu) ?(dep1 = 0) ?(dep2 = 0) ?(addr = 0) ?(pc = 0)
     ?(taken = false) ?(target = 0) () : Trace.inst =
@@ -273,8 +284,8 @@ let test_prefetch_helps_streaming () =
          ~dl1_size:(8 * 1024) ~dl1_latency:2 ())
       with Config.l2_prefetch = prefetch }
   in
-  let off = (Processor.run ~warm:false (cfg_of false) trace).Processor.cpi in
-  let on = (Processor.run ~warm:false (cfg_of true) trace).Processor.cpi in
+  let off = (simulate ~warm:false (cfg_of false) trace).Batch.cpi in
+  let on = (simulate ~warm:false (cfg_of true) trace).Batch.cpi in
   Alcotest.(check bool) "prefetch reduces streaming CPI" true (on < off)
 
 let test_prefetch_default_off () =
@@ -329,13 +340,17 @@ let test_config_size_rounding () =
   Alcotest.(check bool) "close to request" true
     (abs (c.Config.l2_size - 1_000_000) < 64 * 8)
 
-(* ---------- Processor ---------- *)
+(* ---------- Pipeline behaviour (batched engine) ---------- *)
+
+(* What the model does runs on the engine production uses; determinism
+   and the cycle limit here are the oracle's own unit tests ([batch]
+   has the engine's). *)
 
 (* warm caches: these throughput tests target the pipeline, not cold
    compulsory misses *)
 let run_cpi ?cfg trace =
   let cfg = match cfg with Some c -> c | None -> Config.default in
-  (Processor.run ~warm:true cfg trace).Processor.cpi
+  (simulate ~warm:true cfg trace).Batch.cpi
 
 let test_processor_ilp_throughput () =
   let trace = uniform_trace 4000 in
@@ -354,7 +369,7 @@ let test_processor_determinism () =
   in
   let a = Processor.run Config.default trace in
   let b = Processor.run Config.default trace in
-  Alcotest.(check int) "same cycles" a.Processor.cycles b.Processor.cycles
+  Alcotest.(check int) "same cycles" a.Batch.cycles b.Batch.cycles
 
 let test_processor_dl1_latency_monotone () =
   let trace =
@@ -367,7 +382,7 @@ let test_processor_dl1_latency_monotone () =
         ~l2_size:(2 lsl 20) ~l2_latency:10 ~il1_size:(32 * 1024)
         ~dl1_size:(32 * 1024) ~dl1_latency:lat ()
     in
-    Processor.cpi cfg trace
+    (simulate cfg trace).Batch.cpi
   in
   Alcotest.(check bool) "dl1 latency hurts" true (cpi_at 4 > cpi_at 1)
 
@@ -389,7 +404,7 @@ let test_processor_mispredict_penalty_scales () =
         ~l2_size:(2 lsl 20) ~l2_latency:10 ~il1_size:(32 * 1024)
         ~dl1_size:(32 * 1024) ~dl1_latency:2 ()
     in
-    Processor.cpi cfg trace
+    (simulate cfg trace).Batch.cpi
   in
   Alcotest.(check bool) "deep pipe worse" true (cpi_at 24 > cpi_at 7 +. 0.1)
 
@@ -407,7 +422,7 @@ let test_processor_rob_size_helps_mlp () =
         ~lsq_size:(rob / 2) ~l2_size:(1 lsl 18) ~l2_latency:10
         ~il1_size:(32 * 1024) ~dl1_size:(8 * 1024) ~dl1_latency:2 ()
     in
-    (Processor.run ~warm:false cfg trace).Processor.cpi
+    (simulate ~warm:false cfg trace).Batch.cpi
   in
   Alcotest.(check bool) "bigger rob helps" true (cpi_at 128 < cpi_at 16 -. 0.2)
 
@@ -419,20 +434,20 @@ let test_processor_store_forwarding () =
         | _ -> inst ~op:Opcode.Load ~addr:((i / 2) * 65536) ~pc:(4 * i) ())
   in
   let trace = Trace.of_array insts in
-  let r = Processor.run ~warm:true Config.default trace in
-  Alcotest.(check bool) "forwarding keeps cpi low" true (r.Processor.cpi < 3.)
+  let r = simulate ~warm:true Config.default trace in
+  Alcotest.(check bool) "forwarding keeps cpi low" true (r.Batch.cpi < 3.)
 
 let test_processor_commits_everything () =
   let trace = uniform_trace 1234 in
-  let r = Processor.run Config.default trace in
-  Alcotest.(check int) "all committed" 1234 r.Processor.instructions;
-  Alcotest.(check bool) "cycles positive" true (r.Processor.cycles > 0)
+  let r = simulate Config.default trace in
+  Alcotest.(check int) "all committed" 1234 r.Batch.instructions;
+  Alcotest.(check bool) "cycles positive" true (r.Batch.cycles > 0)
 
 let test_processor_cycle_limit () =
   let trace = uniform_trace 100 in
   Alcotest.(check bool) "raises" true
     (match Processor.run ~max_cycles:3 Config.default trace with
-    | exception Processor.Cycle_limit_exceeded _ -> true
+    | exception Batch.Cycle_limit_exceeded _ -> true
     | _ -> false)
 
 let test_processor_occupancies_bounded () =
@@ -441,13 +456,13 @@ let test_processor_occupancies_bounded () =
       ~length:5_000
   in
   let cfg = Config.default in
-  let r = Processor.run cfg trace in
+  let r = simulate cfg trace in
   Alcotest.(check bool) "rob occ within size" true
-    (r.Processor.avg_rob_occupancy <= float_of_int cfg.Config.rob_size);
+    (r.Batch.avg_rob_occupancy <= float_of_int cfg.Config.rob_size);
   Alcotest.(check bool) "iq occ within size" true
-    (r.Processor.avg_iq_occupancy <= float_of_int cfg.Config.iq_size);
+    (r.Batch.avg_iq_occupancy <= float_of_int cfg.Config.iq_size);
   Alcotest.(check bool) "lsq occ within size" true
-    (r.Processor.avg_lsq_occupancy <= float_of_int cfg.Config.lsq_size)
+    (r.Batch.avg_lsq_occupancy <= float_of_int cfg.Config.lsq_size)
 
 let prop_processor_never_faster_than_width =
   qtest ~count:10 "CPI >= 1/fetch_width" QCheck2.Gen.(int_range 0 10_000)
@@ -456,8 +471,8 @@ let prop_processor_never_faster_than_width =
         Archpred_workloads.Generator.generate ~seed
           Archpred_workloads.Spec2000.crafty ~length:2_000
       in
-      let r = Processor.run Config.default trace in
-      r.Processor.cpi >= 1. /. float_of_int Config.default.Config.fetch_width)
+      let r = simulate Config.default trace in
+      r.Batch.cpi >= 1. /. float_of_int Config.default.Config.fetch_width)
 
 
 
@@ -482,8 +497,8 @@ let test_trace_io_roundtrip () =
       Alcotest.(check bool) "identical instructions" true !same;
       (* identical timing too *)
       Alcotest.(check int) "same cycles"
-        (Processor.run Config.default trace).Processor.cycles
-        (Processor.run Config.default loaded).Processor.cycles)
+        (simulate Config.default trace).Batch.cycles
+        (simulate Config.default loaded).Batch.cycles)
 
 let test_trace_io_rejects_garbage () =
   let path = Filename.temp_file "archpred" ".trace" in
@@ -565,7 +580,7 @@ let trace_io_byte_soup =
 (* ---------- Power ---------- *)
 
 let power_of cfg trace =
-  Sim.Power.estimate cfg (Processor.run cfg trace)
+  Sim.Power.estimate cfg (simulate cfg trace)
 
 let test_power_positive () =
   let trace =
@@ -601,10 +616,10 @@ let test_power_edp_consistent () =
     Archpred_workloads.Generator.generate Archpred_workloads.Spec2000.twolf
       ~length:5_000
   in
-  let r = Processor.run Config.default trace in
+  let r = simulate Config.default trace in
   let p = Sim.Power.estimate Config.default r in
   Alcotest.(check (float 1e-9)) "edp = epi * cpi"
-    (p.Sim.Power.energy_per_instruction *. r.Processor.cpi)
+    (p.Sim.Power.energy_per_instruction *. r.Batch.cpi)
     p.Sim.Power.energy_delay_product
 
 (* ---------- predictor schemes ---------- *)
@@ -759,8 +774,6 @@ let test_policy_default_is_lru () =
 
 (* ---------- Batched multi-config simulation ---------- *)
 
-module Batch = Sim.Batch
-
 (* A deterministic spread of valid configs covering ROB/queue sizes,
    pipe depths, cache geometries and all four replacement policies. *)
 let batch_configs b salt =
@@ -780,34 +793,34 @@ let batch_configs b salt =
         ~dl1_latency:(1 + (j mod 4))
         ())
 
-let results_equal (a : Processor.result) (b : Processor.result) =
+let results_equal (a : Batch.result) (b : Batch.result) =
   let feq x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
-  a.Processor.instructions = b.Processor.instructions
-  && a.Processor.cycles = b.Processor.cycles
-  && a.Processor.dram_accesses = b.Processor.dram_accesses
-  && a.Processor.dispatch_stall_rob = b.Processor.dispatch_stall_rob
-  && a.Processor.dispatch_stall_iq = b.Processor.dispatch_stall_iq
-  && a.Processor.dispatch_stall_lsq = b.Processor.dispatch_stall_lsq
-  && a.Processor.fetch_stall_icache = b.Processor.fetch_stall_icache
-  && a.Processor.fetch_stall_branch = b.Processor.fetch_stall_branch
-  && feq a.Processor.cpi b.Processor.cpi
-  && feq a.Processor.branch_accuracy b.Processor.branch_accuracy
-  && feq a.Processor.il1_miss_rate b.Processor.il1_miss_rate
-  && feq a.Processor.dl1_miss_rate b.Processor.dl1_miss_rate
-  && feq a.Processor.l2_miss_rate b.Processor.l2_miss_rate
-  && feq a.Processor.dram_avg_latency b.Processor.dram_avg_latency
-  && feq a.Processor.avg_rob_occupancy b.Processor.avg_rob_occupancy
-  && feq a.Processor.avg_iq_occupancy b.Processor.avg_iq_occupancy
-  && feq a.Processor.avg_lsq_occupancy b.Processor.avg_lsq_occupancy
+  a.Batch.instructions = b.Batch.instructions
+  && a.Batch.cycles = b.Batch.cycles
+  && a.Batch.dram_accesses = b.Batch.dram_accesses
+  && a.Batch.dispatch_stall_rob = b.Batch.dispatch_stall_rob
+  && a.Batch.dispatch_stall_iq = b.Batch.dispatch_stall_iq
+  && a.Batch.dispatch_stall_lsq = b.Batch.dispatch_stall_lsq
+  && a.Batch.fetch_stall_icache = b.Batch.fetch_stall_icache
+  && a.Batch.fetch_stall_branch = b.Batch.fetch_stall_branch
+  && feq a.Batch.cpi b.Batch.cpi
+  && feq a.Batch.branch_accuracy b.Batch.branch_accuracy
+  && feq a.Batch.il1_miss_rate b.Batch.il1_miss_rate
+  && feq a.Batch.dl1_miss_rate b.Batch.dl1_miss_rate
+  && feq a.Batch.l2_miss_rate b.Batch.l2_miss_rate
+  && feq a.Batch.dram_avg_latency b.Batch.dram_avg_latency
+  && feq a.Batch.avg_rob_occupancy b.Batch.avg_rob_occupancy
+  && feq a.Batch.avg_iq_occupancy b.Batch.avg_iq_occupancy
+  && feq a.Batch.avg_lsq_occupancy b.Batch.avg_lsq_occupancy
 
 let check_batch_vs_reference ?(warm = true) ?domains msg configs trace =
-  let batch = Batch.run ~warm ?domains configs trace in
+  let batch = run_batch ~warm ?domains configs trace in
   Array.iteri
     (fun i cfg ->
       let reference = Processor.run ~warm cfg trace in
       if not (results_equal reference batch.(i)) then
         Alcotest.failf "%s: config %d diverges:@.ref   %a@.batch %a" msg i
-          Processor.pp_result reference Processor.pp_result batch.(i))
+          Batch.pp_result reference Batch.pp_result batch.(i))
     configs
 
 let test_batch_bit_identity () =
@@ -835,8 +848,8 @@ let test_batch_domain_independence () =
       Archpred_workloads.Spec2000.twolf ~length:2_000
   in
   let configs = batch_configs 16 1 in
-  let one = Batch.run ~domains:1 configs trace in
-  let four = Batch.run ~domains:4 configs trace in
+  let one = run_batch ~domains:1 configs trace in
+  let four = run_batch ~domains:4 configs trace in
   Array.iteri
     (fun i r ->
       Alcotest.(check bool)
@@ -865,13 +878,13 @@ let test_batch_plan_reuse () =
 let test_batch_cycle_limit () =
   let trace = uniform_trace 100 in
   Alcotest.(check bool) "raises like the reference" true
-    (match Batch.run ~max_cycles:3 [| Config.default |] trace with
-    | exception Processor.Cycle_limit_exceeded 4 -> true
+    (match run_batch ~max_cycles:3 [| Config.default |] trace with
+    | exception Batch.Cycle_limit_exceeded 4 -> true
     | _ -> false)
 
 let test_batch_empty () =
   let trace = uniform_trace 10 in
-  Alcotest.(check int) "no configs" 0 (Array.length (Batch.run [||] trace))
+  Alcotest.(check int) "no configs" 0 (Array.length (run_batch [||] trace))
 
 let test_batch_invalid_config () =
   let trace = uniform_trace 10 in
@@ -880,7 +893,7 @@ let test_batch_invalid_config () =
   List.iter
     (fun (name, bad) ->
       Alcotest.(check bool) (name ^ " rejected") true
-        (match Batch.run [| d; bad |] trace with
+        (match run_batch [| d; bad |] trace with
         | exception Invalid_argument _ -> true
         | _ -> false))
     [
@@ -919,7 +932,7 @@ let prop_batch_bit_identity =
         Archpred_workloads.Generator.generate ~seed profile ~length:1_000
       in
       let configs = batch_configs 5 seed in
-      let batch = Batch.run configs trace in
+      let batch = run_batch configs trace in
       Array.for_all2
         (fun cfg r -> results_equal (Processor.run cfg trace) r)
         configs batch)
@@ -966,7 +979,7 @@ let prop_batch_functional_units =
           (fun k cfg -> { cfg with Config.fu = (if k mod 2 = 0 then fu_a else fu_b) })
           (batch_configs 4 seed)
       in
-      let batch = Batch.run ~warm configs trace in
+      let batch = run_batch ~warm configs trace in
       Array.for_all2
         (fun cfg r -> results_equal (Processor.run ~warm cfg trace) r)
         configs batch)
@@ -1026,7 +1039,7 @@ let prop_batch_table1 =
         Archpred_workloads.Generator.generate ~seed profile ~length:1_500
       in
       let configs = table1_configs 6 seed in
-      let batch = Batch.run ~warm ~domains configs trace in
+      let batch = run_batch ~warm ~domains configs trace in
       Array.for_all2
         (fun cfg r -> results_equal (Processor.run ~warm cfg trace) r)
         configs batch)
@@ -1098,7 +1111,7 @@ let test_batch_one_over_limit () =
   List.iter
     (fun (warm, domains) ->
       let cycles =
-        Array.map (fun cfg -> (Processor.run ~warm cfg trace).Processor.cycles) configs
+        Array.map (fun cfg -> (Processor.run ~warm cfg trace).Batch.cycles) configs
       in
       let slow_cycles = cycles.(2) in
       let slowest_fast =
@@ -1108,15 +1121,15 @@ let test_batch_one_over_limit () =
       let limit = (slow_cycles + slowest_fast) / 2 in
       let expected =
         match Processor.run ~warm ~max_cycles:limit slow trace with
-        | exception Processor.Cycle_limit_exceeded c -> c
+        | exception Batch.Cycle_limit_exceeded c -> c
         | _ -> Alcotest.fail "reference did not hit the limit"
       in
       Array.iteri
         (fun i cfg ->
           if i <> 2 then ignore (Processor.run ~warm ~max_cycles:limit cfg trace))
         configs;
-      match Batch.run ~warm ~domains ~max_cycles:limit configs trace with
-      | exception Processor.Cycle_limit_exceeded c ->
+      match run_batch ~warm ~domains ~max_cycles:limit configs trace with
+      | exception Batch.Cycle_limit_exceeded c ->
           Alcotest.(check int)
             (Printf.sprintf "limit count warm=%b domains=%d" warm domains)
             expected c
@@ -1139,7 +1152,7 @@ let test_batch_counters () =
       Alcotest.(check bool) (name ^ ": same result") true
         (results_equal r (Batch.run_plan p [| configs.(i) |]).(0));
       Alcotest.(check int) (name ^ ": stepped + skipped = cycles")
-        r.Processor.cycles
+        r.Batch.cycles
         (c.Batch.cycles_stepped + c.Batch.cycles_skipped);
       Alcotest.(check bool) (name ^ ": every level accessed") true
         (c.Batch.il1_accesses > 0 && c.Batch.dl1_accesses > 0
@@ -1162,7 +1175,7 @@ let test_batch_zero_units () =
       let cfg = { Config.default with Config.fu } in
       let outcome f =
         match f () with
-        | exception Processor.Cycle_limit_exceeded c -> Some c
+        | exception Batch.Cycle_limit_exceeded c -> Some c
         | _ -> None
       in
       let reference =
@@ -1171,7 +1184,7 @@ let test_batch_zero_units () =
       Alcotest.(check bool) (name ^ ": reference deadlocks") true
         (reference <> None);
       Alcotest.(check (option int)) name reference
-        (outcome (fun () -> Batch.run ~warm ~max_cycles:4000 [| cfg |] trace)))
+        (outcome (fun () -> run_batch ~warm ~max_cycles:4000 [| cfg |] trace)))
     [
       ("no multiplier", { fu with Fu.int_mul = (0, 3) }, true);
       ("no integer divider", { fu with Fu.int_div = (0, 20) }, false);

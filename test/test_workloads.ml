@@ -207,14 +207,16 @@ let test_extractor_clone_behaves () =
   let original = Generator.generate p ~length:20_000 in
   let e = Extractor.profile_of_trace original in
   let clone = Generator.generate ~seed:99 e ~length:20_000 in
-  let module Proc = Archpred_sim.Processor in
+  let module Batch = Archpred_sim.Batch in
   let module Cfg = Archpred_sim.Config in
   let weak =
     Cfg.make ~pipe_depth:22 ~rob_size:32 ~iq_size:12 ~lsq_size:12
       ~l2_size:(256 * 1024) ~l2_latency:18 ~il1_size:(8 * 1024)
       ~dl1_size:(8 * 1024) ~dl1_latency:4 ()
   in
-  let ratio cfg = Proc.cpi cfg clone /. Proc.cpi cfg original in
+  let ratio cfg =
+    (Batch.cpi [| cfg |] clone).(0) /. (Batch.cpi [| cfg |] original).(0)
+  in
   let r1 = ratio Cfg.default and r2 = ratio weak in
   Alcotest.(check bool) "clone within 40% at default" true
     (r1 > 0.6 && r1 < 1.67);

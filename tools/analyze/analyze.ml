@@ -1289,6 +1289,22 @@ and register_mb st ctx prefix mb =
         (struct_of mb.mb_expr)
   | None, _ -> ()
 
+(* Expression-local aliases ([let module L = Random in L.bool ()]).  An
+   ident is unique within its unit, so they join the unit's alias map
+   and resolve like top-level ones in every later pass. *)
+let register_local_aliases ctx str =
+  let expr sub e =
+    (match e.exp_desc with
+    | Texp_letmodule (Some id, _, _, me, _) -> (
+        match unwrap_mod me with
+        | Tmod_ident (p, _) -> ctx.aliases <- IdentMap.add id p ctx.aliases
+        | _ -> ())
+    | _ -> ());
+    Tast_iterator.default_iterator.expr sub e
+  in
+  let it = { Tast_iterator.default_iterator with expr } in
+  it.structure it str
+
 (* Pass 2: collect facts for every top-level function; walk other
    top-level bindings under a per-unit `<init>` pseudo-function so
    effects and entry sites in `let () = ...` bodies are still seen. *)
@@ -1352,6 +1368,7 @@ let load_unit st ~root ~rel_of cmt_path =
             }
           in
           register_items st ctx ctx.unit_parts str.str_items;
+          register_local_aliases ctx str;
           facts_items st ctx ctx.unit_parts str.str_items;
           let pragmas, bad = scan_pragmas ~file cmt.Cmt_format.cmt_comments in
           st.pragmas <- pragmas @ st.pragmas;

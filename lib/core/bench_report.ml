@@ -4,14 +4,20 @@ module Json = Archpred_obs.Json
 
 let schema_version = 1
 
+(* Dirt is judged on the tracked files other than the BENCH_*.json
+   records in the working directory, which this module writes: the
+   second of BENCH_parallel.json's two writers ([bench --sim], then
+   [bench --micro]) would otherwise always stamp "-dirty". *)
 let git_describe () =
-  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+  match Unix.open_process_in "git describe --always 2>/dev/null" with
   | exception Unix.Unix_error (_, _, _) -> "unknown"
   | ic ->
       let line = try Some (input_line ic) with End_of_file -> None in
       ignore (Unix.close_process_in ic);
       (match line with
-      | Some l when String.trim l <> "" -> String.trim l
+      | Some l when String.trim l <> "" ->
+          let clean = "git diff --quiet HEAD -- ':(exclude)BENCH_*.json'" in
+          String.trim l ^ if Sys.command (clean ^ " 2>/dev/null") = 0 then "" else "-dirty"
       | _ -> "unknown")
 
 let metadata () =

@@ -14,8 +14,9 @@ val schema_version : int
     report's payload; currently [1]. *)
 
 val git_describe : unit -> string
-(** [git describe --always --dirty], or ["unknown"] outside a work
-    tree. *)
+(** [git describe --always], with [-dirty] appended when a tracked file
+    other than the [BENCH_*.json] records in the working directory
+    differs from the commit; ["unknown"] outside a work tree. *)
 
 val metadata : unit -> (string * Archpred_obs.Json.t) list
 (** The environment stamp: [cores] (the cores available to the

@@ -1,4 +1,5 @@
-/* The Gram matrix H'H of a row-major design (see incremental_ls.ml).
+/* The Gram matrix H'H of a row-major design and the forward
+ * substitution of a Cholesky push (see incremental_ls.ml).
  *
  * One call adds rows [k0, k1) of the design into the upper-triangle
  * entries (a, b >= a) of Gram rows [a0, a1):
@@ -135,4 +136,53 @@ CAMLprim value archpred_linalg_gram_block_byte(value *argv, int argn) {
       argv[0], Long_val(argv[1]), argv[2], Long_val(argv[3]),
       Long_val(argv[4]), Long_val(argv[5]), Long_val(argv[6]),
       Long_val(argv[7]));
+}
+
+/* The forward substitution L a = acc of a Cholesky push, in place, by
+ * columns of l (L_kq at l[q*n + k]): a_q = acc[q] / L_qq, then
+ * acc[k] = acc[k] - a_q * L_kq for k > q.  Every acc[k] takes its terms
+ * in ascending q, as the dot product L_kk a_k = acc_k - sum_{q<k} a_q
+ * L_kq does, so the two agree bit for bit; AVX2 lanes run down a
+ * column. */
+static void sweep_portable(const double *l, double *acc, long n, long m) {
+  for (long q = 0; q < m; q++) {
+    const double *lq = l + q * n;
+    double a = acc[q] / lq[q];
+    acc[q] = a;
+    for (long k = q + 1; k < m; k++) acc[k] = acc[k] - a * lq[k];
+  }
+}
+
+#if defined(__x86_64__)
+__attribute__((target("avx2")))
+static void sweep_avx2(const double *l, double *acc, long n, long m) {
+  for (long q = 0; q < m; q++) {
+    const double *lq = l + q * n;
+    double a = acc[q] / lq[q];
+    __m256d va = _mm256_set1_pd(a);
+    long k = q + 1;
+    acc[q] = a;
+    for (; k + 4 <= m; k += 4)
+      _mm256_storeu_pd(acc + k,
+                       _mm256_sub_pd(_mm256_loadu_pd(acc + k),
+                                     _mm256_mul_pd(va, _mm256_loadu_pd(lq + k))));
+    for (; k < m; k++) acc[k] = acc[k] - a * lq[k];
+  }
+  _mm256_zeroupper();
+}
+#endif
+
+/* mode as for the Gram; with five tagged arguments one entry serves
+ * bytecode and native code. */
+CAMLprim value archpred_linalg_push_sweep(value vl, value vacc, value vn,
+                                          value vm, value vmode) {
+  long n = Long_val(vn), m = Long_val(vm);
+#if defined(__x86_64__)
+  if (Long_val(vmode) != 0 && have_avx2())
+    sweep_avx2((const double *)vl, (double *)vacc, n, m);
+  else
+#endif
+    sweep_portable((const double *)vl, (double *)vacc, n, m);
+  (void)vmode;
+  return Val_unit;
 }

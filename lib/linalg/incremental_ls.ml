@@ -5,6 +5,7 @@ type t = {
   hy : float array; (* n_cols *)
   mutable yty : float;
   jitter : float;
+  mode : int; (* 0 forces the portable C kernels, 1 picks the best *)
   mutable generation : int; (* bumped by every [add_row] *)
 }
 
@@ -67,7 +68,7 @@ let create ?(force_scalar = false) ?(jitter = 0.) ~design ~responses () =
     done
   done;
   let yty = Array.fold_left (fun acc y -> acc +. (y *. y)) 0. responses in
-  { p; n_cols = n; gram; hy; yty; jitter; generation = 0 }
+  { p; n_cols = n; gram; hy; yty; jitter; mode; generation = 0 }
 
 let p t = t.p
 let n_cols t = t.n_cols
@@ -103,11 +104,18 @@ let add_row t ~row ~y =
   t.p <- t.p + 1;
   t.generation <- t.generation + 1
 
+(* [push]'s forward substitution, a C kernel in gram_stubs.c. *)
+external push_sweep : float array -> float array -> int -> int -> int -> unit
+  = "archpred_linalg_push_sweep"
+[@@noalloc]
+
 type factor = {
   ls : t;
   ids : int array; (* active columns, in push order *)
   mutable l : float array;
-      (* lower-triangular Cholesky rows, stride n_cols; grown by [grow] *)
+      (* lower-triangular Cholesky factor, L_rc at [c * n_cols + r]; grown
+         by [grow] *)
+  acc : float array; (* [push]'s new row of L, built in place *)
   z : float array; (* z = L^-1 (H'y)_S, kept in step with l *)
   mutable m : int;
   mutable generation : int; (* [ls.generation] its rows were built under *)
@@ -125,6 +133,7 @@ let factor ls =
     ls;
     ids = Array.make n (-1);
     l = Array.make (n * Int.min n 16) 0.;
+    acc = Array.make n 0.;
     z = Array.make n 0.;
     m = 0;
     generation = ls.generation;
@@ -142,10 +151,10 @@ let shrink f k =
 let pushes f = f.pushes
 let pops f = f.pops
 
-(* Room for row [m] of L, which is full: the row capacity doubles, up
-   to [n_cols] rows.  A factor that holds a few dozen of several hundred
-   candidate columns then never allocates the full square, and [push]
-   allocates only here, a logarithmic number of times per factor. *)
+(* Room for column [m] of L, which is full: the column capacity doubles,
+   up to [n_cols] columns.  A factor that holds a few dozen of several
+   hundred candidate columns then never allocates the full square, and
+   [push] allocates only here, a logarithmic number of times per factor. *)
 let grow f m =
   let n = f.ls.n_cols in
   let l = Array.make (Int.min n (2 * m) * n) 0. in
@@ -161,22 +170,19 @@ let push f j =
   f.pushes <- f.pushes + 1;
   if m = 0 then f.generation <- ls.generation;
   if (m + 1) * n > Array.length f.l then grow f m;
-  let l = f.l and ids = f.ids and gram = ls.gram in
-  let row = m * n in
-  (* Forward-substitute the new row of L against the existing rows:
-     L_mk = (G_{ids_k, j} - sum_{q<k} L_mq L_kq) / L_kk. *)
+  let l = f.l and ids = f.ids and gram = ls.gram and acc = f.acc in
+  (* The new row a of L solves L a = G_{ids, j} (read along Gram row j:
+     the Gram is exactly symmetric), right-looking: a_q = acc_q / L_qq,
+     then acc_k -= a_q L_kq down column q.  Each acc_k still takes its
+     terms in ascending q, as the row-by-row dot product did. *)
+  let jrow = j * n in
   for k = 0 to m - 1 do
-    let acc = ref (Array.unsafe_get gram ((Array.unsafe_get ids k * n) + j)) in
-    let krow = k * n in
-    for q = 0 to k - 1 do
-      acc :=
-        !acc -. (Array.unsafe_get l (row + q) *. Array.unsafe_get l (krow + q))
-    done;
-    Array.unsafe_set l (row + k) (!acc /. Array.unsafe_get l (krow + k))
+    Array.unsafe_set acc k (Array.unsafe_get gram (jrow + Array.unsafe_get ids k))
   done;
-  let d2 = ref (Array.unsafe_get gram ((j * n) + j) +. ls.jitter) in
+  push_sweep l acc n m ls.mode;
+  let d2 = ref (Array.unsafe_get gram (jrow + j) +. ls.jitter) in
   for q = 0 to m - 1 do
-    let v = Array.unsafe_get l (row + q) in
+    let v = Array.unsafe_get acc q in
     d2 := !d2 -. (v *. v)
   done;
   if !d2 <= 0. then begin
@@ -185,13 +191,15 @@ let push f j =
   end
   else begin
     let lmm = sqrt !d2 in
-    Array.unsafe_set l (row + m) lmm;
     (* z grows by one entry per push and truncates on pop, so the explained
        sum of squares is always [sum z_k^2] over the live prefix. *)
     let zm = ref ls.hy.(j) in
     for k = 0 to m - 1 do
-      zm := !zm -. (Array.unsafe_get l (row + k) *. Array.unsafe_get f.z k)
+      let v = Array.unsafe_get acc k in
+      Array.unsafe_set l ((k * n) + m) v;
+      zm := !zm -. (v *. Array.unsafe_get f.z k)
     done;
+    Array.unsafe_set l ((m * n) + m) lmm;
     f.z.(m) <- !zm /. lmm;
     ids.(m) <- j;
     f.m <- m + 1;
@@ -250,7 +258,7 @@ let solve f =
   for i = m - 1 downto 0 do
     let acc = ref w.(i) in
     for j = i + 1 to m - 1 do
-      acc := !acc -. (Array.unsafe_get f.l ((j * n) + i) *. w.(j))
+      acc := !acc -. (Array.unsafe_get f.l ((i * n) + j) *. w.(j))
     done;
     w.(i) <- !acc /. Array.unsafe_get f.l ((i * n) + i)
   done;

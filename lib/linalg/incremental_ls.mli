@@ -33,8 +33,8 @@ val create :
     SIMD lanes (AVX2 when the CPU has it, else portable C); every entry is
     its ascending-row sum from +0 on both paths, so they agree bit for
     bit, and [force_scalar] (default [false]) selects the portable path
-    for cross-path tests.  Raises [Invalid_argument] on dimension
-    mismatch or negative jitter. *)
+    of the Gram and of every factor's {!push} for cross-path tests.
+    Raises [Invalid_argument] on dimension mismatch or negative jitter. *)
 
 val p : t -> int
 (** Number of rows (observations) of the design. *)

@@ -49,10 +49,6 @@ let to_arrays m =
 let row m i = Array.init m.cols (fun j -> get m i j)
 let col m j = Array.init m.rows (fun i -> get m i j)
 
-let set_row m i v =
-  if Array.length v <> m.cols then invalid_arg "Matrix.set_row: bad length";
-  Array.blit v 0 m.data (i * m.cols) m.cols
-
 let set_col m j v =
   if Array.length v <> m.rows then invalid_arg "Matrix.set_col: bad length";
   for i = 0 to m.rows - 1 do
@@ -109,9 +105,6 @@ let select_cols a idx =
       if j < 0 || j >= a.cols then invalid_arg "Matrix.select_cols: bad index")
     idx;
   init a.rows (Array.length idx) (fun i k -> get a i idx.(k))
-
-let frobenius a =
-  sqrt (Array.fold_left (fun acc v -> acc +. (v *. v)) 0. a.data)
 
 let pp ppf m =
   for i = 0 to m.rows - 1 do

@@ -31,7 +31,6 @@ val of_arrays : float array array -> t
 val to_arrays : t -> float array array
 val row : t -> int -> Vector.t
 val col : t -> int -> Vector.t
-val set_row : t -> int -> Vector.t -> unit
 val set_col : t -> int -> Vector.t -> unit
 val transpose : t -> t
 val mul : t -> t -> t
@@ -46,8 +45,5 @@ val select_cols : t -> int array -> t
 (** [select_cols a idx] keeps the listed columns, in order. The forward
     center-selection algorithm uses this to grow candidate design
     matrices. *)
-
-val frobenius : t -> float
-(** Frobenius norm. *)
 
 val pp : Format.formatter -> t -> unit

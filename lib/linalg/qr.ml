@@ -110,12 +110,3 @@ let least_squares_ridge a y ~lambda =
   let y_aug = Array.make rows 0. in
   Array.blit y 0 y_aug 0 p;
   solve (factorize aug ~p:rows ~m) y_aug
-
-let residual_sum_squares a w y =
-  let fitted = Matrix.mul_vec a w in
-  let acc = ref 0. in
-  for i = 0 to Array.length y - 1 do
-    let d = fitted.(i) -. y.(i) in
-    acc := !acc +. (d *. d)
-  done;
-  !acc

@@ -31,6 +31,3 @@ val least_squares_ridge : Matrix.t -> Vector.t -> lambda:float -> Vector.t
     rank-deficient [A] when [lambda > 0]. The RBF fitting path falls back
     to this when centers nearly coincide and the plain system becomes
     singular. *)
-
-val residual_sum_squares : Matrix.t -> Vector.t -> Vector.t -> float
-(** [residual_sum_squares a w y] is [||A w - y||^2]. *)

@@ -50,9 +50,13 @@ val eval_batch_fresh :
     may evaluate one [packed] concurrently (the model arrays themselves
     are read-only after {!pack}). *)
 
-val design_matrix : center array -> float array array -> Archpred_linalg.Matrix.t
+val design_matrix :
+  ?force_scalar:bool -> center array -> float array array ->
+  Archpred_linalg.Matrix.t
 (** [design_matrix centers points] is the p-by-m matrix [H] with
-    [H(i)(j) = basis centers.(j) points.(i)]. *)
+    [H(i)(j) = basis centers.(j) points.(i)] bit for bit, from a C
+    kernel ([force_scalar] pins its portable path).  Raises
+    [Invalid_argument] on an arity mismatch. *)
 
 type fit_diagnostics = {
   rss : float;

@@ -37,7 +37,9 @@
 #define POW2_OFFSET 1099
 #define POW2_LAST 2122
 
-static double exp_neg_scalar(double s, const double *t2j, const double *p2) {
+/* Always inlined: gcc splits it for two callers, costing eval a call. */
+static inline __attribute__((always_inline)) double
+exp_neg_scalar(double s, const double *t2j, const double *p2) {
   if (!(fabs(s) <= 708.0)) {
     if (s != s) return s;
     return s > 0.0 ? 0.0 : INFINITY;
@@ -281,4 +283,77 @@ CAMLprim value archpred_rbf_eval_batch_bytecode(value *argv, int argn) {
   return archpred_rbf_eval_batch(argv[0], argv[1], argv[2], argv[3], argv[4],
                                  argv[5], argv[6], argv[7], argv[8], argv[9],
                                  argv[10]);
+}
+
+/* Rows [i0, i1) of the design: h[i*m + j] = exp_neg(s) for center j at
+ * point i (c, q: float array arrays; 1/r of center j at ir + j*dim). */
+#define ROW(v, j) ((const double *)Field(v, j))
+static void design_scalar(value c, const double *ir, long m, long dim,
+                          value q, long i0, long i1, double *h,
+                          const double *t2j, const double *p2) {
+  for (long i = i0; i < i1; i++)
+    for (long j = 0; j < m; j++) {
+      double s = 0.0;
+      for (long k = 0; k < dim; k++) {
+        double d = (ROW(q, i)[k] - ROW(c, j)[k]) * ir[j * dim + k];
+        s = s + d * d;
+      }
+      h[i * m + j] = exp_neg_scalar(s, t2j, p2);
+    }
+}
+
+#if defined(__x86_64__)
+/* Points eight to a block as in eval_avx2, a short last block padded with
+ * zeros (AVX-512 hosts too: a twin saved ~1% of selection time). */
+__attribute__((target("avx2")))
+static void design_avx2(value c, const double *ir, long m, long dim, value q,
+                        long i0, long i1, double *h, const double *t2j,
+                        const double *p2) {
+  double xT[64][8] __attribute__((aligned(32)));
+  double e[8] __attribute__((aligned(32)));
+  for (long i = i0; i < i1; i += 8) {
+    long w = i1 - i < 8 ? i1 - i : 8;
+    for (long k = 0; k < dim; k++)
+      for (long l = 0; l < 8; l++) xT[k][l] = l < w ? ROW(q, i + l)[k] : 0.0;
+    for (long j = 0; j < m; j++) {
+      const double *cj = ROW(c, j), *irj = ir + j * dim;
+      __m256d s0 = _mm256_setzero_pd(), s1 = _mm256_setzero_pd();
+      for (long k = 0; k < dim; k++) {
+        __m256d ck = _mm256_set1_pd(cj[k]), irk = _mm256_set1_pd(irj[k]);
+        __m256d d0 = _mm256_mul_pd(_mm256_sub_pd(_mm256_load_pd(xT[k]), ck), irk);
+        __m256d d1 = _mm256_mul_pd(_mm256_sub_pd(_mm256_load_pd(xT[k] + 4), ck), irk);
+        s0 = _mm256_add_pd(s0, _mm256_mul_pd(d0, d0));
+        s1 = _mm256_add_pd(s1, _mm256_mul_pd(d1, d1));
+      }
+      _mm256_store_pd(e, exp_neg_avx2(s0, t2j, p2));
+      _mm256_store_pd(e + 4, exp_neg_avx2(s1, t2j, p2));
+      for (long l = 0; l < w; l++) h[(i + l) * m + j] = e[l];
+    }
+  }
+  _mm256_zeroupper(); /* as in eval_avx2 */
+}
+#endif
+
+/* c, ir, q and h as above (h row-major n-by-m); mode as for eval_batch. */
+CAMLprim value archpred_rbf_design(value c, value vir, value q, value vh,
+                                   intnat i0, intnat i1, value vt2j, value vp2,
+                                   intnat mode) {
+  long m = Wosize_val(c), dim = Wosize_val(vir) / Double_wosize / m;
+  const double *ir = (const double *)vir, *t2j = Caml_ba_data_val(vt2j),
+               *p2 = Caml_ba_data_val(vp2);
+#if defined(__x86_64__)
+  if (mode != 0 && dim <= 64 && simd_level() >= 1)
+    design_avx2(c, ir, m, dim, q, i0, i1, (double *)vh, t2j, p2);
+  else
+#endif
+    design_scalar(c, ir, m, dim, q, i0, i1, (double *)vh, t2j, p2);
+  (void)mode;
+  return Val_unit;
+}
+
+CAMLprim value archpred_rbf_design_bytecode(value *argv, int argn) {
+  (void)argn;
+  return archpred_rbf_design(argv[0], argv[1], argv[2], argv[3],
+                             Long_val(argv[4]), Long_val(argv[5]), argv[6],
+                             argv[7], Long_val(argv[8]));
 }

@@ -636,6 +636,167 @@ let prop_ils_sequences =
       done;
       !ok)
 
+(* The left-looking push the right-looking sweep replaced, kept as a
+   test-local oracle over the public moments.  L is stored by rows, and
+   entry k of the new row m is finished as one dot product:
+   L_mk = (G_{ids_k, j} - sum_{q<k} L_mq L_kq) / L_kk, q ascending.
+   [set] always rebuilds from scratch: the factor's contract is that
+   its kept prefix holds exactly these rows. *)
+module Left_looking = struct
+  type t = {
+    ls : Ils.t;
+    jitter : float;
+    ids : int array;
+    l : float array; (* row-major, stride n_cols *)
+    z : float array;
+    mutable m : int;
+  }
+
+  let create ls ~jitter =
+    let n = Ils.n_cols ls in
+    {
+      ls;
+      jitter;
+      ids = Array.make n 0;
+      l = Array.make (n * n) 0.;
+      z = Array.make n 0.;
+      m = 0;
+    }
+
+  let push f j =
+    let n = Ils.n_cols f.ls and m = f.m in
+    let row = m * n in
+    for k = 0 to m - 1 do
+      let acc = ref (Ils.gram f.ls f.ids.(k) j) in
+      for q = 0 to k - 1 do
+        acc := !acc -. (f.l.(row + q) *. f.l.((k * n) + q))
+      done;
+      f.l.(row + k) <- !acc /. f.l.((k * n) + k)
+    done;
+    let d2 = ref (Ils.gram f.ls j j +. f.jitter) in
+    for q = 0 to m - 1 do
+      d2 := !d2 -. (f.l.(row + q) *. f.l.(row + q))
+    done;
+    if !d2 <= 0. then false
+    else begin
+      let lmm = sqrt !d2 in
+      f.l.(row + m) <- lmm;
+      let zm = ref (Ils.hy f.ls j) in
+      for k = 0 to m - 1 do
+        zm := !zm -. (f.l.(row + k) *. f.z.(k))
+      done;
+      f.z.(m) <- !zm /. lmm;
+      f.ids.(m) <- j;
+      f.m <- m + 1;
+      true
+    end
+
+  let set f cols =
+    f.m <- 0;
+    let ok = List.for_all (push f) cols in
+    if not ok then f.m <- 0;
+    ok
+
+  let explained f =
+    let acc = ref 0. in
+    for k = 0 to f.m - 1 do
+      acc := !acc +. (f.z.(k) *. f.z.(k))
+    done;
+    !acc
+
+  let sigma2 f =
+    let p = Ils.p f.ls in
+    if f.m = 0 || f.m >= p then None
+    else Some (Float.max 0. (Ils.yty f.ls -. explained f) /. float_of_int p)
+
+  let solve f =
+    let n = Ils.n_cols f.ls and m = f.m in
+    let w = Array.sub f.z 0 m in
+    for i = m - 1 downto 0 do
+      let acc = ref w.(i) in
+      for j = i + 1 to m - 1 do
+        acc := !acc -. (f.l.((j * n) + i) *. w.(j))
+      done;
+      w.(i) <- !acc /. f.l.((i * n) + i)
+    done;
+    w
+end
+
+(* The right-looking sweep on its SIMD path and on its forced-portable
+   path, and the left-looking oracle, driven by one random sequence of
+   set / push / pop / add_row, hold the same bits after every step.
+   Column counts straddle the 4-lane vectors, and factors grow past the
+   16- and 32-column capacities; repeated columns make pushes fail. *)
+let prop_ils_sweep_paths =
+  qtest ~count:200 "push sweep: SIMD = portable = left-looking oracle"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let pick l = List.nth l (Rng.int rng (List.length l)) in
+      let n = pick [ 1; 3; 4; 5; 8; 9; 16; 17; 33; 40; 2 + Rng.int rng 40 ] in
+      let p = n + pick [ 0; 1; 5 + Rng.int rng 30 ] in
+      let design = random_matrix rng p n in
+      if n > 2 && Rng.int rng 2 = 0 then
+        Matrix.set_col design (n - 1) (Matrix.col design 0);
+      let responses = Array.init p (fun _ -> Rng.unit_float rng -. 0.5) in
+      let jitter = float_of_int (Rng.int rng 2) *. 1e-8 in
+      let simd = Ils.create ~jitter ~design ~responses () in
+      let port = Ils.create ~force_scalar:true ~jitter ~design ~responses () in
+      let fs = Ils.factor simd and fp = Ils.factor port in
+      let fo = Left_looking.create simd ~jitter in
+      let stale = ref false and ok = ref true in
+      let agree a b c = if not (a = b && b = c) then ok := false in
+      let random_cols () =
+        if Rng.int rng 2 = 0 then
+          Array.to_list
+            (Archpred_stats.Sampling.choose rng (Rng.int rng (n + 1)) n)
+        else List.init (Rng.int rng (n + 1)) (fun _ -> Rng.int rng n)
+      in
+      let same_opt a b =
+        match (a, b) with
+        | None, None -> true
+        | Some a, Some b -> same_bits a b
+        | _ -> false
+      in
+      let check () =
+        agree (Ils.ids fs) (Ils.ids fp) (Array.sub fo.Left_looking.ids 0 fo.m);
+        if not !stale then begin
+          let w = Left_looking.solve fo in
+          if
+            not
+              (same_vec w (Ils.solve fs)
+              && same_vec w (Ils.solve fp)
+              && same_bits (Left_looking.explained fo) (Ils.explained fs)
+              && same_bits (Left_looking.explained fo) (Ils.explained fp)
+              && same_opt (Left_looking.sigma2 fo) (Ils.sigma2 fs)
+              && same_opt (Left_looking.sigma2 fo) (Ils.sigma2 fp))
+          then ok := false
+        end
+      in
+      for _ = 1 to 40 do
+        (match Rng.int rng 6 with
+        | 0 | 1 ->
+            let cols = random_cols () in
+            agree (Ils.set fs cols) (Ils.set fp cols) (Left_looking.set fo cols);
+            stale := false
+        | 2 | 3 when (not !stale) && Ils.size fs < n ->
+            let j = Rng.int rng n in
+            agree (Ils.push fs j) (Ils.push fp j) (Left_looking.push fo j)
+        | 4 when (not !stale) && Ils.size fs > 0 ->
+            Ils.pop fs;
+            Ils.pop fp;
+            fo.m <- fo.m - 1
+        | 5 ->
+            let row = Array.init n (fun _ -> Rng.unit_float rng -. 0.5) in
+            let y = Rng.unit_float rng in
+            Ils.add_row simd ~row ~y;
+            Ils.add_row port ~row ~y;
+            stale := true
+        | _ -> ());
+        check ()
+      done;
+      !ok)
+
 let () =
   Alcotest.run "linalg"
     [
@@ -687,6 +848,7 @@ let () =
           prop_ils_gram_bit_identical;
           prop_ils_gram_paths;
           prop_ils_sequences;
+          prop_ils_sweep_paths;
         ] );
       ( "qr",
         [

@@ -306,6 +306,49 @@ let prop_batch_matches_scalar =
         batch_sizes;
       true)
 
+(* The design entry: every entry equals [Network.basis] bit for bit, on
+   the default SIMD path and on the portable one.  Point counts 1-17
+   and 400 cover every remainder of the 8-point blocks and more than one
+   64-point call; some points lie far outside the cube, where the
+   exponent underflows. *)
+let prop_design_matches_basis =
+  qtest ~count:4 "design_matrix bit-identical to basis (all n mod 8)"
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      for dim = 1 to 12 do
+        let m = 1 + Rng.int rng 20 in
+        let centers = (random_network rng ~dim ~m).Network.centers in
+        List.iter
+          (fun n ->
+            let points =
+              Array.init n (fun _ ->
+                  let scale = if Rng.int rng 10 = 0 then 50. else 1.4 in
+                  Array.init dim (fun _ -> (Rng.unit_float rng -. 0.15) *. scale))
+            in
+            let auto = Network.design_matrix centers points in
+            let forced =
+              Network.design_matrix ~force_scalar:true centers points
+            in
+            Array.iteri
+              (fun i x ->
+                Array.iteri
+                  (fun j ctr ->
+                    let b = Network.basis ctr x in
+                    let at = Printf.sprintf "dim=%d n=%d (%d,%d)" dim n i j in
+                    check_bits ("simd " ^ at) b (Matrix.get auto i j);
+                    check_bits ("scalar-C " ^ at) b (Matrix.get forced i j))
+                  centers)
+              points)
+          (List.init 17 (fun i -> i + 1) @ [ 400 ])
+      done;
+      true)
+
+let test_design_arity_checked () =
+  Alcotest.check_raises "point arity"
+    (Invalid_argument "Network.design_matrix: arity mismatch") (fun () ->
+      ignore (Network.design_matrix [| unit_center |] [| [| 0.5 |] |]))
+
 let test_batch_extreme_inputs () =
   (* far-off-grid queries drive the exponent into the underflow guard *)
   let rng = Rng.create 99 in
@@ -399,6 +442,8 @@ let () =
       ( "batch",
         [
           prop_batch_matches_scalar;
+          prop_design_matches_basis;
+          Alcotest.test_case "design arity" `Quick test_design_arity_checked;
           Alcotest.test_case "extreme inputs" `Quick test_batch_extreme_inputs;
           Alcotest.test_case "pack rejects empty" `Quick test_pack_rejects_empty;
           Alcotest.test_case "kernel validates" `Quick test_batch_kernel_validates;

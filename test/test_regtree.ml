@@ -160,6 +160,47 @@ let prop_nodes_count_consistent =
       nodes = Tree.node_count t
       && nodes = (2 * List.length (Tree.splits t)) + 1)
 
+(* A node splits if and only if it holds more than [p_min] points, and
+   its split depends on its own indices alone, so every node of a
+   [p_min] = 2 or 3 tree is a node of the [p_min] = 1 tree: same
+   rectangle bit for bit, same indices in the same order.  Only ids
+   differ, since best-first creation order does.  Sharing design and
+   Gram columns across the tuning grid's [p_min] row rests on this.
+   Coarse coordinates give tied values and duplicate points. *)
+let prop_p_min_trees_nest =
+  qtest ~count:100 "p_min 2 and 3 trees nest in the p_min 1 tree"
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 1 + Rng.int rng 120 in
+      let d = 1 + Rng.int rng 9 in
+      let coord () =
+        if Rng.int rng 3 = 0 then float_of_int (Rng.int rng 5) /. 4.
+        else Rng.unit_float rng
+      in
+      let points = Array.init n (fun _ -> Array.init d (fun _ -> coord ())) in
+      let responses = Array.init n (fun _ -> Rng.unit_float rng) in
+      let build p_min = Tree.build ~p_min ~dim:d ~points ~responses () in
+      let fine = Hashtbl.create 64 in
+      List.iter
+        (fun (node : Tree.node) -> Hashtbl.replace fine node.Tree.indices node)
+        (Tree.nodes (build 1));
+      let same_bits a b =
+        Array.length a = Array.length b
+        && Array.for_all2
+             (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+             a b
+      in
+      List.for_all
+        (fun p_min ->
+          List.for_all
+            (fun (node : Tree.node) ->
+              match Hashtbl.find_opt fine node.Tree.indices with
+              | Some f -> same_bits f.Tree.lo node.Tree.lo && same_bits f.Tree.hi node.Tree.hi
+              | None -> false)
+            (Tree.nodes (build p_min)))
+        [ 2; 3 ])
+
 let () =
   Alcotest.run "regtree"
     [
@@ -184,5 +225,6 @@ let () =
           prop_partition_invariant;
           prop_predict_is_leaf_mean;
           prop_nodes_count_consistent;
+          prop_p_min_trees_nest;
         ] );
     ]

@@ -55,11 +55,12 @@ let eval_batch ?force_scalar packed points =
 let eval_batch_fresh ?force_scalar packed points =
   Batch_kernel.eval_points_fresh ?force_scalar packed points
 
-(* The design entry of rbf_kernel_stubs.c, which fills the matrix. *)
+(* The design entry of rbf_kernel_stubs.c (AVX2, dim <= 64), which fills
+   the matrix. *)
 external design_stub :
   float array array -> float array -> float array array -> float array ->
   (int[@untagged]) -> (int[@untagged]) -> Batch_kernel.buffer ->
-  Batch_kernel.buffer -> (int[@untagged]) -> unit
+  Batch_kernel.buffer -> unit
   = "archpred_rbf_design_bytecode" "archpred_rbf_design"
 [@@noalloc]
 
@@ -67,25 +68,29 @@ external design_stub :
    (a domain in a [@@noalloc] call cannot join a collection). *)
 let design_block = 64
 
-let design_matrix ?(force_scalar = false) centers points =
+let design_matrix centers points =
   let m = Array.length centers and n = Array.length points in
-  let h = Matrix.create n m in
-  if m > 0 && n > 0 then begin
-    let dim = Array.length points.(0) in
-    let arity v = Array.length v <> dim in
-    if Array.exists (fun ctr -> arity ctr.c || arity ctr.r) centers
-       || Array.exists arity points
-    then invalid_arg "Network.design_matrix: arity mismatch";
+  let dim = if n > 0 then Array.length points.(0) else 0 in
+  let arity v = Array.length v <> dim in
+  if m > 0 && n > 0
+     && (Array.exists (fun ctr -> arity ctr.c || arity ctr.r) centers
+        || Array.exists arity points)
+  then invalid_arg "Network.design_matrix: arity mismatch";
+  if m = 0 || n = 0 || dim > 64
+     || String.equal (Batch_kernel.simd_level ()) "scalar"
+  then Matrix.init n m (fun i j -> basis centers.(j) points.(i))
+  else begin
+    let h = Matrix.create n m in
     (* Bitwise the [1. /. r.(k)] of [basis], as in [pack]. *)
     let ir = Array.init (m * dim) (fun x -> 1. /. centers.(x / dim).r.(x mod dim)) in
     let cs = Array.map (fun ctr -> ctr.c) centers in
     for b = 0 to (n - 1) / design_block do
       let i0 = b * design_block in
       design_stub cs ir points (Matrix.data h) i0 (Int.min n (i0 + design_block))
-        Rbf_math.t2j Rbf_math.pow2 (if force_scalar then 0 else 1)
-    done
-  end;
-  h
+        Rbf_math.t2j Rbf_math.pow2
+    done;
+    h
+  end
 
 type fit_diagnostics = { rss : float; sigma2 : float; regularized : bool }
 

@@ -50,13 +50,12 @@ val eval_batch_fresh :
     may evaluate one [packed] concurrently (the model arrays themselves
     are read-only after {!pack}). *)
 
-val design_matrix :
-  ?force_scalar:bool -> center array -> float array array ->
-  Archpred_linalg.Matrix.t
+val design_matrix : center array -> float array array -> Archpred_linalg.Matrix.t
 (** [design_matrix centers points] is the p-by-m matrix [H] with
-    [H(i)(j) = basis centers.(j) points.(i)] bit for bit, from a C
-    kernel ([force_scalar] pins its portable path).  Raises
-    [Invalid_argument] on an arity mismatch. *)
+    [H(i)(j) = basis centers.(j) points.(i)] bit for bit, from an AVX2
+    kernel where the host has one and the dimension is at most 64, else
+    from [basis] itself.  Raises [Invalid_argument] on an arity
+    mismatch. *)
 
 type fit_diagnostics = {
   rss : float;

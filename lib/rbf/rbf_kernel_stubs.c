@@ -37,9 +37,7 @@
 #define POW2_OFFSET 1099
 #define POW2_LAST 2122
 
-/* Always inlined: gcc splits it for two callers, costing eval a call. */
-static inline __attribute__((always_inline)) double
-exp_neg_scalar(double s, const double *t2j, const double *p2) {
+static double exp_neg_scalar(double s, const double *t2j, const double *p2) {
   if (!(fabs(s) <= 708.0)) {
     if (s != s) return s;
     return s > 0.0 ? 0.0 : INFINITY;
@@ -285,26 +283,14 @@ CAMLprim value archpred_rbf_eval_batch_bytecode(value *argv, int argn) {
                                  argv[10]);
 }
 
-/* Rows [i0, i1) of the design: h[i*m + j] = exp_neg(s) for center j at
- * point i (c, q: float array arrays; 1/r of center j at ir + j*dim). */
-#define ROW(v, j) ((const double *)Field(v, j))
-static void design_scalar(value c, const double *ir, long m, long dim,
-                          value q, long i0, long i1, double *h,
-                          const double *t2j, const double *p2) {
-  for (long i = i0; i < i1; i++)
-    for (long j = 0; j < m; j++) {
-      double s = 0.0;
-      for (long k = 0; k < dim; k++) {
-        double d = (ROW(q, i)[k] - ROW(c, j)[k]) * ir[j * dim + k];
-        s = s + d * d;
-      }
-      h[i * m + j] = exp_neg_scalar(s, t2j, p2);
-    }
-}
-
 #if defined(__x86_64__)
-/* Points eight to a block as in eval_avx2, a short last block padded with
- * zeros (AVX-512 hosts too: a twin saved ~1% of selection time). */
+/* Rows [i0, i1) of the design: h[i*m + j] = exp_neg(s) for center j at
+ * point i (c, q: float array arrays; 1/r of center j at ir + j*dim),
+ * eight points to a block as in eval_avx2, a short last block padded
+ * with zeros (AVX-512 hosts too: a twin saved ~1% of selection time).
+ * AVX2 only, dim <= 64: Network.design_matrix takes its OCaml loop over
+ * Network.basis everywhere else. */
+#define ROW(v, j) ((const double *)Field(v, j))
 __attribute__((target("avx2")))
 static void design_avx2(value c, const double *ir, long m, long dim, value q,
                         long i0, long i1, double *h, const double *t2j,
@@ -334,20 +320,18 @@ static void design_avx2(value c, const double *ir, long m, long dim, value q,
 }
 #endif
 
-/* c, ir, q and h as above (h row-major n-by-m); mode as for eval_batch. */
+/* c, ir, q and h as above (h row-major n-by-m). */
 CAMLprim value archpred_rbf_design(value c, value vir, value q, value vh,
-                                   intnat i0, intnat i1, value vt2j, value vp2,
-                                   intnat mode) {
-  long m = Wosize_val(c), dim = Wosize_val(vir) / Double_wosize / m;
-  const double *ir = (const double *)vir, *t2j = Caml_ba_data_val(vt2j),
-               *p2 = Caml_ba_data_val(vp2);
+                                   intnat i0, intnat i1, value vt2j,
+                                   value vp2) {
 #if defined(__x86_64__)
-  if (mode != 0 && dim <= 64 && simd_level() >= 1)
-    design_avx2(c, ir, m, dim, q, i0, i1, (double *)vh, t2j, p2);
-  else
+  long m = Wosize_val(c), dim = Wosize_val(vir) / Double_wosize / m;
+  design_avx2(c, (const double *)vir, m, dim, q, i0, i1, (double *)vh,
+              Caml_ba_data_val(vt2j), Caml_ba_data_val(vp2));
+#else
+  (void)c, (void)vir, (void)q, (void)vh, (void)i0, (void)i1, (void)vt2j,
+      (void)vp2;
 #endif
-    design_scalar(c, ir, m, dim, q, i0, i1, (double *)vh, t2j, p2);
-  (void)mode;
   return Val_unit;
 }
 
@@ -355,5 +339,5 @@ CAMLprim value archpred_rbf_design_bytecode(value *argv, int argn) {
   (void)argn;
   return archpred_rbf_design(argv[0], argv[1], argv[2], argv[3],
                              Long_val(argv[4]), Long_val(argv[5]), argv[6],
-                             argv[7], Long_val(argv[8]));
+                             argv[7]);
 }

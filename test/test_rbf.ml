@@ -306,42 +306,40 @@ let prop_batch_matches_scalar =
         batch_sizes;
       true)
 
-(* The design entry: every entry equals [Network.basis] bit for bit, on
-   the default SIMD path and on the portable one.  Point counts 1-17
-   and 400 cover every remainder of the 8-point blocks and more than one
-   64-point call; some points lie far outside the cube, where the
-   exponent underflows. *)
+(* The design entry: every entry equals [Network.basis] bit for bit.
+   On an AVX2 host dimensions 1-12 take the C kernel and 65 the OCaml
+   fallback; point counts 1-17 and 400 cover every remainder of the
+   8-point blocks and more than one 64-point call; some points lie far
+   outside the cube, where the exponent underflows. *)
 let prop_design_matches_basis =
   qtest ~count:4 "design_matrix bit-identical to basis (all n mod 8)"
     QCheck2.Gen.(int_range 0 100_000)
     (fun seed ->
       let rng = Rng.create seed in
-      for dim = 1 to 12 do
-        let m = 1 + Rng.int rng 20 in
-        let centers = (random_network rng ~dim ~m).Network.centers in
-        List.iter
-          (fun n ->
-            let points =
-              Array.init n (fun _ ->
-                  let scale = if Rng.int rng 10 = 0 then 50. else 1.4 in
-                  Array.init dim (fun _ -> (Rng.unit_float rng -. 0.15) *. scale))
-            in
-            let auto = Network.design_matrix centers points in
-            let forced =
-              Network.design_matrix ~force_scalar:true centers points
-            in
-            Array.iteri
-              (fun i x ->
-                Array.iteri
-                  (fun j ctr ->
-                    let b = Network.basis ctr x in
-                    let at = Printf.sprintf "dim=%d n=%d (%d,%d)" dim n i j in
-                    check_bits ("simd " ^ at) b (Matrix.get auto i j);
-                    check_bits ("scalar-C " ^ at) b (Matrix.get forced i j))
-                  centers)
-              points)
-          (List.init 17 (fun i -> i + 1) @ [ 400 ])
-      done;
+      List.iter
+        (fun dim ->
+          let m = 1 + Rng.int rng 20 in
+          let centers = (random_network rng ~dim ~m).Network.centers in
+          List.iter
+            (fun n ->
+              let points =
+                Array.init n (fun _ ->
+                    let scale = if Rng.int rng 10 = 0 then 50. else 1.4 in
+                    Array.init dim (fun _ ->
+                        (Rng.unit_float rng -. 0.15) *. scale))
+              in
+              let h = Network.design_matrix centers points in
+              Array.iteri
+                (fun i x ->
+                  Array.iteri
+                    (fun j ctr ->
+                      check_bits
+                        (Printf.sprintf "dim=%d n=%d (%d,%d)" dim n i j)
+                        (Network.basis ctr x) (Matrix.get h i j))
+                    centers)
+                points)
+            (List.init 17 (fun i -> i + 1) @ [ 400 ]))
+        (List.init 12 (fun i -> i + 1) @ [ 65 ]);
       true)
 
 let test_design_arity_checked () =

@@ -3,11 +3,11 @@
    Prints one line per fixed, small training configuration: a name and
    the CRC-32 of the model's canonical serialisation
    ([Persist.to_string]), or of the float bits of the stepwise linear
-   baseline, of raw subset scores and of least-squares moments, or the
-   bits of one discrepancy value.  [runtest] diffs this output against
-   [golden_digests.expected], so any change to the bits a configuration
-   trains fails the suite.  A deliberate change is recorded by
-   regenerating the table, which then shows in the diff:
+   baseline, of raw subset scores, of least-squares moments and of batch
+   predictions, or the bits of one discrepancy value.  [runtest] diffs
+   this output against [golden_digests.expected], so any change to the
+   bits a configuration trains fails the suite.  A deliberate change is
+   recorded by regenerating the table, which then shows in the diff:
 
      dune build @test/runtest; dune promote test/golden_digests.expected *)
 
@@ -46,7 +46,26 @@ let train name ~response ~n ~seed =
       ~config:(base ~seed |> Config.with_sample_size n)
       ~space:Paper_space.space ~response ()
   in
-  line name (crc (model t))
+  line name (crc (model t));
+  t
+
+(* Prediction bits of one trained model through the batch kernel, at
+   every batch size from 1 to 33: full 8-point blocks, every tail
+   length, and points outside the unit cube. *)
+let predictions name (t : Build.trained) ~seed =
+  let rng = Rng.create seed in
+  let points =
+    Array.init 33 (fun _ ->
+        Array.init 9 (fun _ -> (Rng.unit_float rng *. 1.4) -. 0.2))
+  in
+  let packed = t.Build.predictor.Core.Predictor.packed in
+  let buf = Buffer.create (8 * 33 * 34 / 2) in
+  for n = 1 to 33 do
+    Array.iter
+      (fun y -> Buffer.add_int64_le buf (Int64.bits_of_float y))
+      (Rbf.Network.eval_batch packed (Array.sub points 0 n))
+  done;
+  line name (crc (Buffer.contents buf))
 
 (* Every size step is pinned, not just the final model, so a drift that
    only shows at one step of the schedule is still caught. *)
@@ -313,8 +332,8 @@ let () =
      # stepwise terms and coefficient bits, or of moment bits), or the\n\
      # bits of one discrepancy.  Regenerate deliberately with\n\
      # dune build @test/runtest; dune promote test/golden_digests.expected\n";
-  train "train.smooth.n40" ~response:smooth ~n:40 ~seed:99;
-  train "train.mcf.n40" ~response:mcf ~n:40 ~seed:7;
+  ignore (train "train.smooth.n40" ~response:smooth ~n:40 ~seed:99);
+  let mcf40 = train "train.mcf.n40" ~response:mcf ~n:40 ~seed:7 in
   accuracy "accuracy.smooth" ~response:smooth ~seed:31 ~stream:false;
   accuracy "stream_refit.smooth" ~response:smooth ~seed:31 ~stream:true;
   accuracy "stream_refit.mcf" ~response:mcf ~seed:7 ~stream:true;
@@ -329,4 +348,5 @@ let () =
   shard_row "shard.resumed.mcf.n40" killed_and_resumed;
   checkpointed "checkpoint.d2.mcf.n40";
   accuracy_mcf "accuracy.mcf";
-  shard_accuracy "shard.accuracy.mcf.n30"
+  shard_accuracy "shard.accuracy.mcf.n30";
+  predictions "predict.mcf.n40.b1-33" mcf40 ~seed:29

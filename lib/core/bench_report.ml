@@ -1,5 +1,5 @@
 module Stats = Archpred_stats
-module Rbf = Archpred_rbf
+module Simd = Archpred_simd.Simd
 module Json = Archpred_obs.Json
 
 let schema_version = 1
@@ -25,7 +25,8 @@ let metadata () =
     ("cores", Json.Int (Domain.recommended_domain_count ()));
     ("domains", Json.Int (Stats.Parallel.default_domains ()));
     ("git_describe", Json.String (git_describe ()));
-    ("simd", Json.String (Rbf.Batch_kernel.simd_level ()));
+    ("simd", Json.String (Simd.to_string (Simd.level ())));
+    ("simd_training", Json.String (Simd.to_string (Simd.training ())));
   ]
 
 let envelope ~schema =

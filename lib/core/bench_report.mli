@@ -4,8 +4,8 @@
     micro-benchmark record, the batched simulation record, the sharded
     search record) carry the same leading fields — a schema tag, the
     envelope schema version, the host's core count, the default domain
-    count, the [git describe] stamp and the SIMD level the prediction
-    kernel dispatched to — so
+    count, the [git describe] stamp and the SIMD levels the prediction
+    and the training kernels dispatched to — so
     regression tooling can treat them uniformly.  This module is the one
     writer of that envelope. *)
 
@@ -20,7 +20,10 @@ val git_describe : unit -> string
 
 val metadata : unit -> (string * Archpred_obs.Json.t) list
 (** The environment stamp: [cores] (the cores available to the
-    process), [domains], [git_describe] and [simd]. *)
+    process), [domains], [git_describe], [simd] (the prediction
+    kernel's {!Archpred_simd.Simd.level}) and [simd_training] (that of
+    the Gram, sweep, design and discrepancy kernels,
+    {!Archpred_simd.Simd.training}). *)
 
 val envelope : schema:string -> (string * Archpred_obs.Json.t) list
 (** [schema] and [schema_version] followed by {!metadata}. *)

@@ -15,12 +15,10 @@ let check points =
    The row sums run in discrepancy_stubs.c, over a dim-major copy of the
    points (coordinate [k] of point [j] at [k * n + j]), with the pairs of
    a row in SIMD lanes.  Every pair and every row sum keeps the operation
-   order of the plain OCaml loop, so each path returns the same bits;
-   [force_scalar] selects the portable C path for the cross-path tests. *)
+   order of the plain OCaml loop, so each path returns the same bits. *)
 
 external star_row :
   float array ->
-  (int[@untagged]) ->
   (int[@untagged]) ->
   (int[@untagged]) ->
   (int[@untagged]) ->
@@ -30,7 +28,6 @@ external star_row :
 
 external centered_row :
   float array ->
-  (int[@untagged]) ->
   (int[@untagged]) ->
   (int[@untagged]) ->
   (int[@untagged]) ->
@@ -48,7 +45,7 @@ let dim_major points ~d =
    D2*^2 = 3^-d
          - (2^(1-d) / n)   sum_i prod_k (1 - x_ik^2)
          + (1 / n^2)       sum_{i,j} prod_k (1 - max(x_ik, x_jk)) *)
-let l2_star ?(force_scalar = false) ?domains points =
+let l2_star ?domains points =
   let d = check points in
   let n = Array.length points in
   let nf = float_of_int n in
@@ -69,8 +66,7 @@ let l2_star ?(force_scalar = false) ?domains points =
     points;
   let term2 = 2. ** float_of_int (1 - d) /. nf *. !sum2 in
   let xt = dim_major points ~d in
-  let mode = if force_scalar then 0 else 1 in
-  let row_sums = Parallel.init ?domains n (fun i -> star_row xt n d i mode) in
+  let row_sums = Parallel.init ?domains n (fun i -> star_row xt n d i) in
   let off = Array.fold_left ( +. ) 0. row_sums in
   let term3 = (!diag +. (2. *. off)) /. (nf *. nf) in
   sqrt (Float.max 0. (term1 -. term2 +. term3))
@@ -80,7 +76,7 @@ let l2_star ?(force_scalar = false) ?domains points =
         - (2/n)   sum_i prod_k (1 + |z_ik|/2 - z_ik^2/2)
         + (1/n^2) sum_{i,j} prod_k (1 + |z_ik|/2 + |z_jk|/2 - |x_ik - x_jk|/2)
    where z_ik = x_ik - 1/2. *)
-let centered_l2 ?(force_scalar = false) ?domains points =
+let centered_l2 ?domains points =
   let d = check points in
   let n = Array.length points in
   let nf = float_of_int n in
@@ -105,9 +101,8 @@ let centered_l2 ?(force_scalar = false) ?domains points =
      the kernel takes the second as [d] more planes after the first. *)
   let x = dim_major points ~d in
   let xt = Array.append x (Array.map (fun v -> 0.5 *. abs_float (v -. 0.5)) x) in
-  let mode = if force_scalar then 0 else 1 in
   let row_sums =
-    Parallel.init ?domains n (fun i -> centered_row xt n d i mode)
+    Parallel.init ?domains n (fun i -> centered_row xt n d i)
   in
   let off = Array.fold_left ( +. ) 0. row_sums in
   let term3 = (!diag +. (2. *. off)) /. (nf *. nf) in

@@ -18,18 +18,17 @@
     the same bits.
 
     Each row sum is a C kernel with the pairs of the row in SIMD lanes
-    (AVX2 when the CPU has it, else portable C).  Every pair keeps the
-    operation order of the plain loop, so both paths return the same
-    bits; [force_scalar] (default [false]) selects the portable path, for
-    cross-path tests. *)
+    (AVX2 or portable C, at {!Archpred_simd.Simd.training}).  Every pair
+    keeps the operation order of the plain loop, so both paths return
+    the same bits. *)
 
 val l2_star :
-  ?force_scalar:bool -> ?domains:int -> Space.point array -> float
+  ?domains:int -> Space.point array -> float
 (** Warnock's L2-star discrepancy of a sample in the unit cube.
     Raises [Invalid_argument] on an empty sample. *)
 
 val centered_l2 :
-  ?force_scalar:bool -> ?domains:int -> Space.point array -> float
+  ?domains:int -> Space.point array -> float
 (** Hickernell's centered L2 discrepancy. Raises [Invalid_argument] on an
     empty sample. *)
 

@@ -139,51 +139,36 @@ static double centered_row_avx2(const double *xt, long n, long d, long i) {
   return acc;
 }
 
-/* 1 when the CPU has AVX2; resolved once. */
-static int avx2_cached = -1;
-
-static int have_avx2(void) {
-  if (avx2_cached < 0) avx2_cached = __builtin_cpu_supports("avx2") ? 1 : 0;
-  return avx2_cached;
-}
-
 #endif /* __x86_64__ */
 
-/* mode 0 forces the portable path (for cross-path identity tests);
- * mode 1 picks the best available instruction set. */
+int archpred_simd_level(void); /* lib/simd */
+
 CAMLprim double archpred_discrepancy_star_row(value vxt, intnat n, intnat d,
-                                              intnat i, intnat mode) {
+                                              intnat i) {
   const double *xt = (const double *)vxt;
 #if defined(__x86_64__)
-  if (mode != 0 && have_avx2()) return star_row_avx2(xt, n, d, i);
-#else
-  (void)mode;
+  if (archpred_simd_level() >= 1) return star_row_avx2(xt, n, d, i);
 #endif
   return star_row_scalar(xt, n, d, i);
 }
 
 CAMLprim double archpred_discrepancy_centered_row(value vxt, intnat n,
-                                                  intnat d, intnat i,
-                                                  intnat mode) {
+                                                  intnat d, intnat i) {
   const double *xt = (const double *)vxt;
 #if defined(__x86_64__)
-  if (mode != 0 && have_avx2()) return centered_row_avx2(xt, n, d, i);
-#else
-  (void)mode;
+  if (archpred_simd_level() >= 1) return centered_row_avx2(xt, n, d, i);
 #endif
   return centered_row_scalar(xt, n, d, i);
 }
 
 CAMLprim value archpred_discrepancy_star_row_byte(value vxt, value vn,
-                                                  value vd, value vi,
-                                                  value vmode) {
+                                                  value vd, value vi) {
   return caml_copy_double(archpred_discrepancy_star_row(
-      vxt, Long_val(vn), Long_val(vd), Long_val(vi), Long_val(vmode)));
+      vxt, Long_val(vn), Long_val(vd), Long_val(vi)));
 }
 
 CAMLprim value archpred_discrepancy_centered_row_byte(value vxt, value vn,
-                                                      value vd, value vi,
-                                                      value vmode) {
+                                                      value vd, value vi) {
   return caml_copy_double(archpred_discrepancy_centered_row(
-      vxt, Long_val(vn), Long_val(vd), Long_val(vi), Long_val(vmode)));
+      vxt, Long_val(vn), Long_val(vd), Long_val(vi)));
 }

@@ -101,30 +101,20 @@ static void gram_avx2(const double *h, long n, double *g, long k0, long k1,
   for (; a < a1; a++) gram_row_avx2(h, n, g, k0, k1, a, a);
 }
 
-/* 1 when the CPU has AVX2; resolved once. */
-static int avx2_cached = -1;
-
-static int have_avx2(void) {
-  if (avx2_cached < 0) avx2_cached = __builtin_cpu_supports("avx2") ? 1 : 0;
-  return avx2_cached;
-}
-
 #endif /* __x86_64__ */
 
-/* mode 0 forces the portable path (for cross-path identity tests);
- * mode 1 picks the best available instruction set. */
+int archpred_simd_level(void); /* lib/simd */
+
 CAMLprim value archpred_linalg_gram_block(value vh, intnat n, value vg,
                                           intnat k0, intnat k1, intnat a0,
-                                          intnat a1, intnat mode) {
+                                          intnat a1) {
   const double *h = (const double *)vh;
   double *g = (double *)vg;
 #if defined(__x86_64__)
-  if (mode != 0 && have_avx2()) {
+  if (archpred_simd_level() >= 1) {
     gram_avx2(h, n, g, k0, k1, a0, a1);
     return Val_unit;
   }
-#else
-  (void)mode;
 #endif
   gram_scalar(h, n, g, k0, k1, a0, a1);
   return Val_unit;
@@ -134,8 +124,7 @@ CAMLprim value archpred_linalg_gram_block_byte(value *argv, int argn) {
   (void)argn;
   return archpred_linalg_gram_block(
       argv[0], Long_val(argv[1]), argv[2], Long_val(argv[3]),
-      Long_val(argv[4]), Long_val(argv[5]), Long_val(argv[6]),
-      Long_val(argv[7]));
+      Long_val(argv[4]), Long_val(argv[5]), Long_val(argv[6]));
 }
 
 /* The forward substitution L a = acc of a Cholesky push, in place, by
@@ -173,17 +162,15 @@ static void sweep_avx2(const double *l, double *acc, long n, long m) {
 }
 #endif
 
-/* mode as for the Gram; with five tagged arguments one entry serves
- * bytecode and native code. */
+/* With four tagged arguments one entry serves bytecode and native code. */
 CAMLprim value archpred_linalg_push_sweep(value vl, value vacc, value vn,
-                                          value vm, value vmode) {
+                                          value vm) {
   long n = Long_val(vn), m = Long_val(vm);
 #if defined(__x86_64__)
-  if (Long_val(vmode) != 0 && have_avx2())
+  if (archpred_simd_level() >= 1)
     sweep_avx2((const double *)vl, (double *)vacc, n, m);
   else
 #endif
     sweep_portable((const double *)vl, (double *)vacc, n, m);
-  (void)vmode;
   return Val_unit;
 }

@@ -5,7 +5,6 @@ type t = {
   hy : float array; (* n_cols *)
   mutable yty : float;
   jitter : float;
-  mode : int; (* 0 forces the portable C kernels, 1 picks the best *)
   mutable generation : int; (* bumped by every [add_row] *)
 }
 
@@ -26,14 +25,13 @@ external gram_block :
   (int[@untagged]) ->
   (int[@untagged]) ->
   (int[@untagged]) ->
-  (int[@untagged]) ->
   unit = "archpred_linalg_gram_block_byte" "archpred_linalg_gram_block"
 [@@noalloc]
 
 let k_block = 48
 let a_block = 32
 
-let create ?(force_scalar = false) ?(jitter = 0.) ~design ~responses () =
+let create ?(jitter = 0.) ~design ~responses () =
   let p = Matrix.rows design in
   if p <> Array.length responses then
     invalid_arg "Incremental_ls.create: dimension mismatch";
@@ -41,14 +39,13 @@ let create ?(force_scalar = false) ?(jitter = 0.) ~design ~responses () =
   let n = Matrix.cols design in
   let h = Matrix.data design in
   let gram = Array.make (n * n) 0. in
-  let mode = if force_scalar then 0 else 1 in
   let k0 = ref 0 in
   while !k0 < p do
     let k1 = Int.min p (!k0 + k_block) in
     let a0 = ref 0 in
     while !a0 < n do
       let a1 = Int.min n (!a0 + a_block) in
-      gram_block h n gram !k0 k1 !a0 a1 mode;
+      gram_block h n gram !k0 k1 !a0 a1;
       a0 := a1
     done;
     k0 := k1
@@ -68,7 +65,7 @@ let create ?(force_scalar = false) ?(jitter = 0.) ~design ~responses () =
     done
   done;
   let yty = Array.fold_left (fun acc y -> acc +. (y *. y)) 0. responses in
-  { p; n_cols = n; gram; hy; yty; jitter; mode; generation = 0 }
+  { p; n_cols = n; gram; hy; yty; jitter; generation = 0 }
 
 let p t = t.p
 let n_cols t = t.n_cols
@@ -105,7 +102,7 @@ let add_row t ~row ~y =
   t.generation <- t.generation + 1
 
 (* [push]'s forward substitution, a C kernel in gram_stubs.c. *)
-external push_sweep : float array -> float array -> int -> int -> int -> unit
+external push_sweep : float array -> float array -> int -> int -> unit
   = "archpred_linalg_push_sweep"
 [@@noalloc]
 
@@ -179,7 +176,7 @@ let push f j =
   for k = 0 to m - 1 do
     Array.unsafe_set acc k (Array.unsafe_get gram (jrow + Array.unsafe_get ids k))
   done;
-  push_sweep l acc n m ls.mode;
+  push_sweep l acc n m;
   let d2 = ref (Array.unsafe_get gram (jrow + j) +. ls.jitter) in
   for q = 0 to m - 1 do
     let v = Array.unsafe_get acc q in

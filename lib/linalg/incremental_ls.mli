@@ -21,7 +21,6 @@ type t
 (** Precomputed moments of a p-by-M design matrix and response vector. *)
 
 val create :
-  ?force_scalar:bool ->
   ?jitter:float ->
   design:Matrix.t ->
   responses:float array ->
@@ -30,11 +29,9 @@ val create :
 (** Precompute [H'H], [H'y] and [y'y].  [jitter] (default 0) is added to
     the Gram diagonal as each column is pushed, keeping the factor defined
     when columns nearly coincide.  The Gram is a C kernel with columns in
-    SIMD lanes (AVX2 when the CPU has it, else portable C); every entry is
-    its ascending-row sum from +0 on both paths, so they agree bit for
-    bit, and [force_scalar] (default [false]) selects the portable path
-    of the Gram and of every factor's {!push} for cross-path tests.
-    Raises [Invalid_argument] on dimension mismatch or negative jitter. *)
+    SIMD lanes (AVX2 or portable C, at {!Archpred_simd.Simd.training});
+    every entry is its ascending-row sum from +0 on both paths, so they
+    agree bit for bit.  Raises [Invalid_argument] on dimension mismatch or negative jitter. *)
 
 val p : t -> int
 (** Number of rows (observations) of the design. *)

@@ -38,14 +38,8 @@ external eval_stub :
   buffer ->
   buffer ->
   buffer ->
-  int ->
   unit = "archpred_rbf_eval_batch_bytecode" "archpred_rbf_eval_batch"
 [@@noalloc]
-
-external simd_level_stub : unit -> int = "archpred_rbf_simd_level"
-
-let simd_level () =
-  match simd_level_stub () with 2 -> "avx512" | 1 -> "avx2" | _ -> "scalar"
 
 let n_centers t = t.m
 let dim t = t.dim
@@ -133,7 +127,7 @@ let load_queries t (queries : buffer) points =
     done
   done
 
-let eval_into ?(force_scalar = false) t ~queries ~n ~out =
+let eval_into t ~queries ~n ~out =
   if n < 0 then invalid_arg "Batch_kernel.eval_into: negative batch";
   if n * t.dim > Array1.dim queries then
     invalid_arg "Batch_kernel.eval_into: query buffer too small";
@@ -142,24 +136,23 @@ let eval_into ?(force_scalar = false) t ~queries ~n ~out =
   if n > 0 then
     eval_stub t.centers t.inv_radii t.weights t.m t.dim n queries out
       Rbf_math.t2j Rbf_math.pow2
-      (if force_scalar then 0 else 1)
 
 (* Re-entrant variant: fresh buffers instead of [t]'s scratch, so
    concurrent domains can evaluate against one packed model.  The extra
    allocations are the price of that freedom — single-domain callers
    should stay on [eval_points]. *)
-let eval_points_fresh ?force_scalar t points =
+let eval_points_fresh t points =
   let n = Array.length points in
   if n = 0 then [||]
   else begin
     let queries = create_buffer (n * t.dim) in
     let out = create_buffer n in
     load_queries t queries points;
-    eval_into ?force_scalar t ~queries ~n ~out;
+    eval_into t ~queries ~n ~out;
     Array.init n (fun i -> Array1.unsafe_get out i)
   end
 
-let eval_points ?force_scalar t points =
+let eval_points t points =
   let n = Array.length points in
   if n = 0 then [||]
   else begin
@@ -168,7 +161,7 @@ let eval_points ?force_scalar t points =
     if Array1.dim t.scratch_out < n then
       t.scratch_out <- Array1.create float64 c_layout (2 * n);
     load_queries t t.scratch_q points;
-    eval_into ?force_scalar t ~queries:t.scratch_q ~n ~out:t.scratch_out;
+    eval_into t ~queries:t.scratch_q ~n ~out:t.scratch_out;
     let out = t.scratch_out in
     Array.init n (fun i -> Array1.unsafe_get out i)
   end

@@ -4,7 +4,7 @@
     contiguous C-layout bigarrays (struct-of-arrays), built once at
     model construction or load.  {!eval_into} then evaluates a batch of
     query points against every center in a single C pass — vectorised
-    across points with AVX-512 or AVX2 where the host supports them —
+    across points with AVX-512 or AVX2, at {!Archpred_simd.Simd.level} —
     without allocating per point.
 
     Every path is bit-identical to the scalar reference
@@ -43,27 +43,21 @@ val load_queries : t -> buffer -> float array array -> unit
     Raises [Invalid_argument] if the buffer is too small or any point
     has the wrong arity. *)
 
-val eval_into : ?force_scalar:bool -> t -> queries:buffer -> n:int -> out:buffer -> unit
+val eval_into : t -> queries:buffer -> n:int -> out:buffer -> unit
 (** Evaluate the first [n] rows of [queries], writing the network
-    response of row [i] to [out.{i}].  Allocation-free.
-    [force_scalar] pins the portable scalar C path (used by tests to
-    cross-check the SIMD paths); the default picks the best instruction
-    set available at runtime. *)
+    response of row [i] to [out.{i}].  Allocation-free.  Points go
+    eight to a SIMD block, a short last block padded; the portable
+    scalar loop runs only at level [Scalar] or above 64 dimensions. *)
 
-val eval_points : ?force_scalar:bool -> t -> float array array -> float array
+val eval_points : t -> float array array -> float array
 (** Convenience wrapper: marshal [points] into an internal scratch
     buffer (reused across calls, grown on demand), evaluate, and return
     the responses in order.  Because of the shared scratch, this entry
     point must not be called concurrently from several domains on the
     same [t]; {!eval_into} with caller-owned buffers is re-entrant. *)
 
-val eval_points_fresh :
-  ?force_scalar:bool -> t -> float array array -> float array
+val eval_points_fresh : t -> float array array -> float array
 (** Like {!eval_points} but with freshly allocated buffers instead of
     [t]'s scratch: safe to call concurrently from several domains on one
     packed model.  Costs two buffer allocations per call, so
     single-domain loops should prefer {!eval_points}. *)
-
-val simd_level : unit -> string
-(** Instruction set the kernel dispatches to on this host:
-    ["avx512"], ["avx2"] or ["scalar"]. *)

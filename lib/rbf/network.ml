@@ -49,18 +49,16 @@ let pack t =
     ~radii:(Array.map (fun ctr -> ctr.r) t.centers)
     ~weights:t.weights
 
-let eval_batch ?force_scalar packed points =
-  Batch_kernel.eval_points ?force_scalar packed points
-
-let eval_batch_fresh ?force_scalar packed points =
-  Batch_kernel.eval_points_fresh ?force_scalar packed points
+let eval_batch packed points = Batch_kernel.eval_points packed points
+let eval_batch_fresh packed points = Batch_kernel.eval_points_fresh packed points
 
 (* The design entry of rbf_kernel_stubs.c (AVX2, dim <= 64), which fills
-   the matrix. *)
+   the matrix: centers, 1/r, points and matrix flat, then m, dim and the
+   row range. *)
 external design_stub :
-  float array array -> float array -> float array array -> float array ->
-  (int[@untagged]) -> (int[@untagged]) -> Batch_kernel.buffer ->
-  Batch_kernel.buffer -> unit
+  float array -> float array -> float array -> float array ->
+  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) -> Batch_kernel.buffer -> Batch_kernel.buffer -> unit
   = "archpred_rbf_design_bytecode" "archpred_rbf_design"
 [@@noalloc]
 
@@ -76,17 +74,25 @@ let design_matrix centers points =
      && (Array.exists (fun ctr -> arity ctr.c || arity ctr.r) centers
         || Array.exists arity points)
   then invalid_arg "Network.design_matrix: arity mismatch";
-  if m = 0 || n = 0 || dim > 64
-     || String.equal (Batch_kernel.simd_level ()) "scalar"
-  then Matrix.init n m (fun i j -> basis centers.(j) points.(i))
+  let scalar =
+    match Archpred_simd.Simd.training () with
+    | Scalar -> true
+    | Avx2 | Avx512 -> false
+  in
+  if m = 0 || n = 0 || dim > 64 || scalar then
+    Matrix.init n m (fun i j -> basis centers.(j) points.(i))
   else begin
     let h = Matrix.create n m in
+    let flat rows f =
+      Array.init (Array.length rows * dim) (fun x -> f rows.(x / dim) (x mod dim))
+    in
     (* Bitwise the [1. /. r.(k)] of [basis], as in [pack]. *)
-    let ir = Array.init (m * dim) (fun x -> 1. /. centers.(x / dim).r.(x mod dim)) in
-    let cs = Array.map (fun ctr -> ctr.c) centers in
+    let ir = flat centers (fun ctr k -> 1. /. ctr.r.(k)) in
+    let cs = flat centers (fun ctr k -> ctr.c.(k)) in
+    let q = flat points Array.get in
     for b = 0 to (n - 1) / design_block do
       let i0 = b * design_block in
-      design_stub cs ir points (Matrix.data h) i0 (Int.min n (i0 + design_block))
+      design_stub cs ir q (Matrix.data h) m dim i0 (Int.min n (i0 + design_block))
         Rbf_math.t2j Rbf_math.pow2
     done;
     h

@@ -37,14 +37,12 @@ val pack : t -> packed
 (** Pack a fitted network for batched evaluation.  Raises
     [Invalid_argument] on an empty network or invalid radii. *)
 
-val eval_batch : ?force_scalar:bool -> packed -> float array array -> float array
+val eval_batch : packed -> float array array -> float array
 (** Evaluate a batch of points in one vectorised, zero-allocation-per-
     point C pass.  Bit-identical to mapping {!eval} over the batch, at
-    any batch size, on every instruction set ([force_scalar] pins the
-    portable C path; tests use it to cross-check SIMD dispatch). *)
+    any batch size, at every {!Archpred_simd.Simd.level}. *)
 
-val eval_batch_fresh :
-  ?force_scalar:bool -> packed -> float array array -> float array
+val eval_batch_fresh : packed -> float array array -> float array
 (** Like {!eval_batch} but evaluating through freshly allocated buffers
     rather than the packed model's shared scratch, so several domains
     may evaluate one [packed] concurrently (the model arrays themselves
@@ -53,8 +51,8 @@ val eval_batch_fresh :
 val design_matrix : center array -> float array array -> Archpred_linalg.Matrix.t
 (** [design_matrix centers points] is the p-by-m matrix [H] with
     [H(i)(j) = basis centers.(j) points.(i)] bit for bit, from an AVX2
-    kernel where the host has one and the dimension is at most 64, else
-    from [basis] itself.  Raises [Invalid_argument] on an arity
+    kernel where {!Archpred_simd.Simd.training} is [Avx2] and the
+    dimension is at most 64, else from [basis] itself.  Raises [Invalid_argument] on an arity
     mismatch. *)
 
 type fit_diagnostics = {

@@ -1,8 +1,9 @@
 /* Vectorised batch evaluation of an RBF network over struct-of-arrays
- * storage (see batch_kernel.mli).
+ * storage (see batch_kernel.mli), and the design matrix of selection.
  *
  * Bit-identity contract: every path below -- portable C scalar, AVX2
- * (8 points as 2x4 lanes) and AVX-512 (8 lanes) -- performs exactly the
+ * (8 points as 2x4 lanes) and AVX-512 (8 lanes), at the level of the
+ * one dispatch in lib/simd -- performs exactly the
  * same sequence of IEEE-754 double operations per point as the OCaml
  * reference in rbf_math.ml / network.ml:
  *
@@ -12,7 +13,8 @@
  *   acc = ((w0*h0 + w1*h1) + w2*h2) + ...     (left-associated)
  *
  * Vectorisation is across *points* (lanes = points), never across the
- * k/j reductions, so the per-point operation order is untouched.  The
+ * k/j reductions, so the per-point operation order is untouched; a
+ * short last block runs padded with zero points.  The
  * exp tables are the bigarrays built in rbf_math.ml, passed in on every
  * call -- the C side holds no tables of its own, so the two languages
  * cannot drift.  The hex constants below must match rbf_math.ml.
@@ -52,9 +54,9 @@ static double exp_neg_scalar(double s, const double *t2j, const double *p2) {
 }
 
 static void eval_scalar(const double *c, const double *ir, const double *w,
-                        long m, long dim, const double *q, long i0, long n,
-                        double *out, const double *t2j, const double *p2) {
-  for (long i = i0; i < n; i++) {
+                        long m, long dim, const double *q, long n, double *out,
+                        const double *t2j, const double *p2) {
+  for (long i = 0; i < n; i++) {
     const double *x = q + i * dim;
     double acc = 0.0;
     for (long j = 0; j < m; j++) {
@@ -112,48 +114,73 @@ static inline __m256d exp_neg_avx2(__m256d s, const double *t2j,
   return _mm256_blendv_pd(alt, res, ok);
 }
 
-/* 8 points per iteration as two interleaved 4-lane accumulators: the
- * broadcast center/radius/weight loads are shared across both halves,
- * which on this kernel beats plain 4-wide by ~15%. */
+/* Transpose points [i, i + w) of q (row i at q + i*dim) into the lanes
+ * of xT, padding lanes w..7 with zero points whose results are dropped. */
+static void load_block(double xT[64][8], const double *q, long dim, long i,
+                       long w) {
+  for (long k = 0; k < dim; k++)
+    for (long l = 0; l < 8; l++) xT[k][l] = l < w ? q[(i + l) * dim + k] : 0.0;
+}
+
+/* The per-center step of an 8-point block, as two 4-lane halves (the
+ * broadcast center and radius loads are shared across both halves, which
+ * on this kernel beats plain 4-wide by ~15%): e = exp_neg(s), s the
+ * scaled squared distance of each lane from center cj. */
+__attribute__((target("avx2"), always_inline))
+static inline void center_avx2(const double xT[64][8], const double *cj,
+                               const double *irj, long dim, const double *t2j,
+                               const double *p2, __m256d *e0, __m256d *e1) {
+  __m256d s0 = _mm256_setzero_pd(), s1 = _mm256_setzero_pd();
+  for (long k = 0; k < dim; k++) {
+    __m256d ck = _mm256_set1_pd(cj[k]), irk = _mm256_set1_pd(irj[k]);
+    __m256d d0 = _mm256_mul_pd(_mm256_sub_pd(_mm256_load_pd(xT[k]), ck), irk);
+    __m256d d1 =
+        _mm256_mul_pd(_mm256_sub_pd(_mm256_load_pd(xT[k] + 4), ck), irk);
+    s0 = _mm256_add_pd(s0, _mm256_mul_pd(d0, d0));
+    s1 = _mm256_add_pd(s1, _mm256_mul_pd(d1, d1));
+  }
+  *e0 = exp_neg_avx2(s0, t2j, p2);
+  *e1 = exp_neg_avx2(s1, t2j, p2);
+}
+
+/* Points [i0, i1) of q, dim <= 64, eight to a block, the last block
+ * padded.  Two sinks for the per-center step: with h, the design's
+ * h[i*m + j] = e; without, evaluation's out[i] = sum_j w[j] * e. */
 __attribute__((target("avx2")))
-static void eval_avx2(const double *c, const double *ir, const double *w,
-                      long m, long dim, const double *q, long n, double *out,
-                      const double *t2j, const double *p2) {
-  long i = 0;
+static void blocks_avx2(const double *c, const double *ir, const double *w,
+                        long m, long dim, const double *q, long i0, long i1,
+                        double *out, double *h, const double *t2j,
+                        const double *p2) {
   double xT[64][8] __attribute__((aligned(32)));
-  if (dim <= 64)
-    for (; i + 8 <= n; i += 8) {
-      for (long k = 0; k < dim; k++)
-        for (long l = 0; l < 8; l++) xT[k][l] = q[(i + l) * dim + k];
-      __m256d acc0 = _mm256_setzero_pd(), acc1 = _mm256_setzero_pd();
-      for (long j = 0; j < m; j++) {
-        const double *cj = c + j * dim, *irj = ir + j * dim;
-        __m256d s0 = _mm256_setzero_pd(), s1 = _mm256_setzero_pd();
-        for (long k = 0; k < dim; k++) {
-          __m256d ck = _mm256_set1_pd(cj[k]);
-          __m256d irk = _mm256_set1_pd(irj[k]);
-          __m256d d0 =
-              _mm256_mul_pd(_mm256_sub_pd(_mm256_load_pd(xT[k]), ck), irk);
-          __m256d d1 =
-              _mm256_mul_pd(_mm256_sub_pd(_mm256_load_pd(xT[k] + 4), ck), irk);
-          s0 = _mm256_add_pd(s0, _mm256_mul_pd(d0, d0));
-          s1 = _mm256_add_pd(s1, _mm256_mul_pd(d1, d1));
-        }
-        __m256d e0 = exp_neg_avx2(s0, t2j, p2);
-        __m256d e1 = exp_neg_avx2(s1, t2j, p2);
+  double e[8] __attribute__((aligned(32)));
+  for (long i = i0; i < i1; i += 8) {
+    long nl = i1 - i < 8 ? i1 - i : 8;
+    load_block(xT, q, dim, i, nl);
+    __m256d acc0 = _mm256_setzero_pd(), acc1 = _mm256_setzero_pd();
+    for (long j = 0; j < m; j++) {
+      __m256d e0, e1;
+      center_avx2(xT, c + j * dim, ir + j * dim, dim, t2j, p2, &e0, &e1);
+      if (h) {
+        _mm256_store_pd(e, e0);
+        _mm256_store_pd(e + 4, e1);
+        for (long l = 0; l < nl; l++) h[(i + l) * m + j] = e[l];
+      } else {
         __m256d wj = _mm256_set1_pd(w[j]);
         acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(wj, e0));
         acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(wj, e1));
       }
-      _mm256_storeu_pd(out + i, acc0);
-      _mm256_storeu_pd(out + i + 4, acc1);
     }
+    if (!h) {
+      _mm256_store_pd(e, acc0);
+      _mm256_store_pd(e + 4, acc1);
+      for (long l = 0; l < nl; l++) out[i + l] = e[l];
+    }
+  }
   /* gcc emits no vzeroupper in these kernels: upper register halves
      left dirty make every later legacy-SSE instruction of the process
-     slow (the scalar tail, OCaml float code, the JSON number stubs;
-     DESIGN 5h has the measurement), so clear them here. */
+     slow (OCaml float code, the JSON number stubs; DESIGN 5h has the
+     measurement), so clear them here. */
   _mm256_zeroupper();
-  eval_scalar(c, ir, w, m, dim, q, i, n, out, t2j, p2);
 }
 
 __attribute__((target("avx512f")))
@@ -193,60 +220,38 @@ __attribute__((target("avx512f")))
 static void eval_avx512(const double *c, const double *ir, const double *w,
                         long m, long dim, const double *q, long n, double *out,
                         const double *t2j, const double *p2) {
-  long i = 0;
   double xT[64][8] __attribute__((aligned(64)));
-  if (dim <= 64)
-    for (; i + 8 <= n; i += 8) {
-      for (long k = 0; k < dim; k++)
-        for (long l = 0; l < 8; l++) xT[k][l] = q[(i + l) * dim + k];
-      __m512d acc = _mm512_setzero_pd();
-      for (long j = 0; j < m; j++) {
-        const double *cj = c + j * dim, *irj = ir + j * dim;
-        __m512d s = _mm512_setzero_pd();
-        for (long k = 0; k < dim; k++) {
-          __m512d xk = _mm512_load_pd(xT[k]);
-          __m512d d = _mm512_mul_pd(_mm512_sub_pd(xk, _mm512_set1_pd(cj[k])),
-                                    _mm512_set1_pd(irj[k]));
-          s = _mm512_add_pd(s, _mm512_mul_pd(d, d));
-        }
-        __m512d e = exp_neg_avx512(s, t2j, p2);
-        acc = _mm512_add_pd(acc, _mm512_mul_pd(_mm512_set1_pd(w[j]), e));
+  double e[8] __attribute__((aligned(64)));
+  for (long i = 0; i < n; i += 8) {
+    long nl = n - i < 8 ? n - i : 8;
+    load_block(xT, q, dim, i, nl);
+    __m512d acc = _mm512_setzero_pd();
+    for (long j = 0; j < m; j++) {
+      const double *cj = c + j * dim, *irj = ir + j * dim;
+      __m512d s = _mm512_setzero_pd();
+      for (long k = 0; k < dim; k++) {
+        __m512d xk = _mm512_load_pd(xT[k]);
+        __m512d d = _mm512_mul_pd(_mm512_sub_pd(xk, _mm512_set1_pd(cj[k])),
+                                  _mm512_set1_pd(irj[k]));
+        s = _mm512_add_pd(s, _mm512_mul_pd(d, d));
       }
-      _mm512_storeu_pd(out + i, acc);
+      __m512d ej = exp_neg_avx512(s, t2j, p2);
+      acc = _mm512_add_pd(acc, _mm512_mul_pd(_mm512_set1_pd(w[j]), ej));
     }
-  _mm256_zeroupper(); /* as in eval_avx2 */
-  eval_scalar(c, ir, w, m, dim, q, i, n, out, t2j, p2);
+    _mm512_store_pd(e, acc);
+    for (long l = 0; l < nl; l++) out[i + l] = e[l];
+  }
+  _mm256_zeroupper(); /* as in blocks_avx2 */
 }
 
 #endif /* __x86_64__ */
 
-/* 0 = portable scalar, 1 = AVX2, 2 = AVX-512; resolved once. */
-static int simd_level_cached = -1;
+int archpred_simd_level(void); /* lib/simd */
 
-static int simd_level(void) {
-  if (simd_level_cached < 0) {
-#if defined(__x86_64__)
-    if (__builtin_cpu_supports("avx512f")) simd_level_cached = 2;
-    else if (__builtin_cpu_supports("avx2")) simd_level_cached = 1;
-    else simd_level_cached = 0;
-#else
-    simd_level_cached = 0;
-#endif
-  }
-  return simd_level_cached;
-}
-
-CAMLprim value archpred_rbf_simd_level(value unit) {
-  (void)unit;
-  return Val_long(simd_level());
-}
-
-/* mode 0 forces the portable scalar path (for cross-path identity
- * tests); mode 1 picks the best available instruction set. */
 CAMLprim value archpred_rbf_eval_batch(value vc, value vir, value vw,
                                        value vm, value vdim, value vn,
                                        value vq, value vout,
-                                       value vt2j, value vp2, value vmode) {
+                                       value vt2j, value vp2) {
   const double *c = (double *)Caml_ba_data_val(vc);
   const double *ir = (double *)Caml_ba_data_val(vir);
   const double *w = (double *)Caml_ba_data_val(vw);
@@ -254,83 +259,41 @@ CAMLprim value archpred_rbf_eval_batch(value vc, value vir, value vw,
   double *out = (double *)Caml_ba_data_val(vout);
   const double *t2j = (double *)Caml_ba_data_val(vt2j);
   const double *p2 = (double *)Caml_ba_data_val(vp2);
-  long m = Long_val(vm);
-  long dim = Long_val(vdim);
-  long n = Long_val(vn);
+  long m = Long_val(vm), dim = Long_val(vdim), n = Long_val(vn);
+  int level = dim <= 64 ? archpred_simd_level() : 0;
 #if defined(__x86_64__)
-  if (Long_val(vmode) != 0) {
-    int level = simd_level();
-    if (level == 2) {
-      eval_avx512(c, ir, w, m, dim, q, n, out, t2j, p2);
-      return Val_unit;
-    }
-    if (level == 1) {
-      eval_avx2(c, ir, w, m, dim, q, n, out, t2j, p2);
-      return Val_unit;
-    }
-  }
-#else
-  (void)vmode;
+  if (level == 2)
+    eval_avx512(c, ir, w, m, dim, q, n, out, t2j, p2);
+  else if (level == 1)
+    blocks_avx2(c, ir, w, m, dim, q, 0, n, out, NULL, t2j, p2);
+  else
 #endif
-  eval_scalar(c, ir, w, m, dim, q, 0, n, out, t2j, p2);
+    eval_scalar(c, ir, w, m, dim, q, n, out, t2j, p2);
+  (void)level;
   return Val_unit;
 }
 
 CAMLprim value archpred_rbf_eval_batch_bytecode(value *argv, int argn) {
   (void)argn;
   return archpred_rbf_eval_batch(argv[0], argv[1], argv[2], argv[3], argv[4],
-                                 argv[5], argv[6], argv[7], argv[8], argv[9],
-                                 argv[10]);
+                                 argv[5], argv[6], argv[7], argv[8], argv[9]);
 }
 
+/* Rows [i0, i1) of the n-by-m design h (row-major): h[i*m + j] =
+ * exp_neg(s) for center j at point i, with c, ir and q flat as in the
+ * packed model.  AVX2 only, dim <= 64 (AVX-512 hosts too: a twin saved
+ * ~1% of selection time): Network.design_matrix takes its OCaml loop
+ * over Network.basis everywhere else. */
+CAMLprim value archpred_rbf_design(value c, value ir, value q, value h,
+                                   intnat m, intnat dim, intnat i0, intnat i1,
+                                   value vt2j, value vp2) {
 #if defined(__x86_64__)
-/* Rows [i0, i1) of the design: h[i*m + j] = exp_neg(s) for center j at
- * point i (c, q: float array arrays; 1/r of center j at ir + j*dim),
- * eight points to a block as in eval_avx2, a short last block padded
- * with zeros (AVX-512 hosts too: a twin saved ~1% of selection time).
- * AVX2 only, dim <= 64: Network.design_matrix takes its OCaml loop over
- * Network.basis everywhere else. */
-#define ROW(v, j) ((const double *)Field(v, j))
-__attribute__((target("avx2")))
-static void design_avx2(value c, const double *ir, long m, long dim, value q,
-                        long i0, long i1, double *h, const double *t2j,
-                        const double *p2) {
-  double xT[64][8] __attribute__((aligned(32)));
-  double e[8] __attribute__((aligned(32)));
-  for (long i = i0; i < i1; i += 8) {
-    long w = i1 - i < 8 ? i1 - i : 8;
-    for (long k = 0; k < dim; k++)
-      for (long l = 0; l < 8; l++) xT[k][l] = l < w ? ROW(q, i + l)[k] : 0.0;
-    for (long j = 0; j < m; j++) {
-      const double *cj = ROW(c, j), *irj = ir + j * dim;
-      __m256d s0 = _mm256_setzero_pd(), s1 = _mm256_setzero_pd();
-      for (long k = 0; k < dim; k++) {
-        __m256d ck = _mm256_set1_pd(cj[k]), irk = _mm256_set1_pd(irj[k]);
-        __m256d d0 = _mm256_mul_pd(_mm256_sub_pd(_mm256_load_pd(xT[k]), ck), irk);
-        __m256d d1 = _mm256_mul_pd(_mm256_sub_pd(_mm256_load_pd(xT[k] + 4), ck), irk);
-        s0 = _mm256_add_pd(s0, _mm256_mul_pd(d0, d0));
-        s1 = _mm256_add_pd(s1, _mm256_mul_pd(d1, d1));
-      }
-      _mm256_store_pd(e, exp_neg_avx2(s0, t2j, p2));
-      _mm256_store_pd(e + 4, exp_neg_avx2(s1, t2j, p2));
-      for (long l = 0; l < w; l++) h[(i + l) * m + j] = e[l];
-    }
-  }
-  _mm256_zeroupper(); /* as in eval_avx2 */
-}
-#endif
-
-/* c, ir, q and h as above (h row-major n-by-m). */
-CAMLprim value archpred_rbf_design(value c, value vir, value q, value vh,
-                                   intnat i0, intnat i1, value vt2j,
-                                   value vp2) {
-#if defined(__x86_64__)
-  long m = Wosize_val(c), dim = Wosize_val(vir) / Double_wosize / m;
-  design_avx2(c, (const double *)vir, m, dim, q, i0, i1, (double *)vh,
+  blocks_avx2((const double *)c, (const double *)ir, NULL, m, dim,
+              (const double *)q, i0, i1, NULL, (double *)h,
               Caml_ba_data_val(vt2j), Caml_ba_data_val(vp2));
 #else
-  (void)c, (void)vir, (void)q, (void)vh, (void)i0, (void)i1, (void)vt2j,
-      (void)vp2;
+  (void)c, (void)ir, (void)q, (void)h, (void)m, (void)dim, (void)i0,
+      (void)i1, (void)vt2j, (void)vp2;
 #endif
   return Val_unit;
 }
@@ -338,6 +301,7 @@ CAMLprim value archpred_rbf_design(value c, value vir, value q, value vh,
 CAMLprim value archpred_rbf_design_bytecode(value *argv, int argn) {
   (void)argn;
   return archpred_rbf_design(argv[0], argv[1], argv[2], argv[3],
-                             Long_val(argv[4]), Long_val(argv[5]), argv[6],
-                             argv[7]);
+                             Long_val(argv[4]), Long_val(argv[5]),
+                             Long_val(argv[6]), Long_val(argv[7]), argv[8],
+                             argv[9]);
 }

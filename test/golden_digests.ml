@@ -9,7 +9,11 @@
    bits a configuration trains fails the suite.  A deliberate change is
    recorded by regenerating the table, which then shows in the diff:
 
-     dune build @test/runtest; dune promote test/golden_digests.expected *)
+     dune build @test/runtest; dune promote test/golden_digests.expected
+
+   An optional argument, [scalar], [avx2] or [avx512], caps every SIMD
+   kernel at that level ([Simd.with_cap]); [runtest] diffs the table at
+   each of the three against the one expected file. *)
 
 module Core = Archpred_core
 module Build = Core.Build
@@ -24,6 +28,7 @@ module Rbf = Archpred_rbf
 module Design = Archpred_design
 module Shard = Archpred_shard
 module Fault = Archpred_fault.Fault
+module Simd = Archpred_simd.Simd
 
 let crc s = Core.Crc32.to_hex (Core.Crc32.string s)
 let model (t : Build.trained) = Core.Persist.to_string t.Build.predictor
@@ -326,7 +331,7 @@ let checkpointed name =
   line name
     (crc (model outcome.Shard.Coordinator.result.Core.Pipeline.final))
 
-let () =
+let rows () =
   print_string
     "# name                       crc32 of Persist.to_string (or of the\n\
      # stepwise terms and coefficient bits, or of moment bits), or the\n\
@@ -350,3 +355,12 @@ let () =
   accuracy_mcf "accuracy.mcf";
   shard_accuracy "shard.accuracy.mcf.n30";
   predictions "predict.mcf.n40.b1-33" mcf40 ~seed:29
+
+let () =
+  match Sys.argv with
+  | [| _ |] -> rows ()
+  | [| _; name |] -> (
+      match Simd.of_string name with
+      | Some level -> Simd.with_cap level rows
+      | None -> failwith ("golden_digests: unknown SIMD level " ^ name))
+  | _ -> failwith "usage: golden_digests.exe [scalar|avx2|avx512]"

@@ -439,7 +439,13 @@ let awkward_sample rng =
   let d = Rng.int rng 12 in
   Array.init n (fun _ -> Array.init d (fun _ -> awkward_coord rng))
 
-type kernel = ?force_scalar:bool -> ?domains:int -> Space.point array -> float
+module Simd = Archpred_simd.Simd
+
+type kernel = ?domains:int -> Space.point array -> float
+
+(* [f pts] at every level the host has. *)
+let at_levels (f : kernel) pts =
+  List.map (fun level -> Simd.with_cap level (fun () -> f pts)) (Simd.supported ())
 
 let kinds =
   [
@@ -455,7 +461,7 @@ let prop_discrepancy_paths_bit_identical =
       List.for_all
         (fun (kind, (f : kernel), oracle) ->
           let v = f pts in
-          same_bits v (f ~force_scalar:true pts)
+          List.for_all (same_bits v) (at_levels f pts)
           && same_bits v (oracle pts)
           && same_bits v (Discrepancy.compute ~domains:1 kind pts)
           && same_bits v (Discrepancy.compute ~domains:4 kind pts))
@@ -472,8 +478,7 @@ let prop_discrepancy_nan =
       pts.(Rng.int rng n).(Rng.int rng d) <- Float.nan;
       List.for_all
         (fun (_, (f : kernel), oracle) ->
-          Float.is_nan (f pts)
-          && Float.is_nan (f ~force_scalar:true pts)
+          List.for_all Float.is_nan (at_levels f pts)
           && Float.is_nan (oracle pts))
         kinds)
 

@@ -8,6 +8,7 @@ module Cholesky = Archpred_linalg.Cholesky
 module Qr = Archpred_linalg.Qr
 module Least_squares = Archpred_linalg.Least_squares
 module Rng = Archpred_stats.Rng
+module Simd = Archpred_simd.Simd
 
 let check_float ?(eps = 1e-9) msg expected actual =
   if abs_float (expected -. actual) > eps then
@@ -542,7 +543,8 @@ let prop_ils_gram_bit_identical =
 
 (* The Gram kernel takes design rows in blocks of 48 and Gram rows in
    blocks of 32, four rows by two 4-lane vectors at a time: sizes on both
-   sides of every one of those boundaries, and empty designs. *)
+   sides of every one of those boundaries, and empty designs, at every
+   level the host has. *)
 let prop_ils_gram_paths =
   qtest ~count:150 "Gram: SIMD = portable = tmul oracle across blocks"
     QCheck2.Gen.(int_range 0 1_000_000)
@@ -555,23 +557,23 @@ let prop_ils_gram_paths =
       in
       let design = awkward_matrix rng p n in
       let responses = Array.init p (fun _ -> awkward_float rng) in
-      let simd = Ils.create ~design ~responses () in
-      let port = Ils.create ~force_scalar:true ~design ~responses () in
       let g = tmul design design in
       let hy = tmul design (Matrix.init p 1 (fun i _ -> responses.(i))) in
       let ok = ref true in
-      for a = 0 to n - 1 do
-        let h = Matrix.get hy a 0 in
-        if not (same_bits h (Ils.hy simd a) && same_bits h (Ils.hy port a)) then
-          ok := false;
-        for b = 0 to n - 1 do
-          let e = Matrix.get g a b in
-          if
-            not
-              (same_bits e (Ils.gram simd a b) && same_bits e (Ils.gram port a b))
-          then ok := false
-        done
-      done;
+      List.iter
+        (fun level ->
+          let ils =
+            Simd.with_cap level (fun () -> Ils.create ~design ~responses ())
+          in
+          for a = 0 to n - 1 do
+            if not (same_bits (Matrix.get hy a 0) (Ils.hy ils a)) then
+              ok := false;
+            for b = 0 to n - 1 do
+              if not (same_bits (Matrix.get g a b) (Ils.gram ils a b)) then
+                ok := false
+            done
+          done)
+        (Simd.supported ());
       !ok)
 
 (* A factor driven by random set / push / pop / add_row sequences holds,
@@ -722,9 +724,9 @@ module Left_looking = struct
     w
 end
 
-(* The right-looking sweep on its SIMD path and on its forced-portable
-   path, and the left-looking oracle, driven by one random sequence of
-   set / push / pop / add_row, hold the same bits after every step.
+(* The right-looking sweep at every level the host has, and the
+   left-looking oracle, driven by one random sequence of set / push /
+   pop / add_row, hold the same bits after every step.
    Column counts straddle the 4-lane vectors, and factors grow past the
    16- and 32-column capacities; repeated columns make pushes fail. *)
 let prop_ils_sweep_paths =
@@ -740,12 +742,21 @@ let prop_ils_sweep_paths =
         Matrix.set_col design (n - 1) (Matrix.col design 0);
       let responses = Array.init p (fun _ -> Rng.unit_float rng -. 0.5) in
       let jitter = float_of_int (Rng.int rng 2) *. 1e-8 in
-      let simd = Ils.create ~jitter ~design ~responses () in
-      let port = Ils.create ~force_scalar:true ~jitter ~design ~responses () in
-      let fs = Ils.factor simd and fp = Ils.factor port in
-      let fo = Left_looking.create simd ~jitter in
+      let lss =
+        List.map
+          (fun level ->
+            (level, Simd.with_cap level (fun () -> Ils.create ~jitter ~design ~responses ())))
+          (Simd.supported ())
+      in
+      let facs = List.map (fun (level, ls) -> (level, Ils.factor ls)) lss in
+      let fs = snd (List.hd facs) in
+      let fo = Left_looking.create (snd (List.hd lss)) ~jitter in
+      (* [f] on every level's factor, each under its own cap. *)
+      let each f =
+        List.map (fun (level, fac) -> Simd.with_cap level (fun () -> f fac)) facs
+      in
       let stale = ref false and ok = ref true in
-      let agree a b c = if not (a = b && b = c) then ok := false in
+      let agree oracle l = if not (List.for_all (( = ) oracle) l) then ok := false in
       let random_cols () =
         if Rng.int rng 2 = 0 then
           Array.to_list
@@ -759,17 +770,16 @@ let prop_ils_sweep_paths =
         | _ -> false
       in
       let check () =
-        agree (Ils.ids fs) (Ils.ids fp) (Array.sub fo.Left_looking.ids 0 fo.m);
+        agree (Array.sub fo.Left_looking.ids 0 fo.m) (each Ils.ids);
         if not !stale then begin
           let w = Left_looking.solve fo in
           if
             not
-              (same_vec w (Ils.solve fs)
-              && same_vec w (Ils.solve fp)
-              && same_bits (Left_looking.explained fo) (Ils.explained fs)
-              && same_bits (Left_looking.explained fo) (Ils.explained fp)
-              && same_opt (Left_looking.sigma2 fo) (Ils.sigma2 fs)
-              && same_opt (Left_looking.sigma2 fo) (Ils.sigma2 fp))
+              (List.for_all Fun.id
+                 (each (fun f ->
+                      same_vec w (Ils.solve f)
+                      && same_bits (Left_looking.explained fo) (Ils.explained f)
+                      && same_opt (Left_looking.sigma2 fo) (Ils.sigma2 f))))
           then ok := false
         end
       in
@@ -777,20 +787,18 @@ let prop_ils_sweep_paths =
         (match Rng.int rng 6 with
         | 0 | 1 ->
             let cols = random_cols () in
-            agree (Ils.set fs cols) (Ils.set fp cols) (Left_looking.set fo cols);
+            agree (Left_looking.set fo cols) (each (fun f -> Ils.set f cols));
             stale := false
         | 2 | 3 when (not !stale) && Ils.size fs < n ->
             let j = Rng.int rng n in
-            agree (Ils.push fs j) (Ils.push fp j) (Left_looking.push fo j)
+            agree (Left_looking.push fo j) (each (fun f -> Ils.push f j))
         | 4 when (not !stale) && Ils.size fs > 0 ->
-            Ils.pop fs;
-            Ils.pop fp;
+            ignore (each Ils.pop);
             fo.m <- fo.m - 1
         | 5 ->
             let row = Array.init n (fun _ -> Rng.unit_float rng -. 0.5) in
             let y = Rng.unit_float rng in
-            Ils.add_row simd ~row ~y;
-            Ils.add_row port ~row ~y;
+            List.iter (fun (_, ls) -> Ils.add_row ls ~row ~y) lss;
             stale := true
         | _ -> ());
         check ()

@@ -13,6 +13,7 @@ module Tree = Archpred_regtree.Tree
 module Matrix = Archpred_linalg.Matrix
 module Least_squares = Archpred_linalg.Least_squares
 module Rng = Archpred_stats.Rng
+module Simd = Archpred_simd.Simd
 
 let check_float ?(eps = 1e-9) msg expected actual =
   if abs_float (expected -. actual) > eps then
@@ -269,7 +270,10 @@ let random_network rng ~dim ~m =
   let weights = Array.init m (fun _ -> (Rng.unit_float rng *. 4.) -. 2.) in
   { Network.centers; weights }
 
-let batch_sizes = [ 1; 7; 64; 256 ]
+(* Every size from 1 to 17, both sides of the 24- and 32-point block
+   boundaries, and larger batches with full blocks and a tail. *)
+let batch_sizes =
+  List.init 17 (fun i -> i + 1) @ [ 23; 24; 25; 31; 32; 33; 64; 255 ]
 
 (* Bit-level equality: the batch kernel must replay the scalar path's
    exact IEEE operation sequence, so even the sign of zero and NaN
@@ -295,22 +299,28 @@ let prop_batch_matches_scalar =
             Array.init n (fun _ ->
                 Array.init dim (fun _ -> (Rng.unit_float rng *. 1.4) -. 0.2))
           in
-          let auto = Network.eval_batch packed points in
-          let forced = Network.eval_batch ~force_scalar:true packed points in
-          Array.iteri
-            (fun i p ->
-              let s = Network.eval net p in
-              check_bits (Printf.sprintf "n=%d simd i=%d" n i) s auto.(i);
-              check_bits (Printf.sprintf "n=%d scalar-C i=%d" n i) s forced.(i))
-            points)
+          let expected = Array.map (Network.eval net) points in
+          List.iter
+            (fun level ->
+              let batch =
+                Simd.with_cap level (fun () -> Network.eval_batch packed points)
+              in
+              Array.iteri
+                (fun i s ->
+                  check_bits
+                    (Printf.sprintf "n=%d %s i=%d" n (Simd.to_string level) i)
+                    s batch.(i))
+                expected)
+            (Simd.supported ()))
         batch_sizes;
       true)
 
-(* The design entry: every entry equals [Network.basis] bit for bit.
-   On an AVX2 host dimensions 1-12 take the C kernel and 65 the OCaml
-   fallback; point counts 1-17 and 400 cover every remainder of the
-   8-point blocks and more than one 64-point call; some points lie far
-   outside the cube, where the exponent underflows. *)
+(* The design entry: every entry equals [Network.basis] bit for bit, at
+   every level the host has.  Above [Scalar] dimensions 1-12 take the C
+   kernel and 65 the OCaml fallback; point counts 1-17 and 400 cover
+   every remainder of the 8-point blocks and more than one 64-point
+   call; some points lie far outside the cube, where the exponent
+   underflows. *)
 let prop_design_matches_basis =
   qtest ~count:4 "design_matrix bit-identical to basis (all n mod 8)"
     QCheck2.Gen.(int_range 0 100_000)
@@ -328,16 +338,23 @@ let prop_design_matches_basis =
                     Array.init dim (fun _ ->
                         (Rng.unit_float rng -. 0.15) *. scale))
               in
-              let h = Network.design_matrix centers points in
-              Array.iteri
-                (fun i x ->
+              List.iter
+                (fun level ->
+                  let h =
+                    Simd.with_cap level (fun () ->
+                        Network.design_matrix centers points)
+                  in
                   Array.iteri
-                    (fun j ctr ->
-                      check_bits
-                        (Printf.sprintf "dim=%d n=%d (%d,%d)" dim n i j)
-                        (Network.basis ctr x) (Matrix.get h i j))
-                    centers)
-                points)
+                    (fun i x ->
+                      Array.iteri
+                        (fun j ctr ->
+                          check_bits
+                            (Printf.sprintf "%s dim=%d n=%d (%d,%d)"
+                               (Simd.to_string level) dim n i j)
+                            (Network.basis ctr x) (Matrix.get h i j))
+                        centers)
+                    points)
+                (Simd.supported ()))
             (List.init 17 (fun i -> i + 1) @ [ 400 ]))
         (List.init 12 (fun i -> i + 1) @ [ 65 ]);
       true)
@@ -378,10 +395,30 @@ let test_batch_kernel_validates () =
     (Invalid_argument "Batch_kernel.set_query: point arity mismatch") (fun () ->
       ignore (Network.eval_batch packed [| [| 0.5; 0.5 |] |]))
 
+(* The cap lowers the level, never raises it past the host, and is
+   restored on the way out, also when the body raises. *)
 let test_simd_level_reported () =
-  match Rbf.Batch_kernel.simd_level () with
-  | "avx512" | "avx2" | "scalar" -> ()
-  | other -> Alcotest.failf "unexpected simd level %S" other
+  let name = Simd.to_string in
+  let check msg expected actual =
+    Alcotest.(check string) msg (name expected) (name actual)
+  in
+  let top = Simd.level () in
+  check "uncapped level is the host's" (Simd.host ()) top;
+  List.iter
+    (fun l ->
+      Alcotest.(check (option string))
+        "name round trip" (Some (name l))
+        (Option.map name (Simd.of_string (name l)));
+      Simd.with_cap l (fun () ->
+          check "capped" l (Simd.level ());
+          check "training at most avx2"
+            (match l with Simd.Avx512 -> Simd.Avx2 | l -> l)
+            (Simd.training ())))
+    (Simd.supported ());
+  Simd.with_cap Simd.Avx512 (fun () -> check "cap above host" top (Simd.level ()));
+  (try Simd.with_cap Simd.Scalar (fun () -> failwith "body") with
+  | Failure _ -> ());
+  check "restored" top (Simd.level ())
 
 let test_forward_respects_cap () =
   let tree, points, responses = small_tree () in

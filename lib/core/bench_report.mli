@@ -20,10 +20,8 @@ val git_describe : unit -> string
 
 val metadata : unit -> (string * Archpred_obs.Json.t) list
 (** The environment stamp: [cores] (the cores available to the
-    process), [domains], [git_describe], [simd] (the prediction
-    kernel's {!Archpred_simd.Simd.level}) and [simd_training] (that of
-    the Gram, sweep, design and discrepancy kernels,
-    {!Archpred_simd.Simd.training}). *)
+    process), [domains], [git_describe], [simd] and [simd_training]
+    ({!Archpred_simd.Simd.level} and {!Archpred_simd.Simd.training}). *)
 
 val envelope : schema:string -> (string * Archpred_obs.Json.t) list
 (** [schema] and [schema_version] followed by {!metadata}. *)

@@ -41,8 +41,6 @@ external eval_stub :
   unit = "archpred_rbf_eval_batch_bytecode" "archpred_rbf_eval_batch"
 [@@noalloc]
 
-let n_centers t = t.m
-let dim t = t.dim
 let create_buffer n = Array1.create float64 c_layout (max n 1)
 
 let pack ~dim ~centers ~radii ~weights =
@@ -93,19 +91,11 @@ let pack ~dim ~centers ~radii ~weights =
    bigarray kind stays polymorphic inside this unit (the .mli only
    constrains the boundary), and [Array1.unsafe_set] falls back to the
    generic accessor — a C call per element, ~8x slower than the
-   monomorphic float64 store. *)
-let set_query t (queries : buffer) i point =
-  if Array.length point <> t.dim then
-    invalid_arg "Batch_kernel.set_query: point arity mismatch";
-  if i < 0 || ((i + 1) * t.dim) > Array1.dim queries then
-    invalid_arg "Batch_kernel.set_query: row out of bounds";
-  for k = 0 to t.dim - 1 do
-    Array1.unsafe_set queries ((i * t.dim) + k) (Array.unsafe_get point k)
-  done
+   monomorphic float64 store.
 
-(* One fused marshalling loop for a whole batch: per-point [set_query]
-   calls cost several times the copy itself (call + revalidation per
-   row), which at small center counts rivals the kernel.  Validation
+   One fused marshalling loop for a whole batch: a call per point costs
+   several times the copy itself (call + revalidation per row), which
+   at small center counts rivals the kernel.  Validation
    runs as its own pass before the copy loop: a raise-capable call
    inside the copy loop stops the compiler keeping the bigarray data
    pointer in a register, which measures ~8x slower than the split
@@ -117,7 +107,7 @@ let load_queries t (queries : buffer) points =
     invalid_arg "Batch_kernel.load_queries: query buffer too small";
   for i = 0 to n - 1 do
     if Array.length (Array.unsafe_get points i) <> dim then
-      invalid_arg "Batch_kernel.set_query: point arity mismatch"
+      invalid_arg "Batch_kernel.load_queries: point arity mismatch"
   done;
   for i = 0 to n - 1 do
     let p = Array.unsafe_get points i in

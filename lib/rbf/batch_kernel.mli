@@ -25,21 +25,13 @@ val pack :
 (** Pack a model into contiguous storage.  Raises [Invalid_argument] on
     empty models, arity mismatches or non-positive radii. *)
 
-val n_centers : t -> int
-val dim : t -> int
-
 val create_buffer : int -> buffer
 (** A fresh C-layout float64 buffer of at least [n] elements (a buffer
     of length 1 for [n = 0]). *)
 
-val set_query : t -> buffer -> int -> float array -> unit
-(** [set_query t queries i point] writes [point] into row [i] of a
-    query buffer laid out as [n] consecutive [dim t]-sized rows.
-    Raises [Invalid_argument] on arity mismatch or out-of-bounds row. *)
-
 val load_queries : t -> buffer -> float array array -> unit
-(** Marshal a whole batch into [queries] (row [i] = point [i]) in one
-    fused loop — substantially faster than per-point {!set_query}.
+(** Marshal a whole batch into [queries] (row [i] = point [i], each
+    row the model's dimension wide) in one fused loop.
     Raises [Invalid_argument] if the buffer is too small or any point
     has the wrong arity. *)
 

@@ -1,5 +1,6 @@
 module Matrix = Archpred_linalg.Matrix
 module Least_squares = Archpred_linalg.Least_squares
+module Simd = Archpred_simd.Simd
 
 type center = { c : float array; r : float array }
 
@@ -53,10 +54,10 @@ let eval_batch packed points = Batch_kernel.eval_points packed points
 let eval_batch_fresh packed points = Batch_kernel.eval_points_fresh packed points
 
 (* The design entry of rbf_kernel_stubs.c (AVX2, dim <= 64), which fills
-   the matrix: centers, 1/r, points and matrix flat, then m, dim and the
-   row range. *)
+   the matrix: centers and 1/r flat, the points in place, the matrix,
+   then m, dim and the row range. *)
 external design_stub :
-  float array -> float array -> float array -> float array ->
+  float array -> float array -> float array array -> float array ->
   (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
   (int[@untagged]) -> Batch_kernel.buffer -> Batch_kernel.buffer -> unit
   = "archpred_rbf_design_bytecode" "archpred_rbf_design"
@@ -74,25 +75,17 @@ let design_matrix centers points =
      && (Array.exists (fun ctr -> arity ctr.c || arity ctr.r) centers
         || Array.exists arity points)
   then invalid_arg "Network.design_matrix: arity mismatch";
-  let scalar =
-    match Archpred_simd.Simd.training () with
-    | Scalar -> true
-    | Avx2 | Avx512 -> false
-  in
+  let scalar = match Simd.training () with Scalar -> true | _ -> false in
   if m = 0 || n = 0 || dim > 64 || scalar then
     Matrix.init n m (fun i j -> basis centers.(j) points.(i))
   else begin
     let h = Matrix.create n m in
-    let flat rows f =
-      Array.init (Array.length rows * dim) (fun x -> f rows.(x / dim) (x mod dim))
-    in
     (* Bitwise the [1. /. r.(k)] of [basis], as in [pack]. *)
-    let ir = flat centers (fun ctr k -> 1. /. ctr.r.(k)) in
-    let cs = flat centers (fun ctr k -> ctr.c.(k)) in
-    let q = flat points Array.get in
+    let ir = Array.init (m * dim) (fun x -> 1. /. centers.(x / dim).r.(x mod dim)) in
+    let cs = Array.init (m * dim) (fun x -> centers.(x / dim).c.(x mod dim)) in
     for b = 0 to (n - 1) / design_block do
       let i0 = b * design_block in
-      design_stub cs ir q (Matrix.data h) m dim i0 (Int.min n (i0 + design_block))
+      design_stub cs ir points (Matrix.data h) m dim i0 (Int.min n (i0 + design_block))
         Rbf_math.t2j Rbf_math.pow2
     done;
     h

@@ -114,12 +114,18 @@ static inline __m256d exp_neg_avx2(__m256d s, const double *t2j,
   return _mm256_blendv_pd(alt, res, ok);
 }
 
-/* Transpose points [i, i + w) of q (row i at q + i*dim) into the lanes
- * of xT, padding lanes w..7 with zero points whose results are dropped. */
-static void load_block(double xT[64][8], const double *q, long dim, long i,
-                       long w) {
-  for (long k = 0; k < dim; k++)
-    for (long l = 0; l < 8; l++) xT[k][l] = l < w ? q[(i + l) * dim + k] : 0.0;
+/* Transpose points [i, i + w) into the lanes of xT, padding lanes w..7
+ * with zero points whose results are dropped.  Point i is at q + i*dim,
+ * or, when rows is set, at rows[i] (the fields of a float array array,
+ * read in place). */
+static void load_block(double xT[64][8], const double *q, const value *rows,
+                       long dim, long i, long w) {
+  for (long l = 0; l < 8; l++) {
+    const double *x = l >= w ? NULL
+                      : rows ? (const double *)rows[i + l]
+                             : q + (i + l) * dim;
+    for (long k = 0; k < dim; k++) xT[k][l] = x ? x[k] : 0.0;
+  }
 }
 
 /* The per-center step of an 8-point block, as two 4-lane halves (the
@@ -143,19 +149,20 @@ static inline void center_avx2(const double xT[64][8], const double *cj,
   *e1 = exp_neg_avx2(s1, t2j, p2);
 }
 
-/* Points [i0, i1) of q, dim <= 64, eight to a block, the last block
- * padded.  Two sinks for the per-center step: with h, the design's
- * h[i*m + j] = e; without, evaluation's out[i] = sum_j w[j] * e. */
+/* Points [i0, i1) (q and rows as in load_block), dim <= 64, eight to a
+ * block, the last block padded.  Two sinks for the per-center step:
+ * with h, the design's h[i*m + j] = e; without, evaluation's
+ * out[i] = sum_j w[j] * e. */
 __attribute__((target("avx2")))
 static void blocks_avx2(const double *c, const double *ir, const double *w,
-                        long m, long dim, const double *q, long i0, long i1,
-                        double *out, double *h, const double *t2j,
-                        const double *p2) {
+                        long m, long dim, const double *q, const value *rows,
+                        long i0, long i1, double *out, double *h,
+                        const double *t2j, const double *p2) {
   double xT[64][8] __attribute__((aligned(32)));
   double e[8] __attribute__((aligned(32)));
   for (long i = i0; i < i1; i += 8) {
     long nl = i1 - i < 8 ? i1 - i : 8;
-    load_block(xT, q, dim, i, nl);
+    load_block(xT, q, rows, dim, i, nl);
     __m256d acc0 = _mm256_setzero_pd(), acc1 = _mm256_setzero_pd();
     for (long j = 0; j < m; j++) {
       __m256d e0, e1;
@@ -224,7 +231,7 @@ static void eval_avx512(const double *c, const double *ir, const double *w,
   double e[8] __attribute__((aligned(64)));
   for (long i = 0; i < n; i += 8) {
     long nl = n - i < 8 ? n - i : 8;
-    load_block(xT, q, dim, i, nl);
+    load_block(xT, q, NULL, dim, i, nl);
     __m512d acc = _mm512_setzero_pd();
     for (long j = 0; j < m; j++) {
       const double *cj = c + j * dim, *irj = ir + j * dim;
@@ -265,7 +272,7 @@ CAMLprim value archpred_rbf_eval_batch(value vc, value vir, value vw,
   if (level == 2)
     eval_avx512(c, ir, w, m, dim, q, n, out, t2j, p2);
   else if (level == 1)
-    blocks_avx2(c, ir, w, m, dim, q, 0, n, out, NULL, t2j, p2);
+    blocks_avx2(c, ir, w, m, dim, q, NULL, 0, n, out, NULL, t2j, p2);
   else
 #endif
     eval_scalar(c, ir, w, m, dim, q, n, out, t2j, p2);
@@ -280,20 +287,18 @@ CAMLprim value archpred_rbf_eval_batch_bytecode(value *argv, int argn) {
 }
 
 /* Rows [i0, i1) of the n-by-m design h (row-major): h[i*m + j] =
- * exp_neg(s) for center j at point i, with c, ir and q flat as in the
- * packed model.  AVX2 only, dim <= 64 (AVX-512 hosts too: a twin saved
- * ~1% of selection time): Network.design_matrix takes its OCaml loop
- * over Network.basis everywhere else. */
+ * exp_neg(s) for center j at point i, with c and ir flat as in the
+ * packed model and q a float array array.  AVX2 only, dim <= 64
+ * (AVX-512 hosts too: a twin saved ~1% of selection time):
+ * Network.design_matrix takes its OCaml loop over Network.basis
+ * everywhere else. */
 CAMLprim value archpred_rbf_design(value c, value ir, value q, value h,
                                    intnat m, intnat dim, intnat i0, intnat i1,
                                    value vt2j, value vp2) {
 #if defined(__x86_64__)
-  blocks_avx2((const double *)c, (const double *)ir, NULL, m, dim,
-              (const double *)q, i0, i1, NULL, (double *)h,
-              Caml_ba_data_val(vt2j), Caml_ba_data_val(vp2));
-#else
-  (void)c, (void)ir, (void)q, (void)h, (void)m, (void)dim, (void)i0,
-      (void)i1, (void)vt2j, (void)vp2;
+  blocks_avx2((const double *)c, (const double *)ir, NULL, m, dim, NULL,
+              Op_val(q), i0, i1, NULL, (double *)h, Caml_ba_data_val(vt2j),
+              Caml_ba_data_val(vp2));
 #endif
   return Val_unit;
 }

@@ -6,7 +6,6 @@ external swap_cap : int -> int = "archpred_simd_swap_cap" [@@noalloc]
 
 let of_rank = function 0 -> Scalar | 1 -> Avx2 | _ -> Avx512
 let rank = function Scalar -> 0 | Avx2 -> 1 | Avx512 -> 2
-let host () = of_rank (host_rank ())
 let level () = of_rank (current_rank ())
 let training () = of_rank (Int.min 1 (current_rank ()))
 
@@ -17,12 +16,6 @@ let to_string = function
   | Scalar -> "scalar"
   | Avx2 -> "avx2"
   | Avx512 -> "avx512"
-
-let of_string = function
-  | "scalar" -> Some Scalar
-  | "avx2" -> Some Avx2
-  | "avx512" -> Some Avx512
-  | _ -> None
 
 let with_cap l f =
   let prev = swap_cap (rank l) in

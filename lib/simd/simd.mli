@@ -1,36 +1,28 @@
-(** The SIMD level every C kernel of the tree dispatches on.
-
-    One probe of the host's CPUID, and one process-wide cap on it: the
-    Gram, push sweep, discrepancy, design and evaluation kernels all run
-    at {!level}.  Every level returns the same bits (each kernel replays
-    its OCaml reference's operation order), so the level only changes
-    speed.  Nothing in production lowers the cap: there is no option,
+(** The SIMD level every C kernel of the tree dispatches on: one probe
+    of the host's CPUID, lowered to a process-wide cap.  The Gram, push
+    sweep, discrepancy, design and evaluation kernels all read it, and
+    every level returns the same bits (each kernel keeps its OCaml
+    reference's operation order), so the level only changes speed.
+    Nothing in production lowers the cap: there is no option,
     environment variable or configuration field for it.  Tests lower it
-    through {!with_cap} to run every path on one host. *)
+    with {!with_cap} to run every path on one host. *)
 
 type level = Scalar | Avx2 | Avx512  (** Ascending. *)
 
-val host : unit -> level
-(** What CPUID reports. *)
-
 val level : unit -> level
-(** The level the kernels run at: {!host}, lowered to the cap. *)
+(** The level the kernels run at: the host's, lowered to the cap. *)
 
 val training : unit -> level
-(** The level of the training kernels (Gram, push sweep, discrepancy
-    and design): {!level}, but at most [Avx2], the widest path they
-    have. *)
+(** {!level}, but at most [Avx2], the widest path of the training
+    kernels (Gram, push sweep, discrepancy and design). *)
 
 val supported : unit -> level list
-(** Every level up to {!host}, ascending. *)
+(** Every level up to the host's, ascending. *)
 
 val to_string : level -> string
 (** ["scalar"], ["avx2"] or ["avx512"]. *)
 
-val of_string : string -> level option
-
 val with_cap : level -> (unit -> 'a) -> 'a
 (** [with_cap l f] runs [f] with every kernel of the process capped at
-    [l], and restores the previous cap when [f] returns or raises.  For
-    tests only: the cap is global, so kernels running on other domains
-    meanwhile see it too. *)
+    [l] and restores the previous cap when [f] returns or raises.  For
+    tests only: kernels running on other domains meanwhile see it too. *)

@@ -73,6 +73,9 @@ let () =
   (match Json.member "simd" j with
   | Some (Json.String ("avx512" | "avx2" | "scalar")) -> ()
   | _ -> fail "metadata field \"simd\" must be avx512, avx2 or scalar");
+  (match Json.member "simd_training" j with
+  | Some (Json.String ("avx2" | "scalar")) -> ()
+  | _ -> fail "metadata field \"simd_training\" must be avx2 or scalar");
   let run =
     match Json.member "runs" j with
     | Some (Json.List [ r ]) -> r

@@ -57,6 +57,9 @@ let () =
   (match Json.member "simd" j with
   | Some (Json.String ("avx512" | "avx2" | "scalar")) -> ()
   | _ -> fail "metadata field \"simd\" must be avx512, avx2 or scalar");
+  (match Json.member "simd_training" j with
+  | Some (Json.String ("avx2" | "scalar")) -> ()
+  | _ -> fail "metadata field \"simd_training\" must be avx2 or scalar");
   (match Json.member "results" j with
   | Some (Json.List [ _ ]) -> ()
   | _ -> fail "pre-existing \"results\" section was not preserved");

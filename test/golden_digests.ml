@@ -360,7 +360,8 @@ let () =
   match Sys.argv with
   | [| _ |] -> rows ()
   | [| _; name |] -> (
-      match Simd.of_string name with
+      let named l = String.equal (Simd.to_string l) name in
+      match List.find_opt named [ Simd.Scalar; Simd.Avx2; Simd.Avx512 ] with
       | Some level -> Simd.with_cap level rows
       | None -> failwith ("golden_digests: unknown SIMD level " ^ name))
   | _ -> failwith "usage: golden_digests.exe [scalar|avx2|avx512]"

@@ -22,13 +22,11 @@
     keeps the operation order of the plain loop, so both paths return
     the same bits. *)
 
-val l2_star :
-  ?domains:int -> Space.point array -> float
+val l2_star : ?domains:int -> Space.point array -> float
 (** Warnock's L2-star discrepancy of a sample in the unit cube.
     Raises [Invalid_argument] on an empty sample. *)
 
-val centered_l2 :
-  ?domains:int -> Space.point array -> float
+val centered_l2 : ?domains:int -> Space.point array -> float
 (** Hickernell's centered L2 discrepancy. Raises [Invalid_argument] on an
     empty sample. *)
 

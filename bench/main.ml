@@ -133,7 +133,7 @@ let micro_tests =
       let p = Array.make 9 0.5 in
       fun () -> ignore (Core.Predictor.predict predictor p) );
     (* The same model through the batched kernel, 256 points per run:
-       divide by 256 for the per-point figure the serve report tracks. *)
+       divide by 256 for the per-point figure. *)
     ( "fig3_network_eval_batch256",
       let predictor = Lazy.force fixture_predictor in
       let rng = Stats.Rng.create 17 in
@@ -210,8 +210,8 @@ let micro_tests =
 
 (* Machine-readable results for regression tracking.  The group prefix
    Bechamel adds ("archpred/") is stripped so names match micro_tests.
-   Carries the same metadata stamp as BENCH_serve.json (domains,
-   git describe, SIMD level) plus the batch size each bench runs at. *)
+   Carries the Bench_report metadata stamp (domains, git describe, SIMD
+   levels) plus the batch size each bench runs at. *)
 let batch_size_of name =
   match String.rindex_opt name '_' with
   | Some i
@@ -288,73 +288,6 @@ let run_micro () =
       rows
   in
   write_bench_json measured
-
-(* ------------------------------------------------------------------ *)
-(* Serving load test: the batched-kernel throughput report.            *)
-(* ------------------------------------------------------------------ *)
-
-(* Sweep batch sizes over the same total prediction count so the rows
-   are comparable; BENCH_serve.json is the committed record of the
-   batched kernel's speedup over the scalar reference, plus the
-   batched-memo fix.  The daemon's own numbers come from a client in a
-   separate process (perfbench), not from this one. *)
-
-(* The per-lookup memo path measured at the PR-7 commit (batch 256,
-   same fixture and machine class): the committed baseline the batched
-   probe/commit rework is judged against. *)
-let memo_before_batch256 = (294.47, 132.16)
-
-let run_serve () =
-  let module Json = Archpred_obs.Json in
-  let predictor = Lazy.force fixture_predictor in
-  let total = 65_536 in
-  let results =
-    List.map
-      (fun batch_size ->
-        let config =
-          {
-            Core.Serve.default with
-            Core.Serve.batch_size;
-            batches = total / batch_size;
-          }
-        in
-        let r = Core.Serve.run ~predictor config in
-        Printf.printf
-          "batch %4d: %8.1f ns/pt batched (%5.1f ns/pt raw kernel, %8.1f \
-           ns/pt scalar, %6.2fx), %6.1f ns/pt cached, hit rate %.3f\n%!"
-          batch_size r.Core.Serve.batch_ns_per_point
-          r.Core.Serve.kernel_ns_per_point r.Core.Serve.scalar_ns_per_point
-          r.Core.Serve.speedup_vs_scalar r.Core.Serve.cached_ns_per_point
-          r.Core.Serve.hit_rate;
-        r)
-      [ 1; 16; 64; 256 ]
-  in
-  (* the memo-fix record: committed per-lookup baseline vs this run *)
-  let memo_fix =
-    let r256 = List.nth results 3 in
-    let before_cached, before_kernel = memo_before_batch256 in
-    Printf.printf
-      "memo fix @256: cached %.1f -> %.1f ns/pt (kernel %.1f -> %.1f)\n%!"
-      before_cached r256.Core.Serve.cached_ns_per_point before_kernel
-      r256.Core.Serve.kernel_ns_per_point;
-    Json.Obj
-      [
-        ("batch_size", Json.Int 256);
-        ("before_cached_ns_per_point", Json.Float before_cached);
-        ("before_kernel_ns_per_point", Json.Float before_kernel);
-        ("after_cached_ns_per_point",
-         Json.Float r256.Core.Serve.cached_ns_per_point);
-        ("after_kernel_ns_per_point",
-         Json.Float r256.Core.Serve.kernel_ns_per_point);
-        ("cached_le_kernel",
-         Json.Bool
-           (r256.Core.Serve.cached_ns_per_point
-          <= r256.Core.Serve.kernel_ns_per_point));
-      ]
-  in
-  let path = "BENCH_serve.json" in
-  Core.Serve.write_json ~path ~extra:[ ("memo_fix", memo_fix) ] results;
-  Printf.printf "wrote %s\n" path
 
 (* ------------------------------------------------------------------ *)
 (* Simulation: the per-config engine on the paper build's shape.       *)
@@ -541,12 +474,23 @@ let run_shard () =
 
 (* ------------------------------------------------------------------ *)
 
+let flags = [ "--micro"; "--sim"; "--shard"; "--paper"; "--trace"; "--metrics" ]
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  if List.mem "--serve" args then (
-    run_serve ();
-    (* archpred-analyze: allow exit -- CLI early-exit after the serve-only run *)
-    exit 0);
+  (* A flag this harness does not know would otherwise be read as no
+     flag at all, and the whole suite would run in its place. *)
+  (match
+     List.find_opt
+       (fun a -> String.length a > 1 && a.[0] = '-' && not (List.mem a flags))
+       args
+   with
+  | Some a ->
+      Printf.eprintf "bench: unknown flag %s (accepted: %s FILE)\n" a
+        (String.concat " " flags);
+      (* archpred-analyze: allow exit -- CLI usage error *)
+      exit 2
+  | None -> ());
   if List.mem "--sim" args then (
     run_sim ();
     (* archpred-analyze: allow exit -- CLI early-exit after the sim-only run *)

@@ -560,99 +560,6 @@ let predict_cmd =
        ~doc:"Predict the response at a configuration using a saved model")
     Term.(const run $ model_t $ point_t $ trace_t $ metrics_t)
 
-(* ---------- serve ---------- *)
-
-let serve_cmd =
-  let model_t =
-    Arg.(
-      required
-      & opt (some file) None
-      & info [ "model" ] ~docv:"FILE" ~doc:"Model file from `train --save'.")
-  in
-  let batch_size_t =
-    Arg.(
-      value
-      & opt int Core.Serve.default.Core.Serve.batch_size
-      & info [ "batch-size" ] ~docv:"N" ~doc:"Points per predict_batch call.")
-  in
-  let batches_t =
-    Arg.(
-      value
-      & opt int Core.Serve.default.Core.Serve.batches
-      & info [ "batches" ] ~docv:"N" ~doc:"Batches in the query stream.")
-  in
-  let distinct_t =
-    Arg.(
-      value
-      & opt int Core.Serve.default.Core.Serve.distinct_points
-      & info [ "distinct" ] ~docv:"N"
-          ~doc:
-            "Distinct on-grid query points in the pool; the key-reuse \
-             factor is predictions / $(docv).")
-  in
-  let grid_t =
-    Arg.(
-      value
-      & opt int Core.Serve.default.Core.Serve.grid_sample_size
-      & info [ "grid" ] ~docv:"N"
-          ~doc:"Levels per per-sample axis when snapping pool points.")
-  in
-  let capacity_t =
-    Arg.(
-      value
-      & opt int Core.Serve.default.Core.Serve.cache_capacity
-      & info [ "cache-capacity" ] ~docv:"N" ~doc:"LRU memo capacity.")
-  in
-  let out_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Write the archpred-serve-v1 JSON report to FILE.")
-  in
-  let run model batch_size batches distinct grid capacity seed out trace
-      metrics =
-    with_obs ~trace ~metrics @@ fun obs ->
-    let predictor =
-      Obs.with_span obs "serve.load" @@ fun () -> Core.Persist.load model
-    in
-    let config =
-      {
-        Core.Serve.batch_size;
-        batches;
-        distinct_points = distinct;
-        grid_sample_size = grid;
-        seed;
-        cache_capacity = capacity;
-      }
-    in
-    let r = Core.Serve.run ~obs ~predictor config in
-    Format.printf
-      "%d predictions (batch %d, key reuse %.0fx)@.\
-      \  batched  %8.1f ns/pt  (%.2fx vs scalar, %.2fM pred/s)@.\
-      \  kernel   %8.1f ns/pt@.\
-      \  scalar   %8.1f ns/pt@.\
-      \  cached   %8.1f ns/pt  (hit rate %.3f)@."
-      r.Core.Serve.predictions batch_size r.Core.Serve.key_reuse
-      r.Core.Serve.batch_ns_per_point r.Core.Serve.speedup_vs_scalar
-      (r.Core.Serve.predictions_per_sec /. 1e6)
-      r.Core.Serve.kernel_ns_per_point r.Core.Serve.scalar_ns_per_point
-      r.Core.Serve.cached_ns_per_point r.Core.Serve.hit_rate;
-    match out with
-    | Some path ->
-        Core.Serve.write_json ~path [ r ];
-        Format.printf "report written to %s@." path
-    | None -> ()
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Run the batched-prediction load test against a saved model and \
-          report throughput, per-point latency and memo hit rate")
-    Term.(
-      const run $ model_t $ batch_size_t $ batches_t $ distinct_t $ grid_t
-      $ capacity_t $ seed_t $ out_t $ trace_t $ metrics_t)
-
 (* ---------- served ---------- *)
 
 let served_cmd =
@@ -714,13 +621,6 @@ let served_cmd =
       & info [ "grid" ] ~docv:"N"
           ~doc:"Levels per per-sample axis of the memo's key grid.")
   in
-  let domains_t =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Worker domains for kernel evaluation of large miss sets.")
-  in
   let max_connections_t =
     Arg.(
       value
@@ -728,7 +628,7 @@ let served_cmd =
       & info [ "max-connections" ] ~docv:"N"
           ~doc:"Concurrent connection bound; excess connects are refused.")
   in
-  let run model socket tcp max_pending deadline_ms batch capacity grid domains
+  let run model socket tcp max_pending deadline_ms batch capacity grid
       max_connections trace metrics =
     with_obs ~trace ~metrics @@ fun obs ->
     let predictor =
@@ -764,7 +664,6 @@ let served_cmd =
         deadline_ns = Int64.of_float (deadline_ms *. 1e6);
         cache_capacity = capacity;
         grid_sample_size = grid;
-        domains;
         max_connections;
         model_path = Some model;
       }
@@ -816,7 +715,7 @@ let served_cmd =
           reload on SIGHUP")
     Term.(
       const run $ model_t $ socket_t $ tcp_t $ max_pending_t $ deadline_ms_t
-      $ batch_t $ capacity_t $ grid_t $ domains_t $ max_connections_t
+      $ batch_t $ capacity_t $ grid_t $ max_connections_t
       $ trace_t $ metrics_t)
 
 (* ---------- search ---------- *)
@@ -976,7 +875,6 @@ let () =
             train_cmd;
             worker_cmd;
             predict_cmd;
-            serve_cmd;
             served_cmd;
             search_cmd;
             sensitivity_cmd;

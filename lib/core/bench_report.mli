@@ -1,8 +1,8 @@
 (** The shared envelope of every [BENCH_*.json] report.
 
-    All machine-readable benchmark reports (the serving load test, the
-    micro-benchmark record, the batched simulation record, the sharded
-    search record) carry the same leading fields — a schema tag, the
+    All machine-readable benchmark reports (the micro-benchmark record,
+    the batched simulation record, the sharded search record,
+    perfbench's record) carry the same leading fields — a schema tag, the
     envelope schema version, the host's core count, the default domain
     count, the [git describe] stamp and the SIMD levels the prediction
     and the training kernels dispatched to — so
@@ -26,10 +26,6 @@ val metadata : unit -> (string * Archpred_obs.Json.t) list
 val envelope : schema:string -> (string * Archpred_obs.Json.t) list
 (** [schema] and [schema_version] followed by {!metadata}. *)
 
-val obj :
-  schema:string -> (string * Archpred_obs.Json.t) list -> Archpred_obs.Json.t
-(** A whole report: the envelope followed by the payload [fields]. *)
-
 val preserved :
   path:string -> string list -> (string * Archpred_obs.Json.t) list
 (** The members of [keys] present in the JSON report at [path], in key
@@ -40,4 +36,5 @@ val preserved :
 
 val write :
   path:string -> schema:string -> (string * Archpred_obs.Json.t) list -> unit
-(** Serialise {!obj} to [path] with a trailing newline. *)
+(** Serialise {!envelope} followed by the payload [fields], as one
+    object, to [path] with a trailing newline. *)

@@ -47,9 +47,6 @@ let predict_batch ?(obs = Archpred_obs.null) ?cache t points =
       end;
       out
 
-let predict_natural_batch ?obs ?cache t values =
-  predict_batch ?obs ?cache t (Array.map (Space.encode t.space) values)
-
 let errors_on t ~points ~actual =
   let predicted = predict_batch t points in
   Error_metrics.evaluate ~actual ~predicted

@@ -49,10 +49,6 @@ val predict_batch :
     results are bit-identical to {!predict} either way.  [obs] counts
     [predict.batches] and [predict.points]. *)
 
-val predict_natural_batch :
-  ?obs:Archpred_obs.t -> ?cache:Memo.t -> t -> float array array -> float array
-(** Batched {!predict_natural}. *)
-
 val n_centers : t -> int
 
 val errors_on :

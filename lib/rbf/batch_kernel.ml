@@ -41,8 +41,6 @@ external eval_stub :
   unit = "archpred_rbf_eval_batch_bytecode" "archpred_rbf_eval_batch"
 [@@noalloc]
 
-let create_buffer n = Array1.create float64 c_layout (max n 1)
-
 let pack ~dim ~centers ~radii ~weights =
   let m = Array.length centers in
   if m = 0 then invalid_arg "Batch_kernel.pack: no centers";
@@ -126,21 +124,6 @@ let eval_into t ~queries ~n ~out =
   if n > 0 then
     eval_stub t.centers t.inv_radii t.weights t.m t.dim n queries out
       Rbf_math.t2j Rbf_math.pow2
-
-(* Re-entrant variant: fresh buffers instead of [t]'s scratch, so
-   concurrent domains can evaluate against one packed model.  The extra
-   allocations are the price of that freedom — single-domain callers
-   should stay on [eval_points]. *)
-let eval_points_fresh t points =
-  let n = Array.length points in
-  if n = 0 then [||]
-  else begin
-    let queries = create_buffer (n * t.dim) in
-    let out = create_buffer n in
-    load_queries t queries points;
-    eval_into t ~queries ~n ~out;
-    Array.init n (fun i -> Array1.unsafe_get out i)
-  end
 
 let eval_points t points =
   let n = Array.length points in

@@ -25,10 +25,6 @@ val pack :
 (** Pack a model into contiguous storage.  Raises [Invalid_argument] on
     empty models, arity mismatches or non-positive radii. *)
 
-val create_buffer : int -> buffer
-(** A fresh C-layout float64 buffer of at least [n] elements (a buffer
-    of length 1 for [n = 0]). *)
-
 val load_queries : t -> buffer -> float array array -> unit
 (** Marshal a whole batch into [queries] (row [i] = point [i], each
     row the model's dimension wide) in one fused loop.
@@ -47,9 +43,3 @@ val eval_points : t -> float array array -> float array
     the responses in order.  Because of the shared scratch, this entry
     point must not be called concurrently from several domains on the
     same [t]; {!eval_into} with caller-owned buffers is re-entrant. *)
-
-val eval_points_fresh : t -> float array array -> float array
-(** Like {!eval_points} but with freshly allocated buffers instead of
-    [t]'s scratch: safe to call concurrently from several domains on one
-    packed model.  Costs two buffer allocations per call, so
-    single-domain loops should prefer {!eval_points}. *)

@@ -51,7 +51,6 @@ let pack t =
     ~weights:t.weights
 
 let eval_batch packed points = Batch_kernel.eval_points packed points
-let eval_batch_fresh packed points = Batch_kernel.eval_points_fresh packed points
 
 (* The design entry of rbf_kernel_stubs.c (AVX2, dim <= 64), which fills
    the matrix: centers and 1/r flat, the points in place, the matrix,

@@ -42,12 +42,6 @@ val eval_batch : packed -> float array array -> float array
     point C pass.  Bit-identical to mapping {!eval} over the batch, at
     any batch size, at every {!Archpred_simd.Simd.level}. *)
 
-val eval_batch_fresh : packed -> float array array -> float array
-(** Like {!eval_batch} but evaluating through freshly allocated buffers
-    rather than the packed model's shared scratch, so several domains
-    may evaluate one [packed] concurrently (the model arrays themselves
-    are read-only after {!pack}). *)
-
 val design_matrix : center array -> float array array -> Archpred_linalg.Matrix.t
 (** [design_matrix centers points] is the p-by-m matrix [H] with
     [H(i)(j) = basis centers.(j) points.(i)] bit for bit, from an AVX2

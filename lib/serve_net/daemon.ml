@@ -50,7 +50,10 @@ type config = {
   max_connections : int;
   cache_capacity : int;
   grid_sample_size : int;
-  domains : int;  (** kernel-evaluation parallelism for big miss sets *)
+  domains : int;
+      (** Not read: the daemon evaluates every batch on its event
+          loop's domain.  Kept, at 1, only because perfbench stamps its
+          records' [served_domains] from {!default}. *)
   model_path : string option;  (** default path for [reload] *)
   tick_s : float;  (** select timeout: control-flag latency bound *)
 }
@@ -496,47 +499,6 @@ let bucket n = bucket_from 0 n
 let batch_counter =
   Array.init (Sys.int_size - 1) (fun k -> Printf.sprintf "served.batch.le%d" (1 lsl k))
 
-(* Probe the memo for the whole batch, kernel-evaluate only the misses
-   (optionally sliced across domains — per-point results are
-   independent, so the split is bit-identical), commit, answer. *)
-let eval_points st points =
-  let n = Array.length points in
-  let out = Array.make n 0. in
-  let miss = Array.make n 0 in
-  let k = Core.Memo.probe_batch st.cache points ~out ~miss in
-  if k > 0 then begin
-    let packed = st.predictor.Core.Predictor.packed in
-    let mpts = Array.init k (fun j -> points.(miss.(j))) in
-    let vals =
-      if st.cfg.domains <= 1 || k < 2 * st.cfg.domains then
-        Rbf.Network.eval_batch packed mpts
-      else begin
-        let d = st.cfg.domains in
-        let chunk = (k + d - 1) / d in
-        let n_slices = (k + chunk - 1) / chunk in
-        let slices =
-          Array.init n_slices (fun c ->
-              Array.sub mpts (c * chunk) (min chunk (k - (c * chunk))))
-        in
-        (* [eval_batch] would funnel every domain through [packed]'s
-           shared scratch buffers; the _fresh variant gives each slice
-           its own, so the split stays bit-identical AND race-free
-           (caught by archpred-analyze's domain-race pass). *)
-        let evaled =
-          Stats.Parallel.map ~domains:d
-            (fun s -> Rbf.Network.eval_batch_fresh packed s)
-            slices
-        in
-        Array.concat (Array.to_list evaled)
-      end
-    in
-    for j = 0 to k - 1 do
-      out.(miss.(j)) <- vals.(j)
-    done;
-    Core.Memo.commit st.cache out
-  end;
-  out
-
 let process_ingress st =
   while not (Queue.is_empty st.ingress) do
     let now = Obs.now_ns () in
@@ -559,7 +521,11 @@ let process_ingress st =
     if !size > 0 then begin
       let batch = Array.of_list (List.rev !batch) in
       let points = Array.map (fun p -> p.p_point) batch in
-      let values = eval_points st points in
+      (* probe the memo, evaluate the misses, commit: the same call
+         perfbench's in-process replay times *)
+      let values =
+        Core.Predictor.predict_batch ~cache:st.cache st.predictor points
+      in
       Obs.incr st.obs "served.batches";
       Obs.incr st.obs batch_counter.(bucket !size);
       Array.iteri
@@ -598,7 +564,6 @@ let validate_config cfg =
   if cfg.max_egress < 64 then reject "max_egress < 64";
   if cfg.max_connections < 1 then reject "max_connections < 1";
   if cfg.cache_capacity < 1 then reject "cache_capacity < 1";
-  if cfg.domains < 1 then reject "domains < 1";
   if cfg.tick_s <= 0. then reject "tick_s <= 0"
 
 let stats_of st =

@@ -47,14 +47,19 @@ type config = {
   max_connections : int;
   cache_capacity : int;
   grid_sample_size : int;
-  domains : int;  (** kernel-evaluation parallelism for big miss sets *)
+  domains : int;
+      (** Not read: the daemon evaluates every batch on its event
+          loop's domain.  Kept, at 1, only because perfbench stamps its
+          records' [served_domains] from {!default}. *)
   model_path : string option;  (** default path for [reload] *)
   tick_s : float;  (** select timeout: control-flag latency bound *)
 }
 
 val default : config
 (** Unix socket ["archpred.sock"], 4096 pending, batches of 256,
-    200 ms deadline, 1 MiB frame and egress bounds, single domain. *)
+    200 ms deadline, 1 MiB frame and egress bounds, 64 connections, a
+    4096-entry memo on a 90-level grid.  Every batch is evaluated on
+    the event loop's own domain. *)
 
 type stats = {
   connections : int;  (** accepted connections *)

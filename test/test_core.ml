@@ -698,25 +698,36 @@ let test_memo_cached_bit_identical () =
     Array.init 64 (fun i ->
         if i mod 16 = 7 then off_grid else pool.(Rng.int rng 12))
   in
-  let cache =
-    Memo.create ~capacity:256 ~space:Paper_space.space
-      ~sample_size:grid_sample_size ()
-  in
   let uncached = Predictor.predict_batch p points in
-  let first = Predictor.predict_batch ~cache p points in
-  let second = Predictor.predict_batch ~cache p points in
-  Array.iteri
-    (fun i _ ->
-      check_bits (Printf.sprintf "cold i=%d" i) uncached.(i) first.(i);
-      check_bits (Printf.sprintf "warm i=%d" i) uncached.(i) second.(i))
-    points;
-  let s = Memo.stats cache in
+  let passes capacity =
+    let cache =
+      Memo.create ~capacity ~space:Paper_space.space
+        ~sample_size:grid_sample_size ()
+    in
+    let first = Predictor.predict_batch ~cache p points in
+    let second = Predictor.predict_batch ~cache p points in
+    Array.iteri
+      (fun i _ ->
+        check_bits (Printf.sprintf "cap %d cold i=%d" capacity i) uncached.(i)
+          first.(i);
+        check_bits (Printf.sprintf "cap %d warm i=%d" capacity i) uncached.(i)
+          second.(i))
+      points;
+    Memo.stats cache
+  in
+  let s = passes 256 in
   (* inserts land after the whole batch evaluates, so every on-grid
      lookup in the cold pass (60 of 64) is a miss; the warm pass hits
      them all; the 4 off-grid queries bypass in both passes *)
   Alcotest.(check int) "cold pass misses" 60 s.Memo.misses;
   Alcotest.(check int) "warm pass hits" 60 s.Memo.hits;
-  Alcotest.(check int) "off-grid bypassed" 8 s.Memo.bypasses
+  Alcotest.(check int) "off-grid bypassed" 8 s.Memo.bypasses;
+  (* up to 12 distinct keys through 4 slots: the commit evicts inside each
+     batch, and the warm pass finds most keys gone *)
+  let s = passes 4 in
+  Alcotest.(check bool) "cap 4 evicts" true (s.Memo.evictions > 0);
+  Alcotest.(check int) "cap 4 classifies every lookup" 128
+    (s.Memo.hits + s.Memo.misses + s.Memo.bypasses)
 
 (* ---------- metric responses ---------- *)
 

@@ -983,16 +983,13 @@ let test_hot_reload () =
 
 (* Arm one serve-path site, run a full client scenario, and assert the
    invariants the daemon must keep under any single fault: it never
-   crashes, and every Ok answer is bit-identical to the scalar oracle.
-   Deterministic at 1 and 4 domains. *)
-let fault_scenario ~site ~domains () =
+   crashes, and every Ok answer is bit-identical to the scalar oracle. *)
+let fault_scenario site =
   let predictor = tiny_predictor () in
   let points = grid_points ~seed:11 32 in
   Fault.reset ();
   Fault.arm ~site ~after:1 ();
-  let sock, control, dom =
-    start_daemon ~tweak:(fun c -> { c with Daemon.domains }) predictor
-  in
+  let sock, control, dom = start_daemon predictor in
   let ok_values = ref [] in
   let run_client wire =
     match Client.connect ~retries:50 (Daemon.Unix_socket sock) with
@@ -1033,7 +1030,7 @@ let fault_scenario ~site ~domains () =
         Rbf.Network.eval predictor.Core.Predictor.network points.(id)
       in
       Alcotest.(check bool)
-        (Printf.sprintf "site %s domains %d: answer %d exact" site domains id)
+        (Printf.sprintf "site %s: answer %d exact" site id)
         true
         (Int64.equal (bits expect) (bits value)))
     !ok_values;
@@ -1048,45 +1045,39 @@ let fault_scenario ~site ~domains () =
       (s.Daemon.reloads_failed >= 1)
 
 let test_fault_matrix () =
-  List.iter
-    (fun domains ->
-      List.iter
-        (fun site -> fault_scenario ~site ~domains ())
-        [ "serve.accept"; "serve.read"; "serve.write"; "serve.reload" ])
-    [ 1; 4 ]
+  List.iter fault_scenario
+    [ "serve.accept"; "serve.read"; "serve.write"; "serve.reload" ]
 
-(* domains must not change a single bit of any answer *)
-let test_domains_bit_identical () =
+(* A memo smaller than the 12 keys the traffic cycles through: batches
+   hit, miss and evict, inside a batch and between them, and every
+   answer must still equal the scalar oracle bit for bit. *)
+let test_evicting_memo_exact () =
   let predictor = tiny_predictor () in
-  let points = grid_points ~seed:13 96 in
-  let answers domains =
-    let sock, control, dom =
-      start_daemon
-        ~tweak:(fun c ->
-          { c with Daemon.domains; cache_capacity = 8 (* force misses *) })
-        predictor
-    in
-    let c = Client.connect (Daemon.Unix_socket sock) in
-    let got = Array.make (Array.length points) 0. in
+  let pool = grid_points ~seed:13 12 in
+  let points = Array.init 96 (fun i -> pool.(i * 5 mod 12)) in
+  let sock, control, dom =
+    start_daemon ~tweak:(fun c -> { c with Daemon.cache_capacity = 8 }) predictor
+  in
+  let c = Client.connect (Daemon.Unix_socket sock) in
+  for _ = 1 to 2 do
     Array.iteri (fun i p -> Client.predict c Frame.Binary_wire ~id:i p) points;
     Array.iter
       (fun _ ->
         let r = recv_reply c in
-        got.(r.id) <- r.value)
-      points;
-    Client.close c;
-    ignore (stop_daemon control dom);
-    got
-  in
-  let a1 = answers 1 in
-  let a4 = answers 4 in
-  Array.iteri
-    (fun i v1 ->
-      Alcotest.(check bool)
-        (Printf.sprintf "point %d identical at 1 and 4 domains" i)
-        true
-        (Int64.equal (bits v1) (bits a4.(i))))
-    a1
+        let expect =
+          Rbf.Network.eval predictor.Core.Predictor.network points.(r.id)
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "point %d exact" r.id)
+          true
+          (Int64.equal (bits expect) (bits r.value)))
+      points
+  done;
+  Client.close c;
+  let s = stop_daemon control dom in
+  Alcotest.(check int) "every request answered" (2 * Array.length points)
+    s.Daemon.answered;
+  Alcotest.(check bool) "the memo evicted" true (s.Daemon.cache.Core.Memo.evictions > 0)
 
 (* ---------------------------------------------------------------- *)
 (* Coalesced egress                                                 *)
@@ -1308,10 +1299,10 @@ let () =
             test_shed_under_overload;
           Alcotest.test_case "drain loses nothing" `Quick test_drain_zero_loss;
           Alcotest.test_case "hot reload with rollback" `Quick test_hot_reload;
-          Alcotest.test_case "fault matrix (1 and 4 domains)" `Slow
+          Alcotest.test_case "fault matrix" `Slow
             test_fault_matrix;
-          Alcotest.test_case "1 vs 4 domains bit-identical" `Quick
-            test_domains_bit_identical;
+          Alcotest.test_case "evicting memo bit-identical to oracle" `Quick
+            test_evicting_memo_exact;
         ] );
       ( "egress",
         [

@@ -865,18 +865,31 @@ let reproduce_cmd =
 let () =
   let doc = "predictive performance models for superscalar processors" in
   let info = Cmd.info "archpred" ~version:"1.0.0" ~doc in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            benchmarks_cmd;
-            simulate_cmd;
-            sample_cmd;
-            train_cmd;
-            worker_cmd;
-            predict_cmd;
-            served_cmd;
-            search_cmd;
-            sensitivity_cmd;
-            reproduce_cmd;
-          ]))
+  let cmds =
+    [
+      benchmarks_cmd;
+      simulate_cmd;
+      sample_cmd;
+      train_cmd;
+      worker_cmd;
+      predict_cmd;
+      served_cmd;
+      search_cmd;
+      sensitivity_cmd;
+      reproduce_cmd;
+    ]
+  in
+  (* cmdliner runs the subcommand an unambiguous prefix names, so the
+     deleted [serve] would start [served]: a subcommand is named in
+     full or not at all. *)
+  let names = List.map Cmd.name cmds in
+  (match Sys.argv with
+  | [||] | [| _ |] -> ()
+  | argv ->
+      let arg = argv.(1) in
+      if not (String.starts_with ~prefix:"-" arg || List.mem arg names) then begin
+        Format.eprintf "archpred: unknown command %S; the commands are %s@." arg
+          (String.concat ", " names);
+        exit Cmd.Exit.cli_error
+      end);
+  exit (Cmd.eval (Cmd.group info cmds))

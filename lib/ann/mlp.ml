@@ -30,7 +30,6 @@ type t = {
   (* target standardisation *)
   y_mean : float;
   y_std : float;
-  rmse : float;
 }
 
 let forward_hidden t x h =
@@ -95,7 +94,6 @@ let train ?(config = default_config) ~points ~responses () =
       b2 = !b2;
       y_mean;
       y_std;
-      rmse = 0.;
     }
   in
   let pf = float_of_int p in
@@ -151,15 +149,4 @@ let train ?(config = default_config) ~points ~responses () =
     vb2 := v';
     b2 := w'
   done;
-  let final = model () in
-  let rmse =
-    let acc = ref 0. in
-    for i = 0 to p - 1 do
-      let d = (predict_std final points.(i) -. y.(i)) *. y_std in
-      acc := !acc +. (d *. d)
-    done;
-    sqrt (!acc /. pf)
-  in
-  { final with rmse }
-
-let training_rmse t = t.rmse
+  model ()

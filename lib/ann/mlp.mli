@@ -10,15 +10,13 @@
     deterministic given the seed. *)
 
 type config = {
-  hidden : int;  (** hidden units (default constructor: 16) *)
+  hidden : int;  (** hidden units (default 16) *)
   epochs : int;  (** training epochs (default 2000) *)
   learning_rate : float;  (** (default 0.02) *)
   momentum : float;  (** (default 0.9) *)
   weight_decay : float;  (** L2 penalty (default 1e-4) *)
-  seed : int;  (** weight-initialisation seed *)
+  seed : int;  (** weight-initialisation seed (default 1) *)
 }
-
-val default_config : config
 
 type t
 
@@ -32,7 +30,3 @@ val train :
     [Invalid_argument] on empty or mismatched data. *)
 
 val predict : t -> float array -> float
-
-val training_rmse : t -> float
-(** Root-mean-square training error of the final weights, in response
-    units. *)

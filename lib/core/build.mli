@@ -50,10 +50,10 @@ val train :
     time through {!Archpred_sim.Batch}: the trace is decoded once and
     shared across configurations.
     Any other response (or [sim_batch = 1]) simulates each point as a
-    task retried up to [config.task_retries] times (optionally under
-    [config.task_deadline]); points that keep failing end the build
-    with one [Archpred (Infeasible _)], and the ["pool.retries"] and
-    ["pool.failed_tasks"] counters record the retries and failures.
+    task retried up to [config.task_retries] times; points that keep
+    failing end the build with one [Archpred (Infeasible _)], and the
+    ["pool.retries"] and ["pool.failed_tasks"] counters record the
+    retries and failures.
 
     {b Crash safety} is a run directory's ({!Archpred_shard}): its
     workers journal the same stages and reassemble a bit-identical

@@ -13,7 +13,6 @@ type t = {
   lhs_candidates : int;
   obs : Obs.t;
   task_retries : int;
-  task_deadline : float option;
   sim_batch : int;
   stream_refit : bool;
   refit_full_every : int;
@@ -37,7 +36,6 @@ let default =
     lhs_candidates = 100;
     obs = Obs.null;
     task_retries = 1;
-    task_deadline = None;
     sim_batch = 16;
     stream_refit = false;
     refit_full_every = 0;
@@ -53,8 +51,6 @@ let with_p_min_grid p_min_grid t = { t with p_min_grid }
 let with_alpha_grid alpha_grid t = { t with alpha_grid }
 let with_lhs_candidates lhs_candidates t = { t with lhs_candidates }
 let with_obs obs t = { t with obs }
-let with_task_retries task_retries t = { t with task_retries }
-let with_task_deadline d t = { t with task_deadline = Some d }
 let with_sim_batch sim_batch t = { t with sim_batch }
 let with_stream_refit stream_refit t = { t with stream_refit }
 let with_refit_full_every refit_full_every t = { t with refit_full_every }
@@ -76,10 +72,6 @@ let validate t =
   | Some _ | None -> ());
   if t.task_retries < 0 then
     Obs.Error.invalid_input ~where:"Config" "task_retries < 0";
-  (match t.task_deadline with
-  | Some d when not (d > 0.) ->
-      Obs.Error.invalid_input ~where:"Config" "task_deadline <= 0"
-  | Some _ | None -> ());
   if t.sim_batch < 1 then
     Obs.Error.invalid_input ~where:"Config" "sim_batch < 1";
   if t.refit_full_every < 0 then

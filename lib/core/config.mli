@@ -33,10 +33,6 @@ type t = {
       (** per-simulation-task retry budget in the fallible stages
           (default 1); deterministic, so the set of permanently failing
           points is independent of the domain count *)
-  task_deadline : float option;
-      (** wall-clock seconds a simulation task may take before the
-          attempt is failed with [Parallel.Deadline_exceeded];
-          [None] = unlimited *)
   sim_batch : int;
       (** indices per unit of work of every training stage ({!Pipeline}):
           design points per {!Archpred_sim.Batch} fan-out when the
@@ -64,12 +60,6 @@ val default : t
     domains, AICc, the paper's tuning grids, 100 LHS candidates, and
     observability off. *)
 
-val default_p_min_grid : int list
-(** [[1; 2; 3]] — Table 4 finds the best leaf size is 1 or 2. *)
-
-val default_alpha_grid : float list
-(** [[3.; 5.; 7.; 9.; 12.]] — best radii reported are 5-12x region size. *)
-
 val with_seed : int -> t -> t
 (** Also clears any explicit [rng], so the seed takes effect. *)
 
@@ -82,9 +72,6 @@ val with_p_min_grid : int list -> t -> t
 val with_alpha_grid : float list -> t -> t
 val with_lhs_candidates : int -> t -> t
 val with_obs : Archpred_obs.t -> t -> t
-
-val with_task_retries : int -> t -> t
-val with_task_deadline : float -> t -> t
 
 val with_sim_batch : int -> t -> t
 (** Unit size of the training stages; the model is bit-identical at

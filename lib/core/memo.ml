@@ -78,8 +78,6 @@ type stats = {
   capacity : int;
 }
 
-type lookup = Hit of float | Miss of key | Bypass
-
 let max_packed_bits = 62 (* keep packed keys non-negative immediates *)
 
 let bits_for n =
@@ -252,27 +250,6 @@ let push_front t node =
   h.n_prev <- node;
   t.sentinel.n_next <- node
 
-let lookup t point =
-  if not (quantize_into t point) then begin
-    t.bypasses <- t.bypasses + 1;
-    Archpred_obs.incr t.obs "memo.bypasses";
-    Bypass
-  end
-  else
-    let node = find t t.scratch_packed in
-    if node != t.sentinel then begin
-      t.hits <- t.hits + 1;
-      Archpred_obs.incr t.obs "memo.hits";
-      unlink node;
-      push_front t node;
-      Hit node.n_value
-    end
-    else begin
-      t.misses <- t.misses + 1;
-      Archpred_obs.incr t.obs "memo.misses";
-      Miss t.scratch_packed
-    end
-
 let insert t key value =
   let existing = find t key in
   if existing != t.sentinel then begin
@@ -344,8 +321,8 @@ let probe_batch t points ~out ~miss =
 
 let commit t values =
   (* [pending] is in reverse stream order; insert in stream order so the
-     recency list ends up exactly as the scalar lookup/insert sequence
-     would leave it *)
+     recency list ends up as a point-by-point probe and insert would
+     leave it *)
   (* archpred-analyze: allow hot-alloc -- one closure per batch, not per point; rewriting as a loop would need a mutable cursor for no measured gain *)
   List.iter (fun (i, key) -> insert t key values.(i)) (List.rev t.pending);
   t.pending <- []

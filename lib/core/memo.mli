@@ -9,7 +9,7 @@
     Bit-identity: a point is only cached when its coordinates are
     *bitwise* reproducible from the level grid (the canonical
     [k /. (l - 1)] form that {!Archpred_design.Parameter.snap}
-    produces).  Anything else is a {!Bypass}: evaluated directly, never
+    produces).  Anything else is a bypass: evaluated directly, never
     cached.  Cached and uncached predictions are therefore always
     bit-identical.
 
@@ -18,15 +18,6 @@
     [memo.misses], [memo.evictions] and [memo.bypasses]. *)
 
 type t
-
-type key
-(** Issued by a [Miss]; pass it back to {!insert} with the computed
-    value. *)
-
-type lookup =
-  | Hit of float  (** cached value; entry refreshed to most recent *)
-  | Miss of key  (** cacheable point, not yet present *)
-  | Bypass  (** off-grid point: evaluate directly, do not cache *)
 
 val create :
   ?obs:Archpred_obs.t ->
@@ -38,15 +29,6 @@ val create :
 (** A cache for points on the grid of [space] at [sample_size] levels
     per [Per_sample] axis (matching [Space.snap ~sample_size]).
     Raises [Invalid_argument] if [capacity < 1]. *)
-
-val lookup : t -> Archpred_design.Space.point -> lookup
-(** Classify a query point, counting the outcome.  A [Hit] refreshes
-    the entry's recency. *)
-
-val insert : t -> key -> float -> unit
-(** Record the value for a missed key, evicting the least recently
-    used entry when the cache is full.  Inserting an existing key
-    refreshes it. *)
 
 val probe_batch :
   t ->
@@ -61,18 +43,16 @@ val probe_batch :
     recorded indices.  Cacheable missed keys are retained internally for
     the next {!commit}; a subsequent [probe_batch] discards them.
 
-    Unlike per-point {!lookup}, the probe allocates nothing on the hit
-    path (one shared key scratch, batched counter updates) — this is
-    what makes the cached serving path cheaper than re-running the
-    kernel.  Classification and the resulting values are identical to
-    the scalar sequence.  Raises [Invalid_argument] if [out] or [miss]
-    is shorter than [points]. *)
+    The probe allocates nothing on the hit path (one shared key
+    scratch, batched counter updates) — this is what makes the cached
+    serving path cheaper than re-running the kernel.  Raises
+    [Invalid_argument] if [out] or [miss] is shorter than [points]. *)
 
 val commit : t -> float array -> unit
 (** [commit t values] inserts every cacheable miss recorded by the last
     {!probe_batch}, reading each value from [values] at the miss's
-    original index, in stream order (so eviction order matches the
-    scalar insert sequence).  Clears the pending set. *)
+    original index, in stream order, evicting the least recently used
+    entry when the cache is full.  Clears the pending set. *)
 
 type stats = {
   hits : int;

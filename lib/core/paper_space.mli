@@ -50,10 +50,6 @@ val extended_param_names : string array
 val extended_dim : int
 (** 10. *)
 
-val policy_of_level : float -> Archpred_sim.Cache.Policy.t
-(** Map the decoded natural value of the tenth axis to a policy
-    (clamped to the valid level range). *)
-
 val to_config_extended :
   Archpred_design.Space.point -> Archpred_sim.Config.t
 (** Decode a normalised 10-D point: the first nine axes as {!to_config},

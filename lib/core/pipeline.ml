@@ -167,9 +167,7 @@ let step_responses t read ~step =
    retry budget, and points that keep failing end the stage as one
    Infeasible report. *)
 let evaluate t ~stage ~lo points =
-  let { Config.domains; obs; task_retries; task_deadline; sim_batch; _ } =
-    t.config
-  in
+  let { Config.domains; obs; task_retries; sim_batch; _ } = t.config in
   match t.response.Response.eval_many with
   | Some _ when sim_batch > 1 ->
       Fault.point "sim.batch";
@@ -179,7 +177,6 @@ let evaluate t ~stage ~lo points =
       let f0 = Parallel.failed_total () in
       let outcomes =
         Parallel.map_fallible ?domains ~retries:task_retries
-          ?deadline:task_deadline
           (fun p ->
             Fault.point "sim.task";
             t.response.Response.eval p)

@@ -101,7 +101,7 @@ val walk : t -> read:read -> (stage -> unit) -> unit
     when the response is batched and [config.sim_batch > 1] (fault site
     ["sim.batch"] per range).  Otherwise each point is a task of
     {!Archpred_stats.Parallel.map_fallible} with [config.task_retries]
-    retries under [config.task_deadline] (fault site ["sim.task"]);
+    retries (fault site ["sim.task"]);
     points that keep failing end the stage as one
     [Archpred (Infeasible _)], and the ["pool.retries"] and
     ["pool.failed_tasks"] counters record the range's retries and

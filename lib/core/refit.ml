@@ -29,9 +29,6 @@ let create config =
     Obs.Error.invalid_input ~where:"Refit.create" "refit_full_every < 0";
   { config; cells = [||]; rows = 0; steps = 0 }
 
-let rows t = t.rows
-let steps t = t.steps
-
 let result_of_cell (c : cell) (selection : Rbf.Selection.result) =
   {
     Tune.p_min = c.p_min;

@@ -52,9 +52,3 @@ val fit :
     from scratch, records the criterion drift, and adopts the rebuilt
     basis.  Raises [Invalid_argument] on a mismatched or shrinking
     sample. *)
-
-val rows : t -> int
-(** Sample rows currently folded into every cell's moments. *)
-
-val steps : t -> int
-(** Completed {!fit} calls. *)

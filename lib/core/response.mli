@@ -17,15 +17,6 @@ type t = {
           pointwise map when absent. *)
 }
 
-val make :
-  ?eval_many:
-    (?domains:int -> Archpred_design.Space.point array -> float array) ->
-  string ->
-  (Archpred_design.Space.point -> float) ->
-  t
-(** [make name eval] builds a response; [?eval_many] installs a batched
-    evaluator (omitted: {!evaluate_many} maps [eval] pointwise). *)
-
 val simulator :
   ?obs:Archpred_obs.t ->
   ?trace_length:int ->

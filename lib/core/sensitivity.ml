@@ -66,10 +66,7 @@ let total_effects ?(samples = 512) ~rng predictor =
       })
   |> sort_effects
 
-let interaction predictor ~dim1 ~dim2 =
-  let dim = Design.Space.dimension predictor.Predictor.space in
-  if dim1 = dim2 || dim1 < 0 || dim2 < 0 || dim1 >= dim || dim2 >= dim then
-    invalid_arg "Sensitivity.interaction: bad dimensions";
+let interaction predictor ~dim ~dim1 ~dim2 =
   let corner u1 u2 =
     let p = Array.make dim 0.5 in
     p.(dim1) <- u1;
@@ -89,7 +86,7 @@ let top_interactions ?(count = 10) predictor =
   for j = 0 to dim - 1 do
     for k = j + 1 to dim - 1 do
       pairs :=
-        (names.(j), names.(k), interaction predictor ~dim1:j ~dim2:k) :: !pairs
+        (names.(j), names.(k), interaction predictor ~dim ~dim1:j ~dim2:k) :: !pairs
     done
   done;
   !pairs

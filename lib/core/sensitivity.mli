@@ -11,8 +11,9 @@
     - {!total_effects}: a sampling-based total-effect estimate — how much
       of the response's variance is tied to each parameter, interactions
       included (a Sobol-style "freeze one dimension" contrast);
-    - {!interaction}: the predicted interaction strength of a parameter
-      pair, measured as the non-additivity of a 2x2 corner contrast. *)
+    - {!top_interactions}: the predicted interaction strength of each
+      parameter pair, measured as the non-additivity of a 2x2 corner
+      contrast. *)
 
 type effect = {
   name : string;
@@ -33,12 +34,8 @@ val total_effects :
     mean squared response change when only that coordinate is resampled,
     over [samples] (default 512) random base points. *)
 
-val interaction :
-  Predictor.t -> dim1:int -> dim2:int -> float
-(** Interaction strength of two parameters:
+val top_interactions : ?count:int -> Predictor.t -> (string * string * float) list
+(** All parameter pairs ranked by interaction strength, strongest first,
+    truncated to [count] (default 10).  The strength of a pair is
     [|f(hi,hi) - f(hi,lo) - f(lo,hi) + f(lo,lo)|] with other coordinates
     centered — zero for an additive (no-interaction) response. *)
-
-val top_interactions : ?count:int -> Predictor.t -> (string * string * float) list
-(** All parameter pairs ranked by {!interaction}, strongest first,
-    truncated to [count] (default 10). *)

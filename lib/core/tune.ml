@@ -11,9 +11,6 @@ type result = {
   selection : Rbf.Selection.result;
 }
 
-let default_p_min_grid = Config.default_p_min_grid
-let default_alpha_grid = Config.default_alpha_grid
-
 (* The canonical grid-cell order — p_min outer, alpha inner — is the serial
    iteration order every consumer (the grid walk below, the streaming refit,
    the pipeline's tune stage) must share: the arg-min keeps the earliest cell

@@ -13,12 +13,6 @@ type result = {
   selection : Archpred_rbf.Selection.result;
 }
 
-val default_p_min_grid : int list
-(** [Config.default_p_min_grid]. *)
-
-val default_alpha_grid : float list
-(** [Config.default_alpha_grid]. *)
-
 val cells : Config.t -> (int * float) array
 (** The tuning grid in canonical cell order: [p_min] outer, [alpha] inner
     — the serial iteration order.  The arg-min over cells keeps the

@@ -8,7 +8,7 @@
 
     - {!l2_star}: the classical star discrepancy in the L2 norm
       (Warnock's formula);
-    - {!centered_l2}: Hickernell's centered L2 discrepancy, which is
+    - [Centered]: Hickernell's centered L2 discrepancy, which is
       invariant under reflections [u -> 1 - u] of any coordinate.
 
     The pairwise kernels are symmetric in (i, j), so only the diagonal and
@@ -26,10 +26,6 @@ val l2_star : ?domains:int -> Space.point array -> float
 (** Warnock's L2-star discrepancy of a sample in the unit cube.
     Raises [Invalid_argument] on an empty sample. *)
 
-val centered_l2 : ?domains:int -> Space.point array -> float
-(** Hickernell's centered L2 discrepancy. Raises [Invalid_argument] on an
-    empty sample. *)
-
-type kind = Star | Centered
+type kind = Star | Centered  (** {!l2_star} | Hickernell's centered L2 *)
 
 val compute : ?domains:int -> kind -> Space.point array -> float

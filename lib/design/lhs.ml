@@ -20,34 +20,3 @@ let sample rng space ~n =
     done
   done;
   points
-
-let sample_continuous ?(centered = false) rng space ~n =
-  if n < 1 then invalid_arg "Lhs.sample_continuous: n < 1";
-  let d = Space.dimension space in
-  let points = Array.init n (fun _ -> Array.make d 0.) in
-  let nf = float_of_int n in
-  for k = 0 to d - 1 do
-    let perm = Sampling.permutation rng n in
-    for i = 0 to n - 1 do
-      let offset = if centered then 0.5 else Rng.unit_float rng in
-      points.(i).(k) <- (float_of_int perm.(i) +. offset) /. nf
-    done
-  done;
-  points
-
-let is_latin ~dim ~n points =
-  Array.length points = n
-  &&
-  let ok = ref true in
-  for k = 0 to dim - 1 do
-    let seen = Array.make n false in
-    Array.iter
-      (fun p ->
-        let stratum =
-          min (n - 1) (int_of_float (p.(k) *. float_of_int n))
-        in
-        if seen.(stratum) then ok := false else seen.(stratum) <- true)
-      points;
-    if not (Array.for_all (fun b -> b) seen) then ok := false
-  done;
-  !ok

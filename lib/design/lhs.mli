@@ -14,15 +14,3 @@ val sample :
   Archpred_stats.Rng.t -> Space.t -> n:int -> Space.point array
 (** [sample rng space ~n] draws an [n]-point latin hypercube over the
     space's level grids. Requires [n >= 2]. *)
-
-val sample_continuous :
-  ?centered:bool -> Archpred_stats.Rng.t -> Space.t -> n:int -> Space.point array
-(** Classic continuous LHS over the unit cube, ignoring level grids: each
-    dimension is a random permutation of the [n] strata, with the point
-    placed uniformly within its stratum ([centered = true] places it at the
-    stratum midpoint; default [false]). Used by property tests and by the
-    discrepancy study. *)
-
-val is_latin : dim:int -> n:int -> Space.point array -> bool
-(** Check the latin property of a continuous sample: in every dimension,
-    each of the [n] strata contains exactly one point. *)

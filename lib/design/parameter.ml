@@ -42,12 +42,3 @@ let decode t u =
   if t.integer then Float.round v else v
 
 let encode t v = Transform.invert t.transform ~lo:t.lo ~hi:t.hi v
-
-let pp ppf t =
-  let levels =
-    match t.levels with Fixed l -> string_of_int l | Per_sample -> "S"
-  in
-  Format.fprintf ppf "%-12s %10g .. %-10g levels=%-3s %s%s" t.name t.lo t.hi
-    levels
-    (Transform.to_string t.transform)
-    (if t.integer then " (integer)" else "")

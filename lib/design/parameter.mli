@@ -49,5 +49,3 @@ val decode : t -> float -> float
 val encode : t -> float -> float
 (** Normalised coordinate of a natural value; inverse of {!decode} up to
     rounding. *)
-
-val pp : Format.formatter -> t -> unit

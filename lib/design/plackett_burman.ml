@@ -31,17 +31,6 @@ let foldover d =
   let flipped = Array.map (Array.map (fun v -> -v)) d in
   Array.append d flipped
 
-let points space d =
-  let dim = Space.dimension space in
-  Array.iter
-    (fun row ->
-      if Array.length row < dim then
-        invalid_arg "Plackett_burman.points: design too narrow for space")
-    d;
-  Array.map
-    (fun row -> Array.init dim (fun k -> if row.(k) > 0 then 1. else 0.))
-    d
-
 let main_effects d responses dim =
   if Array.length d <> Array.length responses then
     invalid_arg "Plackett_burman.main_effects: length mismatch";

@@ -16,11 +16,6 @@ val design : runs:int -> int array array
 val foldover : int array array -> int array array
 (** Append the sign-reversed runs, doubling the design. *)
 
-val points : Space.t -> int array array -> Space.point array
-(** Interpret the first [dimension space] columns as design points: [-1] is
-    coordinate 0 and [+1] is coordinate 1.  Raises [Invalid_argument] if
-    the design has fewer columns than the space has dimensions. *)
-
 val main_effects :
   int array array -> float array -> int -> float array
 (** [main_effects design responses d] estimates the first [d] main effects

@@ -5,10 +5,6 @@
     baseline against which latin hypercube sampling is compared in the
     sampling ablation bench. *)
 
-val sample :
-  Archpred_stats.Rng.t -> Space.t -> n:int -> Space.point array
-(** [n] independent uniform points in the unit cube. *)
-
 val sample_snapped :
   Archpred_stats.Rng.t -> Space.t -> n:int -> Space.point array
 (** Uniform points snapped to each parameter's level grid (level grids

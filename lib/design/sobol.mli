@@ -7,9 +7,6 @@
     primitive-polynomial tables for the first ten dimensions; generation
     uses the Gray-code ordering of Antonov and Saleev. *)
 
-val max_dimension : int
-(** 10. *)
-
 val points : ?skip:int -> dim:int -> n:int -> unit -> float array array
 (** [points ~dim ~n ()] is the first [n] Sobol points in [\[0,1)^dim],
     after discarding [skip] (default 1, dropping the all-zeros origin

@@ -30,13 +30,6 @@ let decode t x =
   check_arity t x;
   Array.mapi (fun k u -> Parameter.decode t.params.(k) u) x
 
-let decode_assoc t x =
-  check_arity t x;
-  Array.to_list
-    (Array.mapi
-       (fun k u -> (t.params.(k).Parameter.name, Parameter.decode t.params.(k) u))
-       x)
-
 let encode t values =
   check_arity t values;
   Array.mapi (fun k v -> Parameter.encode t.params.(k) v) values
@@ -77,9 +70,6 @@ let sub_box t ~lo ~hi u =
   check_arity t hi;
   check_arity t u;
   Array.mapi (fun k v -> lo.(k) +. (v *. (hi.(k) -. lo.(k)))) u
-
-let pp ppf t =
-  Array.iter (fun p -> Format.fprintf ppf "%a@." Parameter.pp p) t.params
 
 let pp_point t ppf x =
   check_arity t x;

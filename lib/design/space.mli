@@ -26,17 +26,11 @@ val index_of : t -> string -> int
 val decode : t -> point -> float array
 (** Natural values of a point, per parameter, in order. *)
 
-val decode_assoc : t -> point -> (string * float) list
-(** Natural values labelled by parameter name. *)
-
 val encode : t -> float array -> point
 (** Normalised point from natural values. *)
 
 val snap : t -> sample_size:int -> point -> point
 (** Snap every coordinate to its parameter's level grid. *)
-
-val contains : point -> bool
-(** All coordinates within [\[0, 1\]] (with a small tolerance). *)
 
 val validate_point : t -> point -> unit
 (** Raise [Invalid_argument] if the point has the wrong arity or leaves the
@@ -52,5 +46,4 @@ val sub_box : t -> lo:point -> hi:point -> point -> point
     the axis-aligned box [\[lo, hi\]]; used to generate test points within
     the narrower Table 2 region of the full Table 1 space. *)
 
-val pp : Format.formatter -> t -> unit
 val pp_point : t -> Format.formatter -> point -> unit

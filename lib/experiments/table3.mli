@@ -3,7 +3,4 @@
     test set, per benchmark, at the full table sample size (200 in the
     paper).  The paper's values are printed alongside for comparison. *)
 
-val paper : (string * float * float * float) list
-(** [(benchmark, mean, max, std)] as published. *)
-
 val run : Context.t -> Format.formatter -> unit

@@ -4,7 +4,4 @@
     lands in 5–12, and the center count stays well below half the sample
     size. *)
 
-val paper : (int * int * float * int) list
-(** [(sample size, p_min, alpha, centers)] as published. *)
-
 val run : Context.t -> Format.formatter -> unit

@@ -5,7 +5,4 @@
     (L2 latency, L1D latency, L2 size) while vortex splits on L1D latency,
     L1I size and issue-queue size. *)
 
-val paper_mcf : (string * string * int) list
-val paper_vortex : (string * string * int) list
-
 val run : Context.t -> Format.formatter -> unit

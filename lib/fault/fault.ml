@@ -77,5 +77,3 @@ let hits name =
   let n = match Hashtbl.find_opt table name with Some s -> s.hits | None -> 0 in
   Mutex.unlock lock;
   n
-
-let active () = Atomic.get on

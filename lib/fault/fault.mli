@@ -66,7 +66,3 @@ val record : bool -> unit
 val hits : string -> int
 (** Hits of one site since the last {!reset} (0 if never hit).  Only
     counted while recording or while any site is armed. *)
-
-val active : unit -> bool
-(** Whether {!point} is currently doing any work (recording on, or at
-    least one site armed). *)

@@ -70,9 +70,3 @@ let components t cfg =
 let cpi t cfg =
   let b = components t cfg in
   b.base +. b.branch +. b.icache +. b.dcache_l2 +. b.dcache_memory
-
-let pp_breakdown ppf b =
-  Format.fprintf ppf
-    "base=%.3f branch=%.3f icache=%.3f dl2=%.3f dmem=%.3f total=%.3f" b.base
-    b.branch b.icache b.dcache_l2 b.dcache_memory
-    (b.base +. b.branch +. b.icache +. b.dcache_l2 +. b.dcache_memory)

@@ -40,5 +40,3 @@ val components : t -> Archpred_sim.Config.t -> breakdown
 
 val cpi : t -> Archpred_sim.Config.t -> float
 (** Total predicted CPI (the sum of the breakdown). *)
-
-val pp_breakdown : Format.formatter -> breakdown -> unit

@@ -5,7 +5,6 @@ module Opcode = Sim.Opcode
 type t = { trace : Trace.t }
 
 let analyse trace = { trace }
-let trace t = t.trace
 
 let ipc_of_window t ~exec_latency ~w =
   if w < 1 then invalid_arg "Trace_stats.ipc_of_window: w < 1";

@@ -18,8 +18,6 @@ type t
 val analyse : Archpred_sim.Trace.t -> t
 (** One pass over the trace; O(n) time and space. *)
 
-val trace : t -> Archpred_sim.Trace.t
-
 val ipc_of_window : t -> exec_latency:(Archpred_sim.Opcode.t -> int) -> w:int -> float
 (** Data-flow issue rate achievable with an in-order-fetch window of [w]
     instructions: the trace is scanned in consecutive windows, the

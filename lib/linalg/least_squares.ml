@@ -29,5 +29,3 @@ let fit_ridge h y ~lambda =
     invalid_arg "Least_squares.fit_ridge: dimension mismatch";
   let w = Qr.least_squares_ridge h y ~lambda in
   diagnostics h y w ~regularized:true
-
-let predict = Matrix.mul_vec

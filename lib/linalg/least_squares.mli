@@ -20,6 +20,3 @@ val fit : Matrix.t -> Vector.t -> fit
 
 val fit_ridge : Matrix.t -> Vector.t -> lambda:float -> fit
 (** Ridge fit with explicit penalty. *)
-
-val predict : Matrix.t -> Vector.t -> Vector.t
-(** [predict h w] is [h w]. *)

@@ -17,9 +17,6 @@ val decompose : Matrix.t -> t
 val solve : t -> Vector.t -> Vector.t
 (** Solve [A x = b] using a prior factorisation. *)
 
-val solve_matrix : t -> Matrix.t -> Matrix.t
-(** Solve for several right-hand sides at once. *)
-
 val det : t -> float
 (** Determinant of the factorised matrix. *)
 

@@ -30,23 +30,6 @@ let set m i j v =
 
 let copy m = { m with data = Array.copy m.data }
 
-let of_arrays a =
-  let r = Array.length a in
-  if r = 0 then create 0 0
-  else begin
-    let c = Array.length a.(0) in
-    Array.iter
-      (fun row ->
-        if Array.length row <> c then
-          invalid_arg "Matrix.of_arrays: ragged rows")
-      a;
-    init r c (fun i j -> a.(i).(j))
-  end
-
-let to_arrays m =
-  Array.init m.rows (fun i -> Array.init m.cols (fun j -> get m i j))
-
-let row m i = Array.init m.cols (fun j -> get m i j)
 let col m j = Array.init m.rows (fun i -> get m i j)
 
 let set_col m j v =
@@ -81,37 +64,9 @@ let mul_vec a x =
       done;
       !acc)
 
-let map2 name f a b =
-  if a.rows <> b.rows || a.cols <> b.cols then
-    invalid_arg ("Matrix." ^ name ^ ": dimension mismatch");
-  { a with data = Array.init (Array.length a.data) (fun i -> f a.data.(i) b.data.(i)) }
-
-let add a b = map2 "add" ( +. ) a b
-let sub a b = map2 "sub" ( -. ) a b
-let scale s a = { a with data = Array.map (fun v -> s *. v) a.data }
-
-let equal ?(eps = 0.) a b =
-  a.rows = b.rows && a.cols = b.cols
-  &&
-  let ok = ref true in
-  for i = 0 to Array.length a.data - 1 do
-    if abs_float (a.data.(i) -. b.data.(i)) > eps then ok := false
-  done;
-  !ok
-
 let select_cols a idx =
   Array.iter
     (fun j ->
       if j < 0 || j >= a.cols then invalid_arg "Matrix.select_cols: bad index")
     idx;
   init a.rows (Array.length idx) (fun i k -> get a i idx.(k))
-
-let pp ppf m =
-  for i = 0 to m.rows - 1 do
-    Format.fprintf ppf "[";
-    for j = 0 to m.cols - 1 do
-      if j > 0 then Format.fprintf ppf " ";
-      Format.fprintf ppf "%10.4g" (get m i j)
-    done;
-    Format.fprintf ppf "]@."
-  done

@@ -25,25 +25,13 @@ val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
 val copy : t -> t
 
-val of_arrays : float array array -> t
-(** Rows from an array of equal-length arrays. *)
-
-val to_arrays : t -> float array array
-val row : t -> int -> Vector.t
 val col : t -> int -> Vector.t
 val set_col : t -> int -> Vector.t -> unit
 val transpose : t -> t
 val mul : t -> t -> t
 val mul_vec : t -> Vector.t -> Vector.t
 
-val add : t -> t -> t
-val sub : t -> t -> t
-val scale : float -> t -> t
-val equal : ?eps:float -> t -> t -> bool
-
 val select_cols : t -> int array -> t
 (** [select_cols a idx] keeps the listed columns, in order. The forward
     center-selection algorithm uses this to grow candidate design
     matrices. *)
-
-val pp : Format.formatter -> t -> unit

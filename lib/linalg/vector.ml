@@ -1,10 +1,5 @@
 type t = float array
 
-let create n = Array.make n 0.
-let init = Array.init
-let copy = Array.copy
-let dim = Array.length
-
 let check_dims name x y =
   if Array.length x <> Array.length y then
     invalid_arg ("Vector." ^ name ^ ": dimension mismatch")
@@ -28,26 +23,11 @@ let sub x y =
   check_dims "sub" x y;
   Array.init (Array.length x) (fun i -> x.(i) -. y.(i))
 
-let scale a x = Array.map (fun v -> a *. v) x
-
 let axpy a x y =
   check_dims "axpy" x y;
   for i = 0 to Array.length x - 1 do
     y.(i) <- (a *. x.(i)) +. y.(i)
   done
-
-let map2 f x y =
-  check_dims "map2" x y;
-  Array.init (Array.length x) (fun i -> f x.(i) y.(i))
-
-let equal ?(eps = 0.) x y =
-  Array.length x = Array.length y
-  &&
-  let ok = ref true in
-  for i = 0 to Array.length x - 1 do
-    if abs_float (x.(i) -. y.(i)) > eps then ok := false
-  done;
-  !ok
 
 let dist2 x y =
   check_dims "dist2" x y;
@@ -57,12 +37,3 @@ let dist2 x y =
     acc := !acc +. (d *. d)
   done;
   sqrt !acc
-
-let pp ppf x =
-  Format.fprintf ppf "[|";
-  Array.iteri
-    (fun i v ->
-      if i > 0 then Format.fprintf ppf "; ";
-      Format.fprintf ppf "%g" v)
-    x;
-  Format.fprintf ppf "|]"

@@ -6,15 +6,6 @@
 
 type t = float array
 
-val create : int -> t
-(** Zero vector of the given length. *)
-
-val init : int -> (int -> float) -> t
-(** Like [Array.init]. *)
-
-val copy : t -> t
-val dim : t -> int
-
 val dot : t -> t -> float
 (** Inner product. Raises [Invalid_argument] on dimension mismatch. *)
 
@@ -26,15 +17,9 @@ val norm2_sq : t -> float
 
 val add : t -> t -> t
 val sub : t -> t -> t
-val scale : float -> t -> t
 
 val axpy : float -> t -> t -> unit
 (** [axpy a x y] sets [y <- a*x + y] in place. *)
 
-val map2 : (float -> float -> float) -> t -> t -> t
-val equal : ?eps:float -> t -> t -> bool
-
 val dist2 : t -> t -> float
 (** Euclidean distance. *)
-
-val pp : Format.formatter -> t -> unit

@@ -119,15 +119,6 @@ let gauge t name value =
       Sink.emit s.sink (Sink.Gauge { name; value });
       Mutex.unlock s.lock
 
-let gauges t =
-  match t with
-  | None -> []
-  | Some s ->
-      Mutex.lock s.lock;
-      let out = sorted_bindings s.gauges in
-      Mutex.unlock s.lock;
-      out
-
 (* ---------- spans ---------- *)
 
 let record_span s path ns =

@@ -19,7 +19,7 @@ module Sink = Sink
 
 val now_ns : unit -> int64
 (** Monotonic clock read (CLOCK_MONOTONIC, nanoseconds).  Exported so
-    elapsed-time measurements elsewhere (deadlines in [Stats.Parallel],
+    elapsed-time measurements elsewhere (the daemon's request deadlines,
     experiment timing) never touch the wall clock — archpred-analyze's
     [impure] rule forbids [Unix.gettimeofday]/[Sys.time] outside this
     library, [lib/serve_net] and [bench/]. *)
@@ -60,9 +60,6 @@ val counters : t -> (string * int) list
 
 val counter : t -> string -> int
 (** One counter's merged total; 0 if never incremented. *)
-
-val gauges : t -> (string * float) list
-(** Last-written gauge values, sorted by name. *)
 
 val spans : t -> (string list * int) list
 (** Aggregated span paths with call counts, in first-seen order. *)

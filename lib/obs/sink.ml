@@ -46,28 +46,6 @@ let jsonl_channel oc =
     flush = (fun () -> Stdlib.flush oc);
   }
 
-let human ppf =
-  {
-    emit =
-      (fun e ->
-        match e with
-        | Span { path; ns } ->
-            Format.fprintf ppf "[span]    %-40s %10.3f ms@."
-              (path_string path)
-              (Int64.to_float ns /. 1e6)
-        | Counter { name; value } ->
-            Format.fprintf ppf "[counter] %-40s %10d@." name value
-        | Gauge { name; value } ->
-            Format.fprintf ppf "[gauge]   %-40s %10g@." name value);
-    flush = (fun () -> Format.pp_print_flush ppf ());
-  }
-
-let tee sinks =
-  {
-    emit = (fun e -> List.iter (fun s -> s.emit e) sinks);
-    flush = (fun () -> List.iter (fun s -> s.flush ()) sinks);
-  }
-
 let memory () =
   let events = ref [] in
   let lock = Mutex.create () in

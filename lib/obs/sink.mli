@@ -35,15 +35,6 @@ val jsonl_channel : out_channel -> t
 (** {!jsonl} writing newline-terminated lines to a channel; [flush]
     flushes the channel. *)
 
-val human : Format.formatter -> t
-(** Streaming human-readable lines ([[span] path … ms]). *)
-
-val tee : t list -> t
-(** Broadcast every event to each sink, in order. *)
-
 val memory : unit -> t * (unit -> event list)
 (** Collecting sink for tests: the second component returns the events
     emitted so far, oldest first. *)
-
-val path_string : string list -> string
-(** Span path rendered as ["a/b/c"]. *)

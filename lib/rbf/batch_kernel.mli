@@ -25,18 +25,6 @@ val pack :
 (** Pack a model into contiguous storage.  Raises [Invalid_argument] on
     empty models, arity mismatches or non-positive radii. *)
 
-val load_queries : t -> buffer -> float array array -> unit
-(** Marshal a whole batch into [queries] (row [i] = point [i], each
-    row the model's dimension wide) in one fused loop.
-    Raises [Invalid_argument] if the buffer is too small or any point
-    has the wrong arity. *)
-
-val eval_into : t -> queries:buffer -> n:int -> out:buffer -> unit
-(** Evaluate the first [n] rows of [queries], writing the network
-    response of row [i] to [out.{i}].  Allocation-free.  Points go
-    eight to a SIMD block, a short last block padded; the portable
-    scalar loop runs only at level [Scalar] or above 64 dimensions. *)
-
 val eval_points : t -> float array array -> float array
 (** Convenience wrapper: marshal [points] into an internal scratch
     buffer (reused across calls, grown on demand), evaluate, and return

@@ -145,7 +145,6 @@ let build ?(obs = Archpred_obs.null) ?(p_min = 1) ~dim ~points ~responses () =
   { root; p_min; node_count = !next_id }
 
 let root t = t.root
-let p_min t = t.p_min
 let node_count t = t.node_count
 
 let nodes t =
@@ -162,9 +161,6 @@ let nodes t =
   List.sort (fun a b -> Int.compare a.id b.id) !acc
 
 let leaves t = List.filter (fun n -> n.split = None) (nodes t)
-
-let depth t =
-  List.fold_left (fun acc n -> max acc n.depth) 0 (nodes t)
 
 let predict t x =
   let rec descend n =

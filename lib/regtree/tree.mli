@@ -54,14 +54,12 @@ val build :
     wrong arity. *)
 
 val root : t -> node
-val p_min : t -> int
 val node_count : t -> int
 
 val nodes : t -> node list
 (** All nodes in creation (significance) order: the root first. *)
 
 val leaves : t -> node list
-val depth : t -> int
 
 val predict : t -> float array -> float
 (** Mean response of the leaf whose region contains the point (points on a

@@ -614,5 +614,3 @@ let next_with scan parse_binary d =
 
 let next_request d = next_with scan_request parse_binary_request d
 let next_response d = next_with scan_response parse_binary_response d
-
-let buffered d = d.len

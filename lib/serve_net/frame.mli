@@ -112,6 +112,3 @@ val next_request :
 val next_response :
   decoder -> [ `Msg of response * wire | `Need_more | `Error of string ]
 (** Client side: decode the next complete response. *)
-
-val buffered : decoder -> int
-(** Bytes fed but not yet consumed by a decoded frame. *)

@@ -29,14 +29,6 @@
     checksum being the CRC-32 of the payload bytes.  The run's spec
     ({!Spec}) writes its floats with the same hex helpers. *)
 
-val frame : string -> string
-(** [frame payload] is the journal line for [payload]. *)
-
-val unframe : string -> Archpred_obs.Json.t option
-(** Parse one newline-stripped line: the payload JSON if the checksum
-    verifies and the payload parses, [None] for a torn or corrupted
-    line. *)
-
 val float_to_hex_string : float -> string
 (** ["%h"] rendering — round-trips every bit pattern. *)
 

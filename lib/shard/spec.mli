@@ -67,9 +67,6 @@ val response : ?obs:Archpred_obs.t -> t -> Archpred_core.Response.t
     simulator-backed workload metric.  Raises [Archpred (Invalid_input _)]
     on an unknown benchmark name. *)
 
-val metric_of_string : string -> Archpred_core.Response.metric option
-(** Inverse of {!Archpred_core.Response.metric_to_string}. *)
-
 val pipeline :
   ?obs:Archpred_obs.t -> ?domains:int -> t -> Archpred_core.Pipeline.t
 (** The build every participant runs: {!config} on [domains] (default

@@ -15,8 +15,6 @@ module Policy = struct
     | "qlru" -> Some Qlru
     | "mru" -> Some Mru
     | _ -> None
-
-  let pp ppf p = Format.pp_print_string ppf (to_string p)
 end
 
 type config = {
@@ -85,8 +83,6 @@ let create cfg =
 
 let latency t = t.cfg.latency
 let sets t = t.set_count
-let ways t = t.cfg.associativity
-let policy t = t.cfg.policy
 
 (* Any set count is allowed (sizes need not be powers of two), so the set
    index is a modulo — masked instead when the count is a power of two,

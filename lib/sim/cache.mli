@@ -23,7 +23,6 @@ module Policy : sig
 
   val to_string : t -> string
   val of_string : string -> t option
-  val pp : Format.formatter -> t -> unit
 end
 
 type config = {
@@ -55,8 +54,6 @@ type t
 val create : config -> t
 val latency : t -> int
 val sets : t -> int
-val ways : t -> int
-val policy : t -> Policy.t
 
 val access : t -> int -> bool
 (** [access t addr] probes the line containing byte [addr]; returns [true]

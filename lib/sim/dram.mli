@@ -17,7 +17,4 @@ type config = {
   bus_occupancy : int;  (** cycles the shared bus is held per transfer *)
 }
 
-val config :
-  base_latency:int -> banks:int -> bank_occupancy:int -> bus_occupancy:int -> config
-
 val default_config : config

@@ -64,5 +64,3 @@ let to_string = function
   | Branch -> "branch"
   | Jump -> "jump"
   | Nop -> "nop"
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

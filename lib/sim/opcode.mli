@@ -34,4 +34,3 @@ val uses_fp : t -> bool
 (** Does the class occupy a floating-point unit? *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

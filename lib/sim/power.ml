@@ -58,8 +58,3 @@ let estimate (cfg : Config.t) (r : Batch.result) =
     energy_per_instruction = epi;
     energy_delay_product = epi *. r.Batch.cpi;
   }
-
-let pp ppf t =
-  Format.fprintf ppf "dynamic=%.3g leakage=%.3g total=%.3g epi=%.4f edp=%.4f"
-    t.dynamic t.leakage t.total t.energy_per_instruction
-    t.energy_delay_product

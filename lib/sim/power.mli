@@ -24,5 +24,3 @@ type t = {
 
 val estimate : Config.t -> Batch.result -> t
 (** Combine a configuration's structure sizes with a run's event counts. *)
-
-val pp : Format.formatter -> t -> unit

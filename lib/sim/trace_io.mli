@@ -21,8 +21,3 @@ val load : string -> Trace.t
     [Archpred (Parse_error _)] with the offending line on malformed input
     or an invalid trace (reported at the last line), and
     [Archpred (Io_error _)] when the file cannot be opened. *)
-
-val to_channel : out_channel -> Trace.t -> unit
-
-val of_channel : in_channel -> Trace.t
-(** {!load} on an open channel (raises [Archpred (Parse_error _)]). *)

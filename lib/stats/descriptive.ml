@@ -47,13 +47,6 @@ let max xs =
   check_nonempty "Descriptive.max" xs;
   Array.fold_left Stdlib.max xs.(0) xs
 
-let sum_squares xs =
-  let acc = ref 0. in
-  for i = 0 to Array.length xs - 1 do
-    acc := !acc +. (xs.(i) *. xs.(i))
-  done;
-  !acc
-
 let geometric_mean xs =
   check_nonempty "Descriptive.geometric_mean" xs;
   let acc = ref 0. in

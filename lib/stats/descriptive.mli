@@ -25,9 +25,6 @@ val max : float array -> float
 val sum : float array -> float
 (** Kahan-compensated sum. *)
 
-val sum_squares : float array -> float
-(** Sum of squared elements. *)
-
 val sse : float array -> float
 (** Sum of squared deviations from the mean: [sum_i (x_i - mean)^2].
     This is the impurity measure minimised by regression-tree splits. *)

@@ -1,5 +1,3 @@
-let uniform rng ~lo ~hi = lo +. Rng.float rng (hi -. lo)
-
 let normal rng ~mean ~std =
   (* Box-Muller; u1 must be nonzero for the log. *)
   let rec nonzero () =

@@ -7,9 +7,6 @@
     lets the synthetic SPEC stand-ins stress the same microarchitectural
     structures as the originals. *)
 
-val uniform : Rng.t -> lo:float -> hi:float -> float
-(** Uniform on [\[lo, hi)]. *)
-
 val normal : Rng.t -> mean:float -> std:float -> float
 (** Gaussian via the Box–Muller transform. *)
 

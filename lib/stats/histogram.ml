@@ -25,7 +25,6 @@ let add t x =
 let add_all t xs = Array.iter (add t) xs
 let count t i = t.counts.(i)
 let total t = t.total
-let bins t = Array.length t.counts
 
 let bin_range t i =
   let nbins = float_of_int (Array.length t.counts) in

@@ -7,31 +7,19 @@
 type t
 (** A histogram with equally wide bins over a closed range. *)
 
-val create : lo:float -> hi:float -> bins:int -> t
-(** [create ~lo ~hi ~bins] makes an empty histogram of [bins] equal bins
-    covering [\[lo, hi\]].  Requires [bins > 0] and [lo < hi]. *)
-
-val add : t -> float -> unit
-(** [add t x] increments the bin containing [x]. Values outside
-    [\[lo, hi\]] are clamped into the first or last bin. *)
-
-val add_all : t -> float array -> unit
-(** Add every element of an array. *)
-
 val count : t -> int -> int
 (** [count t i] is the number of observations in bin [i]. *)
 
 val total : t -> int
 (** Total number of observations added. *)
 
-val bins : t -> int
-(** Number of bins. *)
-
 val bin_range : t -> int -> float * float
 (** [bin_range t i] is the [(lo, hi)] interval of bin [i]. *)
 
 val of_array : lo:float -> hi:float -> bins:int -> float array -> t
-(** Build and fill in one call. *)
+(** [of_array ~lo ~hi ~bins xs] counts [xs] in [bins] equal bins covering
+    [\[lo, hi\]]; values outside are clamped into the first or last bin.
+    Requires [bins > 0] and [lo < hi]. *)
 
 val pp : ?width:int -> unit -> Format.formatter -> t -> unit
 (** ASCII bar-chart rendering, bars scaled to [width] (default 40)

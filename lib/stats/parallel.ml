@@ -198,16 +198,6 @@ let map ?domains f xs =
 
 (* ---------- worker fault isolation ---------- *)
 
-exception Deadline_exceeded of { elapsed : float; deadline : float }
-
-let () =
-  Printexc.register_printer (function
-    | Deadline_exceeded { elapsed; deadline } ->
-        Some
-          (Printf.sprintf "Parallel.Deadline_exceeded (%.3fs > %.3fs)" elapsed
-             deadline)
-    | _ -> None)
-
 (* Cross-run totals, mirrored into observability counters by the callers
    that own an obs handle (Build.train records the per-stage deltas). *)
 let retries_counter = Atomic.make 0
@@ -219,25 +209,13 @@ let failed_total () = Atomic.get failed_counter
    never letting an exception escape into the pool.  The budget is a
    deterministic per-element constant, so which elements end in [Error]
    does not depend on the domain count or scheduling (given [f] fails
-   deterministically per attempt).  The deadline is cooperative: OCaml
-   tasks cannot be preempted, so an attempt that outlives its wall-clock
-   budget is detected when it returns and treated as a failed attempt. *)
-let isolate ~retries ~deadline f x =
+   deterministically per attempt). *)
+let isolate ~retries f x =
   let budget = max 0 retries in
   let rec go attempt =
     match
       Archpred_fault.Fault.point "pool.task";
-      let t0 =
-        match deadline with None -> 0L | Some _ -> Archpred_obs.now_ns ()
-      in
-      let v = f x in
-      (match deadline with
-      | Some limit ->
-          let elapsed = Archpred_obs.seconds_since t0 in
-          if elapsed > limit then
-            raise (Deadline_exceeded { elapsed; deadline = limit })
-      | None -> ());
-      v
+      f x
     with
     | v -> Ok v
     (* archpred-analyze: allow catchall-exn -- task isolation boundary: the retry budget, then Error e, is the sanctioned recovery path *)
@@ -253,8 +231,8 @@ let isolate ~retries ~deadline f x =
   in
   go 0
 
-let map_fallible ?domains ?(retries = 0) ?deadline f xs =
-  map ?domains (isolate ~retries ~deadline f) xs
+let map_fallible ?domains ?(retries = 0) f xs =
+  map ?domains (isolate ~retries f) xs
 
 let map_reduce ?domains ~map:m ~combine xs =
   let n = Array.length xs in

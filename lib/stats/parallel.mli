@@ -44,11 +44,6 @@ val init : ?domains:int -> int -> (int -> 'a) -> 'a array
     array.  With [domains <= 1] the indices are evaluated left to
     right. *)
 
-exception Deadline_exceeded of { elapsed : float; deadline : float }
-(** The failure recorded when a task attempt outlives its wall-clock
-    budget (see {!map_fallible}; the check is cooperative — OCaml tasks
-    cannot be preempted, so the attempt is failed when it returns). *)
-
 val retries_total : unit -> int
 (** Process-wide count of task attempts that were retried by
     {!map_fallible} since startup.  Callers that own an observability
@@ -61,7 +56,6 @@ val failed_total : unit -> int
 val map_fallible :
   ?domains:int ->
   ?retries:int ->
-  ?deadline:float ->
   ('a -> 'b) ->
   'a array ->
   ('b, exn) result array
@@ -69,9 +63,7 @@ val map_fallible :
     element whose applications raise is retried up to [retries] times
     (default 0) and then captured as [Error] in its slot instead of
     poisoning the whole section — every other element still completes.
-    [deadline] (seconds of wall clock) fails attempts that run longer,
-    with {!Deadline_exceeded} as the captured exception.  The retry
-    budget is a deterministic per-element constant, so for an [f] that
+    The retry budget is a deterministic per-element constant, so for an [f] that
     fails deterministically the [Ok]/[Error] shape of the result is
     identical at every domain count.  Each attempt marks the
     ["pool.task"] fault-injection site ({!Archpred_fault.Fault}); the

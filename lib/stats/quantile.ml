@@ -9,23 +9,6 @@ let quantile_sorted sorted q =
     sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
   end
 
-let checked_sorted name xs q =
-  if Array.length xs = 0 then invalid_arg (name ^ ": empty array");
-  if q < 0. || q > 1. then invalid_arg (name ^ ": quantile out of [0,1]");
-  let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
-  sorted
-
-let quantile xs q =
-  let sorted = checked_sorted "Quantile.quantile" xs q in
-  quantile_sorted sorted q
-
-let median xs = quantile xs 0.5
-
-let iqr xs =
-  let sorted = checked_sorted "Quantile.iqr" xs 0. in
-  quantile_sorted sorted 0.75 -. quantile_sorted sorted 0.25
-
 let quantiles xs qs =
   if Array.length xs = 0 then invalid_arg "Quantile.quantiles: empty array";
   let sorted = Array.copy xs in

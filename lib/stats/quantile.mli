@@ -3,17 +3,9 @@
     Used by the experiment harness to summarise distributions of tree-split
     values (Figure 5) and of prediction errors. *)
 
-val quantile : float array -> float -> float
-(** [quantile xs q] is the [q]-quantile of [xs] for [q] in [\[0, 1\]], using
-    linear interpolation between order statistics (type-7, the R default).
-    The input array is not modified. Raises [Invalid_argument] if [xs] is
-    empty or [q] is outside [\[0, 1\]]. *)
-
-val median : float array -> float
-(** [median xs] is [quantile xs 0.5]. *)
-
-val iqr : float array -> float
-(** Interquartile range: [quantile xs 0.75 -. quantile xs 0.25]. *)
-
 val quantiles : float array -> float list -> float list
-(** [quantiles xs qs] evaluates several quantiles sharing one sort. *)
+(** [quantiles xs qs] is the [q]-quantile of [xs] for each [q] of [qs], in
+    [\[0, 1\]], using linear interpolation between order statistics
+    (type-7, the R default), from one sort.  The input array is not
+    modified.  Raises [Invalid_argument] if [xs] is empty or a [q] is
+    outside [\[0, 1\]]. *)

@@ -26,9 +26,6 @@ val copy : t -> t
 val int64 : t -> int64
 (** Next raw 64-bit output. *)
 
-val bits30 : t -> int
-(** 30 uniformly random non-negative bits, as an [int]. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform on [0, bound). Requires [bound > 0]. *)
 

@@ -15,5 +15,3 @@ let choose rng k n =
   if k < 0 || k > n then invalid_arg "Sampling.choose: need 0 <= k <= n";
   let xs = permutation rng n in
   Array.sub xs 0 k
-
-let sample_floats rng n = Array.init n (fun _ -> Rng.unit_float rng)

@@ -13,6 +13,3 @@ val permutation : Rng.t -> int -> int array
 val choose : Rng.t -> int -> int -> int array
 (** [choose rng k n] picks [k] distinct indices from [0 .. n-1], in random
     order. Requires [0 <= k <= n]. *)
-
-val sample_floats : Rng.t -> int -> float array
-(** [sample_floats rng n] is [n] independent uniform draws from [\[0, 1)]. *)

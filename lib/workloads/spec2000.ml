@@ -221,17 +221,3 @@ let ammp : Profile.t =
   }
 
 let all = [ mcf; crafty; parser; perlbmk; vortex; twolf; equake; ammp ]
-let integer = [ mcf; crafty; parser; perlbmk; vortex; twolf ]
-let floating_point = [ equake; ammp ]
-
-let find name =
-  let matches (p : Profile.t) =
-    String.equal p.name name
-    ||
-    (* accept the bare name without the numeric SPEC prefix *)
-    match String.index_opt p.name '.' with
-    | Some i ->
-        String.equal (String.sub p.name (i + 1) (String.length p.name - i - 1)) name
-    | None -> false
-  in
-  List.find_opt matches all

@@ -26,17 +26,9 @@
 val mcf : Profile.t
 val crafty : Profile.t
 val parser : Profile.t
-val perlbmk : Profile.t
 val vortex : Profile.t
 val twolf : Profile.t
 val equake : Profile.t
-val ammp : Profile.t
 
 val all : Profile.t list
 (** The eight profiles, in the paper's Table 3 order. *)
-
-val integer : Profile.t list
-val floating_point : Profile.t list
-
-val find : string -> Profile.t option
-(** Look up by name (e.g. ["mcf"], ["181.mcf"]). *)

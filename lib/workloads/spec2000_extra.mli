@@ -14,16 +14,9 @@
     - [swim] — FP shallow-water modelling: long streaming sweeps over
       large arrays, bandwidth-bound. *)
 
-val gzip : Profile.t
-val gcc : Profile.t
-val art : Profile.t
-val swim : Profile.t
-
 val all : Profile.t list
 (** The four extras. *)
 
-val everything : Profile.t list
-(** {!Spec2000.all} followed by the four extras. *)
-
 val find : string -> Profile.t option
-(** Look up across {!everything}. *)
+(** Look up by name (e.g. ["mcf"], ["181.mcf"]) across {!Spec2000.all}
+    and the four extras. *)

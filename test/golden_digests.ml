@@ -170,7 +170,7 @@ let discrepancy name ~n ~seed =
     (float_bits (Design.Discrepancy.l2_star points));
   line
     (Printf.sprintf "%s.centered.n%d" name n)
-    (float_bits (Design.Discrepancy.centered_l2 points))
+    (float_bits (Design.Discrepancy.compute Design.Discrepancy.Centered points))
 
 let moments name ~rows ~cols ~seed =
   let rng = Rng.create seed in
@@ -208,8 +208,8 @@ let shard_spec =
     test_n = 10;
     lhs_candidates = 10;
     criterion = Rbf.Criteria.Aicc;
-    p_min_grid = Config.default_p_min_grid;
-    alpha_grid = Config.default_alpha_grid;
+    p_min_grid = Config.default.p_min_grid;
+    alpha_grid = Config.default.alpha_grid;
     shard_unit = 4;
     stream_refit = false;
     refit_full_every = 0;

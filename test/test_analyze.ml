@@ -3,7 +3,8 @@
    fixture library in test/analyze_fixtures/ — detection of a real
    violation, acceptance of the sanctioned / pragma'd variant — and
    every file-local rule and retired effect rule against one fixture
-   each in test/analyze_fixtures/rules/, placed in each scope.  Then
+   each in test/analyze_fixtures/rules/, placed in each scope, and
+   dead-export against an exporter and a user placed apart.  Then
    the registry parsers, the pragma meta-rules, Core.Error exit codes
    and the JSON record shape.  The "real tree analyzes clean" half of
    the contract lives in the root dune file: the @analyze alias is
@@ -335,6 +336,91 @@ let test_pragma_same_line () =
        (fun (_, s) -> s = "same_line")
        (flagged ~rel:"lib/fx_pragmas.ml" "fx_pragmas.ml"))
 
+(* --- dead-export --- *)
+
+(* fx_export.mli declares used, hook and dead; fx_export_user.ml names
+   used directly and hook through a module alias.  The exporter sits in
+   lib/ and the user at [user]; the result is the names reported in the
+   interface, in declaration order, with their messages. *)
+let dead_exports ?(sanctions = []) ~user () =
+  let dir = "test/" ^ rules_dir ^ "/" in
+  let place f =
+    if f = dir ^ "fx_export.ml" then "lib/fx_export.ml"
+    else if f = dir ^ "fx_export_user.ml" then user
+    else f
+  in
+  let mli =
+    In_channel.with_open_bin (rules_dir ^ "/fx_export.mli") In_channel.input_all
+    |> String.split_on_char '\n'
+  in
+  let name line =
+    match String.split_on_char ' ' (List.nth mli (line - 1)) with
+    | "val" :: n :: _ -> n
+    | _ -> "line " ^ string_of_int line
+  in
+  Analyze.analyze ~sanctions ~hotpaths:[] ~rel_of:place ~root:".."
+    ~cmt_paths:rule_cmts ()
+  |> List.filter (fun f -> f.Analyze.file = dir ^ "fx_export.mli")
+  |> List.map (fun f -> (name f.Analyze.line, f.Analyze.message))
+
+let hook_entry name =
+  { Analyze.s_kind = Analyze.Test_hook;
+    s_name = "Rule_fixtures.Fx_export." ^ name;
+    s_reason = "fixture: test hook";
+  }
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let names = List.map fst
+
+let test_dead_export_reported () =
+  match dead_exports ~user:"lib/fx_export_user.ml" () with
+  | [ ("dead", msg) ] ->
+      Alcotest.(check bool) "says nothing uses it" true
+        (contains ~sub:"no other unit uses it" msg)
+  | fs ->
+      Alcotest.failf "expected only `dead`, got [%s]"
+        (String.concat "; " (names fs))
+
+let test_test_only_reported () =
+  let fs = dead_exports ~user:"test/fx_export_user.ml" () in
+  Alcotest.(check (list string)) "test-only values are dead too"
+    [ "used"; "hook"; "dead" ] (names fs);
+  Alcotest.(check bool) "says only tests use it" true
+    (contains ~sub:"used only by test/" (List.assoc "used" fs))
+
+let test_test_hook_suppresses () =
+  Alcotest.(check (list string)) "the sanctioned hook is accepted"
+    [ "used"; "dead" ]
+    (names
+       (dead_exports ~sanctions:[ hook_entry "hook" ]
+          ~user:"test/fx_export_user.ml" ()))
+
+let test_test_hook_stale () =
+  let fs =
+    dead_exports ~sanctions:[ hook_entry "hook" ] ~user:"lib/fx_export_user.ml" ()
+  in
+  Alcotest.(check (list string)) "a hook used outside test/ is a finding"
+    [ "hook"; "dead" ] (names fs);
+  Alcotest.(check bool) "names the entry" true
+    (contains ~sub:"has a test-hook entry" (List.assoc "hook" fs));
+  match dead_exports ~sanctions:[ hook_entry "renamed" ] ~user:"test/u.ml" () with
+  | _ -> Alcotest.fail "expected Invalid_input for a hook naming no export"
+  | exception Error.Archpred e ->
+      Alcotest.(check int) "unknown hook maps to exit 2" 2 (Error.exit_code e)
+
+let test_read_only_users () =
+  List.iter
+    (fun user ->
+      Alcotest.(check (list string)) (user ^ " keeps its values alive") [ "dead" ]
+        (names (dead_exports ~user ())))
+    [ "examples/fx_export_user.ml"; "perfbench/fx_export_user.ml" ]
+
 (* --- pragma meta-rules --- *)
 
 let test_unused_pragma () =
@@ -401,7 +487,7 @@ let test_parse_hotpaths () =
 (* --- rule table, severities, exit codes, JSON --- *)
 
 let test_rule_table () =
-  Alcotest.(check int) "thirteen rules" 13 (List.length Analyze.rules);
+  Alcotest.(check int) "fourteen rules" 14 (List.length Analyze.rules);
   List.iter
     (fun rule ->
       Alcotest.(check bool) (rule ^ " is documented") true
@@ -409,7 +495,7 @@ let test_rule_table () =
     [
       "domain-race"; "hot-alloc"; "impure"; "poly-compare"; "hashtbl-order";
       "exit"; "unsafe-cast"; "float-lit-eq"; "catchall-exn"; "unsafe-index";
-      "missing-mli"; "unused-pragma"; "bad-pragma";
+      "missing-mli"; "dead-export"; "unused-pragma"; "bad-pragma";
     ];
   List.iter
     (fun rule ->
@@ -495,6 +581,15 @@ let () =
           Alcotest.test_case "purity transitive" `Quick test_purity_transitive;
           Alcotest.test_case "purity frontier" `Quick test_purity_frontier;
           Alcotest.test_case "purity barrier" `Quick test_purity_barrier;
+          Alcotest.test_case "dead export reported" `Quick
+            test_dead_export_reported;
+          Alcotest.test_case "test-only export reported" `Quick
+            test_test_only_reported;
+          Alcotest.test_case "test-hook sanction" `Quick
+            test_test_hook_suppresses;
+          Alcotest.test_case "stale test-hook" `Quick test_test_hook_stale;
+          Alcotest.test_case "examples and perfbench are users" `Quick
+            test_read_only_users;
         ] );
       ( "engine",
         [

@@ -53,8 +53,9 @@ let test_iq_lsq_scale_with_rob () =
   Alcotest.(check int) "iq = 0.25 * 128" 32 cfg.Sim.Config.iq_size
 
 let test_test_box_inside_cube () =
-  Alcotest.(check bool) "lo in cube" true (Design.Space.contains Paper_space.test_lo);
-  Alcotest.(check bool) "hi in cube" true (Design.Space.contains Paper_space.test_hi)
+  (* validate_point raises for a point outside the unit cube *)
+  Design.Space.validate_point Paper_space.space Paper_space.test_lo;
+  Design.Space.validate_point Paper_space.space Paper_space.test_hi
 
 let prop_random_points_give_valid_configs =
   qtest "any cube point decodes to a valid config"
@@ -587,6 +588,19 @@ let grid_point u =
   Design.Space.snap Paper_space.space ~sample_size:grid_sample_size
     (Array.make 9 u)
 
+(* A one-point batch: [Some] cached value on a hit, [None] otherwise. *)
+let probe cache p =
+  let out = [| Float.nan |] and miss = [| 0 |] in
+  if Memo.probe_batch cache [| p |] ~out ~miss = 0 then Some out.(0) else None
+
+let hit name cache p expect =
+  Alcotest.(check (option (float 0.))) name (Some expect) (probe cache p)
+
+(* A miss, then [v] committed as the point's value. *)
+let miss name cache p v =
+  Alcotest.(check (option (float 0.))) name None (probe cache p);
+  Memo.commit cache [| v |]
+
 let test_memo_trace () =
   (* hand-computed trace against a capacity-2 cache:
        miss A, hit A, miss B, miss C (evicts A), miss A, hit B, hit C *)
@@ -595,27 +609,13 @@ let test_memo_trace () =
       ~sample_size:grid_sample_size ()
   in
   let a = grid_point 0. and b = grid_point 0.5 and c = grid_point 1. in
-  (match Memo.lookup cache a with
-  | Memo.Miss k -> Memo.insert cache k 1.
-  | _ -> Alcotest.fail "expected miss on A");
-  (match Memo.lookup cache a with
-  | Memo.Hit v -> Alcotest.(check (float 0.)) "A cached" 1. v
-  | _ -> Alcotest.fail "expected hit on A");
-  (match Memo.lookup cache b with
-  | Memo.Miss k -> Memo.insert cache k 2.
-  | _ -> Alcotest.fail "expected miss on B");
-  (match Memo.lookup cache c with
-  | Memo.Miss k -> Memo.insert cache k 3. (* evicts A: LRU *)
-  | _ -> Alcotest.fail "expected miss on C");
-  (match Memo.lookup cache a with
-  | Memo.Miss _ -> ()
-  | _ -> Alcotest.fail "A must have been evicted");
-  (match Memo.lookup cache b with
-  | Memo.Hit v -> Alcotest.(check (float 0.)) "B survives" 2. v
-  | _ -> Alcotest.fail "expected hit on B");
-  (match Memo.lookup cache c with
-  | Memo.Hit v -> Alcotest.(check (float 0.)) "C survives" 3. v
-  | _ -> Alcotest.fail "expected hit on C");
+  miss "miss on A" cache a 1.;
+  hit "A cached" cache a 1.;
+  miss "miss on B" cache b 2.;
+  miss "miss on C, evicting A" cache c 3.;
+  Alcotest.(check (option (float 0.))) "A was evicted" None (probe cache a);
+  hit "B survives" cache b 2.;
+  hit "C survives" cache c 3.;
   let s = Memo.stats cache in
   Alcotest.(check int) "hits" 3 s.Memo.hits;
   Alcotest.(check int) "misses" 4 s.Memo.misses;
@@ -628,20 +628,14 @@ let test_memo_lru_order () =
     Memo.create ~capacity:3 ~space:Paper_space.space
       ~sample_size:grid_sample_size ()
   in
-  let insert u v =
-    match Memo.lookup cache (grid_point u) with
-    | Memo.Miss k -> Memo.insert cache k v
-    | _ -> Alcotest.fail "expected miss"
-  in
+  let insert u v = miss "expected miss" cache (grid_point u) v in
   let values () = List.map snd (Memo.contents cache) in
   insert 0. 1.;
   insert 0.5 2.;
   insert 1. 3.;
   Alcotest.(check (list (float 0.))) "MRU first" [ 3.; 2.; 1. ] (values ());
   (* touching A moves it to the front without changing size *)
-  (match Memo.lookup cache (grid_point 0.) with
-  | Memo.Hit _ -> ()
-  | _ -> Alcotest.fail "expected hit");
+  hit "expected hit" cache (grid_point 0.) 1.;
   Alcotest.(check (list (float 0.))) "refresh reorders" [ 1.; 3.; 2. ]
     (values ());
   (* a fourth insert evicts the tail (value 2.), deterministically *)
@@ -659,9 +653,7 @@ let test_memo_capacity_bound () =
       Design.Space.snap Paper_space.space ~sample_size:50
         (Array.init 9 (fun _ -> Rng.unit_float rng))
     in
-    match Memo.lookup cache p with
-    | Memo.Miss k -> Memo.insert cache k (Rng.unit_float rng)
-    | Memo.Hit _ | Memo.Bypass -> ()
+    if probe cache p = None then Memo.commit cache [| Rng.unit_float rng |]
   done;
   let s = Memo.stats cache in
   Alcotest.(check int) "size never exceeds capacity" 4 s.Memo.size;
@@ -676,9 +668,9 @@ let test_memo_off_grid_bypass () =
   in
   let p = grid_point 0.5 in
   p.(0) <- p.(0) +. 1e-13;
-  (match Memo.lookup cache p with
-  | Memo.Bypass -> ()
-  | _ -> Alcotest.fail "off-grid point must bypass");
+  Alcotest.(check (option (float 0.))) "off-grid point is not cached" None
+    (probe cache p);
+  Memo.commit cache [| 1. |];
   let s = Memo.stats cache in
   Alcotest.(check int) "bypass counted" 1 s.Memo.bypasses;
   Alcotest.(check int) "nothing cached" 0 s.Memo.size
@@ -783,12 +775,19 @@ let test_sensitivity_total_effects () =
 let test_sensitivity_interaction () =
   let trained = trained_synthetic () in
   (* the surface has a 0.6*x0*x1 term: (0,1) interacts, (5,6) does not *)
-  let active = Core.Sensitivity.interaction trained.Build.predictor ~dim1:0 ~dim2:1 in
-  let inactive = Core.Sensitivity.interaction trained.Build.predictor ~dim1:5 ~dim2:6 in
-  Alcotest.(check bool) "x0*x1 interaction dominates" true (active > inactive);
-  Alcotest.check_raises "same dim rejected"
-    (Invalid_argument "Sensitivity.interaction: bad dimensions") (fun () ->
-      ignore (Core.Sensitivity.interaction trained.Build.predictor ~dim1:1 ~dim2:1))
+  let predictor = trained.Build.predictor in
+  let name k = (Design.Space.parameter predictor.Core.Predictor.space k).name in
+  let strength j k =
+    match
+      List.find_opt
+        (fun (a, b, _) -> a = name j && b = name k)
+        (Core.Sensitivity.top_interactions ~count:max_int predictor)
+    with
+    | Some (_, _, s) -> s
+    | None -> Alcotest.failf "pair (%d, %d) not ranked" j k
+  in
+  Alcotest.(check bool) "x0*x1 interaction dominates" true
+    (strength 0 1 > strength 5 6)
 
 let test_sensitivity_top_interactions () =
   let trained = trained_synthetic () in

@@ -203,9 +203,7 @@ let test_infeasible_reports_and_journals () =
      Infeasible, and the pool counts them. *)
   Fault.arm ~site:"sim.task" ~after:5 ~sticky:true ();
   let obs = Obs.create () in
-  let config =
-    base_config () |> Config.with_obs obs |> Config.with_task_retries 0
-  in
+  let config = { (base_config () |> Config.with_obs obs) with task_retries = 0 } in
   (match Build.train ~config ~space:Paper_space.space ~response:smooth () with
   | _ -> Alcotest.fail "expected Infeasible"
   | exception Obs.Error.Archpred (Obs.Error.Infeasible _) -> ());
@@ -473,23 +471,6 @@ let test_map_fallible_deterministic_across_domains () =
   Alcotest.(check int) "2 retries per failing element" (7 * 2) r1;
   Alcotest.(check int) "each failing element fails once" 7 f1
 
-let test_map_fallible_deadline () =
-  let xs = Array.init 8 Fun.id in
-  let f x = if x = 5 then (Unix.sleepf 0.03; x) else x in
-  let run domains =
-    Parallel.map_fallible ~domains ~deadline:0.005 f xs
-    |> Array.map (function
-         | Ok v -> Printf.sprintf "ok:%d" v
-         | Error (Parallel.Deadline_exceeded _) -> "deadline"
-         | Error _ -> "other")
-    |> Array.to_list
-  in
-  let expect =
-    List.init 8 (fun i -> if i = 5 then "deadline" else Printf.sprintf "ok:%d" i)
-  in
-  Alcotest.(check (list string)) "deadline at 1 domain" expect (run 1);
-  Alcotest.(check (list string)) "deadline at 4 domains" expect (run 4)
-
 let test_pool_survives_failures () =
   (* Error slots must not poison the pool for later parallel sections. *)
   let xs = Array.init 16 Fun.id in
@@ -548,7 +529,6 @@ let () =
         [
           Alcotest.test_case "deterministic across domains" `Quick
             test_map_fallible_deterministic_across_domains;
-          Alcotest.test_case "deadline" `Quick test_map_fallible_deadline;
           Alcotest.test_case "pool survives failures" `Quick
             test_pool_survives_failures;
         ] );

@@ -68,7 +68,9 @@ let test_context_caches_responses () =
 let test_context_test_set_shared_points () =
   let ctx = Context.create ~scale:Scale.Small () in
   let p1, _ = Context.test_set ctx Archpred_workloads.Spec2000.equake in
-  let p2, _ = Context.test_set ctx Archpred_workloads.Spec2000.ammp in
+  let p2, _ = Context.test_set ctx
+      (Option.get (Archpred_workloads.Spec2000_extra.find "ammp"))
+  in
   Alcotest.(check bool) "points shared across benchmarks" true (p1 == p2)
 
 let test_cheap_experiments_run () =

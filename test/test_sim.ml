@@ -207,7 +207,8 @@ let test_bp_config_validation () =
 
 (* ---------- DRAM ---------- *)
 
-let dram_cfg = Dram.config ~base_latency:100 ~banks:4 ~bank_occupancy:20 ~bus_occupancy:4
+let dram_cfg =
+  { Dram.base_latency = 100; banks = 4; bank_occupancy = 20; bus_occupancy = 4 }
 
 let test_dram_unloaded_latency () =
   let d = Dram.create dram_cfg in
@@ -1066,7 +1067,8 @@ let test_batch_mixed_predictors () =
 let test_batch_plan_streams_reused () =
   let trace =
     Archpred_workloads.Generator.generate ~seed:31
-      Archpred_workloads.Spec2000.perlbmk ~length:2_000
+      (Option.get (Archpred_workloads.Spec2000_extra.find "perlbmk"))
+      ~length:2_000
   in
   let shared = Batch.plan trace in
   let configs = table1_configs 9 7 in

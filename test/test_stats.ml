@@ -153,18 +153,22 @@ let prop_sum_matches_fold =
 
 (* ---------- Quantile ---------- *)
 
-let test_median_odd () = check_float "median odd" 2. (Quantile.median [| 3.; 1.; 2. |])
-let test_median_even () = check_float "median even" 2.5 (Quantile.median [| 4.; 1.; 3.; 2. |])
+let quantile xs q = List.hd (Quantile.quantiles xs [ q ])
+let test_median_odd () = check_float "median odd" 2. (quantile [| 3.; 1.; 2. |] 0.5)
+let test_median_even () = check_float "median even" 2.5 (quantile [| 4.; 1.; 3.; 2. |] 0.5)
 
 let test_quantile_extremes () =
   let xs = [| 5.; 1.; 3. |] in
-  check_float "q0" 1. (Quantile.quantile xs 0.);
-  check_float "q1" 5. (Quantile.quantile xs 1.)
+  check_float "q0" 1. (quantile xs 0.);
+  check_float "q1" 5. (quantile xs 1.)
 
 let test_quantile_interpolation () =
-  check_float "q0.25 of 1..5" 2. (Quantile.quantile [| 1.; 2.; 3.; 4.; 5. |] 0.25)
+  check_float "q0.25 of 1..5" 2. (quantile [| 1.; 2.; 3.; 4.; 5. |] 0.25)
 
-let test_iqr () = check_float "iqr 1..5" 2. (Quantile.iqr [| 1.; 2.; 3.; 4.; 5. |])
+let test_iqr () =
+  match Quantile.quantiles [| 1.; 2.; 3.; 4.; 5. |] [ 0.25; 0.75 ] with
+  | [ q1; q3 ] -> check_float "iqr 1..5" 2. (q3 -. q1)
+  | _ -> Alcotest.fail "expected 2 quantiles"
 
 let test_quantiles_list () =
   match Quantile.quantiles [| 1.; 2.; 3. |] [ 0.; 0.5; 1. ] with
@@ -182,29 +186,24 @@ let prop_quantile_monotone =
         (pair (float_range 0. 1.) (float_range 0. 1.)))
     (fun (xs, (q1, q2)) ->
       let lo = Float.min q1 q2 and hi = Float.max q1 q2 in
-      Quantile.quantile xs lo <= Quantile.quantile xs hi +. 1e-9)
+      quantile xs lo <= quantile xs hi +. 1e-9)
 
 (* ---------- Histogram ---------- *)
 
 let test_histogram_basic () =
-  let h = Histogram.create ~lo:0. ~hi:10. ~bins:5 in
-  Histogram.add h 0.5;
-  Histogram.add h 9.9;
-  Histogram.add h 5.;
+  let h = Histogram.of_array ~lo:0. ~hi:10. ~bins:5 [| 0.5; 9.9; 5. |] in
   Alcotest.(check int) "bin0" 1 (Histogram.count h 0);
   Alcotest.(check int) "bin4" 1 (Histogram.count h 4);
   Alcotest.(check int) "bin2" 1 (Histogram.count h 2);
   Alcotest.(check int) "total" 3 (Histogram.total h)
 
 let test_histogram_clamps () =
-  let h = Histogram.create ~lo:0. ~hi:1. ~bins:4 in
-  Histogram.add h (-5.);
-  Histogram.add h 5.;
+  let h = Histogram.of_array ~lo:0. ~hi:1. ~bins:4 [| -5.; 5. |] in
   Alcotest.(check int) "low clamp" 1 (Histogram.count h 0);
   Alcotest.(check int) "high clamp" 1 (Histogram.count h 3)
 
 let test_histogram_ranges () =
-  let h = Histogram.create ~lo:0. ~hi:8. ~bins:4 in
+  let h = Histogram.of_array ~lo:0. ~hi:8. ~bins:4 [||] in
   let lo, hi = Histogram.bin_range h 1 in
   check_float "range lo" 2. lo;
   check_float "range hi" 4. hi

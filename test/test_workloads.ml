@@ -8,6 +8,9 @@ module Spec2000 = Workloads.Spec2000
 module Trace = Archpred_sim.Trace
 module Opcode = Archpred_sim.Opcode
 
+let profile name = Option.get (Workloads.Spec2000_extra.find name)
+let everything = Spec2000.all @ Workloads.Spec2000_extra.all
+
 let qtest ?(count = 30) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
@@ -20,14 +23,13 @@ let test_all_profiles_valid () =
     Spec2000.all
 
 let test_profile_counts () =
-  Alcotest.(check int) "eight benchmarks" 8 (List.length Spec2000.all);
-  Alcotest.(check int) "six integer" 6 (List.length Spec2000.integer);
-  Alcotest.(check int) "two fp" 2 (List.length Spec2000.floating_point)
+  Alcotest.(check int) "eight benchmarks" 8 (List.length Spec2000.all)
 
 let test_find () =
-  Alcotest.(check bool) "full name" true (Spec2000.find "181.mcf" <> None);
-  Alcotest.(check bool) "short name" true (Spec2000.find "vortex" <> None);
-  Alcotest.(check bool) "unknown" true (Spec2000.find "gcc" = None)
+  let find = Workloads.Spec2000_extra.find in
+  Alcotest.(check bool) "full name" true (find "181.mcf" <> None);
+  Alcotest.(check bool) "short name" true (find "vortex" <> None);
+  Alcotest.(check bool) "unknown" true (find "nosuch" = None)
 
 let test_invalid_profile_rejected () =
   let bad = { Spec2000.mcf with Profile.load_frac = 0.9; store_frac = 0.9 } in
@@ -121,7 +123,7 @@ let test_generator_branch_outcomes_mixed () =
   Alcotest.(check bool) "taken fraction sane" true (f > 0.3 && f < 0.95)
 
 let test_generator_jumps_always_taken () =
-  let t = Generator.generate Spec2000.perlbmk ~length:30_000 in
+  let t = Generator.generate (profile "perlbmk") ~length:30_000 in
   for i = 0 to Trace.length t - 1 do
     if Trace.op t i = Opcode.Jump && not (Trace.taken t i) then
       Alcotest.fail "jump not taken"
@@ -245,7 +247,7 @@ let test_extra_find () =
   Alcotest.(check bool) "finds paper bench too" true
     (Workloads.Spec2000_extra.find "mcf" <> None);
   Alcotest.(check int) "twelve total" 12
-    (List.length Workloads.Spec2000_extra.everything)
+    (List.length everything)
 
 let test_extra_traces_generate () =
   List.iter
@@ -258,12 +260,12 @@ let test_extra_traces_generate () =
 
 let test_extra_characters () =
   (* gcc has the biggest code footprint; swim is the most streaming *)
-  let gcc = Workloads.Spec2000_extra.gcc in
+  let gcc = profile "gcc" in
   List.iter
     (fun (p : Profile.t) ->
       if p.name <> gcc.Profile.name && p.Profile.code_bytes > gcc.Profile.code_bytes
       then Alcotest.failf "%s code bigger than gcc" p.name)
-    Workloads.Spec2000_extra.everything
+    everything
 
 let () =
   Alcotest.run "workloads"

@@ -74,8 +74,8 @@ let rules =
       "(=)/(<>) against a float literal (or a float-literal pattern); use \
        Float.equal or an explicit tolerance" );
     ( "catchall-exn",
-      "catch-all exception handler can swallow Fault.Injected or \
-       Parallel.Deadline_exceeded; match specific exceptions or re-raise" );
+      "catch-all exception handler can swallow Fault.Injected; match \
+       specific exceptions or re-raise" );
     ( "unsafe-index",
       "bounds-unchecked Bigarray / Bytes / Float.Array accessors \
        (unsafe_get, unsafe_set) in lib/ outside rbf/batch_kernel and \
@@ -83,6 +83,9 @@ let rules =
     ( "missing-mli",
       "every lib/ unit must have an interface (.mli) so the public \
        surface is reviewed, not accidental" );
+    ( "dead-export",
+      "a value in a lib/ .mli that no other unit uses, or that only \
+       test/ uses without a test-hook entry in tools/analyze/sanctions.sexp" );
     ("unused-pragma", "an allow pragma that suppressed nothing");
     ("bad-pragma", "malformed allow pragma (unknown rule, missing reason)");
   ]
@@ -212,7 +215,7 @@ let parse_sexps ~path src =
   top ();
   List.rev !out
 
-type sanction_kind = Race_barrier | Race_global | Purity_barrier
+type sanction_kind = Race_barrier | Race_global | Purity_barrier | Test_hook
 type sanction = { s_kind : sanction_kind; s_name : string; s_reason : string }
 
 let parse_sanctions ~path src =
@@ -225,6 +228,7 @@ let parse_sanctions ~path src =
             | "race-barrier" -> Race_barrier
             | "race-global" -> Race_global
             | "purity-barrier" -> Purity_barrier
+            | "test-hook" -> Test_hook
             | _ ->
                 Error.parse_error ~where:path ~line:0
                   ("unknown sanction kind `" ^ kind ^ "`")
@@ -235,7 +239,8 @@ let parse_sanctions ~path src =
           { s_kind; s_name = name; s_reason = reason }
       | _ ->
           Error.parse_error ~where:path ~line:0
-            "expected (race-barrier|race-global|purity-barrier Name \"reason\")")
+            "expected (race-barrier|race-global|purity-barrier|test-hook Name \
+             \"reason\")")
     (parse_sexps ~path src)
 
 let parse_hotpaths ~path src =
@@ -255,7 +260,8 @@ let load_hotpaths ~path = parse_hotpaths ~path (read_file path)
 
 (* Compilation units arrive as "Archpred_stats__Parallel" or
    "Dune__exe__Archpred"; canonical segments are what a reader writes in
-   sanctions.sexp: "Stats.Parallel", "Archpred". *)
+   sanctions.sexp: "Stats.Parallel", "Archpred".  The alias module of a
+   library with a main module ("Archpred_obs__") names the library. *)
 let canon_unit modname =
   let rest =
     if starts_with ~prefix:"Dune__exe__" modname then
@@ -264,7 +270,9 @@ let canon_unit modname =
       String.sub modname 9 (String.length modname - 9)
     else modname
   in
-  List.map String.capitalize_ascii (split_on_substring ~sep:"__" rest)
+  split_on_substring ~sep:"__" rest
+  |> List.filter (fun s -> not (String.equal s ""))
+  |> List.map String.capitalize_ascii
 
 let canon_parts parts =
   match parts with
@@ -286,6 +294,8 @@ type uctx = {
   file : string;
   mutable toplevels : string IdentMap.t;
   mutable aliases : Path.t IdentMap.t;
+  mutable included : string IdentMap.t;
+      (* values a top-level [include P] binds, by their name in [P] *)
 }
 
 let rec expand_path ctx p =
@@ -294,7 +304,9 @@ let rec expand_path ctx p =
       match IdentMap.find_opt id ctx.aliases with
       | Some tgt -> expand_path ctx tgt
       | None -> p)
-  | Path.Pdot (q, s) -> Path.Pdot (expand_path ctx q, s)
+  | Path.Pdot (q, s) ->
+      let q' = expand_path ctx q in
+      if q' == q then p else Path.Pdot (q', s)
   | _ -> p
 
 let rec path_parts p =
@@ -452,7 +464,6 @@ let banned_rule ~scope ~file rule =
   | "unsafe-index" ->
       scope = Lib
       && not (List.mem file [ "lib/rbf/batch_kernel.ml"; "lib/core/memo.ml" ])
-  | "missing-mli" -> scope = Lib
   | _ -> true
 
 (* ------------------------------------------------------------------ *)
@@ -999,8 +1010,8 @@ let local_findings ctx ~scope ~rel str =
         in
         if swallows then
           add "catchall-exn" c.c_lhs.pat_loc
-            "catch-all exception handler (would swallow Fault.Injected / \
-             Parallel.Deadline_exceeded); match specific exceptions or re-raise"
+            "catch-all exception handler (would swallow Fault.Injected); \
+             match specific exceptions or re-raise"
     | _ -> ()
   in
   let expr sub e =
@@ -1100,6 +1111,9 @@ type entry_site = {
   e_env : froot IdentMap.t;
 }
 
+(* A value a lib/ interface declares, for dead-export. *)
+type export = { x_name : string; x_unit : string; x_file : string; x_loc : Location.t }
+
 type state = {
   mutable facts : fact SMap.t;
   mutable entries : entry_site list;
@@ -1107,6 +1121,11 @@ type state = {
   mutable pre_findings : finding list;  (* alloc, file-local, bad-pragma *)
   mutable known : SSet.t;  (* every top-level name, for the registries *)
   hot : SSet.t;
+  mutable edges : string list SMap.t;
+      (* "Unit.X" -> what a [module X = P] or an [include P] there names *)
+  mutable exports : export list;
+  mutable unit_uses : (string * bool * SSet.t) list;
+      (* unit, whether it is under test/, the global values it names *)
 }
 
 let get_fact st name file =
@@ -1260,7 +1279,14 @@ let rec struct_of me =
   | Tmod_functor (_, body) -> struct_of body
   | _ -> None
 
-(* Pass 1 over a unit: register top-level names and module aliases. *)
+let add_edge st prefix target =
+  let key = String.concat "." prefix in
+  st.edges <-
+    SMap.add key (target :: Option.value (SMap.find_opt key st.edges) ~default:[])
+      st.edges
+
+(* Pass 1 over a unit: register top-level names, module aliases and
+   includes. *)
 let rec register_items st ctx prefix items =
   List.iter
     (fun item ->
@@ -1277,33 +1303,32 @@ let rec register_items st ctx prefix items =
             vbs
       | Tstr_module mb -> register_mb st ctx prefix mb
       | Tstr_recmodule mbs -> List.iter (register_mb st ctx prefix) mbs
+      | Tstr_include { incl_mod; incl_type; _ } -> (
+          match unwrap_mod incl_mod with
+          | Tmod_ident (p, _) ->
+              let target = canon ctx p in
+              add_edge st prefix target;
+              List.iter
+                (function
+                  | Types.Sig_value (id, _, _) ->
+                      ctx.included <-
+                        IdentMap.add id (target ^ "." ^ Ident.name id) ctx.included
+                  | _ -> ())
+                incl_type
+          | _ -> ())
       | _ -> ())
     items
 
 and register_mb st ctx prefix mb =
   match (mb.mb_id, unwrap_mod mb.mb_expr) with
-  | Some id, Tmod_ident (p, _) -> ctx.aliases <- IdentMap.add id p ctx.aliases
+  | Some id, Tmod_ident (p, _) ->
+      ctx.aliases <- IdentMap.add id p ctx.aliases;
+      add_edge st (prefix @ [ Ident.name id ]) (canon ctx p)
   | Some id, _ ->
       Option.iter
         (fun s -> register_items st ctx (prefix @ [ Ident.name id ]) s.str_items)
         (struct_of mb.mb_expr)
   | None, _ -> ()
-
-(* Expression-local aliases ([let module L = Random in L.bool ()]).  An
-   ident is unique within its unit, so they join the unit's alias map
-   and resolve like top-level ones in every later pass. *)
-let register_local_aliases ctx str =
-  let expr sub e =
-    (match e.exp_desc with
-    | Texp_letmodule (Some id, _, _, me, _) -> (
-        match unwrap_mod me with
-        | Tmod_ident (p, _) -> ctx.aliases <- IdentMap.add id p ctx.aliases
-        | _ -> ())
-    | _ -> ());
-    Tast_iterator.default_iterator.expr sub e
-  in
-  let it = { Tast_iterator.default_iterator with expr } in
-  it.structure it str
 
 (* Pass 2: collect facts for every top-level function; walk other
    top-level bindings under a per-unit `<init>` pseudo-function so
@@ -1342,18 +1367,93 @@ and facts_mb st ctx prefix mb =
   | Some id, Some s -> facts_items st ctx (prefix @ [ Ident.name id ]) s.str_items
   | _ -> ()
 
-let load_unit st ~root ~rel_of cmt_path =
-  let cmt =
-    (* unreadable / other-compiler-version artifacts are skipped, not
-       fatal: a stale .cmt must not wedge the whole sweep *)
-    match Cmt_format.read_cmt cmt_path with
-    | c -> Some c
-    | exception Sys_error _ -> None
-    | exception End_of_file -> None
-    | exception Failure _ -> None
-    | exception Cmi_format.Error _ -> None
+(* One walk over the unit, after [register_items]: registers its
+   expression-local aliases ([let module L = Random in L.bool ()]) and
+   returns every value outside the unit that it names — resolved paths
+   rooted in another unit, and the values a top-level include bound.  An
+   ident is unique within its unit, so a local alias joins the unit's
+   alias map and resolves like a top-level one here (a [let module]
+   precedes its body in the walk) and in every later pass.  Stdlib
+   paths, most of any unit's identifiers, are skipped before
+   canonicalisation. *)
+let aliases_and_uses ctx str =
+  let acc = ref SSet.empty in
+  let add_global p =
+    match global_parts ctx p with
+    | Some parts -> acc := SSet.add (String.concat "." parts) !acc
+    | None -> ()
   in
-  match cmt with
+  let rec head = function
+    | Path.Pident id -> Some id
+    | Path.Pdot (q, _) | Path.Pextra_ty (q, _) -> head q
+    | Path.Papply _ -> None
+  in
+  let expr sub e =
+    (match e.exp_desc with
+    | Texp_letmodule (Some id, _, _, me, _) -> (
+        match unwrap_mod me with
+        | Tmod_ident (p, _) -> ctx.aliases <- IdentMap.add id p ctx.aliases
+        | _ -> ())
+    | Texp_ident (p, _, _) -> (
+        match head p with
+        | Some id when Ident.global id ->
+            if not (starts_with ~prefix:"Stdlib" (Ident.name id)) then add_global p
+        | Some id when IdentMap.mem id ctx.aliases -> add_global p
+        | Some id -> (
+            match (p, IdentMap.find_opt id ctx.included) with
+            | Path.Pident _, Some n -> acc := SSet.add n !acc
+            | _ -> ())
+        | None -> ())
+    | _ -> ());
+    Tast_iterator.default_iterator.expr sub e
+  in
+  let it = { Tast_iterator.default_iterator with expr } in
+  it.structure it str;
+  !acc
+
+(* The values the interface [file] declares, nested plain signatures
+   included, from its compiled signature: the .cmi beside the .cmti
+   holds the same declarations and locations at a sixth of the size.
+   A value an [include] brings in is declared elsewhere, and its own
+   interface exports it. *)
+let read_exports st ~unit_parts ~file cmi_path =
+  let unit_name = String.concat "." unit_parts in
+  let rec items prefix =
+    List.iter (function
+      | Types.Sig_value (id, vd, _)
+        when String.equal vd.Types.val_loc.loc_start.pos_fname file ->
+          st.exports <-
+            {
+              x_name = String.concat "." (prefix @ [ Ident.name id ]);
+              x_unit = unit_name;
+              x_file = file;
+              x_loc = vd.Types.val_loc;
+            }
+            :: st.exports
+      | Types.Sig_module (id, _, { md_type = Mty_signature s; _ }, _, _) ->
+          items (prefix @ [ Ident.name id ]) s
+      | _ -> ())
+  in
+  match Cmi_format.read_cmi cmi_path with
+  | cmi -> items unit_parts cmi.Cmi_format.cmi_sign
+  | exception (Sys_error _ | End_of_file | Failure _ | Cmi_format.Error _) -> ()
+
+(* examples/ and perfbench/ call into lib/ but are never checked. *)
+let users_only rel =
+  starts_with ~prefix:"examples/" rel || starts_with ~prefix:"perfbench/" rel
+
+let read_cmt_opt path =
+  (* unreadable / other-compiler-version artifacts are skipped, not
+     fatal: a stale .cmt must not wedge the whole sweep *)
+  match Cmt_format.read_cmt path with
+  | c -> Some c
+  | exception Sys_error _ -> None
+  | exception End_of_file -> None
+  | exception Failure _ -> None
+  | exception Cmi_format.Error _ -> None
+
+let load_unit st ~root ~rel_of cmt_path =
+  match read_cmt_opt cmt_path with
   | None -> ()
   | Some cmt -> (
       match (cmt.Cmt_format.cmt_annots, cmt.Cmt_format.cmt_sourcefile) with
@@ -1365,28 +1465,37 @@ let load_unit st ~root ~rel_of cmt_path =
               file;
               toplevels = IdentMap.empty;
               aliases = IdentMap.empty;
+              included = IdentMap.empty;
             }
           in
-          register_items st ctx ctx.unit_parts str.str_items;
-          register_local_aliases ctx str;
-          facts_items st ctx ctx.unit_parts str.str_items;
-          let pragmas, bad = scan_pragmas ~file cmt.Cmt_format.cmt_comments in
-          st.pragmas <- pragmas @ st.pragmas;
-          st.pre_findings <- bad @ st.pre_findings;
           let rel = rel_of file in
-          Option.iter
-            (fun scope ->
-              st.pre_findings <- local_findings ctx ~scope ~rel str @ st.pre_findings;
-              if
-                Filename.check_suffix file ".ml"
-                && banned_rule ~scope ~file:rel "missing-mli"
-                && not (Sys.file_exists (Filename.remove_extension cmt_path ^ ".cmti"))
-              then
-                st.pre_findings <-
-                  { rule = "missing-mli"; file; line = 1; col = 0;
-                    message = "module has no .mli interface" }
-                  :: st.pre_findings)
-            (scope_of_rel rel)
+          let scope = scope_of_rel rel in
+          register_items st ctx ctx.unit_parts str.str_items;
+          st.unit_uses <-
+            ( String.concat "." ctx.unit_parts,
+              scope = Some Test,
+              aliases_and_uses ctx str )
+            :: st.unit_uses;
+          if not (users_only rel) then begin
+            facts_items st ctx ctx.unit_parts str.str_items;
+            let pragmas, bad = scan_pragmas ~file cmt.Cmt_format.cmt_comments in
+            st.pragmas <- pragmas @ st.pragmas;
+            st.pre_findings <- bad @ st.pre_findings;
+            Option.iter
+              (fun scope ->
+                st.pre_findings <- local_findings ctx ~scope ~rel str @ st.pre_findings;
+                let base = Filename.remove_extension cmt_path in
+                if Filename.check_suffix file ".ml" && scope = Lib then
+                  if Sys.file_exists (base ^ ".cmti") then
+                    read_exports st ~unit_parts:ctx.unit_parts
+                      ~file:(file ^ "i") (base ^ ".cmi")
+                  else
+                    st.pre_findings <-
+                      { rule = "missing-mli"; file; line = 1; col = 0;
+                        message = "module has no .mli interface" }
+                      :: st.pre_findings)
+              scope
+          end
       | _ -> ())
 
 (* ------------------------------------------------------------------ *)
@@ -1625,6 +1734,81 @@ let purity_pass st ~purity_barriers ~rel_of out =
     st.facts
 
 (* ------------------------------------------------------------------ *)
+(* Dead exports                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* [name] and every name it also denotes through module aliases and
+   includes: "Core.Error.x" is "Obs.Error.x" too. *)
+let rec denotations edges seen name =
+  if SSet.mem name seen then seen
+  else
+    (* each proper prefix [pre] of [name], with the segments after it *)
+    let rec go seen pre = function
+      | [] | [ _ ] -> seen
+      | seg :: rest ->
+          let pre = if String.equal pre "" then seg else pre ^ "." ^ seg in
+          let seen =
+            List.fold_left
+              (fun seen tgt -> denotations edges seen (String.concat "." (tgt :: rest)))
+              seen
+              (Option.value (SMap.find_opt pre edges) ~default:[])
+          in
+          go seen pre rest
+    in
+    go (SSet.add name seen) "" (String.split_on_char '.' name)
+
+let dead_export_pass st ~test_hooks out =
+  (* value -> (unit, under test/) for every unit that names it *)
+  let users =
+    List.fold_left
+      (fun acc (u, in_test, names) ->
+        SSet.fold
+          (fun n acc ->
+            SSet.fold
+              (fun d acc ->
+                SMap.add d
+                  ((u, in_test) :: Option.value (SMap.find_opt d acc) ~default:[])
+                  acc)
+              (denotations st.edges SSet.empty n)
+              acc)
+          names acc)
+      SMap.empty st.unit_uses
+  in
+  List.iter
+    (fun x ->
+      let others =
+        List.filter
+          (fun (u, _) -> not (String.equal u x.x_unit))
+          (Option.value (SMap.find_opt x.x_name users) ~default:[])
+      in
+      let report msg =
+        out := mkf ~rule:"dead-export" ~file:x.x_file x.x_loc msg :: !out
+      in
+      let q s = "`" ^ s ^ "`" in
+      match
+        ( List.find_opt (fun (_, in_test) -> not in_test) others,
+          List.find_opt snd others,
+          SSet.mem x.x_name test_hooks )
+      with
+      | Some (u, _), _, true ->
+          report
+            (q x.x_name ^ " has a test-hook entry but " ^ q u
+           ^ " uses it outside test/; delete the entry in \
+              tools/analyze/sanctions.sexp")
+      | Some _, _, false | None, Some _, true -> ()
+      | None, Some (u, _), false ->
+          report
+            (q x.x_name ^ " is used only by test/ (" ^ q u
+           ^ "); delete it, or name it in a (test-hook ...) entry with a \
+              reason in tools/analyze/sanctions.sexp")
+      | None, None, _ ->
+          report
+            (q x.x_name
+           ^ " is exported but no other unit uses it; delete it, or drop it \
+              from the interface if its own module uses it"))
+    st.exports
+
+(* ------------------------------------------------------------------ *)
 (* Driver                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -1649,7 +1833,7 @@ let discover_cmts ~root =
     (fun base ->
       List.iter
         (fun dir -> walk_fs (Filename.concat base dir))
-        [ "lib"; "bin"; "bench"; "test"; "tools" ])
+        [ "lib"; "bin"; "bench"; "test"; "tools"; "examples"; "perfbench" ])
     [ Filename.concat root "_build/default"; root ];
   List.sort String.compare !out
 
@@ -1736,6 +1920,9 @@ let analyze ?sanctions ?hotpaths ?(rel_of = Fun.id) ~root ~cmt_paths () =
       pre_findings = [];
       known = SSet.empty;
       hot = SSet.of_list hotpaths;
+      edges = SMap.empty;
+      exports = [];
+      unit_uses = [];
     }
   in
   List.iter (fun p -> load_unit st ~root ~rel_of p) cmt_paths;
@@ -1751,11 +1938,23 @@ let analyze ?sanctions ?hotpaths ?(rel_of = Fun.id) ~root ~cmt_paths () =
       names
   in
   check_registry "hotpaths.sexp" hotpaths;
-  check_registry "sanctions.sexp" (List.map (fun s -> s.s_name) sanctions);
+  check_registry "sanctions.sexp"
+    (List.filter_map
+       (fun s -> if s.s_kind = Test_hook then None else Some s.s_name)
+       sanctions);
+  let test_hooks = pick Test_hook in
+  let exported = SSet.of_list (List.map (fun x -> x.x_name) st.exports) in
+  SSet.iter
+    (fun n ->
+      if not (SSet.mem n exported) then
+        Error.invalid_input ~where:"archpred-analyze"
+          ("test-hook `" ^ n ^ "` names no lib/ export; fix tools/analyze/sanctions.sexp"))
+    test_hooks;
   fixpoint st ~race_barriers ~purity_barriers;
   let out = ref st.pre_findings in
   race_pass st ~race_barriers ~race_globals out;
   purity_pass st ~purity_barriers ~rel_of out;
+  dead_export_pass st ~test_hooks out;
   let filtered = apply_pragmas st.pragmas !out in
   List.sort_uniq compare_finding filtered
 

@@ -14,12 +14,10 @@
     - {b domain-race} — top-level mutable state (refs, [Hashtbl],
       [Buffer], [Atomic], bigarrays, mutable record fields) that is
       transitively reachable {i and mutated} from a closure handed to
-      [Stats.Parallel.{map,init,map_reduce,map_fallible}] (the
-      serve_net daemon's sliced dispatch goes through the same entry
-      points).  Per-domain observability counters and other
-      deliberately concurrent state are declared in a sanctions
-      registry ([tools/analyze/sanctions.sexp]) rather than silenced
-      inline.
+      [Stats.Parallel.{map,init,map_reduce,map_fallible}].  Per-domain
+      observability counters and other deliberately concurrent state
+      are declared in a sanctions registry
+      ([tools/analyze/sanctions.sexp]) rather than silenced inline.
     - {b hot-alloc} — functions named in a declarative manifest
       ([tools/analyze/hotpaths.sexp]) are checked for allocation sites:
       closure creation, tuple/record/constructor/array literals,
@@ -29,6 +27,14 @@
       [Unix] networking) are propagated through the call graph, so a
       function is flagged where it uses an effect its scope bans, or
       where it reaches one {i through a helper in another file}.
+
+    A fourth, {b dead-export}, reads every [lib/] interface (the [.cmi]
+    beside the [.cmti] an [.mli] compiles to) and the values each unit
+    names from its [.cmt], resolved through module aliases and includes: a value no other unit names is
+    reported, and so is one that only [test/] names, unless the registry
+    lists it as a [(test-hook Name "reason")].  [examples/] and
+    [perfbench/] are loaded as users only: they keep a value alive but
+    are never checked.
 
     The rest are file-local, one walk per unit: [poly-compare],
     [hashtbl-order], [exit], [unsafe-cast], [float-lit-eq],
@@ -83,6 +89,10 @@ type sanction_kind =
       (** A function whose transitive effects are contained (timestamps
           that annotate a metrics stream, a daemon's socket loop): the
           purity pass stops effect propagation at it. *)
+  | Test_hook
+      (** A [lib/] export that only tests use (a SIMD cap, a reference
+          oracle): dead-export accepts it, and reports the entry once a
+          unit outside [test/] uses the value. *)
 
 type sanction = { s_kind : sanction_kind; s_name : string; s_reason : string }
 
@@ -102,7 +112,8 @@ val load_hotpaths : path:string -> string list
 
 val discover_cmts : root:string -> string list
 (** All [.cmt] files for [lib/], [bin/], [bench/], [test/] and
-    [tools/] units, skipping [test/analyze_fixtures/], probing both
+    [tools/] units, and for the read-only users in [examples/] and
+    [perfbench/], skipping [test/analyze_fixtures/], probing both
     [root/_build/default] and [root] itself (so the tool works from the
     repo root and from inside the build context).  Deterministic
     order. *)
@@ -121,7 +132,8 @@ val analyze :
     recorded source no longer exists under [root] is skipped).
     [sanctions]/[hotpaths] default to loading the registry files under
     [root/tools/analyze/]; every entry of either must name a top-level
-    function or value of a loaded unit.  [rel_of] (default identity)
+    function or value of a loaded unit, and a test-hook entry a [lib/]
+    export.  [rel_of] (default identity)
     maps a unit's recorded source path to the repo-relative path whose
     scope and module sanctions it is judged by; tests use it to place a
     fixture under [lib/].  Findings keep the recorded path and are

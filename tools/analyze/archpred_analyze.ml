@@ -17,8 +17,9 @@ module Analyze = Analyze_engine.Analyze
 let usage =
   "usage: archpred_analyze [--root DIR] [--json] [--rules]\n\
    Loads every lib/ bin/ bench/ test/ tools/ .cmt under --root (default .),\n\
-   probing both ROOT/_build/default and ROOT itself, and runs the\n\
-   domain-race, hot-alloc and purity passes and the file-local checks.\n\
+   and those of examples/ and perfbench/ as users of lib/ only, probing\n\
+   both ROOT/_build/default and ROOT itself, and runs the domain-race,\n\
+   hot-alloc, purity and dead-export passes and the file-local checks.\n\
    Registries live in tools/analyze/ (sanctions.sexp, hotpaths.sexp).\n\
    --rules prints the rule table."
 

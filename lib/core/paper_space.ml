@@ -50,13 +50,14 @@ let test_hi =
       float_of_int (kb 64); float_of_int (kb 64); 1.;
     |]
 
-let config_of_values ?cache_policy v =
+let to_config point =
+  let v = Design.Space.decode space point in
   let pipe_depth = int_of_float v.(0) in
   let rob_size = int_of_float v.(1) in
   let ratio_size ratio =
     max 4 (min rob_size (int_of_float (Float.round (ratio *. float_of_int rob_size))))
   in
-  Config.make ?cache_policy ~pipe_depth ~rob_size
+  Config.make ~pipe_depth ~rob_size
     ~iq_size:(ratio_size v.(2))
     ~lsq_size:(ratio_size v.(3))
     ~l2_size:(int_of_float v.(4))
@@ -66,38 +67,5 @@ let config_of_values ?cache_policy v =
     ~dl1_latency:(int_of_float v.(8))
     ()
 
-let to_config point = config_of_values (Design.Space.decode space point)
-
 let test_points rng ~n =
   Design.Random_design.sample_in_box rng space ~n ~lo:test_lo ~hi:test_hi
-
-(* --- the extended ten-axis space ---------------------------------- *)
-
-(* The paper's nine parameters plus the cache-replacement policy as a
-   categorical axis: four levels decode, in the fixed order of
-   [Cache.Policy.all], to LRU, Tree-PLRU, QLRU and MRU across the whole
-   hierarchy.  The 9-D Table 1 space stays untouched so every seeded
-   paper reproduction is unchanged; the extended space is opt-in. *)
-
-module Cache = Archpred_sim.Cache
-
-let policy_parameter =
-  Design.Parameter.make "cache_policy" ~lo:0. ~hi:3. ~levels:(Design.Parameter.Fixed 4)
-    ~integer:true
-
-let extended_parameters = parameters @ [ policy_parameter ]
-let extended_space = Design.Space.create extended_parameters
-
-let extended_param_names =
-  Array.of_list
-    (List.map (fun (p : Design.Parameter.t) -> p.name) extended_parameters)
-
-let extended_dim = Design.Space.dimension extended_space
-
-let policy_of_level v =
-  let i = int_of_float v in
-  Cache.Policy.all.(max 0 (min (Array.length Cache.Policy.all - 1) i))
-
-let to_config_extended point =
-  let v = Design.Space.decode extended_space point in
-  config_of_values ~cache_policy:(policy_of_level v.(9)) v

@@ -31,26 +31,3 @@ val test_points :
 (** Independently random test points inside the Table 2 box (section 3:
     "fifty such design points within a more restricted parameter
     space"). *)
-
-(** {1 The extended ten-axis space}
-
-    The paper's nine parameters plus the cache-replacement policy as a
-    four-level categorical axis.  The 9-D {!space} is unchanged (every
-    seeded paper reproduction keeps its numbers); the extended space is
-    an opt-in scenario axis for sensitivity studies. *)
-
-val extended_space : Archpred_design.Space.t
-(** {!space} with a tenth dimension, [cache_policy]: four integer levels
-    decoding, in the order of [Archpred_sim.Cache.Policy.all], to LRU,
-    Tree-PLRU, QLRU and MRU across IL1, DL1 and L2. *)
-
-val extended_param_names : string array
-(** The ten names, in dimension order. *)
-
-val extended_dim : int
-(** 10. *)
-
-val to_config_extended :
-  Archpred_design.Space.point -> Archpred_sim.Config.t
-(** Decode a normalised 10-D point: the first nine axes as {!to_config},
-    the tenth selecting the replacement policy. *)

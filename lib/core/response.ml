@@ -78,7 +78,7 @@ let metric_to_string = function
   | Energy_delay_product -> "edp"
 
 let simulator_metric ?(obs = Archpred_obs.null) ?(trace_length = 100_000)
-    ?(seed = 42) ?(to_config = Paper_space.to_config) ~metric
+    ?(seed = 42) ~metric
     (profile : Archpred_workloads.Profile.t) =
   let trace =
     Archpred_workloads.Generator.generate ~seed profile ~length:trace_length
@@ -121,12 +121,14 @@ let simulator_metric ?(obs = Archpred_obs.null) ?(trace_length = 100_000)
   in
   (* One engine for both paths: a single point is a batch of one, run on
      the calling domain. *)
-  let raw p = (simulate ~domains:1 [| to_config p |]).(0) in
-  let raw_many ?domains ps = simulate ?domains (Array.map to_config ps) in
+  let raw p = (simulate ~domains:1 [| Paper_space.to_config p |]).(0) in
+  let raw_many ?domains ps =
+    simulate ?domains (Array.map Paper_space.to_config ps)
+  in
   memoized ~many:raw_many (profile.name ^ ":" ^ metric_to_string metric) raw
 
-let simulator ?obs ?trace_length ?seed ?to_config profile =
-  simulator_metric ?obs ?trace_length ?seed ?to_config ~metric:Cpi profile
+let simulator ?obs ?trace_length ?seed profile =
+  simulator_metric ?obs ?trace_length ?seed ~metric:Cpi profile
 
 let evaluate_many ?domains t points =
   match t.eval_many with

@@ -21,23 +21,18 @@ val simulator :
   ?obs:Archpred_obs.t ->
   ?trace_length:int ->
   ?seed:int ->
-  ?to_config:(Archpred_design.Space.point -> Archpred_sim.Config.t) ->
   Archpred_workloads.Profile.t ->
   t
-(** CPI of the benchmark's synthetic trace, simulated at the decoded
-    configuration of each design point.  The trace is generated once
-    (default 100_000 instructions) and reused at every design point, as a
-    trace-driven simulator would.  Results are memoised per point; each
+(** CPI of the benchmark's synthetic trace, simulated at each design
+    point's {!Paper_space.to_config} configuration.  The trace is
+    generated once (default 100_000 instructions) and reused at every
+    design point, as a trace-driven simulator would.  Results are memoised per point; each
     cache miss bumps the ["sim.runs"] and ["sim.instructions"] counters on
     [obs] (domain-safe — evaluation happens on worker domains).
 
     The response carries a batched evaluator built on {!Archpred_sim.Batch}:
     {!evaluate_many} decodes the trace once and fans un-memoised points out
-    across configurations (bit-identical to the pointwise path).
-
-    [to_config] decodes points into simulator configurations (default
-    {!Paper_space.to_config}); pass {!Paper_space.to_config_extended} to
-    train over the ten-axis space with the cache-policy dimension. *)
+    across configurations (bit-identical to the pointwise path). *)
 
 type metric = Cpi | Energy_per_instruction | Energy_delay_product
 (** Simulated response metrics.  The paper's conclusion points at power as
@@ -50,7 +45,6 @@ val simulator_metric :
   ?obs:Archpred_obs.t ->
   ?trace_length:int ->
   ?seed:int ->
-  ?to_config:(Archpred_design.Space.point -> Archpred_sim.Config.t) ->
   metric:metric ->
   Archpred_workloads.Profile.t ->
   t

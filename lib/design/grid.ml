@@ -2,28 +2,6 @@ let coordinate ~steps i =
   if steps < 2 then invalid_arg "Grid: steps < 2";
   float_of_int i /. float_of_int (steps - 1)
 
-let full_factorial space ~levels_per_dim =
-  if levels_per_dim < 2 then invalid_arg "Grid.full_factorial: levels < 2";
-  let d = Space.dimension space in
-  let total = int_of_float (float_of_int levels_per_dim ** float_of_int d) in
-  Array.init total (fun idx ->
-      let point = Array.make d 0. in
-      let rest = ref idx in
-      for k = 0 to d - 1 do
-        point.(k) <- coordinate ~steps:levels_per_dim (!rest mod levels_per_dim);
-        rest := !rest / levels_per_dim
-      done;
-      point)
-
-let sweep1 space ~base ~dim ~steps =
-  Space.validate_point space base;
-  if dim < 0 || dim >= Space.dimension space then
-    invalid_arg "Grid.sweep1: bad dimension";
-  Array.init steps (fun i ->
-      let p = Array.copy base in
-      p.(dim) <- coordinate ~steps i;
-      p)
-
 let sweep2 space ~base ~dim1 ~steps1 ~dim2 ~steps2 =
   Space.validate_point space base;
   let d = Space.dimension space in

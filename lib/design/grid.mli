@@ -1,18 +1,8 @@
-(** Factorial grids and axis sweeps.
+(** Two-axis sweeps.
 
-    Response-surface figures in the paper (Figure 1, Figure 6) sweep one or
-    two parameters over a grid while holding the others fixed; these
-    helpers build the corresponding point sets. *)
-
-val full_factorial : Space.t -> levels_per_dim:int -> Space.point array
-(** All combinations of [levels_per_dim] equally spaced settings per
-    dimension.  The size grows as [levels_per_dim ^ dimension]; intended
-    for small spaces or coarse grids. Requires [levels_per_dim >= 2]. *)
-
-val sweep1 :
-  Space.t -> base:Space.point -> dim:int -> steps:int -> Space.point array
-(** Vary dimension [dim] over [steps] equally spaced settings in [0, 1],
-    all other coordinates fixed at [base]. *)
+    Response-surface figures in the paper (Figure 1, Figure 6) sweep two
+    parameters over a grid while holding the others fixed; [sweep2]
+    builds the corresponding point set. *)
 
 val sweep2 :
   Space.t ->

@@ -13,7 +13,6 @@ let init rows cols f =
   done;
   m
 
-let identity n = init n n (fun i j -> if i = j then 1. else 0.)
 let rows m = m.rows
 let cols m = m.cols
 let data m = m.data
@@ -22,21 +21,6 @@ let get m i j =
   if i < 0 || i >= m.rows || j < 0 || j >= m.cols then
     invalid_arg "Matrix.get: out of bounds";
   Array.unsafe_get m.data ((i * m.cols) + j)
-
-let set m i j v =
-  if i < 0 || i >= m.rows || j < 0 || j >= m.cols then
-    invalid_arg "Matrix.set: out of bounds";
-  Array.unsafe_set m.data ((i * m.cols) + j) v
-
-let copy m = { m with data = Array.copy m.data }
-
-let col m j = Array.init m.rows (fun i -> get m i j)
-
-let set_col m j v =
-  if Array.length v <> m.rows then invalid_arg "Matrix.set_col: bad length";
-  for i = 0 to m.rows - 1 do
-    set m i j v.(i)
-  done
 
 let transpose m = init m.cols m.rows (fun i j -> get m j i)
 

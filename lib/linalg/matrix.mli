@@ -13,7 +13,6 @@ val create : int -> int -> t
 val init : int -> int -> (int -> int -> float) -> t
 (** [init rows cols f] fills entry [(i, j)] with [f i j]. *)
 
-val identity : int -> t
 val rows : t -> int
 val cols : t -> int
 
@@ -22,11 +21,6 @@ val data : t -> float array
     [i * cols m + j].  For kernels that read a matrix in place. *)
 
 val get : t -> int -> int -> float
-val set : t -> int -> int -> float -> unit
-val copy : t -> t
-
-val col : t -> int -> Vector.t
-val set_col : t -> int -> Vector.t -> unit
 val transpose : t -> t
 val mul : t -> t -> t
 val mul_vec : t -> Vector.t -> Vector.t

@@ -286,8 +286,7 @@ let stream_of p ~warm bcfg =
 (* [simulate_stub plan mis params out] runs one config in batch_stubs.c
    with the runtime released, fills [out] with the [r_*] counters and
    returns a status: 0 done, 1 over the cycle limit (at [out.(r_cycles)]),
-   2 out of memory, 3 a replacement scan off the end of its array (the
-   reference's bounds failure). *)
+   2 out of memory. *)
 external simulate_stub : plan -> bytes_ba -> int array -> int array -> int
   = "archpred_batch_simulate"
 
@@ -320,12 +319,6 @@ let r_count = 21
 let log2 n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
   go 0 n
-
-let policy_code = function
-  | Cache.Policy.Lru -> 0
-  | Cache.Policy.Tree_plru -> 1
-  | Cache.Policy.Qlru -> 2
-  | Cache.Policy.Mru -> 3
 
 (* What [Fu_pool] says about its classes, in [Fu_pool.all_classes]
    order, and the class of each opcode ([Opcode.to_int]-indexed, -1 for
@@ -361,6 +354,9 @@ let params cfg ~max_cycles ~warm =
   if Array.exists (fun l -> l < 1) latencies then
     invalid_arg "Batch.run_plan: functional-unit latency < 1";
   if dram.Dram.banks < 1 then invalid_arg "Batch.run_plan: DRAM banks < 1";
+  (* The engine picks a bank by masking with [banks - 1]. *)
+  if dram.Dram.banks land (dram.Dram.banks - 1) <> 0 then
+    invalid_arg "Batch.run_plan: DRAM banks not a power of two";
   Array.concat
     [
       [|
@@ -382,7 +378,6 @@ let params cfg ~max_cycles ~warm =
         sets l2;
         l2.Cache.associativity;
         l2.Cache.latency;
-        policy_code cfg.Config.cache_policy;
         Bool.to_int cfg.Config.l2_prefetch;
         dram.Dram.base_latency;
         dram.Dram.banks;
@@ -414,8 +409,7 @@ let simulate p params ~(stream : bp_stream) =
   (match simulate_stub p stream.mis params out with
   | 0 -> ()
   | 1 -> raise (Cycle_limit_exceeded out.(r_cycles))
-  | 2 -> raise Out_of_memory
-  | _ -> invalid_arg "index out of bounds");
+  | _ -> raise Out_of_memory);
   let n = p.n in
   let cycles = out.(r_cycles) in
   let cyclesf = float_of_int (Int.max 1 cycles) in

@@ -3,8 +3,7 @@
  * One call runs one configuration against a decoded plan: the cache
  * warm-up, then the event-driven cycle loop of batch.ml's design notes
  * (candidate-list issue, deferred wakeups, the quiet-cycle jump), over
- * the L1I/L1D/L2 caches with all four replacement policies, the
- * next-line L2 prefetch, and the DRAM banks and bus.  It returns integer
+ * the L1I/L1D/L2 LRU caches, the next-line L2 prefetch, and the DRAM banks and bus.  It returns integer
  * counters only; every float of [Batch.result] is computed from them
  * in OCaml, with the reference's expressions.
  *
@@ -21,9 +20,8 @@
  * Batch.trim empties the pool.  Between runs every
  * cache array is all zero: an invalid tag is stored as 0 (a valid one as
  * tag + 1), and each line that turns valid is logged, so the end of a
- * run clears just the lines it filled (with their ages and their sets'
- * tree bits: a nonzero age or tree only ever belongs to a valid line or
- * its set) instead of refilling the whole L2.
+ * run clears just the lines it filled (with their ages: a nonzero age
+ * only ever belongs to a valid line) instead of refilling the whole L2.
  *
  * OCaml ints are 63 bits wide; addresses are reduced modulo 2^63 before
  * any shift, which is what [lsr] does, so tags, sets and banks match. */
@@ -47,9 +45,6 @@
 enum { OP_LOAD = 6, OP_STORE = 7, OP_BRANCH = 8, OP_JUMP = 9, OP_NOP = 10 };
 #define OP_MASK 15
 #define TAKEN_BIT 16
-
-/* Cache.Policy, in the order of batch.ml's [policy_code]. */
-enum { LRU = 0, TREE_PLRU = 1, QLRU = 2, MRU = 3 };
 
 /* Functional-unit classes (Fu_pool.all_classes) and opcodes.  Which
    class serves which opcode, which classes are pipelined and which is
@@ -77,7 +72,6 @@ enum {
   P_L2_SETS,
   P_L2_WAYS,
   P_L2_LAT,
-  P_POLICY,
   P_PREFETCH,
   P_DRAM_BASE,
   P_DRAM_BANKS,
@@ -120,7 +114,7 @@ enum {
 };
 
 /* Run status, decoded by batch.ml. */
-enum { ST_OK, ST_CYCLE_LIMIT, ST_NO_MEMORY, ST_OUT_OF_BOUNDS };
+enum { ST_OK, ST_CYCLE_LIMIT, ST_NO_MEMORY };
 
 /* ------------------------------------------------------------------ */
 /* Caches (cache.ml)                                                  */
@@ -128,30 +122,25 @@ enum { ST_OK, ST_CYCLE_LIMIT, ST_NO_MEMORY, ST_OUT_OF_BOUNDS };
 
 typedef struct {
   uint64_t *tags;  /* set * ways + way; tag + 1, 0 = invalid */
-  uint64_t *age;   /* per-line recency state, as Cache.age */
-  uint64_t *tree;  /* tree-plru bits per set */
+  uint64_t *age;   /* per-line LRU stamp, as Cache.age */
   uint32_t *filled; /* lines turned valid this run, to clear at the end */
-  void *block;      /* one mapping holding the four arrays above */
-  size_t block_bytes, cap_lines, cap_sets, n_filled;
-  uint64_t sets, ways, mask, lines;
-  int pow2, shift, policy;
+  void *block;      /* one mapping holding the three arrays above */
+  size_t block_bytes, cap_lines, n_filled;
+  uint64_t sets, ways, mask;
+  int pow2, shift;
   long latency;
   uint64_t clock;
   long accesses, misses;
-  int *fault; /* set when a scan runs off the array, as OCaml would raise */
 } cache_t;
 
 /* The cache's arrays live in one private anonymous mapping: zero when
    mapped, resident only where a run touches them, and returned to the
    system whole when a larger config replaces it. */
 static int cache_setup(cache_t *c, long sets, long ways, int shift,
-                       long latency, int policy, int *fault) {
+                       long latency) {
   size_t lines = (size_t)sets * (size_t)ways;
-  if (lines > c->cap_lines || (size_t)sets > c->cap_sets) {
-    size_t nl = lines > c->cap_lines ? lines : c->cap_lines;
-    size_t ns = (size_t)sets > c->cap_sets ? (size_t)sets : c->cap_sets;
-    size_t bytes = nl * (2 * sizeof(uint64_t) + sizeof(uint32_t)) +
-                   ns * sizeof(uint64_t);
+  if (lines > c->cap_lines) {
+    size_t bytes = lines * (2 * sizeof(uint64_t) + sizeof(uint32_t));
     void *b = mmap(NULL, bytes, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     if (b == MAP_FAILED) return 0;
@@ -159,36 +148,29 @@ static int cache_setup(cache_t *c, long sets, long ways, int shift,
     c->block = b;
     c->block_bytes = bytes;
     c->tags = b;
-    c->age = c->tags + nl;
-    c->tree = c->age + nl;
-    c->filled = (uint32_t *)(c->tree + ns);
-    c->cap_lines = nl;
-    c->cap_sets = ns;
+    c->age = c->tags + lines;
+    c->filled = (uint32_t *)(c->age + lines);
+    c->cap_lines = lines;
   }
   c->n_filled = 0;
   c->sets = (uint64_t)sets;
   c->ways = (uint64_t)ways;
-  c->lines = lines;
   c->pow2 = (sets & (sets - 1)) == 0;
   c->mask = (uint64_t)sets - 1;
   c->shift = shift;
   c->latency = latency;
-  c->policy = policy;
   c->clock = 0;
   c->accesses = 0;
   c->misses = 0;
-  c->fault = fault;
   return 1;
 }
 
-/* Back to all zero: every line filled this run, with its age and its
-   set's tree bits. */
+/* Back to all zero: every line filled this run, with its age. */
 static void cache_clear(cache_t *c) {
   for (size_t k = 0; k < c->n_filled; k++) {
     uint32_t x = c->filled[k];
     c->tags[x] = 0;
     c->age[x] = 0;
-    c->tree[x / c->ways] = 0;
   }
   c->n_filled = 0;
 }
@@ -198,76 +180,6 @@ static inline void cache_fill(cache_t *c, uint64_t x, uint64_t key) {
      logged at most once and the log fits in [lines] entries. */
   if (c->tags[x] == 0) c->filled[c->n_filled++] = (uint32_t)x;
   c->tags[x] = key;
-}
-
-/* Leftmost line from [base] whose age equals [want] (Cache.age_scan).
-   The OCaml scan is unbounded within the whole array, so a scan that
-   leaves the set continues into the next sets, and one that leaves the
-   array is the reference's Invalid_argument. */
-static inline uint64_t age_scan(cache_t *c, uint64_t base, uint64_t want) {
-  for (uint64_t x = base; x < c->lines; x++)
-    if (c->age[x] == want) return x - base;
-  *c->fault = 1;
-  return 0;
-}
-
-static inline long first_invalid(const cache_t *c, uint64_t base) {
-  for (uint64_t w = 0; w < c->ways; w++)
-    if (c->tags[base + w] == 0) return (long)w;
-  return -1;
-}
-
-static void tree_touch(cache_t *c, uint64_t set, uint64_t w) {
-  uint64_t bits = c->tree[set];
-  uint64_t node = 1, lo = 0, span = c->ways;
-  while (span > 1) {
-    uint64_t half = span / 2;
-    if (w - lo < half) {
-      bits |= 1ULL << node;
-      node = 2 * node;
-    } else {
-      bits &= ~(1ULL << node);
-      lo += half;
-      node = 2 * node + 1;
-    }
-    span = half;
-  }
-  c->tree[set] = bits;
-}
-
-static uint64_t tree_victim(const cache_t *c, uint64_t set) {
-  uint64_t bits = c->tree[set];
-  uint64_t node = 1, lo = 0, span = c->ways;
-  while (span > 1) {
-    uint64_t half = span / 2;
-    if ((bits & (1ULL << node)) == 0)
-      node = 2 * node;
-    else {
-      lo += half;
-      node = 2 * node + 1;
-    }
-    span = half;
-  }
-  return lo;
-}
-
-static uint64_t qlru_victim(cache_t *c, uint64_t base) {
-  uint64_t max_age = 0;
-  for (uint64_t w = 0; w < c->ways; w++)
-    if (c->age[base + w] > max_age) max_age = c->age[base + w];
-  if (max_age < 3) {
-    uint64_t bump = 3 - max_age;
-    for (uint64_t w = 0; w < c->ways; w++) c->age[base + w] += bump;
-  }
-  return age_scan(c, base, 3);
-}
-
-static void mru_touch(cache_t *c, uint64_t base, uint64_t w) {
-  c->age[base + w] = 1;
-  for (uint64_t i = 0; i < c->ways; i++)
-    if (c->age[base + i] == 0) return;
-  memset(c->age + base, 0, c->ways * sizeof *c->age);
-  c->age[base + w] = 1;
 }
 
 static inline uint64_t set_of(const cache_t *c, uint64_t tag) {
@@ -289,61 +201,18 @@ static int cache_access(cache_t *c, intnat addr) {
      unpredictable early exit. */
   uint64_t w = ways;
   for (uint64_t i = 0; i < ways; i++) w = t[i] == key ? i : w;
-  int hit = w < ways;
-  switch (c->policy) {
-    case LRU:
-      if (hit) {
-        c->age[base + w] = c->clock;
-        return 1;
-      } else {
-        const uint64_t *a = c->age + base;
-        uint64_t v = 0;
-        for (uint64_t i = 1; i < ways; i++)
-          if (a[i] < a[v]) v = i;
-        c->misses++;
-        cache_fill(c, base + v, key);
-        c->age[base + v] = c->clock;
-        return 0;
-      }
-    case TREE_PLRU:
-      if (hit) {
-        tree_touch(c, set, w);
-        return 1;
-      } else {
-        long f = first_invalid(c, base);
-        uint64_t v = f >= 0 ? (uint64_t)f : tree_victim(c, set);
-        c->misses++;
-        cache_fill(c, base + v, key);
-        tree_touch(c, set, v);
-        return 0;
-      }
-    case QLRU:
-      if (hit) {
-        c->age[base + w] = 0;
-        return 1;
-      } else {
-        long f = first_invalid(c, base);
-        uint64_t v = f >= 0 ? (uint64_t)f : qlru_victim(c, base);
-        c->misses++;
-        if (*c->fault) return 0;
-        cache_fill(c, base + v, key);
-        c->age[base + v] = 1;
-        return 0;
-      }
-    default: /* MRU */
-      if (hit) {
-        mru_touch(c, base, w);
-        return 1;
-      } else {
-        long f = first_invalid(c, base);
-        uint64_t v = f >= 0 ? (uint64_t)f : age_scan(c, base, 0);
-        c->misses++;
-        if (*c->fault) return 0;
-        cache_fill(c, base + v, key);
-        mru_touch(c, base, v);
-        return 0;
-      }
+  if (w < ways) {
+    c->age[base + w] = c->clock;
+    return 1;
   }
+  const uint64_t *a = c->age + base;
+  uint64_t v = 0;
+  for (uint64_t i = 1; i < ways; i++)
+    if (a[i] < a[v]) v = i;
+  c->misses++;
+  cache_fill(c, base + v, key);
+  c->age[base + v] = c->clock;
+  return 0;
 }
 
 /* Cache.probe */
@@ -423,7 +292,6 @@ static inline void mem_store(memory_t *m, long cycle, intnat addr) {
 
 typedef struct {
   memory_t mem;
-  int fault;
   /* window slots, [slot_size] = the next power of two >= rob */
   long *slot_complete, *pend, *ready_t;
   size_t cap_slots;
@@ -531,7 +399,6 @@ static int run_config(engine_t *e, const streams_t *s, const long *p,
   const long n = s->n;
   const long rob = p[P_ROB];
   const int line_shift = (int)p[P_LINE_SHIFT];
-  const int policy = (int)p[P_POLICY];
   long slot_size = 1;
   while (slot_size < rob) slot_size *= 2;
   const long mask = slot_size - 1;
@@ -544,13 +411,12 @@ static int run_config(engine_t *e, const streams_t *s, const long *p,
   for (int c = 0; c < N_CLASSES; c++)
     if (!pipelined[c]) units += p[P_FU_COUNT + c];
 
-  e->fault = 0;
   if (!cache_setup(&m->il1, p[P_IL1_SETS], p[P_IL1_WAYS], line_shift,
-                   p[P_IL1_LAT], policy, &e->fault) ||
+                   p[P_IL1_LAT]) ||
       !cache_setup(&m->dl1, p[P_DL1_SETS], p[P_DL1_WAYS], line_shift,
-                   p[P_DL1_LAT], policy, &e->fault) ||
+                   p[P_DL1_LAT]) ||
       !cache_setup(&m->l2, p[P_L2_SETS], p[P_L2_WAYS], line_shift,
-                   p[P_L2_LAT], policy, &e->fault))
+                   p[P_L2_LAT]))
     return ST_NO_MEMORY;
   /* Capacities are committed only once every array of a group has
      grown, so a failed [realloc] is retried on the next run. */
@@ -682,10 +548,6 @@ static int run_config(engine_t *e, const streams_t *s, const long *p,
 
   while (committed < n) {
     const long now = cycle;
-    if (e->fault) {
-      status = ST_OUT_OF_BOUNDS;
-      break;
-    }
     if (now > max_cycles) {
       status = ST_CYCLE_LIMIT;
       break;
@@ -914,7 +776,6 @@ static int run_config(engine_t *e, const streams_t *s, const long *p,
     cycle = target;
   }
 #undef FU_ISSUE
-  if (status == ST_OK && e->fault) status = ST_OUT_OF_BOUNDS;
 
   r[R_CYCLES] = cycle;
   r[R_IL1_ACC] = m->il1.accesses;

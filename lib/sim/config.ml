@@ -17,7 +17,6 @@ type t = {
   l2_assoc : int;
   il1_latency : int;
   l2_prefetch : bool;
-  cache_policy : Cache.Policy.t;
   dram : Dram.config;
   branch : Branch_predictor.config;
   fu : Fu_pool.config;
@@ -43,7 +42,6 @@ let default =
     l2_assoc = 8;
     il1_latency = 1;
     l2_prefetch = false;
-    cache_policy = Cache.Policy.Lru;
     dram = Dram.default_config;
     branch = Branch_predictor.default_config;
     fu = Fu_pool.default_config;
@@ -69,24 +67,13 @@ let validate t =
   else if t.il1_size < t.line_bytes * t.il1_assoc then err "il1 too small"
   else if t.dl1_size < t.line_bytes * t.dl1_assoc then err "dl1 too small"
   else if t.l2_size < t.line_bytes * t.l2_assoc then err "l2 too small"
-  else if
-    (match t.cache_policy with
-    | Cache.Policy.Tree_plru -> true
-    | Cache.Policy.Lru | Cache.Policy.Qlru | Cache.Policy.Mru -> false)
-    && not
-         (List.for_all
-            (fun a -> a > 0 && a land (a - 1) = 0)
-            [ t.il1_assoc; t.dl1_assoc; t.l2_assoc ])
-  then err "tree-plru needs power-of-two associativities"
   else Ok ()
 
-let make ?(base = default) ?(cache_policy = base.cache_policy) ~pipe_depth
-    ~rob_size ~iq_size ~lsq_size ~l2_size ~l2_latency ~il1_size ~dl1_size
-    ~dl1_latency () =
+let make ?(base = default) ~pipe_depth ~rob_size ~iq_size ~lsq_size ~l2_size
+    ~l2_latency ~il1_size ~dl1_size ~dl1_latency () =
   let t =
     {
       base with
-      cache_policy;
       pipe_depth;
       rob_size;
       iq_size;
@@ -105,17 +92,17 @@ let make ?(base = default) ?(cache_policy = base.cache_policy) ~pipe_depth
   | Error msg -> invalid_arg ("Config.make: " ^ msg)
 
 let il1_config t =
-  Cache.config ~policy:t.cache_policy ~size_bytes:t.il1_size
+  Cache.config ~size_bytes:t.il1_size
     ~line_bytes:t.line_bytes ~associativity:t.il1_assoc ~latency:t.il1_latency
     ()
 
 let dl1_config t =
-  Cache.config ~policy:t.cache_policy ~size_bytes:t.dl1_size
+  Cache.config ~size_bytes:t.dl1_size
     ~line_bytes:t.line_bytes ~associativity:t.dl1_assoc ~latency:t.dl1_latency
     ()
 
 let l2_config t =
-  Cache.config ~policy:t.cache_policy ~size_bytes:t.l2_size
+  Cache.config ~size_bytes:t.l2_size
     ~line_bytes:t.line_bytes ~associativity:t.l2_assoc ~latency:t.l2_latency ()
 
 let pp ppf t =

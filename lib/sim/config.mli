@@ -27,9 +27,6 @@ type t = {
   l2_assoc : int;
   il1_latency : int;
   l2_prefetch : bool;  (** enable the L2 next-line prefetcher *)
-  cache_policy : Cache.Policy.t;
-      (** replacement policy shared by IL1, DL1 and L2 — the tenth
-          design-space axis of the extended space *)
   dram : Dram.config;
   branch : Branch_predictor.config;
   fu : Fu_pool.config;
@@ -41,7 +38,6 @@ val default : t
 
 val make :
   ?base:t ->
-  ?cache_policy:Cache.Policy.t ->
   pipe_depth:int ->
   rob_size:int ->
   iq_size:int ->

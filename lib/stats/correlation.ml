@@ -3,8 +3,8 @@ let check name xs ys =
     invalid_arg (name ^ ": length mismatch");
   if Array.length xs < 2 then invalid_arg (name ^ ": need at least 2 points")
 
+(* Pearson correlation of two checked samples; 0 if either is constant. *)
 let pearson xs ys =
-  check "Correlation.pearson" xs ys;
   let n = Array.length xs in
   let mx = Descriptive.mean xs and my = Descriptive.mean ys in
   let sxy = ref 0. and sxx = ref 0. and syy = ref 0. in
@@ -37,15 +37,3 @@ let ranks xs =
 let spearman xs ys =
   check "Correlation.spearman" xs ys;
   pearson (ranks xs) (ranks ys)
-
-let r_squared ~actual ~predicted =
-  check "Correlation.r_squared" actual predicted;
-  let my = Descriptive.mean actual in
-  let ss_res = ref 0. and ss_tot = ref 0. in
-  for i = 0 to Array.length actual - 1 do
-    let r = actual.(i) -. predicted.(i) and d = actual.(i) -. my in
-    ss_res := !ss_res +. (r *. r);
-    ss_tot := !ss_tot +. (d *. d)
-  done;
-  if Float.equal !ss_tot 0. then if Float.equal !ss_res 0. then 1. else neg_infinity
-  else 1. -. (!ss_res /. !ss_tot)

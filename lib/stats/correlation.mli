@@ -5,15 +5,8 @@
     absolute error is nonzero, because architects use the model to *order*
     candidate designs. *)
 
-val pearson : float array -> float array -> float
-(** Pearson product-moment correlation coefficient. Raises
-    [Invalid_argument] if the arrays differ in length or have fewer than two
-    elements. Returns [0.] if either sample is constant. *)
-
 val spearman : float array -> float array -> float
 (** Spearman rank correlation: Pearson correlation of the ranks, with ties
-    assigned their average rank. *)
-
-val r_squared : actual:float array -> predicted:float array -> float
-(** Coefficient of determination [1 - SS_res / SS_tot] of [predicted]
-    against [actual]. Can be negative for models worse than the mean. *)
+    assigned their average rank. Raises [Invalid_argument] if the arrays
+    differ in length or have fewer than two elements. Returns [0.] if
+    either sample is constant. *)

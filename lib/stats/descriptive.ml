@@ -33,10 +33,6 @@ let variance xs =
   let n = Array.length xs in
   if n < 2 then 0. else sse xs /. float_of_int (n - 1)
 
-let population_variance xs =
-  let n = Array.length xs in
-  if n = 0 then 0. else sse xs /. float_of_int n
-
 let std xs = sqrt (variance xs)
 
 let min xs =
@@ -46,16 +42,6 @@ let min xs =
 let max xs =
   check_nonempty "Descriptive.max" xs;
   Array.fold_left Stdlib.max xs.(0) xs
-
-let geometric_mean xs =
-  check_nonempty "Descriptive.geometric_mean" xs;
-  let acc = ref 0. in
-  Array.iter
-    (fun x ->
-      if x <= 0. then invalid_arg "Descriptive.geometric_mean: nonpositive";
-      acc := !acc +. log x)
-    xs;
-  exp (!acc /. float_of_int (Array.length xs))
 
 type summary = {
   n : int;

@@ -7,30 +7,12 @@
 val mean : float array -> float
 (** Arithmetic mean. Raises [Invalid_argument] on an empty array. *)
 
-val variance : float array -> float
-(** Unbiased sample variance (divides by [n - 1]); [0.] when [n < 2]. *)
-
-val population_variance : float array -> float
-(** Variance dividing by [n]. *)
-
 val std : float array -> float
-(** Unbiased sample standard deviation. *)
-
-val min : float array -> float
-(** Smallest element. Raises [Invalid_argument] on an empty array. *)
+(** Unbiased sample standard deviation (divides by [n - 1]); [0.] when
+    [n < 2]. *)
 
 val max : float array -> float
 (** Largest element. Raises [Invalid_argument] on an empty array. *)
-
-val sum : float array -> float
-(** Kahan-compensated sum. *)
-
-val sse : float array -> float
-(** Sum of squared deviations from the mean: [sum_i (x_i - mean)^2].
-    This is the impurity measure minimised by regression-tree splits. *)
-
-val geometric_mean : float array -> float
-(** Geometric mean; requires all elements positive. *)
 
 type summary = {
   n : int;

@@ -1,22 +1,3 @@
-let normal rng ~mean ~std =
-  (* Box-Muller; u1 must be nonzero for the log. *)
-  let rec nonzero () =
-    let u = Rng.unit_float rng in
-    if Float.equal u 0. then nonzero () else u
-  in
-  let u1 = nonzero () in
-  let u2 = Rng.unit_float rng in
-  let r = sqrt (-2. *. log u1) in
-  mean +. (std *. r *. cos (2. *. Float.pi *. u2))
-
-let exponential rng ~rate =
-  if rate <= 0. then invalid_arg "Distributions.exponential: rate <= 0";
-  let rec nonzero () =
-    let u = Rng.unit_float rng in
-    if Float.equal u 0. then nonzero () else u
-  in
-  -.log (nonzero ()) /. rate
-
 let geometric rng ~p =
   if p <= 0. || p > 1. then invalid_arg "Distributions.geometric: p not in (0,1]";
   if Float.equal p 1. then 0

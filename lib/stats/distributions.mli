@@ -2,16 +2,10 @@
     workload generator.
 
     The trace generator models dependency distances as geometric, memory
-    reuse distances as Zipf-like, and burst lengths as exponential; these
-    choices follow standard workload-characterisation practice and are what
-    lets the synthetic SPEC stand-ins stress the same microarchitectural
+    reuse distances as Zipf-like, and the instruction mix as a categorical
+    draw; these choices follow standard workload-characterisation practice
+    and are what lets the synthetic SPEC stand-ins stress the same microarchitectural
     structures as the originals. *)
-
-val normal : Rng.t -> mean:float -> std:float -> float
-(** Gaussian via the Box–Muller transform. *)
-
-val exponential : Rng.t -> rate:float -> float
-(** Exponential with rate [rate] (mean [1 /. rate]). Requires [rate > 0.]. *)
 
 val geometric : Rng.t -> p:float -> int
 (** Geometric number of failures before the first success, support

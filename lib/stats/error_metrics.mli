@@ -11,13 +11,9 @@ type t = {
   rmse : float;  (** root mean squared (absolute) error *)
 }
 
-val absolute_percentage_errors :
-  actual:float array -> predicted:float array -> float array
-(** Per-point values [100 * |predicted - actual| / |actual|]. Raises
-    [Invalid_argument] on length mismatch or an [actual] of exactly [0.]. *)
-
 val evaluate : actual:float array -> predicted:float array -> t
-(** All four metrics over a test set. *)
+(** All four metrics over a test set. Raises [Invalid_argument] on length
+    mismatch or an [actual] of exactly [0.]. *)
 
 val pp : Format.formatter -> t -> unit
 (** Render as [mean=.. std=.. max=.. rmse=..]. *)

@@ -124,14 +124,6 @@ let queue_depth () =
     d
   end
 
-(* Re-raise the first captured exception in task order, so the reported
-   failure does not depend on domain scheduling. *)
-let reraise_first failures =
-  Array.iter
-    (function
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ())
-    failures
-
 (* The lowest failing index of an [init] section, with its exception. *)
 type failure = { index : int; exn : exn; bt : Printexc.raw_backtrace }
 
@@ -233,43 +225,3 @@ let isolate ~retries f x =
 
 let map_fallible ?domains ?(retries = 0) f xs =
   map ?domains (isolate ~retries f) xs
-
-let map_reduce ?domains ~map:m ~combine xs =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Parallel.map_reduce: empty array";
-  let d = min (resolve domains) n in
-  if d = 1 then begin
-    let acc = ref (m xs.(0)) in
-    for i = 1 to n - 1 do
-      acc := combine !acc (m xs.(i))
-    done;
-    !acc
-  end
-  else begin
-    (* Contiguous chunks, reduced left-to-right; the [d] partials are then
-       combined in chunk order, so for a fixed domain count the result is
-       independent of scheduling. *)
-    let q = n / d and r = n mod d in
-    let partials = Array.make d None in
-    let failure = Array.make d None in
-    let task t () =
-      try
-        let lo = (t * q) + min t r in
-        let hi = lo + q + if t < r then 1 else 0 in
-        let acc = ref (m xs.(lo)) in
-        for i = lo + 1 to hi - 1 do
-          acc := combine !acc (m xs.(i))
-        done;
-        partials.(t) <- Some !acc
-      with
-      (* archpred-analyze: allow catchall-exn -- transported; reraise_first re-raises on the caller *)
-      | e -> failure.(t) <- Some (e, Printexc.get_raw_backtrace ())
-    in
-    Pool.run (Array.init d task);
-    reraise_first failure;
-    let acc = ref (Option.get partials.(0)) in
-    for t = 1 to d - 1 do
-      acc := combine !acc (Option.get partials.(t))
-    done;
-    !acc
-  end

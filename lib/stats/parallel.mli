@@ -69,15 +69,3 @@ val map_fallible :
     ["pool.task"] fault-injection site ({!Archpred_fault.Fault}); the
     {!retries_total} / {!failed_total} counters advance accordingly. *)
 
-val map_reduce :
-  ?domains:int ->
-  map:('a -> 'b) ->
-  combine:('b -> 'b -> 'b) ->
-  'a array ->
-  'b
-(** [map_reduce ~map ~combine xs] folds [combine] over [map x] for every
-    element.  Each task reduces a contiguous chunk left-to-right and the
-    partials are combined in chunk order, so the result is deterministic
-    for a fixed domain count — but, for non-associative operations such as
-    float addition, may differ across domain counts.  Raises
-    [Invalid_argument] on the empty array. *)

@@ -77,4 +77,3 @@ let unit_float t =
 
 let float t bound = unit_float t *. bound
 let bool t = Int64.compare (int64 t) 0L < 0
-let bernoulli t p = unit_float t < p

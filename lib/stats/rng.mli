@@ -37,6 +37,3 @@ val unit_float : t -> float
 
 val bool : t -> bool
 (** A fair coin flip. *)
-
-val bernoulli : t -> float -> bool
-(** [bernoulli t p] is [true] with probability [p]. *)

@@ -10,8 +10,3 @@ let permutation rng n =
   let xs = Array.init n (fun i -> i) in
   shuffle_in_place rng xs;
   xs
-
-let choose rng k n =
-  if k < 0 || k > n then invalid_arg "Sampling.choose: need 0 <= k <= n";
-  let xs = permutation rng n in
-  Array.sub xs 0 k

@@ -1,4 +1,4 @@
-(** Permutations and subset sampling.
+(** Random permutations.
 
     Latin hypercube sampling needs an independent random permutation of the
     level indices in every design-space dimension; these helpers provide
@@ -9,7 +9,3 @@ val shuffle_in_place : Rng.t -> 'a array -> unit
 
 val permutation : Rng.t -> int -> int array
 (** [permutation rng n] is a uniformly random permutation of [0 .. n-1]. *)
-
-val choose : Rng.t -> int -> int -> int array
-(** [choose rng k n] picks [k] distinct indices from [0 .. n-1], in random
-    order. Requires [0 <= k <= n]. *)

@@ -421,6 +421,49 @@ let test_read_only_users () =
         (names (dead_exports ~user ())))
     [ "examples/fx_export_user.ml"; "perfbench/fx_export_user.ml" ]
 
+(* --- partial builds --- *)
+
+(* A plain [dune build] leaves executables' .cmt unbuilt, and a sweep
+   without them would read the exports only they use as dead, so
+   discovery refuses it and names the first unbuilt unit. *)
+let test_partial_build_refused () =
+  let root = Filename.temp_file "archpred_analyze" "" in
+  Sys.remove root;
+  let byte = "_build/default/bin/.x.eobjs/byte" in
+  let dirs =
+    List.map (Filename.concat root)
+      [ "bin"; "_build"; "_build/default"; "_build/default/bin";
+        "_build/default/bin/.x.eobjs"; byte ]
+  in
+  let ml = Filename.concat root "bin/x.ml"
+  and cmt = Filename.concat root (byte ^ "/dune__exe__X.cmt") in
+  let touch path = Out_channel.with_open_text path ignore in
+  Sys.mkdir root 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun f -> if Sys.file_exists f then Sys.remove f)
+        [ ml; cmt ];
+      List.iter
+        (fun d -> if Sys.file_exists d then Sys.rmdir d)
+        (List.rev dirs);
+      Sys.rmdir root)
+    (fun () ->
+      Sys.mkdir (List.hd dirs) 0o755;
+      touch ml;
+      (match Analyze.discover_cmts ~root with
+      | _ -> Alcotest.fail "expected Invalid_input for a unit without a .cmt"
+      | exception Error.Archpred (Error.Invalid_input _ as e) ->
+          let msg = Error.to_string e in
+          Alcotest.(check bool) "names the unit" true
+            (contains ~sub:"bin/x.ml" msg);
+          Alcotest.(check bool) "says how to build it" true
+            (contains ~sub:"dune build @check" msg));
+      List.iter (fun d -> Sys.mkdir d 0o755) (List.tl dirs);
+      touch cmt;
+      Alcotest.(check (list string)) "the executable's .cmt completes it"
+        [ cmt ] (Analyze.discover_cmts ~root))
+
 (* --- pragma meta-rules --- *)
 
 let test_unused_pragma () =
@@ -590,6 +633,8 @@ let () =
           Alcotest.test_case "stale test-hook" `Quick test_test_hook_stale;
           Alcotest.test_case "examples and perfbench are users" `Quick
             test_read_only_users;
+          Alcotest.test_case "partial build refused" `Quick
+            test_partial_build_refused;
         ] );
       ( "engine",
         [

@@ -877,39 +877,6 @@ let test_train_domain_invariant () =
       (Predictor.predict b.Build.predictor p)
   done
 
-
-(* ---------- the extended ten-axis space ---------- *)
-
-let test_extended_space_axis () =
-  Alcotest.(check int) "ten parameters" 10 Paper_space.extended_dim;
-  Alcotest.(check int) "names" 10
-    (Array.length Paper_space.extended_param_names);
-  Alcotest.(check string) "tenth axis" "cache_policy"
-    Paper_space.extended_param_names.(9);
-  (* the first nine axes decode exactly as the 9-D space *)
-  let a = Paper_space.to_config_extended (Array.make 10 0.5) in
-  let b = Paper_space.to_config (Array.make 9 0.5) in
-  Alcotest.(check int) "rob matches 9-D decode" b.Sim.Config.rob_size
-    a.Sim.Config.rob_size;
-  Alcotest.(check int) "l2 matches 9-D decode" b.Sim.Config.l2_size
-    a.Sim.Config.l2_size;
-  (* the tenth axis walks every policy, in [Cache.Policy.all] order *)
-  let policy u =
-    let p = Array.make 10 0.5 in
-    p.(9) <- u;
-    Sim.Cache.Policy.to_string
-      (Paper_space.to_config_extended p).Sim.Config.cache_policy
-  in
-  Alcotest.(check (list string)) "all four policies"
-    [ "lru"; "tree-plru"; "qlru"; "mru" ]
-    (List.map policy [ 0.; 0.34; 0.67; 1. ])
-
-let prop_extended_points_give_valid_configs =
-  qtest "any 10-D point decodes to a valid config"
-    QCheck2.Gen.(array_size (return 10) (float_range 0. 1.))
-    (fun point ->
-      Sim.Config.validate (Paper_space.to_config_extended point) = Ok ())
-
 let test_config_sim_batch_validates () =
   let ok = Config.default |> Config.with_sim_batch 16 |> Config.validate in
   Alcotest.(check int) "accepted" 16 ok.Config.sim_batch;
@@ -949,33 +916,6 @@ let test_train_sim_batch_invariant () =
       (Predictor.predict b.Build.predictor p)
   done
 
-let test_extended_training_end_to_end () =
-  (* The policy axis is trainable: BuildRBFmodel over the 10-D space,
-     the simulator decoding the tenth axis into a replacement policy. *)
-  let response =
-    Response.simulator ~trace_length:800
-      ~to_config:Paper_space.to_config_extended
-      Archpred_workloads.Spec2000.mcf
-  in
-  let trained =
-    Build.train
-      ~config:
-        (Config.default
-        |> Config.with_rng (Rng.create 31)
-        |> Config.with_lhs_candidates 5
-        |> Config.with_p_min_grid [ 1 ]
-        |> Config.with_alpha_grid [ 7. ]
-        |> Config.with_sample_size 30)
-      ~space:Paper_space.extended_space ~response ()
-  in
-  let rng = Rng.create 4 in
-  for _ = 1 to 10 do
-    let p = Array.init 10 (fun _ -> Rng.unit_float rng) in
-    let v = Predictor.predict trained.Build.predictor p in
-    Alcotest.(check bool) "finite positive prediction" true
-      (Float.is_finite v && v > 0.)
-  done
-
 let test_persist_version_check () =
   let trained = trained_synthetic () in
   let text = Core.Persist.to_string trained.Build.predictor in
@@ -999,9 +939,6 @@ let () =
           Alcotest.test_case "test box in cube" `Quick test_test_box_inside_cube;
           prop_random_points_give_valid_configs;
           Alcotest.test_case "test points in box" `Quick test_test_points_in_box;
-          Alcotest.test_case "extended policy axis" `Quick
-            test_extended_space_axis;
-          prop_extended_points_give_valid_configs;
         ] );
       ( "response",
         [
@@ -1100,7 +1037,5 @@ let () =
       ( "integration",
         [
           Alcotest.test_case "simulator-backed model" `Slow test_end_to_end_simulator_model;
-          Alcotest.test_case "policy axis trainable" `Slow
-            test_extended_training_end_to_end;
         ] );
     ]

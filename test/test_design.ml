@@ -1,6 +1,6 @@
 (* Tests for archpred.design: transforms, parameters, spaces, latin
-   hypercube sampling, discrepancies, sample optimisation, grids and
-   Plackett-Burman designs. *)
+   hypercube sampling, discrepancies, sample optimisation, random designs,
+   grids and Sobol sequences. *)
 
 module Design = Archpred_design
 module Transform = Design.Transform
@@ -10,7 +10,6 @@ module Lhs = Design.Lhs
 module Discrepancy = Design.Discrepancy
 module Optimize = Design.Optimize
 module Grid = Design.Grid
-module Pb = Design.Plackett_burman
 module Rng = Archpred_stats.Rng
 
 let check_float ?(eps = 1e-9) msg expected actual =
@@ -536,21 +535,6 @@ let test_random_in_box () =
         Alcotest.fail "outside box")
     pts
 
-let test_full_factorial () =
-  let pts = Grid.full_factorial space2 ~levels_per_dim:3 in
-  Alcotest.(check int) "count" 9 (Array.length pts);
-  let distinct = Hashtbl.create 9 in
-  Array.iter (fun p -> Hashtbl.replace distinct (p.(0), p.(1)) ()) pts;
-  Alcotest.(check int) "all distinct" 9 (Hashtbl.length distinct)
-
-let test_sweep1 () =
-  let base = [| 0.5; 0.5 |] in
-  let pts = Grid.sweep1 space2 ~base ~dim:0 ~steps:5 in
-  Alcotest.(check int) "count" 5 (Array.length pts);
-  check_float "first" 0. pts.(0).(0);
-  check_float "last" 1. pts.(4).(0);
-  check_float "other dim fixed" 0.5 pts.(2).(1)
-
 let test_sweep2_shape () =
   let base = [| 0.5; 0.5 |] in
   let grid = Grid.sweep2 space2 ~base ~dim1:0 ~steps1:3 ~dim2:1 ~steps2:4 in
@@ -558,56 +542,6 @@ let test_sweep2_shape () =
   Alcotest.(check int) "cols" 4 (Array.length grid.(0));
   check_float "row coord" 0.5 grid.(1).(0).(0);
   check_float "col coord" 1. grid.(0).(3).(1)
-
-(* ---------- Plackett-Burman ---------- *)
-
-let test_pb_shape () =
-  let d = Pb.design ~runs:12 in
-  Alcotest.(check int) "runs" 12 (Array.length d);
-  Alcotest.(check int) "cols" 11 (Array.length d.(0))
-
-let test_pb_balance () =
-  (* each column has equal +1 and -1 *)
-  let d = Pb.design ~runs:12 in
-  for j = 0 to 10 do
-    let sum = Array.fold_left (fun acc row -> acc + row.(j)) 0 d in
-    Alcotest.(check int) "balanced column" 0 sum
-  done
-
-let test_pb_orthogonal () =
-  let d = Pb.design ~runs:12 in
-  for j = 0 to 10 do
-    for k = j + 1 to 10 do
-      let dot = Array.fold_left (fun acc row -> acc + (row.(j) * row.(k))) 0 d in
-      Alcotest.(check int) "orthogonal pair" 0 dot
-    done
-  done
-
-let test_pb_foldover () =
-  let d = Pb.design ~runs:12 in
-  let f = Pb.foldover d in
-  Alcotest.(check int) "doubled" 24 (Array.length f);
-  Alcotest.(check int) "mirrored" (-f.(12).(0)) f.(0).(0)
-
-let test_pb_unsupported () =
-  Alcotest.check_raises "unsupported"
-    (Invalid_argument
-       "Plackett_burman.design: supported run counts are 8, 12, 16, 20, 24")
-    (fun () -> ignore (Pb.design ~runs:10))
-
-let test_pb_main_effects () =
-  (* linear response 3*x0 - 2*x1 recovered as effect difference *)
-  let d = Pb.design ~runs:12 in
-  let responses =
-    Array.map
-      (fun row ->
-        (3. *. float_of_int row.(0)) -. (2. *. float_of_int row.(1)))
-      d
-  in
-  let effects = Pb.main_effects d responses 2 in
-  check_float ~eps:1e-9 "effect 0" 6. effects.(0);
-  check_float ~eps:1e-9 "effect 1" (-4.) effects.(1)
-
 
 (* ---------- Sobol ---------- *)
 
@@ -715,8 +649,6 @@ let () =
       ( "grids",
         [
           Alcotest.test_case "random in box" `Quick test_random_in_box;
-          Alcotest.test_case "full factorial" `Quick test_full_factorial;
-          Alcotest.test_case "sweep1" `Quick test_sweep1;
           Alcotest.test_case "sweep2" `Quick test_sweep2_shape;
         ] );
       ( "sobol",
@@ -727,14 +659,5 @@ let () =
           Alcotest.test_case "beats random" `Quick test_sobol_beats_random_discrepancy;
           Alcotest.test_case "distinct points" `Quick test_sobol_distinct_points;
           Alcotest.test_case "validation" `Quick test_sobol_validation;
-        ] );
-      ( "plackett_burman",
-        [
-          Alcotest.test_case "shape" `Quick test_pb_shape;
-          Alcotest.test_case "balance" `Quick test_pb_balance;
-          Alcotest.test_case "orthogonality" `Quick test_pb_orthogonal;
-          Alcotest.test_case "foldover" `Quick test_pb_foldover;
-          Alcotest.test_case "unsupported runs" `Quick test_pb_unsupported;
-          Alcotest.test_case "main effects" `Quick test_pb_main_effects;
         ] );
     ]

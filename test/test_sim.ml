@@ -99,8 +99,8 @@ let test_trace_validate_misaligned () =
 
 (* ---------- Cache ---------- *)
 
-let cache_cfg ?policy ?(size = 1024) ?(line = 64) ?(assoc = 2) ?(latency = 2) () =
-  Cache.config ?policy ~size_bytes:size ~line_bytes:line ~associativity:assoc
+let cache_cfg ?(size = 1024) ?(line = 64) ?(assoc = 2) ?(latency = 2) () =
+  Cache.config ~size_bytes:size ~line_bytes:line ~associativity:assoc
     ~latency ()
 
 let test_cache_cold_miss_then_hit () =
@@ -677,112 +677,15 @@ let test_tournament_not_worse () =
   (* the tournament should be at least roughly as good as bimodal alone *)
   Alcotest.(check bool) "tournament competitive" true (t >= b -. 0.03)
 
-(* ---------- Replacement policies: hand-computed hit/miss traces ---------- *)
-
-let test_policy_roundtrip () =
-  Array.iter
-    (fun p ->
-      Alcotest.(check bool) "roundtrip" true
-        (match Cache.Policy.of_string (Cache.Policy.to_string p) with
-        | Some q -> q = p
-        | None -> false))
-    Cache.Policy.all;
-  Alcotest.(check bool) "unknown rejected" true
-    (Cache.Policy.of_string "random" = None)
-
-let test_policy_tree_plru_needs_pow2 () =
-  Alcotest.check_raises "3-way tree"
-    (Invalid_argument "Cache.config: tree-plru needs power-of-two associativity")
-    (fun () ->
-      ignore
-        (Cache.config ~policy:Cache.Policy.Tree_plru ~size_bytes:(3 * 64)
-           ~line_bytes:64 ~associativity:3 ~latency:1 ()))
-
-(* Tree-PLRU, 4 ways, one set.  Fill A B C D, re-touch A, then miss E:
-   the decision tree points at way 2 (C), where true LRU would evict B. *)
-let test_policy_tree_plru_trace () =
-  let c =
-    Cache.create
-      (cache_cfg ~policy:Cache.Policy.Tree_plru ~size:(64 * 4) ~assoc:4 ())
-  in
-  let a, b, d, e = (0, 64, 192, 256) in
-  let cc = 128 in
-  List.iter (fun x -> ignore (Cache.access c x)) [ a; b; cc; d ];
-  Alcotest.(check bool) "A hits" true (Cache.access c a);
-  Alcotest.(check bool) "E misses" false (Cache.access c e);
-  Alcotest.(check bool) "C evicted" false (Cache.probe c cc);
-  Alcotest.(check bool) "A stays" true (Cache.probe c a);
-  Alcotest.(check bool) "B stays" true (Cache.probe c b);
-  Alcotest.(check bool) "D stays" true (Cache.probe c d);
-  (* next victim: root points left, left node points right -> way 1 (B) *)
-  Alcotest.(check bool) "F misses" false (Cache.access c 320);
-  Alcotest.(check bool) "B evicted" false (Cache.probe c b)
-
-(* QLRU, 2 ways, one set.  A B fill at age 1; hitting both promotes to
-   age 0; the miss on C ages both to 3 and evicts the *leftmost* (A),
-   where true LRU would evict B. *)
-let test_policy_qlru_trace () =
-  let qlru = cache_cfg ~policy:Cache.Policy.Qlru ~size:(64 * 2) ~assoc:2 in
-  let c = Cache.create (qlru ()) in
-  let a, b, e = (0, 64, 128) in
-  Alcotest.(check bool) "A cold" false (Cache.access c a);
-  Alcotest.(check bool) "B cold" false (Cache.access c b);
-  Alcotest.(check bool) "B hit" true (Cache.access c b);
-  Alcotest.(check bool) "A hit" true (Cache.access c a);
-  Alcotest.(check bool) "C miss" false (Cache.access c e);
-  Alcotest.(check bool) "A evicted (leftmost age 3)" false (Cache.probe c a);
-  Alcotest.(check bool) "B stays" true (Cache.probe c b);
-  (* same stream under LRU evicts B, not A *)
-  let l = Cache.create (cache_cfg ~size:(64 * 2) ~assoc:2 ()) in
-  List.iter (fun x -> ignore (Cache.access l x)) [ a; b; b; a; e ];
-  Alcotest.(check bool) "LRU keeps A" true (Cache.probe l a);
-  Alcotest.(check bool) "LRU evicts B" false (Cache.probe l b)
-
-(* QLRU insertion age: a freshly filled line (age 1) survives a miss
-   that evicts an aged line. *)
-let test_policy_qlru_insertion () =
-  let c =
-    Cache.create (cache_cfg ~policy:Cache.Policy.Qlru ~size:(64 * 2) ~assoc:2 ())
-  in
-  List.iter (fun x -> ignore (Cache.access c x)) [ 0; 64; 0 ];
-  (* ages: way0 (A) = 0, way1 (B) = 1; miss ages to 2/3: B evicted *)
-  Alcotest.(check bool) "C miss" false (Cache.access c 128);
-  Alcotest.(check bool) "B evicted" false (Cache.probe c 64);
-  Alcotest.(check bool) "A stays" true (Cache.probe c 0)
-
-(* MRU (bit-PLRU), 4 ways, one set.  Filling A B C D sets every MRU bit;
-   the global flip on D leaves only D's bit, so E evicts the leftmost
-   clear way (A); after touching B, F evicts C. *)
-let test_policy_mru_trace () =
-  let c =
-    Cache.create (cache_cfg ~policy:Cache.Policy.Mru ~size:(64 * 4) ~assoc:4 ())
-  in
-  let a, b, d, e = (0, 64, 192, 256) in
-  let cc = 128 in
-  List.iter (fun x -> ignore (Cache.access c x)) [ a; b; cc; d ];
-  Alcotest.(check bool) "E misses" false (Cache.access c e);
-  Alcotest.(check bool) "A evicted" false (Cache.probe c a);
-  Alcotest.(check bool) "B hit" true (Cache.access c b);
-  Alcotest.(check bool) "F misses" false (Cache.access c 320);
-  Alcotest.(check bool) "C evicted" false (Cache.probe c cc);
-  Alcotest.(check bool) "D stays" true (Cache.probe c d)
-
-let test_policy_default_is_lru () =
-  Alcotest.(check bool) "constructor default" true
-    ((cache_cfg ()).Cache.policy = Cache.Policy.Lru);
-  Alcotest.(check bool) "config default" true
-    (Config.default.Config.cache_policy = Cache.Policy.Lru)
-
 (* ---------- Batched multi-config simulation ---------- *)
 
 (* A deterministic spread of valid configs covering ROB/queue sizes,
-   pipe depths, cache geometries and all four replacement policies. *)
+   pipe depths and cache geometries. *)
 let batch_configs b salt =
   Array.init b (fun k ->
       let j = salt + (7 * k) in
       let rob = 16 + (8 * (j mod 9)) in
       Config.make
-        ~cache_policy:Cache.Policy.all.(j mod 4)
         ~pipe_depth:(7 + (j mod 12))
         ~rob_size:rob
         ~iq_size:(max 1 (rob / 2))
@@ -902,6 +805,7 @@ let test_batch_invalid_config () =
       ("negative unit count", { d with Config.fu = { fu with Fu.int_div = (-1, 20) } });
       ("zero unit latency", { d with Config.fu = { fu with Fu.int_alu = (4, 0) } });
       ("no dram bank", { d with Config.dram = { d.Config.dram with Dram.banks = 0 } });
+      ("12 dram banks", { d with Config.dram = { d.Config.dram with Dram.banks = 12 } });
       ("l2 not whole sets", { d with Config.l2_size = d.Config.l2_size + 64 });
     ]
 
@@ -1006,7 +910,6 @@ let table1_configs b salt =
       let rob = 24 + (j * 13 mod 105) in
       let cfg =
         Config.make
-          ~cache_policy:Cache.Policy.all.(j mod 4)
           ~pipe_depth:(7 + (j * 7 mod 18))
           ~rob_size:rob
           ~iq_size:(max 4 (rob * (1 + (j mod 3)) / 4))
@@ -1218,16 +1121,6 @@ let () =
           Alcotest.test_case "non-pow2 sets" `Quick test_cache_non_pow2_sets;
           Alcotest.test_case "invalidate" `Quick test_cache_invalidate;
           Alcotest.test_case "config validation" `Quick test_cache_config_invalid;
-        ] );
-      ( "cache_policy",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_policy_roundtrip;
-          Alcotest.test_case "tree-plru pow2 only" `Quick test_policy_tree_plru_needs_pow2;
-          Alcotest.test_case "tree-plru trace" `Quick test_policy_tree_plru_trace;
-          Alcotest.test_case "qlru trace" `Quick test_policy_qlru_trace;
-          Alcotest.test_case "qlru insertion age" `Quick test_policy_qlru_insertion;
-          Alcotest.test_case "mru trace" `Quick test_policy_mru_trace;
-          Alcotest.test_case "default is lru" `Quick test_policy_default_is_lru;
         ] );
       ( "batch",
         [

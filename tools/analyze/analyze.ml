@@ -7,7 +7,7 @@
 
    - domain-race: which top-level mutable values / which parameters each
      function mutates, propagated through calls; then every closure that
-     reaches Stats.Parallel.{map,init,map_reduce,map_fallible} is
+     reaches Stats.Parallel.{map,init,map_fallible} is
      checked for mutation of captured or global state.
    - hot-alloc: functions named in tools/analyze/hotpaths.sexp are
      checked for allocation sites (closures, tuples, records,
@@ -404,8 +404,7 @@ let raise_family =
 
 let entry_names =
   [
-    "Stats.Parallel.map"; "Stats.Parallel.init";
-    "Stats.Parallel.map_reduce"; "Stats.Parallel.map_fallible";
+    "Stats.Parallel.map"; "Stats.Parallel.init"; "Stats.Parallel.map_fallible";
   ]
 
 (* Effect seeds, as bitmasks. *)
@@ -1812,29 +1811,90 @@ let dead_export_pass st ~test_hooks out =
 (* Driver                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The module a .cmt compiles: dune names it [lib__Mod.cmt] in a wrapped
+   library and [dune__exe__Mod.cmt] in an executable. *)
+let cmt_module file =
+  let base = Filename.remove_extension file in
+  let rec from i =
+    if i < 1 then base
+    else if base.[i] = '_' && base.[i - 1] = '_' then
+      String.sub base (i + 1) (String.length base - i - 1)
+    else from (i - 1)
+  in
+  from (String.length base - 1)
+
+(* The first [.ml] under bin/, bench/ or test/ with no .cmt among
+   [built] ("dir/Module" keys), in sorted path order. *)
+let first_unbuilt ~root built =
+  let rec scan rel =
+    let dir = Filename.concat root rel in
+    if not (Sys.file_exists dir && Sys.is_directory dir) then None
+    else begin
+      let entries = Sys.readdir dir in
+      Array.sort String.compare entries;
+      Array.fold_left
+        (fun found ent ->
+          let r = Filename.concat rel ent in
+          match found with
+          | Some _ -> found
+          | None ->
+              if
+                starts_with ~prefix:"." ent
+                || String.equal ent "_build"
+                || String.equal ent "analyze_fixtures"
+              then None
+              else if Sys.is_directory (Filename.concat root r) then scan r
+              else if
+                Filename.check_suffix ent ".ml"
+                && not
+                     (SSet.mem
+                        (Filename.concat rel
+                           (String.capitalize_ascii
+                              (Filename.remove_extension ent)))
+                        built)
+              then Some r
+              else None)
+        None entries
+    end
+  in
+  List.find_map scan [ "bin"; "bench"; "test" ]
+
 let discover_cmts ~root =
-  let out = ref [] in
-  let rec walk_fs dir =
+  let out = ref [] and built = ref SSet.empty in
+  let rec walk_fs base rel =
+    let dir = Filename.concat base rel in
     if Sys.file_exists dir && Sys.is_directory dir then begin
       let entries = Sys.readdir dir in
       Array.sort String.compare entries;
       Array.iter
         (fun ent ->
-          let p = Filename.concat dir ent in
+          let r = Filename.concat rel ent in
+          let p = Filename.concat base r in
           if Sys.is_directory p then begin
             (* the seeded violations are the fixtures' point *)
-            if not (String.equal ent "analyze_fixtures") then walk_fs p
+            if not (String.equal ent "analyze_fixtures") then walk_fs base r
           end
-          else if Filename.check_suffix ent ".cmt" then out := p :: !out)
+          else if Filename.check_suffix ent ".cmt" then begin
+            out := p :: !out;
+            (* dune keeps a unit's .cmt in <dir>/.<name>.objs/byte/ *)
+            let src = Filename.dirname (Filename.dirname (Filename.dirname r)) in
+            built := SSet.add (Filename.concat src (cmt_module ent)) !built
+          end)
         entries
     end
   in
   List.iter
     (fun base ->
-      List.iter
-        (fun dir -> walk_fs (Filename.concat base dir))
+      List.iter (walk_fs base)
         [ "lib"; "bin"; "bench"; "test"; "tools"; "examples"; "perfbench" ])
     [ Filename.concat root "_build/default"; root ];
+  (* Without an executable's .cmt, every export only it uses would read
+     as dead; a plain [dune build] leaves those unbuilt. *)
+  Option.iter
+    (fun ml ->
+      Error.invalid_input ~where:"archpred_analyze"
+        ("no .cmt for " ^ ml ^ " (run `dune build @check` first)"))
+    (first_unbuilt ~root !built);
   List.sort String.compare !out
 
 let compare_finding (a : finding) (b : finding) =

@@ -14,7 +14,7 @@
     - {b domain-race} — top-level mutable state (refs, [Hashtbl],
       [Buffer], [Atomic], bigarrays, mutable record fields) that is
       transitively reachable {i and mutated} from a closure handed to
-      [Stats.Parallel.{map,init,map_reduce,map_fallible}].  Per-domain
+      [Stats.Parallel.{map,init,map_fallible}].  Per-domain
       observability counters and other deliberately concurrent state
       are declared in a sanctions registry
       ([tools/analyze/sanctions.sexp]) rather than silenced inline.
@@ -116,7 +116,10 @@ val discover_cmts : root:string -> string list
     [perfbench/], skipping [test/analyze_fixtures/], probing both
     [root/_build/default] and [root] itself (so the tool works from the
     repo root and from inside the build context).  Deterministic
-    order. *)
+    order.  @raise Archpred_obs.Error.Archpred [Invalid_input] naming the
+    first [.ml] under [bin/], [bench/] or [test/] (fixtures excepted)
+    that has no [.cmt]: a partial build would make every export only
+    that unit uses read as dead. *)
 
 val analyze :
   ?sanctions:sanction list ->

@@ -93,7 +93,7 @@ let () =
         if cmt_paths = [] then
           Error.invalid_input ~where:"archpred_analyze"
             ("no .cmt artifacts under " ^ root
-           ^ " (run `dune build` first, or pass --root)");
+           ^ " (run `dune build @check` first, or pass --root)");
         Analyze.analyze ~root ~cmt_paths ())
   with
   | Result.Error e -> report_error ~json e

@@ -535,6 +535,36 @@ let test_random_in_box () =
         Alcotest.fail "outside box")
     pts
 
+(* Every coordinate of a snapped random design sits on its parameter's
+   level grid for the sample size. *)
+let test_snapped_on_level_grid () =
+  let space =
+    Space.create
+      [
+        Parameter.make "f" ~lo:0. ~hi:1. ~levels:(Parameter.Fixed 5);
+        Parameter.make "s" ~lo:1. ~hi:16. ~transform:Transform.Log;
+      ]
+  in
+  let n = 40 in
+  let pts = Design.Random_design.sample_snapped (Rng.create 16) space ~n in
+  Alcotest.(check int) "count" n (Array.length pts);
+  Array.iter
+    (fun p ->
+      Alcotest.(check int) "arity" 2 (Array.length p);
+      Array.iteri
+        (fun j u ->
+          let levels =
+            Parameter.level_coordinates (Space.parameter space j) ~sample_size:n
+          in
+          if not (Array.exists (fun l -> Float.equal l u) levels) then
+            Alcotest.failf "dim %d: %.17g is not a level coordinate" j u)
+        p)
+    pts
+
+let test_snapped_reproducible () =
+  let draw seed = Design.Random_design.sample_snapped (Rng.create seed) space2 ~n:25 in
+  Alcotest.(check bool) "same seed, same design" true (draw 17 = draw 17)
+
 let test_sweep2_shape () =
   let base = [| 0.5; 0.5 |] in
   let grid = Grid.sweep2 space2 ~base ~dim1:0 ~steps1:3 ~dim2:1 ~steps2:4 in
@@ -650,6 +680,11 @@ let () =
         [
           Alcotest.test_case "random in box" `Quick test_random_in_box;
           Alcotest.test_case "sweep2" `Quick test_sweep2_shape;
+        ] );
+      ( "snapped_samples",
+        [
+          Alcotest.test_case "on level grid" `Quick test_snapped_on_level_grid;
+          Alcotest.test_case "reproducible" `Quick test_snapped_reproducible;
         ] );
       ( "sobol",
         [

@@ -834,14 +834,13 @@ let reproduce_cmd =
     in
     Arg.(
       value
-      & opt (some (conv (parse, print))) None
+      & opt (conv (parse, print)) Experiments.Scale.Medium
       & info [ "scale" ] ~docv:"SCALE"
-          ~doc:"Experiment scale (small, medium, full); overrides \
-                ARCHPRED_SCALE.")
+          ~doc:"Experiment scale (small, medium, full).")
   in
   let run ids scale seed trace metrics =
     with_obs ~trace ~metrics @@ fun obs ->
-    let ctx = Experiments.Context.create ~seed ?scale ~obs () in
+    let ctx = Experiments.Context.create ~seed ~scale ~obs () in
     let entries =
       match ids with
       | [] -> Experiments.Registry.all

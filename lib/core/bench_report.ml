@@ -5,9 +5,10 @@ module Json = Archpred_obs.Json
 let schema_version = 1
 
 (* Dirt is judged on the tracked files other than the BENCH_*.json
-   records in the working directory, which this module writes: the
-   second of BENCH_parallel.json's two writers ([bench --sim], then
-   [bench --micro]) would otherwise always stamp "-dirty". *)
+   records in the working directory.  Re-running perfbench with
+   [--out BENCH_<name>.json] overwrites a tracked record, and one record
+   re-taken in the working tree would otherwise stamp every later one
+   "-dirty". *)
 let git_describe () =
   match Unix.open_process_in "git describe --always 2>/dev/null" with
   | exception Unix.Unix_error (_, _, _) -> "unknown"
@@ -35,20 +36,6 @@ let envelope ~schema =
   :: metadata ()
 
 let obj ~schema fields = Json.Obj (envelope ~schema @ fields)
-
-let preserved ~path keys =
-  match In_channel.with_open_text path In_channel.input_all with
-  | exception Sys_error _ -> []
-  | text -> (
-      match Json.of_string text with
-      | Error _ -> []
-      | Ok j ->
-          List.filter_map
-            (fun key ->
-              match Json.member key j with
-              | Some v -> Some (key, v)
-              | None -> None)
-            keys)
 
 let write ~path ~schema fields =
   (* Serialise (and stamp [git_describe]) before touching [path]:

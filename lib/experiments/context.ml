@@ -12,8 +12,7 @@ type t = {
   trained : (string * int, Core.Build.trained) Hashtbl.t;
 }
 
-let create ?(seed = 2006) ?scale ?(obs = Archpred_obs.null) () =
-  let scale = match scale with Some s -> s | None -> Scale.of_env () in
+let create ?(seed = 2006) ~scale ?(obs = Archpred_obs.null) () =
   let root = Stats.Rng.create seed in
   let test_rng = Stats.Rng.split root in
   {

@@ -8,10 +8,9 @@
 
 type t
 
-val create : ?seed:int -> ?scale:Scale.t -> ?obs:Archpred_obs.t -> unit -> t
-(** Default scale comes from {!Scale.of_env}; [obs] (default
-    {!Archpred_obs.null}) is threaded through every response and training
-    call made via this context. *)
+val create : ?seed:int -> scale:Scale.t -> ?obs:Archpred_obs.t -> unit -> t
+(** [obs] (default {!Archpred_obs.null}) is threaded through every
+    response and training call made via this context. *)
 
 val scale : t -> Scale.t
 val seed : t -> int

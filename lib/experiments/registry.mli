@@ -10,9 +10,6 @@ type entry = {
 val all : entry list
 (** Paper order: tables 1–5, figures 1–7, then ablations. *)
 
-val paper_only : entry list
-(** Just the paper's tables and figures. *)
-
 val find : string -> entry option
 
 val run_all : ?entries:entry list -> Context.t -> Format.formatter -> unit

@@ -8,11 +8,6 @@ let of_string = function
 
 let to_string = function Small -> "small" | Medium -> "medium" | Full -> "full"
 
-let of_env () =
-  match Sys.getenv_opt "ARCHPRED_SCALE" with
-  | Some s -> ( match of_string s with Some t -> t | None -> Medium)
-  | None -> Medium
-
 let trace_length = function
   | Small -> 20_000
   | Medium -> 60_000

@@ -2,13 +2,10 @@
 
     The full paper-sized reproduction simulates thousands of design points;
     the scale knob trades fidelity for wall-clock time so the whole harness
-    can run in CI.  Controlled by the [ARCHPRED_SCALE] environment variable
-    ([small], [medium], [full]); the default is [medium]. *)
+    can run in CI.  Chosen with [archpred reproduce --scale] ([small],
+    [medium], [full]); the default is [medium]. *)
 
 type t = Small | Medium | Full
-
-val of_env : unit -> t
-(** Read [ARCHPRED_SCALE]; unknown values fall back to [Medium]. *)
 
 val of_string : string -> t option
 val to_string : t -> string

@@ -25,7 +25,7 @@ val evaluate_subset :
   float
 (** Criterion score of an explicit candidate subset (columns of the full
     design matrix); [infinity] for the empty set or degenerate fits.
-    Exposed for tests and for the center-selection ablation bench. *)
+    The full-QR reference score that tests hold selection to. *)
 
 val select :
   ?obs:Archpred_obs.t ->

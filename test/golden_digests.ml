@@ -4,9 +4,10 @@
    the CRC-32 of the model's canonical serialisation
    ([Persist.to_string]), or of the float bits of the stepwise linear
    baseline, of raw subset scores, of least-squares moments and of batch
-   predictions, or the bits of one discrepancy value.  [runtest] diffs
-   this output against [golden_digests.expected], so any change to the
-   bits a configuration trains fails the suite.  A deliberate change is
+   predictions, or of simulated cycle counts, or the bits of one
+   discrepancy value.  [runtest] diffs this output against
+   [golden_digests.expected], so any change to the bits a configuration
+   trains fails the suite.  A deliberate change is
    recorded by regenerating the table, which then shows in the diff:
 
      dune build @test/runtest; dune promote test/golden_digests.expected
@@ -29,6 +30,7 @@ module Design = Archpred_design
 module Shard = Archpred_shard
 module Fault = Archpred_fault.Fault
 module Simd = Archpred_simd.Simd
+module Batch = Archpred_sim.Batch
 
 let crc s = Core.Crc32.to_hex (Core.Crc32.string s)
 let model (t : Build.trained) = Core.Persist.to_string t.Build.predictor
@@ -331,11 +333,31 @@ let checkpointed name =
   line name
     (crc (model outcome.Shard.Coordinator.result.Core.Pipeline.final))
 
+(* The simulator on the paper build's shape: the Table 2 test box over
+   the paper-sized mcf trace, on one domain.  Its cycle counts are what a
+   faster engine must keep. *)
+let paper_shape_cycles name =
+  let trace =
+    Archpred_workloads.Generator.generate ~seed:7
+      Archpred_workloads.Spec2000.mcf ~length:60_000
+  in
+  let configs =
+    Array.map Paper_space.to_config
+      (Paper_space.test_points (Rng.create 7) ~n:64)
+  in
+  let results = Batch.run_plan ~domains:1 (Batch.plan trace) configs in
+  line name
+    (crc
+       (String.concat ","
+          (Array.to_list
+             (Array.map (fun (r : Batch.result) -> string_of_int r.Batch.cycles)
+                results))))
+
 let rows () =
   print_string
     "# name                       crc32 of Persist.to_string (or of the\n\
-     # stepwise terms and coefficient bits, or of moment bits), or the\n\
-     # bits of one discrepancy.  Regenerate deliberately with\n\
+     # stepwise terms and coefficient bits, of moment bits or of cycle\n\
+     # counts), or the bits of one discrepancy.  Regenerate deliberately with\n\
      # dune build @test/runtest; dune promote test/golden_digests.expected\n";
   ignore (train "train.smooth.n40" ~response:smooth ~n:40 ~seed:99);
   let mcf40 = train "train.mcf.n40" ~response:mcf ~n:40 ~seed:7 in
@@ -354,7 +376,8 @@ let rows () =
   checkpointed "checkpoint.d2.mcf.n40";
   accuracy_mcf "accuracy.mcf";
   shard_accuracy "shard.accuracy.mcf.n30";
-  predictions "predict.mcf.n40.b1-33" mcf40 ~seed:29
+  predictions "predict.mcf.n40.b1-33" mcf40 ~seed:29;
+  paper_shape_cycles "sim.paper_shape.cycles"
 
 let () =
   match Sys.argv with

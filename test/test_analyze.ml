@@ -212,7 +212,7 @@ let flagged ?mli ~rel file =
     (findings_at ?mli ~rel file)
 
 let sites = Alcotest.(list (pair string string))
-let dirs = [ "lib"; "bin"; "bench"; "test"; "tools" ]
+let dirs = [ "lib"; "bin"; "test"; "tools" ]
 let each rule = List.map (fun s -> (rule, s))
 
 (* Per rule: its fixture, the top-level directories it applies in, and
@@ -220,11 +220,11 @@ let each rule = List.map (fun s -> (rule, s))
    impure, which flags the same identifiers in the same scopes. *)
 let rule_table =
   [
-    ( "poly-compare", "fx_poly_compare.ml", [ "lib"; "bench"; "tools" ],
+    ( "poly-compare", "fx_poly_compare.ml", [ "lib"; "tools" ],
       each "poly-compare" [ "sort"; "qualified" ] );
-    ( "hashtbl-order", "fx_hashtbl_order.ml", [ "lib"; "bench"; "tools" ],
+    ( "hashtbl-order", "fx_hashtbl_order.ml", [ "lib"; "tools" ],
       each "hashtbl-order" [ "visit"; "total"; "keys" ] );
-    ("exit", "fx_exit.ml", [ "lib"; "bench"; "test" ], each "exit" [ "quit"; "qualified" ]);
+    ("exit", "fx_exit.ml", [ "lib"; "test" ], each "exit" [ "quit"; "qualified" ]);
     ("unsafe-cast", "fx_unsafe_cast.ml", dirs, each "unsafe-cast" [ "cast"; "freeze" ]);
     ( "float-lit-eq", "fx_float_lit_eq.ml", dirs,
       each "float-lit-eq" [ "half"; "negated"; "one" ] );
@@ -235,8 +235,7 @@ let rule_table =
     ("missing-mli", "fx_missing_mli.ml", [ "lib" ], [ ("missing-mli", "line 1") ]);
     ( "random-global", "fx_random_global.ml", dirs,
       each "impure" [ "draw"; "coin"; "roll"; "flip" ] );
-    ( "wall-clock", "fx_wall_clock.ml", [ "lib"; "bin"; "test"; "tools" ],
-      each "impure" [ "stamp"; "cpu" ] );
+    ("wall-clock", "fx_wall_clock.ml", dirs, each "impure" [ "stamp"; "cpu" ]);
     ("stdout-print", "fx_stdout_print.ml", [ "lib" ], each "impure" [ "()"; "say" ]);
     ( "unix-net", "fx_unix_net.ml", [ "lib" ],
       each "impure" [ "open_socket"; "poll"; "pull" ] );

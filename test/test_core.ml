@@ -927,6 +927,39 @@ let test_persist_version_check () =
     | exception Core.Error.Archpred (Core.Error.Parse_error _) -> true
     | _ -> false)
 
+(* ---------- Bench_report ---------- *)
+
+(* Every BENCH_*.json record opens with the same stamps, whatever its
+   schema; perfbench's record is written through this one writer. *)
+let test_report_envelope () =
+  let module Json = Archpred_obs.Json in
+  let path = Filename.temp_file "archpred_report" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Core.Bench_report.write ~path ~schema:"archpred-test-v1"
+    [ ("payload", Json.Int 42) ];
+  let j =
+    match Json.of_string (In_channel.with_open_text path In_channel.input_all) with
+    | Ok j -> j
+    | Error m -> Alcotest.failf "%s is not valid JSON: %s" path m
+  in
+  let field name ok =
+    match Json.member name j with
+    | Some v when ok v -> ()
+    | _ -> Alcotest.failf "envelope field %S missing or out of range" name
+  in
+  field "schema" (function Json.String "archpred-test-v1" -> true | _ -> false);
+  field "schema_version" (function Json.Int v -> v >= 1 | _ -> false);
+  field "cores" (function Json.Int c -> c >= 1 | _ -> false);
+  field "domains" (function Json.Int d -> d >= 1 | _ -> false);
+  field "git_describe" (function Json.String s -> s <> "" | _ -> false);
+  field "simd" (function
+    | Json.String ("avx512" | "avx2" | "scalar") -> true
+    | _ -> false);
+  field "simd_training" (function
+    | Json.String ("avx2" | "scalar") -> true
+    | _ -> false);
+  field "payload" (function Json.Int 42 -> true | _ -> false)
+
 let () =
   Alcotest.run "core"
     [
@@ -1038,4 +1071,6 @@ let () =
         [
           Alcotest.test_case "simulator-backed model" `Slow test_end_to_end_simulator_model;
         ] );
+      ( "report",
+        [ Alcotest.test_case "envelope fields" `Quick test_report_envelope ] );
     ]

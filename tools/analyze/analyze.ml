@@ -33,14 +33,13 @@ module Error = Archpred_obs.Error
 module Json = Archpred_obs.Json
 
 type finding = { rule : string; file : string; line : int; col : int; message : string }
-type scope = Lib | Bin | Bench | Test | Tools
+type scope = Lib | Bin | Test | Tools
 
 let scope_of_rel rel =
   let pre p = String.length rel > String.length p
               && String.equal (String.sub rel 0 (String.length p)) p in
   if pre "lib/" then Some Lib
   else if pre "bin/" then Some Bin
-  else if pre "bench/" then Some Bench
   else if pre "test/" then Some Test
   else if pre "tools/" then Some Tools
   else None
@@ -56,15 +55,15 @@ let rules =
        partial application, escaping ref, @@/|> indirection) inside a \
        function declared zero-alloc in tools/analyze/hotpaths.sexp" );
     ( "impure",
-      "global Random outside Stats.Rng, wall-clock reads outside lib/obs, \
-       lib/serve_net and bench/, stdout printing and Unix sockets/raw-fd \
+      "global Random outside Stats.Rng, wall-clock reads outside lib/obs \
+       and lib/serve_net, stdout printing and Unix sockets/raw-fd \
        I/O in lib/ (outside lib/serve_net), reached directly or through \
        the call graph" );
     ( "poly-compare",
-      "polymorphic compare in lib/, bench/ and tools/; use Float.compare, \
+      "polymorphic compare in lib/ and tools/; use Float.compare, \
        Int.compare, String.compare or a per-type comparator" );
     ( "hashtbl-order",
-      "Hashtbl.iter/Hashtbl.fold in lib/, bench/ and tools/; iteration \
+      "Hashtbl.iter/Hashtbl.fold in lib/ and tools/; iteration \
        order is unspecified, use Stats.Tbl sorted helpers" );
     ("exit", "exit outside bin/ and tools/; libraries must raise, not terminate");
     ( "unsafe-cast",
@@ -450,16 +449,15 @@ let banned_effect ~scope ~file mask =
   let under p = starts_with ~prefix:p file in
   if mask = eff_rng then not (String.equal file "lib/stats/rng.ml")
   else if mask = eff_wall then
-    (match scope with Lib | Bin | Test | Tools -> true | Bench -> false)
-    && not (under "lib/obs/" || under "lib/serve_net/")
+    not (under "lib/obs/" || under "lib/serve_net/")
   else if mask = eff_stdout then scope = Lib
   else scope = Lib && not (under "lib/serve_net/")
 
 let banned_rule ~scope ~file rule =
   match rule with
   | "poly-compare" | "hashtbl-order" -> (
-      match scope with Lib | Bench | Tools -> true | Bin | Test -> false)
-  | "exit" -> (match scope with Lib | Bench | Test -> true | Bin | Tools -> false)
+      match scope with Lib | Tools -> true | Bin | Test -> false)
+  | "exit" -> (match scope with Lib | Test -> true | Bin | Tools -> false)
   | "unsafe-index" ->
       scope = Lib
       && not (List.mem file [ "lib/rbf/batch_kernel.ml"; "lib/core/memo.ml" ])
@@ -915,8 +913,8 @@ let ident_rule parts =
   | [ "Hashtbl"; ("iter" | "fold") ] ->
       Some
         ( "hashtbl-order",
-          q () ^ " iterates in unspecified order; use Stats.Tbl.sorted_bindings \
-               / iter_sorted / fold_sorted" )
+          q () ^ " iterates in unspecified order; use Stats.Tbl.iter_sorted \
+               / fold_sorted" )
   | [ "exit" ] -> Some ("exit", "`exit` terminates the process from non-bin code")
   | "Obj" :: _ -> Some ("unsafe-cast", q () ^ " defeats typing")
   | "Marshal" :: _ ->
@@ -1823,7 +1821,7 @@ let cmt_module file =
   in
   from (String.length base - 1)
 
-(* The first [.ml] under bin/, bench/ or test/ with no .cmt among
+(* The first [.ml] under bin/ or test/ with no .cmt among
    [built] ("dir/Module" keys), in sorted path order. *)
 let first_unbuilt ~root built =
   let rec scan rel =
@@ -1857,7 +1855,7 @@ let first_unbuilt ~root built =
         None entries
     end
   in
-  List.find_map scan [ "bin"; "bench"; "test" ]
+  List.find_map scan [ "bin"; "test" ]
 
 let discover_cmts ~root =
   let out = ref [] and built = ref SSet.empty in
@@ -1886,7 +1884,7 @@ let discover_cmts ~root =
   List.iter
     (fun base ->
       List.iter (walk_fs base)
-        [ "lib"; "bin"; "bench"; "test"; "tools"; "examples"; "perfbench" ])
+        [ "lib"; "bin"; "test"; "tools"; "examples"; "perfbench" ])
     [ Filename.concat root "_build/default"; root ];
   (* Without an executable's .cmt, every export only it uses would read
      as dead; a plain [dune build] leaves those unbuilt. *)

@@ -60,15 +60,15 @@ type finding = {
 }
 
 (** Which top-level directory a file belongs to; decides which rules
-    apply where (wall-clock reads are legal in [bench/], [exit] in
-    [bin/]).  [Tools] covers the analyzer itself: determinism rules
+    apply where ([exit] is legal in [bin/], polymorphic compare in
+    [bin/] and [test/]).  [Tools] covers the analyzer itself: determinism rules
     apply as in [Lib], while CLI conveniences (stdout, [exit]) stay
     legal as in [Bin]. *)
-type scope = Lib | Bin | Bench | Test | Tools
+type scope = Lib | Bin | Test | Tools
 
 val scope_of_rel : string -> scope option
-(** Classify a repo-relative path ["lib/…"], ["bin/…"], ["bench/…"],
-    ["test/…"], ["tools/…"]; [None] for anything else. *)
+(** Classify a repo-relative path ["lib/…"], ["bin/…"], ["test/…"],
+    ["tools/…"]; [None] for anything else. *)
 
 val rules : (string * string) list
 (** [(id, one-line description)] for every rule, the pragma meta-rules
@@ -111,15 +111,15 @@ val load_hotpaths : path:string -> string list
 (** {1 Running} *)
 
 val discover_cmts : root:string -> string list
-(** All [.cmt] files for [lib/], [bin/], [bench/], [test/] and
-    [tools/] units, and for the read-only users in [examples/] and
-    [perfbench/], skipping [test/analyze_fixtures/], probing both
+(** All [.cmt] files for [lib/], [bin/], [test/] and [tools/] units,
+    and for the read-only users in [examples/] and [perfbench/],
+    skipping [test/analyze_fixtures/], probing both
     [root/_build/default] and [root] itself (so the tool works from the
-    repo root and from inside the build context).  Deterministic
-    order.  @raise Archpred_obs.Error.Archpred [Invalid_input] naming the
-    first [.ml] under [bin/], [bench/] or [test/] (fixtures excepted)
-    that has no [.cmt]: a partial build would make every export only
-    that unit uses read as dead. *)
+    repo root and from inside the build context).  Deterministic order.
+    @raise Archpred_obs.Error.Archpred [Invalid_input] naming the first
+    [.ml] under [bin/] or [test/] (fixtures excepted) that has no
+    [.cmt]: a partial build would make every export only that unit uses
+    read as dead. *)
 
 val analyze :
   ?sanctions:sanction list ->

@@ -16,7 +16,7 @@ module Analyze = Analyze_engine.Analyze
 
 let usage =
   "usage: archpred_analyze [--root DIR] [--json] [--rules]\n\
-   Loads every lib/ bin/ bench/ test/ tools/ .cmt under --root (default .),\n\
+   Loads every lib/ bin/ test/ tools/ .cmt under --root (default .),\n\
    and those of examples/ and perfbench/ as users of lib/ only, probing\n\
    both ROOT/_build/default and ROOT itself, and runs the domain-race,\n\
    hot-alloc, purity and dead-export passes and the file-local checks.\n\

@@ -5,11 +5,11 @@
      simulate     run the cycle-level simulator on one benchmark/config
      sample       draw a discrepancy-optimised latin hypercube sample
      train        build an RBF CPI model for a benchmark and report accuracy
-                  (--shards K fans the build out over worker processes)
-     worker       process work units of a sharded run (train --shards)
-     serve        batched-prediction load test against a saved model
+                  (--checkpoint DIR makes the build crash-safe and resumable)
+     predict      predict CPI at one design point from a saved model
      served       long-running prediction daemon on a Unix/TCP socket
      search       model-driven search for the best design point
+     sensitivity  rank parameter significance using a trained model
      reproduce    regenerate the paper's tables and figures
 
    Every subcommand accepts --trace (span-tree timing summary on stdout
@@ -137,9 +137,9 @@ let sample_size_t =
     & opt int 90
     & info [ "n"; "sample-size" ] ~docv:"N" ~doc:"Training sample size.")
 
-(* Crash-safe training: --checkpoint DIR runs the build as a sharded run
-   in DIR, one worker in this process unless --shards asks for worker
-   processes.  Shared by every subcommand that trains a model. *)
+(* Crash-safe training: --checkpoint DIR runs the build as a run
+   directory in DIR, one worker in this process on the ARCHPRED_DOMAINS
+   domains.  Shared by every subcommand that trains a model. *)
 let checkpoint_t =
   Arg.(
     value
@@ -152,7 +152,8 @@ let checkpoint_t =
            crash, SIGINT, out of memory — rerunning the same command \
            resumes from the committed journals and produces a \
            bit-identical model.  A directory that holds a different run \
-           is refused.")
+           is refused (exit 5), and so is one another live archpred \
+           process is running in (exit 4).")
 
 (* The shared problem statement of a run-directory build, from the same
    defaults a single-process build takes. *)
@@ -177,23 +178,11 @@ let run_spec ~(bench : Workloads.Profile.t) ~metric ~seed ~trace_length ~n
   }
 
 (* Run (or resume) [spec] in run directory [dir]: one worker in this
-   process on the ARCHPRED_DOMAINS domains, or [shards] worker processes
-   of this executable with one domain each. *)
-let run_dir_build ~obs ~dir ~shards spec =
-  let workers =
-    if shards > 1 then
-      Shard.Coordinator.Processes
-        {
-          count = shards;
-          argv =
-            (fun id ->
-              [| Sys.executable_name; "worker"; "--dir"; dir; "--id"; id |]);
-        }
-    else
-      Shard.Coordinator.In_process
-        { domains = Stats.Parallel.default_domains () }
-  in
-  Shard.Coordinator.run ~obs ~dir ~spec ~workers ()
+   process on the ARCHPRED_DOMAINS domains. *)
+let run_dir_build ~obs ~dir spec =
+  Shard.Coordinator.run ~obs ~dir ~spec
+    ~domains:(Stats.Parallel.default_domains ())
+    ()
 
 (* ---------- benchmarks ---------- *)
 
@@ -330,15 +319,6 @@ let train_cmd =
       & info [ "sizes" ] ~docv:"N,N,..."
           ~doc:"Sample-size schedule used with --target-error.")
   in
-  let shards_t =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"K"
-          ~doc:
-            "Run the build as K cooperating worker processes sharing a run \
-             directory ($(b,--checkpoint), default $(b,shard-run)).  The \
-             trained model is bit-identical to a single-process run.")
-  in
   let stream_refit_t =
     Arg.(
       value & flag
@@ -350,20 +330,19 @@ let train_cmd =
              departure from the paper's redraw-per-size procedure).")
   in
   (* Print the accuracy-schedule steps and the final model summary — the
-     sharded and single-process paths share this tail. *)
-  let report ~t0 ~save ~extra trained steps err =
+     checkpointed and in-memory paths share this tail. *)
+  let report ~t0 ~save trained steps err =
     List.iter
       (fun (s : Core.Build.step) ->
         Format.printf "  n=%-4d mean error %.2f%%@." s.Core.Build.size
           s.Core.Build.test_error.Stats.Error_metrics.mean_pct)
       steps;
-    Format.printf "p_min=%d alpha=%.0f centers=%d discrepancy=%.5f (%.1fs%s)@."
+    Format.printf "p_min=%d alpha=%.0f centers=%d discrepancy=%.5f (%.1fs)@."
       trained.Core.Build.tune.Core.Tune.p_min
       trained.Core.Build.tune.Core.Tune.alpha
       (Core.Predictor.n_centers trained.Core.Build.predictor)
       trained.Core.Build.discrepancy
-      (Archpred_obs.seconds_since t0)
-      extra;
+      (Archpred_obs.seconds_since t0);
     (match err with
     | Some err -> Format.printf "test error: %a@." Stats.Error_metrics.pp err
     | None -> ());
@@ -373,39 +352,28 @@ let train_cmd =
         Format.printf "model written to %s@." path
     | None -> ()
   in
-  let run bench n trace_length seed test_n metric save target sizes shards
+  let run bench n trace_length seed test_n metric save target sizes
       stream_refit checkpoint trace metrics =
     with_obs ~trace ~metrics @@ fun obs ->
-    if shards > 1 || Option.is_some checkpoint then (
-      let dir = Option.value checkpoint ~default:"shard-run" in
-      let mode =
-        match target with
-        | None -> Shard.Spec.Train
-        | Some target_mean_pct -> Shard.Spec.Accuracy { sizes; target_mean_pct }
-      in
-      let spec =
-        run_spec ~bench ~metric ~seed ~trace_length ~n ~test_n ~stream_refit
-          ~mode
-      in
-      if shards > 1 then
-        Format.printf "sharded build for %s: %d workers in %s...@."
-          bench.Workloads.Profile.name shards dir
-      else
+    match checkpoint with
+    | Some dir ->
+        let mode =
+          match target with
+          | None -> Shard.Spec.Train
+          | Some target_mean_pct -> Shard.Spec.Accuracy { sizes; target_mean_pct }
+        in
+        let spec =
+          run_spec ~bench ~metric ~seed ~trace_length ~n ~test_n ~stream_refit
+            ~mode
+        in
         Format.printf "checkpointed build for %s in %s...@."
           bench.Workloads.Profile.name dir;
-      let t0 = Archpred_obs.now_ns () in
-      let outcome = run_dir_build ~obs ~dir ~shards spec in
-      let result = outcome.Shard.Coordinator.result in
-      report ~t0 ~save
-        ~extra:
-          (if shards > 1 then
-             Printf.sprintf ", %d workers, %d respawns"
-               outcome.Shard.Coordinator.workers
-               outcome.Shard.Coordinator.respawns
-           else "")
-        result.Core.Pipeline.final result.Core.Pipeline.steps
-        outcome.Shard.Coordinator.test_error)
-    else
+        let t0 = Archpred_obs.now_ns () in
+        let outcome = run_dir_build ~obs ~dir spec in
+        let result = outcome.Shard.Coordinator.result in
+        report ~t0 ~save result.Core.Pipeline.final
+          result.Core.Pipeline.steps outcome.Shard.Coordinator.test_error
+    | None ->
     let rng = Stats.Rng.create seed in
     let response =
       Core.Response.simulator_metric ~obs ~trace_length ~seed ~metric bench
@@ -447,76 +415,15 @@ let train_cmd =
       Core.Predictor.errors_on trained.Core.Build.predictor ~points:test
         ~actual
     in
-    report ~t0 ~save ~extra:"" trained steps (Some err)
+    report ~t0 ~save trained steps (Some err)
   in
   Cmd.v
     (Cmd.info "train"
        ~doc:"Train an RBF performance model and report its accuracy")
     Term.(
       const run $ bench_t $ sample_size_t $ trace_length_t $ seed_t $ test_n_t
-      $ metric_t $ save_t $ target_t $ sizes_t $ shards_t $ stream_refit_t
+      $ metric_t $ save_t $ target_t $ sizes_t $ stream_refit_t
       $ checkpoint_t $ trace_t $ metrics_t)
-
-(* ---------- worker ---------- *)
-
-let worker_cmd =
-  let dir_t =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "dir" ] ~docv:"DIR"
-          ~doc:"Run directory written by the coordinator (train --shards).")
-  in
-  let id_t =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "id" ] ~docv:"ID" ~doc:"This worker's unique id (e.g. w0).")
-  in
-  let poll_t =
-    Arg.(
-      value & opt float 0.02
-      & info [ "poll" ] ~docv:"SECONDS"
-          ~doc:"Back-off while waiting on units claimed by other workers.")
-  in
-  (* Crash-injection hook for the sharded crash-recovery tests:
-     ARCHPRED_SHARD_FAULT="<id>:<site>:<after>[:sticky]" arms the fault
-     only in the worker whose --id matches exactly — respawned workers
-     get fresh ids ("w1.r1"), so the replacement survives the site the
-     casualty died at. *)
-  let arm_fault id =
-    match Sys.getenv_opt "ARCHPRED_SHARD_FAULT" with
-    | None -> ()
-    | Some v -> (
-        match String.split_on_char ':' v with
-        | [ wid; site; after ] | [ wid; site; after; "sticky" ] ->
-            if String.equal wid id then
-              let sticky =
-                match String.split_on_char ':' v with
-                | [ _; _; _; _ ] -> true
-                | _ -> false
-              in
-              let after =
-                match int_of_string_opt after with
-                | Some a -> a
-                | None ->
-                    Obs.Error.invalid_env ~var:"ARCHPRED_SHARD_FAULT"
-                      "count must be an integer"
-              in
-              Archpred_fault.Fault.arm ~site ~after ~sticky ()
-        | _ ->
-            Obs.Error.invalid_env ~var:"ARCHPRED_SHARD_FAULT"
-              "expected <id>:<site>:<after>[:sticky]")
-  in
-  let run dir id poll trace metrics =
-    with_obs ~trace ~metrics @@ fun obs ->
-    arm_fault id;
-    Shard.Worker.run ~obs ~dir ~id ~poll ()
-  in
-  Cmd.v
-    (Cmd.info "worker"
-       ~doc:"Process work units of a sharded run (spawned by train --shards)")
-    Term.(const run $ dir_t $ id_t $ poll_t $ trace_t $ metrics_t)
 
 (* ---------- predict ---------- *)
 
@@ -741,7 +648,7 @@ let search_cmd =
             run_spec ~bench ~metric:Core.Response.Cpi ~seed ~trace_length ~n
               ~test_n:0 ~stream_refit:false ~mode:Shard.Spec.Train
           in
-          let outcome = run_dir_build ~obs ~dir ~shards:1 spec in
+          let outcome = run_dir_build ~obs ~dir spec in
           (* The search draws after the build, which advances the root
              generator by one split per LHS candidate. *)
           for _ = 1 to spec.Shard.Spec.lhs_candidates do
@@ -870,7 +777,6 @@ let () =
       simulate_cmd;
       sample_cmd;
       train_cmd;
-      worker_cmd;
       predict_cmd;
       served_cmd;
       search_cmd;

@@ -19,7 +19,7 @@ type step = Pipeline.step = {
 type history = { steps : step list; final : step }
 
 (* The in-memory store: a table of stage values, each stage filled range
-   by range in the order a lone run-directory worker claims its units —
+   by range in the order the run-directory worker computes its units —
    [domains] units of [sim_batch] indices per range. *)
 let run_in_memory pipeline ~known =
   let table = Hashtbl.create 16 in

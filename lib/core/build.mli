@@ -9,7 +9,7 @@
     the size schedule is exhausted.
 
     Both walk the stages of {!Pipeline} over an in-memory table of
-    stage values, in the order a lone run-directory worker claims their
+    stage values, in the order the run-directory worker computes their
     units, and are configured by a {!Config.t} record (re-exported here
     as [Build.Config]). *)
 

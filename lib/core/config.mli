@@ -36,10 +36,10 @@ type t = {
   sim_batch : int;
       (** indices per unit of work of every training stage ({!Pipeline}):
           design points per {!Archpred_sim.Batch} fan-out when the
-          response carries a batched evaluator, and the claimable unit
+          response carries a batched evaluator, and the journaled unit
           of a run directory ({!Archpred_shard}).  Default 16: a unit is
-          one simulator fan-out, and a unit's claim and commit stay a
-          small share of its cost.  [1] forces the pointwise reference
+          one simulator fan-out, and a unit's commit stays a small share
+          of its cost.  [1] forces the pointwise reference
           path *)
   stream_refit : bool;
       (** [build_to_accuracy] only: grow one nested sample across the size

@@ -49,6 +49,9 @@ let run_all ?(entries = all) ctx ppf =
     (fun e ->
       let t0 = Archpred_obs.now_ns () in
       e.run ctx ppf;
-      Format.fprintf ppf "@.[%s finished in %.1fs]@." e.id
+      Format.fprintf ppf "@.";
+      (* Timings go to stderr, so the results stream is the same bytes
+         on every run of the same seed and scale. *)
+      Format.eprintf "[%s finished in %.1fs]@." e.id
         (Archpred_obs.seconds_since t0))
     entries

@@ -14,4 +14,6 @@ val find : string -> entry option
 
 val run_all : ?entries:entry list -> Context.t -> Format.formatter -> unit
 (** Run a list of experiments (default {!all}) against one shared
-    context, printing each in sequence with timing lines. *)
+    context, printing each in sequence on [ppf].  Each experiment's
+    wall-clock time goes to stderr, so what [ppf] receives depends only
+    on the context's scale and seed. *)

@@ -21,8 +21,8 @@
       ({!Archpred_core.Persist.save})
     - ["persist.rename"] — after the temp file is durable, before the
       rename commits it
-    - ["shard.claim"] — before a work-unit claim ({!Archpred_shard})
-    - ["shard.unit"] — after a claim, before the unit is computed
+    - ["shard.unit"] — for each work unit of a run directory, before
+      it is computed ({!Archpred_shard})
     - ["shard.append"] — before a journal result record is written
     - ["shard.merge"] — before the journals of a run are merged
     - ["serve.accept"] — before each accept in the prediction daemon

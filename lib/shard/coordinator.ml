@@ -1,20 +1,10 @@
 module Obs = Archpred_obs
 module Fault = Archpred_fault.Fault
 
-type workers =
-  | In_process of { domains : int }
-  | Processes of { count : int; argv : string -> string array }
-
 type outcome = {
   result : Archpred_core.Pipeline.outcome;
   test_error : Archpred_stats.Error_metrics.t option;
-  workers : int;
-  respawns : int;
 }
-
-let where = "Shard.Coordinator"
-
-type child = { id : string; pid : int }
 
 let mkdir_p dir =
   match Unix.mkdir dir 0o755 with
@@ -23,34 +13,31 @@ let mkdir_p dir =
   | exception Unix.Unix_error (err, _, _) ->
       Obs.Error.io_error ~path:dir (Unix.error_message err)
 
-(* "w1.r2" -> "w1": respawn ids stay rooted at the original worker so
-   the argv hook can key off a stable base. *)
-let base_id id =
-  match String.index_opt id '.' with
-  | None -> id
-  | Some dot -> String.sub id 0 dot
-
-let spawn ~argv id =
-  let av = argv id in
-  if Array.length av = 0 then
-    Obs.Error.invalid_input ~where "argv hook returned an empty vector";
-  let pid = Unix.create_process av.(0) av Unix.stdin Unix.stdout Unix.stderr in
-  { id; pid }
-
-let kill_children live =
-  List.iter
-    (fun c ->
-      match Unix.kill c.pid Sys.sigterm with
-      | () -> ()
-      | exception Unix.Unix_error (_, _, _) -> ())
-    live
+(* Take the run directory's lock, <dir>/lock, for this process.  The
+   kernel drops it when the process dies, so it never goes stale. *)
+let lock ~dir =
+  let path = Filename.concat dir "lock" in
+  let fd =
+    match
+      Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644
+    with
+    | fd -> fd
+    | exception Unix.Unix_error (err, _, _) ->
+        Obs.Error.io_error ~path (Unix.error_message err)
+  in
+  match Unix.lockf fd Unix.F_TLOCK 0 with
+  | () -> fd
+  | exception Unix.Unix_error (err, _, _) -> (
+      Unix.close fd;
+      match err with
+      | Unix.EAGAIN | Unix.EACCES ->
+          Obs.Error.io_error ~path:dir
+            "the run directory is in use by another archpred process"
+      | _ -> Obs.Error.io_error ~path (Unix.error_message err))
 
 (* Make [dir] the run directory of [spec]: a new directory gets the
-   spec, an existing one resumes only if it holds the same spec.  No
-   worker is running yet, so every claim on a unit the journals do not
-   commit was left by a process that died, and is released. *)
+   spec, an existing one resumes only if it holds the same spec. *)
 let prepare ~dir spec =
-  mkdir_p dir;
   let fingerprint = Spec.fingerprint spec in
   (if Sys.file_exists (Filename.concat dir "spec.json") then (
      if not (String.equal (Spec.fingerprint (Spec.load ~dir)) fingerprint) then
@@ -58,77 +45,16 @@ let prepare ~dir spec =
          "the run directory holds a different run's spec (fingerprint \
           mismatch); use a fresh directory")
    else Spec.save ~dir spec);
-  Claim.init ~dir;
   Journal.init ~dir;
-  let scan = Journal.scan_dir ~dir ~fingerprint in
-  Claim.release_all_incomplete ~dir ~complete:(fun ~stage ~lo ~hi ->
-      Journal.unit_complete scan ~stage ~lo ~hi);
   fingerprint
 
-(* Spawn [count] worker processes and monitor them until every one has
-   exited cleanly.  A child that dies — crash, signal, nonzero exit —
-   gets its incomplete claims released and is replaced (fresh id, so the
-   replacement's journal does not collide with the casualty's), within
-   the respawn budget.  Returns the number of respawns. *)
-let supervise ~obs ~dir ~fingerprint ~count ~argv ~max_respawns ~poll =
-  let children =
-    List.init count (fun k -> spawn ~argv (Printf.sprintf "w%d" k))
-  in
-  let respawns = ref 0 in
-  let rec monitor live =
-    match live with
-    | [] -> ()
-    | _ :: _ ->
-        let rec sweep acc = function
-          | [] -> List.rev acc
-          | c :: rest -> (
-              match Unix.waitpid [ Unix.WNOHANG ] c.pid with
-              | 0, _ -> sweep (c :: acc) rest
-              | _, Unix.WEXITED 0 -> sweep acc rest
-              | _, (Unix.WEXITED _ | Unix.WSIGNALED _) ->
-                  let scan = Journal.scan_dir ~dir ~fingerprint in
-                  Claim.release_incomplete ~dir ~owner:c.id
-                    ~complete:(fun ~stage ~lo ~hi ->
-                      Journal.unit_complete scan ~stage ~lo ~hi);
-                  incr respawns;
-                  Obs.incr obs "shard.respawns";
-                  if !respawns > max_respawns then (
-                    kill_children (List.rev_append acc rest);
-                    Obs.Error.infeasible ~where
-                      (Printf.sprintf
-                         "worker %s died and the respawn budget (%d) is \
-                          exhausted"
-                         c.id max_respawns));
-                  let id = Printf.sprintf "%s.r%d" (base_id c.id) !respawns in
-                  sweep (spawn ~argv id :: acc) rest
-              | _, Unix.WSTOPPED _ -> sweep (c :: acc) rest
-              | exception Unix.Unix_error (Unix.ECHILD, _, _) -> sweep acc rest)
-        in
-        let live = sweep [] live in
-        (match live with [] -> () | _ :: _ -> Unix.sleepf poll);
-        monitor live
-  in
-  monitor children;
-  !respawns
-
-let run ?(obs = Obs.null) ~dir ~spec ~workers ?(max_respawns = 8)
-    ?(poll = 0.05) () =
+let run ?(obs = Obs.null) ~dir ~spec ~domains () =
+  mkdir_p dir;
+  let lock = lock ~dir in
+  Fun.protect ~finally:(fun () -> Unix.close lock) @@ fun () ->
   let fingerprint = prepare ~dir spec in
-  let pipeline, count, respawns =
-    match workers with
-    | In_process { domains } ->
-        let pipeline = Spec.pipeline ~obs ~domains spec in
-        Worker.work ~obs ~fingerprint pipeline ~dir ~id:"w0";
-        (pipeline, 1, 0)
-    | Processes { count; argv } ->
-        if count < 1 then
-          Obs.Error.invalid_input ~where "worker count must be >= 1";
-        let respawns =
-          supervise ~obs ~dir ~fingerprint ~count ~argv ~max_respawns ~poll
-        in
-        (Spec.pipeline ~obs spec, count, respawns)
-  in
-  Obs.count obs "shard.workers" count;
+  let pipeline = Spec.pipeline ~obs ~domains spec in
+  Worker.work ~obs ~fingerprint pipeline ~dir;
   Fault.point "shard.merge";
   let read = Journal.stage_values (Journal.scan_dir ~dir ~fingerprint) in
   let result = Archpred_core.Pipeline.assemble pipeline read in
@@ -141,4 +67,4 @@ let run ?(obs = Obs.null) ~dir ~spec ~workers ?(max_respawns = 8)
            ~points:(Archpred_core.Pipeline.test_points pipeline)
            ~actual:(Archpred_core.Pipeline.test_actuals pipeline read))
   in
-  { result; test_error; workers = count; respawns }
+  { result; test_error }

@@ -1,6 +1,6 @@
 (** Per-worker result journals and the canonical merge.
 
-    Every worker owns one append-only journal,
+    A worker owns one append-only journal,
     [<dir>/journals/<worker>.journal], of CRC-framed JSON lines
     ({!frame}).  Line one is a header carrying the {!Spec.fingerprint};
     after it come [result] records —
@@ -8,15 +8,16 @@
     [unit] markers committing a {!Plan.unit_}.  Results count only once
     a marker in the {e same} journal covers them: a worker killed
     mid-unit leaves appended-but-uncommitted results that the merge
-    discards, and the unit is reclaimed.
+    discards, and the rerun computes the unit again.
 
-    {b Canonical merge.}  {!scan_dir} reads journals in filename order
-    (bytewise [String.compare]) and keeps the first committed value for
-    each [(stage, index)].  Because every index's value is a
-    deterministic function of the spec — whichever worker computes it —
-    duplicate commits are bit-identical, so the merged table (and
-    therefore the final model) does not depend on worker count, timing,
-    or crashes.  Torn or corrupted tails truncate the affected journal
+    {b Canonical merge.}  {!scan_dir} reads every journal of the
+    directory in filename order (bytewise [String.compare]) and keeps the
+    first committed value for each [(stage, index)] — so a run directory
+    whose journals several workers wrote ([w0], [w1], [w0.r1], …) still
+    resumes.  Because every index's value is a deterministic function of
+    the spec — whichever worker computes it — duplicate commits are
+    bit-identical, so the merged table (and therefore the final model)
+    does not depend on worker count, timing, or crashes.  Torn or corrupted tails truncate the affected journal
     at the last valid line.
 
     {b Total reader.}  {!open_} and {!scan_dir} accept any bytes: a

@@ -6,25 +6,3 @@ let units ~stage ~count ~chunk =
   let n_units = (count + chunk - 1) / chunk in
   Array.init n_units (fun k ->
       { stage; lo = k * chunk; hi = min count ((k + 1) * chunk) })
-
-let unit_name { stage; lo; hi } = Printf.sprintf "%s.%d-%d" stage lo hi
-
-let unit_of_name name =
-  (* "<stage>.<lo>-<hi>", where the stage itself may contain dots: parse
-     from the right. *)
-  match String.rindex_opt name '.' with
-  | None -> None
-  | Some dot -> (
-      let stage = String.sub name 0 dot in
-      let range = String.sub name (dot + 1) (String.length name - dot - 1) in
-      match String.index_opt range '-' with
-      | None -> None
-      | Some dash -> (
-          let lo = String.sub range 0 dash in
-          let hi =
-            String.sub range (dash + 1) (String.length range - dash - 1)
-          in
-          match (int_of_string_opt lo, int_of_string_opt hi) with
-          | Some lo, Some hi when String.length stage > 0 ->
-              Some { stage; lo; hi }
-          | _ -> None))

@@ -1,13 +1,13 @@
-(** The shared problem statement of a sharded run.
+(** The problem statement of a run directory.
 
-    The coordinator writes [spec.json] into the run directory before
-    spawning workers; every worker loads it and derives the {e same}
-    configuration, response, and work plan from it — nothing else is
-    communicated.  Floats serialise as hex literals
+    The coordinator writes [spec.json] into the run directory before the
+    worker starts; a resumed run checks its own spec against it, and
+    derives the {e same} configuration, response, and work plan from
+    it.  Floats serialise as hex literals
     ({!Journal.float_to_hex_string}) so the round trip is bit-exact, and
     {!fingerprint} hashes the canonical serialisation:
     journals stamp the fingerprint in their headers, which prevents a
-    worker from mixing journals produced under a different spec into a
+    run from mixing journals produced under a different spec into a
     merge. *)
 
 type mode = Archpred_core.Pipeline.schedule =
@@ -58,7 +58,7 @@ val load : dir:string -> t
     well-formed spec that breaks an invariant. *)
 
 val config : ?obs:Archpred_obs.t -> t -> Archpred_core.Config.t
-(** The {!Archpred_core.Config.t} every participant derives from the
+(** The {!Archpred_core.Config.t} a run derives from the
     spec (validated; [sim_batch] is [shard_unit], and [domains] is left
     at the library default). *)
 
@@ -69,7 +69,7 @@ val response : ?obs:Archpred_obs.t -> t -> Archpred_core.Response.t
 
 val pipeline :
   ?obs:Archpred_obs.t -> ?domains:int -> t -> Archpred_core.Pipeline.t
-(** The build every participant runs: {!config} on [domains] (default
+(** The build a run directory runs: {!config} on [domains] (default
     1), {!response}, the paper space, and the root generator of [seed]
     after it has drawn the [test_n] held-out test points.  Raises
     [Archpred (Invalid_input _)] on an invalid spec. *)

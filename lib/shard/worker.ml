@@ -2,63 +2,23 @@ module Obs = Archpred_obs
 module Fault = Archpred_fault.Fault
 module Pipeline = Archpred_core.Pipeline
 
-(* A worker's view of the merged journals.  It is read once when the
-   worker starts, folds in the worker's own commits as they happen, and
-   rereads the directory only when no unit of a stage can be claimed.  A
-   stale view can cost a failed claim — claims on committed units stay
-   in place — but never a duplicate commit, and a stage only ends once
-   the view holds all of it, so later stages always compute from
-   complete earlier ones. *)
-type view = {
-  obs : Obs.t;
-  dir : string;
-  fingerprint : string;
-  mutable scan : Journal.scan;
-}
+(* The merged values of a completed stage, from the worker's scan. *)
+let read scan ~stage ~count = Journal.stage_values scan ~stage ~count
 
-let rescan view =
-  Obs.incr view.obs "shard.scans";
-  view.scan <- Journal.scan_dir ~dir:view.dir ~fingerprint:view.fingerprint
-
-(* Claim the first claimable unit of [todo], then the units right after
-   it while they are claimable, up to [batch] units: one computation
-   covers the run, so a worker on D domains fans out over D units'
-   indices at a time.  Fault site ["shard.unit"] fires after each
-   successful claim. *)
-let claim_run view ~owner ~batch todo =
-  let claim (u : Plan.unit_) =
-    Claim.claim ~dir:view.dir ~name:(Plan.unit_name u) ~owner
-    && (Fault.point "shard.unit";
-        true)
-  in
-  let rec extend run (last : Plan.unit_) = function
-    | (u : Plan.unit_) :: rest
-      when List.length run < batch && u.Plan.lo = last.Plan.hi && claim u ->
-        extend (u :: run) u rest
-    | _ -> List.rev run
-  in
-  let rec first = function
-    | [] -> []
-    | u :: rest -> if claim u then extend [ u ] u rest else first rest
-  in
-  first todo
-
-(* The merged values of a completed stage, from the current view. *)
-let read view ~stage ~count = Journal.stage_values view.scan ~stage ~count
-
-(* Process every unit of one stage: claim a run of unclaimed units the
-   view shows incomplete, compute it, journal and commit each unit,
-   repeat; when every unit is committed (by anyone) the stage is done.
-   A worker that finds every unit left claimed by others rescans at
-   once, then backs off — 1 ms, doubling up to [poll] — until the stage
-   resolves: a dead claimant's units come back when the coordinator
-   releases its claims, and a live one's commits show within a few
-   milliseconds. *)
-let run_stage view ~owner ~journal ~chunk ~batch ~poll
-    (stage : Pipeline.stage) =
-  let units =
-    Array.to_list
-      (Plan.units ~stage:stage.Pipeline.name ~count:stage.Pipeline.count ~chunk)
+(* Process every unit of one stage the scan shows incomplete, in order:
+   take up to [batch] consecutive ones, compute them in one fan-out,
+   journal and commit each unit, repeat.  Fault site ["shard.unit"]
+   fires once per unit taken, before the computation. *)
+let run_stage ~obs scan ~journal ~chunk ~batch (stage : Pipeline.stage) =
+  let todo =
+    List.filter
+      (fun (u : Plan.unit_) ->
+        not
+          (Journal.unit_complete scan ~stage:u.Plan.stage ~lo:u.Plan.lo
+             ~hi:u.Plan.hi))
+      (Array.to_list
+         (Plan.units ~stage:stage.Pipeline.name ~count:stage.Pipeline.count
+            ~chunk))
   in
   (* One span per stage kind whatever the step: "sim.3" -> "shard.sim". *)
   let span =
@@ -73,63 +33,40 @@ let run_stage view ~owner ~journal ~chunk ~batch ~poll
       values;
     Journal.commit_unit journal ~stage:u.Plan.stage ~lo:u.Plan.lo
       ~hi:u.Plan.hi;
-    Journal.record_unit view.scan ~stage:u.Plan.stage ~lo:u.Plan.lo values;
-    Obs.incr view.obs "shard.units_done"
+    Journal.record_unit scan ~stage:u.Plan.stage ~lo:u.Plan.lo values;
+    Obs.incr obs "shard.units_done"
   in
-  let rec drive ~idle =
-    let todo =
-      List.filter
-        (fun (u : Plan.unit_) ->
-          not
-            (Journal.unit_complete view.scan ~stage:u.Plan.stage ~lo:u.Plan.lo
-               ~hi:u.Plan.hi))
-        units
-    in
-    match todo with
+  let rec extend run (last : Plan.unit_) = function
+    | (u : Plan.unit_) :: rest
+      when List.length run < batch && u.Plan.lo = last.Plan.hi ->
+        extend (u :: run) u rest
+    | rest -> (List.rev run, rest)
+  in
+  let rec drive = function
     | [] -> ()
-    | _ :: _ -> (
-        let run =
-          Obs.with_span view.obs "shard.claim" @@ fun () ->
-          claim_run view ~owner ~batch todo
+    | (first : Plan.unit_) :: rest ->
+        let run, rest = extend [ first ] first rest in
+        List.iter (fun _ -> Fault.point "shard.unit") run;
+        let lo = first.Plan.lo in
+        let hi = (List.nth run (List.length run - 1)).Plan.hi in
+        let values =
+          Obs.with_span obs span @@ fun () ->
+          stage.Pipeline.compute (read scan) ~lo ~hi
         in
-        match run with
-        | (first : Plan.unit_) :: _ ->
-            let lo = first.Plan.lo in
-            let hi = (List.nth run (List.length run - 1)).Plan.hi in
-            let values =
-              Obs.with_span view.obs span @@ fun () ->
-              stage.Pipeline.compute (read view) ~lo ~hi
-            in
-            Obs.with_span view.obs "shard.commit" (fun () ->
-                List.iter (commit ~lo values) run);
-            drive ~idle:0
-        | [] ->
-            (* Everything left is claimed by someone else; wait for the
-               commits (or for the coordinator to release dead claims). *)
-            if idle > 0 then
-              Unix.sleepf (Float.min poll (Float.ldexp 0.001 (idle - 1)));
-            rescan view;
-            drive ~idle:(idle + 1))
+        Obs.with_span obs "shard.commit" (fun () ->
+            List.iter (commit ~lo values) run);
+        drive rest
   in
-  drive ~idle:0
+  drive todo
 
-let work ?(obs = Obs.null) ?(poll = 0.02) ~fingerprint pipeline ~dir ~id =
+let work ?(obs = Obs.null) ~fingerprint pipeline ~dir =
   Obs.incr obs "shard.scans";
-  let view =
-    { obs; dir; fingerprint; scan = Journal.scan_dir ~dir ~fingerprint }
-  in
-  let journal = Journal.open_ ~dir ~worker:id ~fingerprint in
+  let scan = Journal.scan_dir ~dir ~fingerprint in
+  let journal = Journal.open_ ~dir ~worker:"w0" ~fingerprint in
   Fun.protect
     ~finally:(fun () -> Journal.close journal)
     (fun () ->
-      Pipeline.walk pipeline ~read:(read view)
-        (run_stage view ~owner:id ~journal
+      Pipeline.walk pipeline ~read:(read scan)
+        (run_stage ~obs scan ~journal
            ~chunk:(Pipeline.unit_size pipeline)
-           ~batch:(Pipeline.domains pipeline) ~poll))
-
-let run ?(obs = Obs.null) ~dir ~id ?poll () =
-  let spec = Spec.load ~dir in
-  Claim.init ~dir;
-  Journal.init ~dir;
-  work ~obs ?poll ~fingerprint:(Spec.fingerprint spec)
-    (Spec.pipeline ~obs spec) ~dir ~id
+           ~batch:(Pipeline.domains pipeline)))

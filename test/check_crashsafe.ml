@@ -1,8 +1,8 @@
 (* Headless crash-safety smoke check, run under `dune runtest` (like
    check_metrics): a condensed fault-injection crash matrix over the run
    directory that `archpred train --checkpoint DIR` journals a build
-   into.  For each injected crash — at a unit, at a result append, at a
-   claim, a torn journal tail — it kills a checkpointed build, reruns it
+   into.  For each injected crash — at a unit, at a result append, a
+   torn journal tail — it kills a checkpointed build, reruns it
    on the same directory, and asserts the model is byte-identical
    (Persist.to_string) to an uninterrupted single-process build, at 1
    and 2 domains.  A directory holding a different run must be refused,
@@ -67,9 +67,7 @@ let reference () =
 
 let checkpointed ?(spec = spec ()) ~domains dir =
   let outcome =
-    Shard.Coordinator.run ~dir ~spec
-      ~workers:(Shard.Coordinator.In_process { domains })
-      ()
+    Shard.Coordinator.run ~dir ~spec ~domains ()
   in
   Persist.to_string
     outcome.Shard.Coordinator.result.Core.Pipeline.final.Build.predictor
@@ -153,7 +151,6 @@ let () =
         [
           ("shard.unit", [ 1; 4; 9; 25 ]);
           ("shard.append", [ 1; 5 ]);
-          ("shard.claim", [ 2 ]);
         ];
       torn_tail ~domains ~reference)
     [ 1; 2 ];

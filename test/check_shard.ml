@@ -1,85 +1,175 @@
-(* Run-directory smoke test over the real binary: a 2-worker
-   `archpred train --shards` run — with one worker killed mid-unit by an
-   injected fault and respawned by the coordinator — and a one-worker
-   `archpred train --checkpoint DIR` run must each save a model
-   byte-identical to the single-process run's.  Rerunning the
-   checkpointed command resumes the finished directory; the same
-   directory under another seed is refused with the parse-error exit
-   code. *)
+(* Run-directory smoke test over the real binary.
 
-(* archpred-analyze: allow exit -- check harness failure path *)
-let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
+   - A checkpointed `archpred train --checkpoint DIR` at two domains is
+     killed with SIGKILL once its journal holds a committed unit; the
+     rerun of the same command must save a model byte-identical to the
+     single-process run's.  Rerunning it again resumes the finished
+     directory, and the same directory under another seed is refused
+     with the parse-error exit code (5).
+   - A second process on a run directory another live process is
+     building in must be refused within 2 s (the lock on DIR/lock), and
+     the first process's model must still be byte-identical. *)
+
+let children = ref []
+
+let fail fmt =
+  Printf.ksprintf
+    (fun m ->
+      List.iter
+        (fun pid ->
+          try
+            Unix.kill pid Sys.sigkill;
+            ignore (Unix.waitpid [] pid)
+          with Unix.Unix_error _ -> ())
+        !children;
+      prerr_endline ("check_shard: " ^ m);
+      (* archpred-analyze: allow exit -- check harness failure path *)
+      exit 1)
+    fmt
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-let status ?fault argv =
-  let env =
-    match fault with
-    | None -> Unix.environment ()
-    | Some spec ->
-        Array.append (Unix.environment ())
-          [| "ARCHPRED_SHARD_FAULT=" ^ spec |]
-  in
+let rec rm_rf path =
+  match Unix.lstat path with
+  | exception Unix.Unix_error (_, _, _) -> ()
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Sys.remove path
+
+let describe = function
+  | Unix.WEXITED c -> Printf.sprintf "exit %d" c
+  | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
+  | Unix.WSTOPPED s -> Printf.sprintf "stopped %d" s
+
+let env = Array.append (Unix.environment ()) [| "ARCHPRED_DOMAINS=2" |]
+
+let start argv =
   let pid =
     Unix.create_process_env argv.(0) argv env Unix.stdin Unix.stdout
       Unix.stderr
   in
-  snd (Unix.waitpid [] pid)
+  children := pid :: !children;
+  pid
 
-let run ?fault argv =
-  match status ?fault argv with
+let wait pid =
+  let status = snd (Unix.waitpid [] pid) in
+  children := List.filter (( <> ) pid) !children;
+  status
+
+let run argv =
+  match wait (start argv) with
   | Unix.WEXITED 0 -> ()
-  | status ->
-      let what =
-        match status with
-        | Unix.WEXITED c -> Printf.sprintf "exit %d" c
-        | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
-        | Unix.WSTOPPED s -> Printf.sprintf "stopped %d" s
-      in
-      fail "check_shard: %s failed (%s)" argv.(1) what
+  | status -> fail "%s failed (%s)" argv.(1) (describe status)
+
+(* Poll every 2 ms until [ready ()], giving up after [seconds] of
+   sleeping. *)
+let poll ~seconds ready =
+  let rec go sleeps =
+    ready ()
+    || sleeps > 0
+       && (Unix.sleepf 0.002;
+           go (sleeps - 1))
+  in
+  go (int_of_float (seconds /. 0.002))
+
+let journal dir = Filename.concat (Filename.concat dir "journals") "w0.journal"
+
+(* Does the journal hold a unit marker, "<crc> {"type":"unit",...}"? *)
+let has_unit dir =
+  match read_file (journal dir) with
+  | exception Sys_error _ -> false
+  | text ->
+      List.exists
+        (fun line ->
+          match String.index_opt line ' ' with
+          | Some sp ->
+              String.starts_with ~prefix:"{\"type\":\"unit\""
+                (String.sub line (sp + 1) (String.length line - sp - 1))
+          | None -> false)
+        (String.split_on_char '\n' text)
+
+(* The still-running child [pid]'s status, or [None] after [seconds]. *)
+let wait_within ~seconds pid =
+  let status = ref None in
+  let exited () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ -> false
+    | _, s ->
+        status := Some s;
+        children := List.filter (( <> ) pid) !children;
+        true
+  in
+  if poll ~seconds exited then !status else None
 
 let () =
   let archpred = Sys.argv.(1) in
-  (* 40 test points make three test units at the default unit size, so
-     both workers claim a unit as soon as they start: a run of tiny units
-     could otherwise finish in one worker before the other claims any. *)
+  let root = Filename.temp_dir "check_shard" "" in
+  (* at_exit, not Fun.protect: [fail] exits without unwinding. *)
+  at_exit (fun () -> rm_rf root);
+  let path name = Filename.concat root name in
+  (* Large enough (about a second at two domains) that the kill and the
+     second process land while the build is running. *)
   let common =
     [|
-      archpred; "train"; "-b"; "crafty"; "-n"; "20"; "--trace-length"; "2000";
+      archpred; "train"; "-b"; "mcf"; "-n"; "200"; "--trace-length"; "20000";
       "--seed"; "7"; "--test-points"; "40";
     |]
   in
-  run (Array.append common [| "--save"; "shard_smoke_single.model" |]);
-  (* Worker w0 dies permanently at its first claimed unit; the
-     coordinator must respawn it (fresh id, so the replacement is not
-     re-armed) and the merged model must not change. *)
-  run
-    ~fault:"w0:shard.unit:1:sticky"
-    (Array.append common
-       [|
-         "--shards"; "2"; "--checkpoint"; "shard_smoke_run"; "--save";
-         "shard_smoke_sharded.model";
-       |]);
-  let single = read_file "shard_smoke_single.model" in
-  if not (String.equal single (read_file "shard_smoke_sharded.model")) then
-    fail "check_shard: sharded model differs from the single-process model";
-  let checkpointed =
-    Array.append common
-      [|
-        "--checkpoint"; "shard_smoke_checkpoint"; "--save";
-        "shard_smoke_checkpoint.model";
-      |]
+  let checkpointed dir model =
+    Array.append common [| "--checkpoint"; dir; "--save"; model |]
   in
-  (* The second run finds every unit committed and only reassembles. *)
-  run checkpointed;
-  run checkpointed;
-  if not (String.equal single (read_file "shard_smoke_checkpoint.model")) then
-    fail "check_shard: checkpointed model differs from the single-process model";
-  let other_seed = Array.copy checkpointed in
+  run (Array.append common [| "--save"; path "single.model" |]);
+  let single = read_file (path "single.model") in
+  let same_model what model =
+    if not (String.equal single (read_file model)) then
+      fail "%s: model differs from the single-process model" what
+  in
+  (* A real crash: SIGKILL once a unit is committed, then resume. *)
+  let killed = checkpointed (path "killed") (path "killed.model") in
+  let pid = start killed in
+  if not (poll ~seconds:60. (fun () -> has_unit (path "killed"))) then
+    fail "no unit committed within 60 s";
+  Unix.kill pid Sys.sigkill;
+  (match wait pid with
+  | Unix.WSIGNALED s when s = Sys.sigkill -> ()
+  | Unix.WEXITED 0 ->
+      fail "the build finished before it was killed; enlarge the run"
+  | status -> fail "the killed build ended with %s" (describe status));
+  run killed;
+  same_model "killed and resumed" (path "killed.model");
+  (* The finished directory only reassembles. *)
+  run killed;
+  same_model "resumed finished directory" (path "killed.model");
+  let other_seed = Array.copy killed in
   other_seed.(9) <- "8";
-  (match status other_seed with
+  (match wait (start other_seed) with
   | Unix.WEXITED 5 -> ()
-  | _ -> fail "check_shard: a run directory of another seed was not refused");
+  | status ->
+      fail "a run directory of another seed was not refused (%s)"
+        (describe status));
+  (* A second live process on the same directory is refused. *)
+  let locked = path "locked" in
+  let a = start (checkpointed locked (path "a.model")) in
+  if not (poll ~seconds:60. (fun () -> Sys.file_exists (journal locked))) then
+    fail "the first build opened no journal within 60 s";
+  let b = start (checkpointed locked (path "b.model")) in
+  (match wait_within ~seconds:2. b with
+  | Some (Unix.WEXITED 4) -> ()
+  | Some (Unix.WEXITED 0) ->
+      fail
+        "a second process on a busy run directory exited 0 (if the first \
+         build had already finished, enlarge the run)"
+  | Some status ->
+      fail "a second process on a busy run directory ended with %s, not exit 4"
+        (describe status)
+  | None ->
+      fail "a second process on a busy run directory still runs after 2 s");
+  (match wait a with
+  | Unix.WEXITED 0 -> ()
+  | status -> fail "the first build failed (%s)" (describe status));
+  same_model "first of two processes" (path "a.model");
   print_endline
-    "ok: 2-worker sharded train (one worker killed mid-unit) and \
-     checkpointed train are byte-identical to the single-process model"
+    "ok: a checkpointed train killed by SIGKILL resumes to the \
+     single-process model, and a second process on a busy run directory \
+     is refused"

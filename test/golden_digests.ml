@@ -195,11 +195,10 @@ let moments name ~rows ~cols ~seed =
   line (Printf.sprintf "%s.%dx%d" name rows cols) (crc (Buffer.contents buf))
 
 (* The crash-safe paths pinned against one single-process twin.  The
-   twin draws from the root generator in the order a sharded run does:
+   twin draws from the root generator in the order a run directory does:
    the held-out test points first, then the build.  Each row after it
-   must print the twin's digest: two workers sharing a run directory, a
-   worker killed mid-unit whose replacement finishes the run, and the
-   one-worker run directory of [--checkpoint] at two domains. *)
+   must print the twin's digest: a run killed mid-unit and rerun on its
+   directory, and the run directory of [--checkpoint] at two domains. *)
 let shard_spec =
   {
     Shard.Spec.benchmark = "mcf";
@@ -271,67 +270,33 @@ let with_run_dir f =
   Unix.mkdir dir 0o755;
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-let shard_row name drive =
+(* The final model of what [archpred train --checkpoint DIR] runs in
+   [dir] at [domains]. *)
+let run_dir ~spec ~domains dir =
+  (Shard.Coordinator.run ~dir ~spec ~domains ()).Shard.Coordinator.result
+    .Core.Pipeline.final
+
+(* A run killed at its second unit, then rerun on the same directory. *)
+let killed_and_resumed name =
   with_run_dir @@ fun dir ->
-  Shard.Spec.save ~dir shard_spec;
-  Shard.Claim.init ~dir;
-  Shard.Journal.init ~dir;
-  drive dir;
-  let fingerprint = Shard.Spec.fingerprint shard_spec in
-  let scan = Shard.Journal.scan_dir ~dir ~fingerprint in
-  let outcome =
-    Core.Pipeline.assemble (Shard.Spec.pipeline shard_spec)
-      (Shard.Journal.stage_values scan)
-  in
-  line name (crc (model outcome.Core.Pipeline.final))
-
-let two_workers dir =
-  List.iter Domain.join
-    (List.init 2 (fun k ->
-         Domain.spawn (fun () ->
-             Shard.Worker.run ~dir ~id:(Printf.sprintf "w%d" k) ~poll:0.002 ())))
-
-(* [w0] dies at its second claimed unit; its incomplete claims are
-   released as the coordinator releases a casualty's, and [w0.r1]
-   finishes the run. *)
-let killed_and_resumed dir =
   Fault.reset ();
   Fault.arm ~site:"shard.unit" ~after:2 ();
-  (match Shard.Worker.run ~dir ~id:"w0" ~poll:0.002 () with
-  | () -> failwith "golden_digests: the shard.unit fault did not fire"
+  (match run_dir ~spec:shard_spec ~domains:1 dir with
+  | _ -> failwith "golden_digests: the shard.unit fault did not fire"
   | exception Fault.Injected _ -> ());
   Fault.reset ();
-  let scan =
-    Shard.Journal.scan_dir ~dir ~fingerprint:(Shard.Spec.fingerprint shard_spec)
-  in
-  Shard.Claim.release_incomplete ~dir ~owner:"w0"
-    ~complete:(fun ~stage ~lo ~hi -> Shard.Journal.unit_complete scan ~stage ~lo ~hi);
-  Shard.Worker.run ~dir ~id:"w0.r1" ~poll:0.002 ()
+  line name (crc (model (run_dir ~spec:shard_spec ~domains:1 dir)))
 
 (* The accuracy-mode run directory of [accuracy_spec], one worker in
    this process: its final model is the n = 30 step's. *)
 let shard_accuracy name =
   with_run_dir @@ fun dir ->
-  let outcome =
-    Shard.Coordinator.run ~dir ~spec:accuracy_spec
-      ~workers:(Shard.Coordinator.In_process { domains = 1 })
-      ()
-  in
-  line name
-    (crc (model outcome.Shard.Coordinator.result.Core.Pipeline.final))
+  line name (crc (model (run_dir ~spec:accuracy_spec ~domains:1 dir)))
 
-(* What [archpred train --checkpoint DIR] runs: the coordinator's
-   one in-process worker, computing two units at a time over two
-   domains. *)
+(* The run directory computing two units at a time over two domains. *)
 let checkpointed name =
   with_run_dir @@ fun dir ->
-  let outcome =
-    Shard.Coordinator.run ~dir ~spec:shard_spec
-      ~workers:(Shard.Coordinator.In_process { domains = 2 })
-      ()
-  in
-  line name
-    (crc (model outcome.Shard.Coordinator.result.Core.Pipeline.final))
+  line name (crc (model (run_dir ~spec:shard_spec ~domains:2 dir)))
 
 (* The simulator on the paper build's shape: the Table 2 test box over
    the paper-sized mcf trace, on one domain.  Its cycle counts are what a
@@ -371,8 +336,7 @@ let rows () =
   discrepancy "discrepancy" ~n:400 ~seed:24;
   moments "ils.moments" ~rows:400 ~cols:389 ~seed:25;
   shard_twin "shard.twin.mcf.n40";
-  shard_row "shard.w2.mcf.n40" two_workers;
-  shard_row "shard.resumed.mcf.n40" killed_and_resumed;
+  killed_and_resumed "shard.resumed.mcf.n40";
   checkpointed "checkpoint.d2.mcf.n40";
   accuracy_mcf "accuracy.mcf";
   shard_accuracy "shard.accuracy.mcf.n30";

@@ -3,8 +3,8 @@
    deterministic fault-injection harness that drives them.
 
    The central invariant, asserted over and over: interrupting a
-   checkpointed build anywhere — a crash at a unit, at a result append
-   or at a claim, a torn journal tail cut at every byte, a corrupt tail
+   checkpointed build anywhere — a crash at a unit or at a result
+   append, a torn journal tail cut at every byte, a corrupt tail
    line — and rerunning it on the same directory yields a model whose
    [Persist.to_string] is *byte-identical* to an uninterrupted
    single-process build, at 1 and at 2 domains. *)
@@ -94,9 +94,7 @@ let results_in_run = 22
 let checkpointed ?(spec = spec ()) ~domains dir =
   let obs = Obs.create () in
   let outcome =
-    Coordinator.run ~obs ~dir ~spec
-      ~workers:(Coordinator.In_process { domains })
-      ()
+    Coordinator.run ~obs ~dir ~spec ~domains ()
   in
   ( Persist.to_string
       outcome.Coordinator.result.Core.Pipeline.final.Build.predictor,
@@ -494,8 +492,6 @@ let () =
             (crash_matrix ~site:"shard.unit" ~hits:units_in_run);
           Alcotest.test_case "shard.append" `Quick
             (crash_matrix ~site:"shard.append" ~hits:results_in_run);
-          Alcotest.test_case "shard.claim" `Quick
-            (crash_matrix ~site:"shard.claim" ~hits:units_in_run);
           Alcotest.test_case "transient absorbed" `Quick
             test_transient_fault_absorbed_by_retry;
           Alcotest.test_case "infeasible journals" `Quick

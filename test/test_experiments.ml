@@ -89,6 +89,32 @@ let test_cheap_experiments_run () =
       | None -> Alcotest.failf "missing %s" id)
     [ "table1"; "table2"; "fig2" ]
 
+(* [reproduce]'s results stream is the same bytes however long an
+   experiment takes: one cheap entry, run slowly and then quickly, each
+   on a fresh context. *)
+let test_run_all_reproducible () =
+  let table1 = Option.get (Registry.find "table1") in
+  let output ~delay =
+    let entry =
+      {
+        table1 with
+        Registry.run =
+          (fun ctx ppf ->
+            Unix.sleepf delay;
+            table1.Registry.run ctx ppf);
+      }
+    in
+    let buf = Buffer.create 4096 in
+    let ppf = Format.formatter_of_buffer buf in
+    Registry.run_all ~entries:[ entry ]
+      (Context.create ~scale:Scale.Small ())
+      ppf;
+    Format.pp_print_flush ppf ();
+    Buffer.contents buf
+  in
+  Alcotest.(check string)
+    "same bytes, slow or fast" (output ~delay:0.3) (output ~delay:0.)
+
 let () =
   Alcotest.run "experiments"
     [
@@ -105,6 +131,8 @@ let () =
           Alcotest.test_case "covers paper" `Quick test_registry_covers_paper;
           Alcotest.test_case "unknown id" `Quick test_registry_find_unknown;
           Alcotest.test_case "paper subset" `Quick test_registry_paper_subset;
+          Alcotest.test_case "reproducible output" `Quick
+            test_run_all_reproducible;
         ] );
       ( "context",
         [

@@ -1,16 +1,14 @@
-(* Sharded-search tests: the deterministic work-unit partition, the
-   atomic claim protocol, the journal merge, and the central invariant —
-   an N-shard run (N in {1, 2, 4}, with a worker killed and restarted
-   mid-run via fault injection) merges to a model whose
-   [Persist.to_string] is byte-identical to the single-process build, at
-   1 and at 4 domains. *)
+(* Run-directory tests: the deterministic work-unit partition, the spec,
+   the journal merge, and the central invariant — a checkpointed run (at
+   1, 2 and 4 domains, or killed mid-unit via fault injection and rerun)
+   merges to a model whose [Persist.to_string] is byte-identical to the
+   single-process build, at 1 and at 4 domains. *)
 
 module Shard = Archpred_shard
 module Plan = Shard.Plan
-module Claim = Shard.Claim
 module Spec = Shard.Spec
 module Journal = Shard.Journal
-module Worker = Shard.Worker
+module Coordinator = Shard.Coordinator
 module Core = Archpred_core
 module Pipeline = Core.Pipeline
 module Build = Core.Build
@@ -66,66 +64,6 @@ let plan_partition_exact =
           done)
         units;
       Array.for_all Fun.id covered)
-
-let plan_name_roundtrip =
-  prop "unit_name round-trips" 200
-    QCheck2.Gen.(
-      triple
-        (oneofl [ "test"; "lhs.0"; "sim.12"; "tune.3"; "a.b.c" ])
-        (int_range 0 1000) (int_range 1 50))
-    (fun (stage, lo, len) ->
-      let u = { Plan.stage; lo; hi = lo + len } in
-      match Plan.unit_of_name (Plan.unit_name u) with
-      | Some v ->
-          String.equal v.Plan.stage u.Plan.stage
-          && v.Plan.lo = u.Plan.lo && v.Plan.hi = u.Plan.hi
-      | None -> false)
-
-let test_plan_malformed () =
-  List.iter
-    (fun s -> Alcotest.(check bool) s false (Plan.unit_of_name s <> None))
-    [ ""; "noseparator"; "stage.1"; "stage.a-b"; ".0-4"; "stage.0_4" ]
-
-(* ------------------------------------------------------------------ *)
-(* Claim                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_claim_exclusive () =
-  with_dir @@ fun dir ->
-  Claim.init ~dir;
-  Alcotest.(check bool)
-    "first claim wins" true
-    (Claim.claim ~dir ~name:"sim.0.0-4" ~owner:"w0");
-  Alcotest.(check bool)
-    "second claim loses" false
-    (Claim.claim ~dir ~name:"sim.0.0-4" ~owner:"w1");
-  Alcotest.(check (option string))
-    "owner recorded" (Some "w0")
-    (Claim.owner ~dir ~name:"sim.0.0-4");
-  Claim.release ~dir ~name:"sim.0.0-4";
-  Alcotest.(check bool)
-    "reclaim after release" true
-    (Claim.claim ~dir ~name:"sim.0.0-4" ~owner:"w1")
-
-let test_claim_release_incomplete () =
-  with_dir @@ fun dir ->
-  Claim.init ~dir;
-  assert (Claim.claim ~dir ~name:"sim.0.0-4" ~owner:"dead");
-  assert (Claim.claim ~dir ~name:"sim.0.4-8" ~owner:"dead");
-  assert (Claim.claim ~dir ~name:"sim.0.8-12" ~owner:"alive");
-  (* Unit 0-4 is committed, 4-8 is not; only the dead owner's
-     incomplete claim must go. *)
-  Claim.release_incomplete ~dir ~owner:"dead" ~complete:(fun ~stage:_ ~lo ~hi:_ ->
-      lo = 0);
-  Alcotest.(check (option string))
-    "complete claim kept" (Some "dead")
-    (Claim.owner ~dir ~name:"sim.0.0-4");
-  Alcotest.(check (option string))
-    "incomplete claim released" None
-    (Claim.owner ~dir ~name:"sim.0.4-8");
-  Alcotest.(check (option string))
-    "other owner kept" (Some "alive")
-    (Claim.owner ~dir ~name:"sim.0.8-12")
 
 (* ------------------------------------------------------------------ *)
 (* Spec                                                               *)
@@ -349,11 +287,11 @@ let spec_byte_soup =
   prop "spec: byte soup gives a spec or a typed error" 300 byte_soup spec_total
 
 (* ------------------------------------------------------------------ *)
-(* End-to-end: N shards vs single process                             *)
+(* End-to-end: run directory vs single process                       *)
 (* ------------------------------------------------------------------ *)
 
 (* The single-process reference, consuming the root generator exactly as
-   the sharded stages do: test points first, then training. *)
+   a run directory does: test points first, then training. *)
 let reference_train ?(domains = 1) (s : Spec.t) =
   let rng = Rng.create s.Spec.seed in
   let test = Paper_space.test_points rng ~n:s.Spec.test_n in
@@ -372,45 +310,35 @@ let reference_train ?(domains = 1) (s : Spec.t) =
       in
       (h.Build.final.Build.trained, h.Build.steps)
 
-(* Drive [workers] in-process worker loops concurrently (one domain
-   each) against a shared run directory, then merge and reassemble. *)
-let sharded_outcome ?(workers = 2) (s : Spec.t) =
+(* What [archpred train --checkpoint DIR] runs, at [domains], in a
+   fresh run directory. *)
+let checkpointed ?obs ?(domains = 1) (s : Spec.t) =
   with_dir @@ fun dir ->
-  Spec.save ~dir s;
-  Claim.init ~dir;
-  Journal.init ~dir;
-  let doms =
-    List.init workers (fun k ->
-        Domain.spawn (fun () ->
-            Worker.run ~dir ~id:(Printf.sprintf "w%d" k) ~poll:0.002 ()))
-  in
-  List.iter Domain.join doms;
-  let scan = Journal.scan_dir ~dir ~fingerprint:(Spec.fingerprint s) in
-  Pipeline.assemble (Spec.pipeline s) (Journal.stage_values scan)
+  (Coordinator.run ?obs ~dir ~spec:s ~domains ()).Coordinator.result
 
 let model (trained : Build.trained) = Persist.to_string trained.Build.predictor
 
-let test_shards_match_single_process () =
+let test_domains_match_single_process () =
   let s = spec () in
   let reference = model (fst (reference_train ~domains:1 s)) in
   Alcotest.(check string)
     "reference stable at 4 domains" reference
     (model (fst (reference_train ~domains:4 s)));
   List.iter
-    (fun workers ->
-      let outcome = sharded_outcome ~workers s in
+    (fun domains ->
+      let outcome = checkpointed ~domains s in
       Alcotest.(check string)
-        (Printf.sprintf "%d-shard run is bit-identical" workers)
+        (Printf.sprintf "run directory at %d domains is bit-identical" domains)
         reference
         (model outcome.Pipeline.final))
     [ 1; 2; 4 ]
 
-let test_shards_match_accuracy_schedule () =
+let test_accuracy_schedule () =
   let s =
     spec ~mode:(Spec.Accuracy { sizes = [ 8; 12 ]; target_mean_pct = 0. }) ()
   in
   let ref_trained, ref_steps = reference_train ~domains:1 s in
-  let outcome = sharded_outcome ~workers:2 s in
+  let outcome = checkpointed ~domains:2 s in
   Alcotest.(check string)
     "final model bit-identical" (model ref_trained)
     (model outcome.Pipeline.final);
@@ -425,7 +353,7 @@ let test_shards_match_accuracy_schedule () =
         (model b.Build.trained))
     ref_steps outcome.Pipeline.steps
 
-let test_shards_match_stream_refit () =
+let test_stream_refit () =
   let s =
     spec ~stream_refit:true
       ~mode:(Spec.Accuracy { sizes = [ 8; 12 ]; target_mean_pct = 0. })
@@ -436,35 +364,23 @@ let test_shards_match_stream_refit () =
     "stream reference stable at 4 domains"
     (model ref_trained)
     (model (fst (reference_train ~domains:4 s)));
-  let outcome = sharded_outcome ~workers:2 s in
+  let outcome = checkpointed ~domains:2 s in
   Alcotest.(check string)
-    "streamed sharded model bit-identical" (model ref_trained)
+    "streamed run-directory model bit-identical" (model ref_trained)
     (model outcome.Pipeline.final)
 
-(* Kill one worker mid-unit (injected fault after it has claimed a unit),
-   release its claims the way the coordinator does, run a replacement
-   under a fresh id, and check the merged model is untouched. *)
+(* Kill the run mid-unit (an injected fault at [site]), rerun it on the
+   same directory, and check the merged model is untouched. *)
 let crash_and_recover (s : Spec.t) ~site ~after =
   with_faults @@ fun () ->
   with_dir @@ fun dir ->
-  Spec.save ~dir s;
-  Claim.init ~dir;
-  Journal.init ~dir;
-  let fingerprint = Spec.fingerprint s in
   Fault.arm ~site ~after ();
-  (match Worker.run ~dir ~id:"w0" ~poll:0.002 () with
-  | () -> Alcotest.fail "fault did not fire"
+  (match Coordinator.run ~dir ~spec:s ~domains:1 () with
+  | _ -> Alcotest.fail "fault did not fire"
   | exception Fault.Injected _ -> ());
   Fault.disarm site;
   Alcotest.(check bool) "the casualty hit the site" true (Fault.hits site > 0);
-  (* Coordinator recovery: release the dead worker's incomplete claims
-     so the replacement can pick the unit up. *)
-  let scan = Journal.scan_dir ~dir ~fingerprint in
-  Claim.release_incomplete ~dir ~owner:"w0" ~complete:(fun ~stage ~lo ~hi ->
-      Journal.unit_complete scan ~stage ~lo ~hi);
-  Worker.run ~dir ~id:"w0.r1" ~poll:0.002 ();
-  let scan = Journal.scan_dir ~dir ~fingerprint in
-  Pipeline.assemble (Spec.pipeline s) (Journal.stage_values scan)
+  (Coordinator.run ~dir ~spec:s ~domains:1 ()).Coordinator.result
 
 let test_crash_mid_unit_recovers () =
   let s = spec () in
@@ -476,7 +392,7 @@ let test_crash_mid_unit_recovers () =
         (Printf.sprintf "recovered model identical (%s after %d)" site after)
         reference
         (model outcome.Pipeline.final))
-    [ ("shard.unit", 2); ("shard.append", 5); ("shard.claim", 3) ]
+    [ ("shard.unit", 2); ("shard.append", 5) ]
 
 (* A search's build draws no test points, so its spec has [test_n = 0]:
    the run must assemble the model [Build.train] gives on a generator
@@ -492,16 +408,14 @@ let test_no_test_points () =
   in
   Alcotest.(check string)
     "test_n = 0 run is bit-identical" (model reference)
-    (model (sharded_outcome ~workers:1 s).Pipeline.final)
+    (model (checkpointed s).Pipeline.final)
 
-(* A lone worker reads the run directory once, however finely the run
-   is cut into units. *)
+(* The worker reads the run directory once, however finely the run is
+   cut into units. *)
 let test_scans_flat_in_units () =
   let scans_and_units shard_unit =
-    with_dir @@ fun dir ->
-    Spec.save ~dir { (spec ()) with Spec.shard_unit };
     let obs = Obs.create () in
-    Worker.run ~obs ~dir ~id:"w0" ();
+    ignore (checkpointed ~obs { (spec ()) with Spec.shard_unit });
     (Obs.counter obs "shard.scans", Obs.counter obs "shard.units_done")
   in
   let coarse_scans, coarse_units = scans_and_units 6 in
@@ -517,14 +431,6 @@ let () =
       ( "plan",
         [
           plan_partition_exact;
-          plan_name_roundtrip;
-          Alcotest.test_case "malformed names" `Quick test_plan_malformed;
-        ] );
-      ( "claim",
-        [
-          Alcotest.test_case "exclusive" `Quick test_claim_exclusive;
-          Alcotest.test_case "release incomplete" `Quick
-            test_claim_release_incomplete;
         ] );
       ( "spec",
         [
@@ -552,12 +458,10 @@ let () =
         ] );
       ( "bit-identity",
         [
-          Alcotest.test_case "1/2/4 shards vs single process" `Quick
-            test_shards_match_single_process;
-          Alcotest.test_case "accuracy schedule" `Quick
-            test_shards_match_accuracy_schedule;
-          Alcotest.test_case "stream refit" `Quick
-            test_shards_match_stream_refit;
+          Alcotest.test_case "1/2/4 domains vs single process" `Quick
+            test_domains_match_single_process;
+          Alcotest.test_case "accuracy schedule" `Quick test_accuracy_schedule;
+          Alcotest.test_case "stream refit" `Quick test_stream_refit;
           Alcotest.test_case "crash mid-unit recovers" `Quick
             test_crash_mid_unit_recovers;
           Alcotest.test_case "no test points" `Quick test_no_test_points;

@@ -152,13 +152,14 @@ let checkpoint_t =
            crash, SIGINT, out of memory — rerunning the same command \
            resumes from the committed journals and produces a \
            bit-identical model.  A directory that holds a different run \
-           is refused (exit 5), and so is one another live archpred \
-           process is running in (exit 4).")
+           is refused (exit 5), and so is one whose spec.json an older \
+           archpred wrote (exit 5, \"unsupported spec version\"), and one \
+           another live archpred process is running in (exit 4).")
 
 (* The shared problem statement of a run-directory build, from the same
    defaults a single-process build takes. *)
 let run_spec ~(bench : Workloads.Profile.t) ~metric ~seed ~trace_length ~n
-    ~test_n ~stream_refit ~mode =
+    ~test_n ~nested ~mode =
   let base = Core.Config.default in
   {
     Shard.Spec.benchmark = bench.Workloads.Profile.name;
@@ -172,8 +173,7 @@ let run_spec ~(bench : Workloads.Profile.t) ~metric ~seed ~trace_length ~n
     p_min_grid = base.Core.Config.p_min_grid;
     alpha_grid = base.Core.Config.alpha_grid;
     shard_unit = base.Core.Config.sim_batch;
-    stream_refit;
-    refit_full_every = base.Core.Config.refit_full_every;
+    nested;
     mode;
   }
 
@@ -319,15 +319,15 @@ let train_cmd =
       & info [ "sizes" ] ~docv:"N,N,..."
           ~doc:"Sample-size schedule used with --target-error.")
   in
-  let stream_refit_t =
+  let nested_t =
     Arg.(
       value & flag
-      & info [ "stream-refit" ]
+      & info [ "nested" ]
           ~doc:
-            "With $(b,--target-error): grow one nested sample and extend \
-             the tuning fit by rank-1 updates instead of refitting from \
-             scratch at every size (deterministic, but a deliberate \
-             departure from the paper's redraw-per-size procedure).")
+            "With $(b,--target-error): grow one nested sample, simulating \
+             only the points new at each size, and tune each size from \
+             scratch (deterministic, but a departure from the paper's \
+             redraw-per-size procedure).")
   in
   (* Print the accuracy-schedule steps and the final model summary — the
      checkpointed and in-memory paths share this tail. *)
@@ -353,7 +353,7 @@ let train_cmd =
     | None -> ()
   in
   let run bench n trace_length seed test_n metric save target sizes
-      stream_refit checkpoint trace metrics =
+      nested checkpoint trace metrics =
     with_obs ~trace ~metrics @@ fun obs ->
     match checkpoint with
     | Some dir ->
@@ -363,8 +363,7 @@ let train_cmd =
           | Some target_mean_pct -> Shard.Spec.Accuracy { sizes; target_mean_pct }
         in
         let spec =
-          run_spec ~bench ~metric ~seed ~trace_length ~n ~test_n ~stream_refit
-            ~mode
+          run_spec ~bench ~metric ~seed ~trace_length ~n ~test_n ~nested ~mode
         in
         Format.printf "checkpointed build for %s in %s...@."
           bench.Workloads.Profile.name dir;
@@ -387,7 +386,7 @@ let train_cmd =
       |> Core.Config.with_rng rng
       |> Core.Config.with_sample_size n
       |> Core.Config.with_trace_length trace_length
-      |> Core.Config.with_stream_refit stream_refit
+      |> Core.Config.with_nested nested
     in
     let t0 = Archpred_obs.now_ns () in
     let trained, steps =
@@ -422,7 +421,7 @@ let train_cmd =
        ~doc:"Train an RBF performance model and report its accuracy")
     Term.(
       const run $ bench_t $ sample_size_t $ trace_length_t $ seed_t $ test_n_t
-      $ metric_t $ save_t $ target_t $ sizes_t $ stream_refit_t
+      $ metric_t $ save_t $ target_t $ sizes_t $ nested_t
       $ checkpoint_t $ trace_t $ metrics_t)
 
 (* ---------- predict ---------- *)
@@ -646,7 +645,7 @@ let search_cmd =
       | Some dir ->
           let spec =
             run_spec ~bench ~metric:Core.Response.Cpi ~seed ~trace_length ~n
-              ~test_n:0 ~stream_refit:false ~mode:Shard.Spec.Train
+              ~test_n:0 ~nested:false ~mode:Shard.Spec.Train
           in
           let outcome = run_dir_build ~obs ~dir spec in
           (* The search draws after the build, which advances the root

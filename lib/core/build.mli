@@ -88,14 +88,12 @@ val build_to_accuracy :
     [Archpred (Invalid_input _)] on an empty size schedule or arrays of
     different lengths.
 
-    {b Streaming refit.}  With [config.stream_refit] the schedule departs
-    from the paper's redraw-per-size procedure: one LHS campaign is run
-    at the largest size, each step's sample is the prefix of that nested
-    sample, only the new rows are simulated, and the tuning grid is
-    extended by rank-1 moment pushes ({!Refit}) instead of refit from
-    scratch — with a periodic from-scratch cross-check every
-    [config.refit_full_every] steps.  Each step's [trained.discrepancy]
-    is then the discrepancy of the full nested sample.  The streamed
-    model is deterministic in the configuration — identical at any
-    domain or worker-process count — but (by design) differs from the
-    default procedure's model. *)
+    {b Nested schedule.}  With [config.nested] the schedule departs
+    from the paper's redraw-per-size procedure in its sample only: one
+    LHS campaign is run at the largest size, each step's sample is the
+    prefix of that nested sample, and only the new rows are simulated.
+    Each step then tunes the grid and selects centers from scratch, as a
+    redraw step does.  Each step's [trained.discrepancy] is the
+    discrepancy of the full nested sample.  The nested model is
+    deterministic in the configuration, at any domain count, but differs
+    from the default procedure's model. *)

@@ -14,8 +14,7 @@ type t = {
   obs : Obs.t;
   task_retries : int;
   sim_batch : int;
-  stream_refit : bool;
-  refit_full_every : int;
+  nested : bool;
 }
 
 (* Table 4 of the paper finds the best leaf size is 1 or 2, and the best
@@ -37,8 +36,7 @@ let default =
     obs = Obs.null;
     task_retries = 1;
     sim_batch = 16;
-    stream_refit = false;
-    refit_full_every = 0;
+    nested = false;
   }
 
 let with_seed seed t = { t with seed; rng = None }
@@ -52,8 +50,7 @@ let with_alpha_grid alpha_grid t = { t with alpha_grid }
 let with_lhs_candidates lhs_candidates t = { t with lhs_candidates }
 let with_obs obs t = { t with obs }
 let with_sim_batch sim_batch t = { t with sim_batch }
-let with_stream_refit stream_refit t = { t with stream_refit }
-let with_refit_full_every refit_full_every t = { t with refit_full_every }
+let with_nested nested t = { t with nested }
 let rng_of t = match t.rng with Some rng -> rng | None -> Rng.create t.seed
 
 let validate t =
@@ -74,6 +71,4 @@ let validate t =
     Obs.Error.invalid_input ~where:"Config" "task_retries < 0";
   if t.sim_batch < 1 then
     Obs.Error.invalid_input ~where:"Config" "sim_batch < 1";
-  if t.refit_full_every < 0 then
-    Obs.Error.invalid_input ~where:"Config" "refit_full_every < 0";
   t

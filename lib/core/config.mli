@@ -41,18 +41,12 @@ type t = {
           one simulator fan-out, and a unit's commit stays a small share
           of its cost.  [1] forces the pointwise reference
           path *)
-  stream_refit : bool;
+  nested : bool;
       (** [build_to_accuracy] only: grow one nested sample across the size
-          schedule and update the tuning-grid Gram moments by rank-1 row
-          pushes ({!Refit}) as new simulation points arrive, instead of
-          redrawing the sample and refitting every cell from scratch at
+          schedule, simulating only the rows new at each size, and tune
+          each prefix from scratch, instead of redrawing the sample at
           each size step.  Off (the default) preserves the paper's
           independent-sample procedure bit for bit. *)
-  refit_full_every : int;
-      (** with [stream_refit]: rebuild the tree basis from scratch (and
-          cross-check the streamed criterion against the full refit) every
-          this many size steps; [0] (default) never rebuilds after the
-          first step *)
 }
 
 val default : t
@@ -77,13 +71,8 @@ val with_sim_batch : int -> t -> t
 (** Unit size of the training stages; the model is bit-identical at
     any value. *)
 
-val with_stream_refit : bool -> t -> t
-(** Streaming incremental refit across [build_to_accuracy] size steps;
-    see {!t.stream_refit}. *)
-
-val with_refit_full_every : int -> t -> t
-(** Full-refit (basis rebuild + cross-check) cadence under
-    [stream_refit]; [0] disables. *)
+val with_nested : bool -> t -> t
+(** The nested size schedule of [build_to_accuracy]; see {!t.nested}. *)
 
 val rng_of : t -> Archpred_stats.Rng.t
 (** The explicit generator when set, otherwise a fresh one from [seed].

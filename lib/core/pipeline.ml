@@ -31,7 +31,7 @@ type t = {
   rng : Rng.t;
   sizes : int array;
   target : float option;  (* [None]: train mode *)
-  stream : bool;
+  nested : bool;
   cells : (int * float) array;
   test_points : Design.Space.point array;
   (* Values derived from the stages, kept so that no process computes
@@ -43,7 +43,6 @@ type t = {
   best : (int, int * Tune.result) Hashtbl.t;
   trained : (int, trained) Hashtbl.t;
   errors : (int, Stats.Error_metrics.t) Hashtbl.t;
-  mutable refit : Refit.t option;
 }
 
 type read = stage:string -> count:int -> float array
@@ -75,7 +74,7 @@ let create ~config ~space ~response ~rng ~schedule ~test_points =
     rng;
     sizes;
     target;
-    stream = config.Config.stream_refit && Option.is_some target;
+    nested = config.Config.nested && Option.is_some target;
     cells = Tune.cells config;
     test_points;
     streams = Hashtbl.create 8;
@@ -83,7 +82,6 @@ let create ~config ~space ~response ~rng ~schedule ~test_points =
     best = Hashtbl.create 8;
     trained = Hashtbl.create 8;
     errors = Hashtbl.create 8;
-    refit = None;
   }
 
 let unit_size t = t.config.Config.sim_batch
@@ -103,15 +101,15 @@ let lhs_name step = Printf.sprintf "lhs.%d" step
 let sim_name step = Printf.sprintf "sim.%d" step
 let tune_name step = Printf.sprintf "tune.%d" step
 
-(* In stream mode there is a single LHS campaign at the largest size and
+(* In nested mode there is a single LHS campaign at the largest size and
    each sim stage covers only the rows new at its step. *)
 let lhs_n t ~step =
-  if t.stream then t.sizes.(Array.length t.sizes - 1) else t.sizes.(step)
+  if t.nested then t.sizes.(Array.length t.sizes - 1) else t.sizes.(step)
 
 let prev_n t ~step = if step = 0 then 0 else t.sizes.(step - 1)
 
 let sim_count t ~step =
-  if t.stream then t.sizes.(step) - prev_n t ~step else t.sizes.(step)
+  if t.nested then t.sizes.(step) - prev_n t ~step else t.sizes.(step)
 
 (* Step [step]'s candidate streams: each redraw step splits
    [lhs_candidates] streams off the generator in turn, as [best_lhs]
@@ -150,13 +148,13 @@ let winner_points t read ~step =
       points
 
 let step_sample t read ~step =
-  if t.stream then Array.sub (winner_points t read ~step:0) 0 t.sizes.(step)
+  if t.nested then Array.sub (winner_points t read ~step:0) 0 t.sizes.(step)
   else winner_points t read ~step
 
-(* The size-n responses at step [step]: one sim stage, or in stream mode
+(* The size-n responses at step [step]: one sim stage, or in nested mode
    the sim stages of every step so far. *)
 let step_responses t read ~step =
-  if t.stream then
+  if t.nested then
     Array.concat
       (List.init (step + 1) (fun k ->
            read ~stage:(sim_name k) ~count:(sim_count t ~step:k)))
@@ -237,7 +235,7 @@ let sim_stage t ~step =
     compute =
       (fun read ~lo ~hi ->
         let sample, base =
-          if t.stream then (winner_points t read ~step:0, prev_n t ~step)
+          if t.nested then (winner_points t read ~step:0, prev_n t ~step)
           else (winner_points t read ~step, 0)
         in
         Obs.with_span t.config.Config.obs "build.simulate" @@ fun () ->
@@ -279,8 +277,8 @@ let tune_stage t ~step =
         Array.map (fun r -> r.Tune.criterion) results);
   }
 
-(* The winning cell of a redraw step: the one this process kept, or
-   refitted when another process fitted it. *)
+(* The winning cell of a step: the one this process kept, or refitted
+   when another process fitted it. *)
 let tuned t read ~step ~points ~responses =
   let cell =
     argmin (read ~stage:(tune_name step) ~count:(Array.length t.cells))
@@ -291,28 +289,15 @@ let tuned t read ~step ~points ~responses =
       (Tune.evaluate ~config:t.config ~dim:(dim t) ~points ~responses
          [| t.cells.(cell) |]).(0)
 
-let refit t =
-  match t.refit with
-  | Some r -> r
-  | None ->
-      let r = Refit.create t.config in
-      t.refit <- Some r;
-      r
-
-let rec trained_at t read ~step =
+let trained_at t read ~step =
   match Hashtbl.find_opt t.trained step with
   | Some trained -> trained
   | None ->
-      (* The streaming refit consumes sample prefixes strictly in order. *)
-      if t.stream && step > 0 then ignore (trained_at t read ~step:(step - 1));
       Archpred_sim.Batch.trim ();
       let points = step_sample t read ~step in
       let responses = step_responses t read ~step in
-      let scores = lhs_scores t read ~step:(if t.stream then 0 else step) in
-      let tune =
-        if t.stream then Refit.fit (refit t) ~dim:(dim t) ~points ~responses
-        else tuned t read ~step ~points ~responses
-      in
+      let scores = lhs_scores t read ~step:(if t.nested then 0 else step) in
+      let tune = tuned t read ~step ~points ~responses in
       Hashtbl.remove t.best step;
       let predictor =
         Predictor.make ~space:t.space
@@ -356,9 +341,9 @@ let stop_after t read ~step =
 let walk t ~read drive =
   if Array.length t.test_points > 0 then drive (test_stage t);
   let rec steps step =
-    if (not t.stream) || step = 0 then drive (lhs_stage t ~step);
+    if (not t.nested) || step = 0 then drive (lhs_stage t ~step);
     drive (sim_stage t ~step);
-    if not t.stream then drive (tune_stage t ~step);
+    drive (tune_stage t ~step);
     if not (stop_after t read ~step) then steps (step + 1)
   in
   steps 0

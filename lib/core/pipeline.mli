@@ -22,10 +22,10 @@
     assembled model is bit-identical, whatever the unit order,
     domain count or worker count.
 
-    In stream-refit mode ([config.stream_refit] with an accuracy
-    schedule) there is one ["lhs.0"] campaign at the largest size, each
-    ["sim.<k>"] covers only the rows new at step [k], and there are no
-    tune stages: {!Refit} carries the tuning state from step to step. *)
+    In nested mode ([config.nested] with an accuracy schedule) there is
+    one ["lhs.0"] campaign at the largest size, each ["sim.<k>"] covers
+    only the rows new at step [k], and ["tune.<k>"] fits the grid from
+    scratch to the first [sizes.(k)] rows of that one sample. *)
 
 type trained = {
   predictor : Predictor.t;

@@ -12,10 +12,10 @@ type result = {
 }
 
 (* The canonical grid-cell order — p_min outer, alpha inner — is the serial
-   iteration order every consumer (the grid walk below, the streaming refit,
-   the pipeline's tune stage) must share: the arg-min keeps the earliest cell
-   on ties, so the cell *order* is part of the model's determinism
-   contract, not just the cell set. *)
+   iteration order every consumer (the grid walk below and the pipeline's
+   tune stage) must share: the arg-min keeps the earliest cell on ties,
+   so the cell *order* is part of the model's determinism contract, not
+   just the cell set. *)
 let cells config =
   let { Config.p_min_grid; alpha_grid; _ } = config in
   if p_min_grid = [] || alpha_grid = [] then

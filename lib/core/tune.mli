@@ -17,8 +17,8 @@ val cells : Config.t -> (int * float) array
 (** The tuning grid in canonical cell order: [p_min] outer, [alpha] inner
     — the serial iteration order.  The arg-min over cells keeps the
     earliest cell on ties, so every consumer of the grid (this module's
-    walk, the streaming refit, the pipeline's tune stage) must enumerate
-    cells in exactly this order to reproduce the same winner.  Raises
+    walk and the pipeline's tune stage) must enumerate cells in exactly
+    this order to reproduce the same winner.  Raises
     [Archpred (Invalid_input _)] on an empty grid. *)
 
 val eval_cell :
@@ -36,18 +36,6 @@ val eval_cell :
     walked in pieces — by {!evaluate} over any subset of cells —
     bit-identical to the whole. *)
 
-val cell_trees :
-  ?obs:Archpred_obs.t ->
-  ?domains:int ->
-  dim:int ->
-  points:float array array ->
-  responses:float array ->
-  (int * float) array ->
-  Archpred_regtree.Tree.t array
-(** The regression tree of each cell: one tree per distinct [p_min],
-    built in parallel over [domains] and shared by every cell of its
-    [p_min]. *)
-
 val evaluate :
   config:Config.t ->
   dim:int ->
@@ -55,13 +43,11 @@ val evaluate :
   responses:float array ->
   (int * float) array ->
   result array
-(** Fit each of the given cells: {!cell_trees}, then {!eval_cell} per
-    cell, fanned over [config.domains].  The results are identical for
-    every domain count.  Records the ["build.tune"] span and counts the
-    cells in ["tune.cells"]. *)
-
-val best : result array -> result
-(** The result with the least criterion, the earliest on ties. *)
+(** Fit each of the given cells: one regression tree per distinct
+    [p_min], built in parallel and shared by every cell of its [p_min],
+    then {!eval_cell} per cell, fanned over [config.domains].  The
+    results are identical for every domain count.  Records the
+    ["build.tune"] span and counts the cells in ["tune.cells"]. *)
 
 val tune :
   ?config:Config.t ->
@@ -70,7 +56,7 @@ val tune :
   responses:float array ->
   unit ->
   result
-(** [best (evaluate ~config (cells config))]: fit the whole
-    [p_min] x [alpha] grid of [config] (default {!Config.default}) and
-    return the combination minimising the criterion.  Raises
+(** Fit the whole [p_min] x [alpha] grid of [config] (default
+    {!Config.default}) with {!evaluate} and return the combination
+    minimising the criterion, the earliest cell on ties.  Raises
     [Archpred (Invalid_input _)] on an empty grid. *)

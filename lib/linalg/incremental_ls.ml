@@ -1,11 +1,10 @@
 type t = {
-  mutable p : int;
+  p : int;
   n_cols : int;
   gram : float array; (* n_cols x n_cols, row-major; symmetric *)
   hy : float array; (* n_cols *)
-  mutable yty : float;
+  yty : float;
   jitter : float;
-  mutable generation : int; (* bumped by every [add_row] *)
 }
 
 (* The Gram matrix is built in gram_stubs.c straight from the row-major
@@ -65,7 +64,7 @@ let create ?(jitter = 0.) ~design ~responses () =
     done
   done;
   let yty = Array.fold_left (fun acc y -> acc +. (y *. y)) 0. responses in
-  { p; n_cols = n; gram; hy; yty; jitter; generation = 0 }
+  { p; n_cols = n; gram; hy; yty; jitter }
 
 let p t = t.p
 let n_cols t = t.n_cols
@@ -77,29 +76,6 @@ let gram t a b =
   t.gram.((a * n) + b)
 
 let hy t a = t.hy.(a)
-
-(* Streaming (rank-1) moment update: one new observation row extends the
-   Gram and moment sums without touching the existing entries' history, so
-   pushing rows one by one in index order is deterministic whatever batch
-   shape they arrived in.  Runs on the streaming-refit hot path, so it must
-   not allocate: plain loops over the preallocated moment arrays. *)
-let add_row t ~row ~y =
-  if Array.length row <> t.n_cols then
-    invalid_arg "Incremental_ls.add_row: row width mismatch";
-  let n = t.n_cols in
-  let gram = t.gram and hy = t.hy in
-  for a = 0 to n - 1 do
-    let ha = Array.unsafe_get row a in
-    let arow = a * n in
-    for b = 0 to n - 1 do
-      Array.unsafe_set gram (arow + b)
-        (Array.unsafe_get gram (arow + b) +. (ha *. Array.unsafe_get row b))
-    done;
-    Array.unsafe_set hy a (Array.unsafe_get hy a +. (ha *. y))
-  done;
-  t.yty <- t.yty +. (y *. y);
-  t.p <- t.p + 1;
-  t.generation <- t.generation + 1
 
 (* [push]'s forward substitution, a C kernel in gram_stubs.c. *)
 external push_sweep : float array -> float array -> int -> int -> unit
@@ -115,7 +91,6 @@ type factor = {
   acc : float array; (* [push]'s new row of L, built in place *)
   z : float array; (* z = L^-1 (H'y)_S, kept in step with l *)
   mutable m : int;
-  mutable generation : int; (* [ls.generation] its rows were built under *)
   (* Lifetime work counters for observability: every push attempt pays the
      forward substitution whether or not it is accepted, so attempts are
      what gets counted, and every row discarded — popped, truncated, or a
@@ -133,7 +108,6 @@ let factor ls =
     acc = Array.make n 0.;
     z = Array.make n 0.;
     m = 0;
-    generation = ls.generation;
     pushes = 0;
     pops = 0;
   }
@@ -165,7 +139,6 @@ let push f j =
   let m = f.m in
   if m >= n then invalid_arg "Incremental_ls.push: factor full";
   f.pushes <- f.pushes + 1;
-  if m = 0 then f.generation <- ls.generation;
   if (m + 1) * n > Array.length f.l then grow f m;
   let l = f.l and ids = f.ids and gram = ls.gram and acc = f.acc in
   (* The new row a of L solves L a = G_{ids, j} (read along Gram row j:
@@ -211,8 +184,7 @@ let pop f =
 
 (* Row [k] of L (and entry [k] of z) depends only on [ids.(0..k)], the
    moments and the jitter, so the rows a live factor shares with [cols]
-   are exactly the rows a fresh push of [cols] would build — provided no
-   [add_row] has moved the moments since they were built. *)
+   are exactly the rows a fresh push of [cols] would build. *)
 let rec shared_prefix f k cols =
   match cols with
   | j :: rest when k < f.m && Array.unsafe_get f.ids k = j ->
@@ -226,9 +198,7 @@ let rec push_all f cols =
   match cols with [] -> true | j :: rest -> push f j && push_all f rest
 
 let set f cols =
-  let keep =
-    if f.generation = f.ls.generation then shared_prefix f 0 cols else 0
-  in
+  let keep = shared_prefix f 0 cols in
   shrink f keep;
   let ok = push_all f (drop keep cols) in
   if not ok then shrink f 0;

@@ -2,7 +2,7 @@
 
     Greedy model selection (RBF center selection, stepwise regression)
     scores thousands of column subsets that differ by one to three
-    columns.  Refitting each subset from scratch costs O(p m^2) by QR, or
+    columns.  Fitting each subset from scratch costs O(p m^2) by QR, or
     O(m^3) by a fresh Cholesky of the normal equations.  This module
     precomputes the Gram moments [G = H'H], [H'y] and [y'y] once and then
     maintains a Cholesky factor L of the active submatrix *incrementally*:
@@ -48,18 +48,6 @@ val gram : t -> int -> int -> float
 val hy : t -> int -> float
 (** [hy t a] is entry [a] of [H'y]. *)
 
-val add_row : t -> row:float array -> y:float -> unit
-(** [add_row t ~row ~y] streams one new observation into the moments:
-    [G += row row'], [H'y += y row], [y'y += y^2], [p += 1] — a rank-1
-    update costing O(M^2), allocation-free.  Rows pushed one at a time in
-    index order produce bit-identical moments whatever batch shape they
-    arrived in, which is what makes streaming refit deterministic across
-    shard counts.  Any live {!factor} built on [t] is stale after this
-    call: {!set} notices and rebuilds it from scratch, but a factor
-    driven by {!push}/{!pop} alone must be {!set} (or replaced by a
-    fresh factor) before scoring.
-    Raises [Invalid_argument] on a row width mismatch. *)
-
 type factor
 (** A mutable Cholesky factor of the normal equations restricted to an
     ordered subset of columns.  Not safe for concurrent use; create one
@@ -98,8 +86,7 @@ val pop : factor -> unit
 val set : factor -> int list -> bool
 (** [set f cols] leaves the factor holding [cols], in order, exactly as
     a fresh factor given {!push} of each column would, bit for bit.  It
-    keeps the longest prefix of the live factor that [cols] starts with
-    (unless {!add_row} has moved the moments since those rows were built),
+    keeps the longest prefix of the live factor that [cols] starts with,
     drops the rest, and pushes only the remaining columns.  On any push
     failure the factor is emptied and the result is [false]. *)
 

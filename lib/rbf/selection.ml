@@ -31,28 +31,20 @@ let evaluate_subset ~criterion ~design ~responses cols =
       Criteria.score criterion ~p:(Array.length responses)
         ~m:(List.length cols) ~sigma2:f.Least_squares.sigma2
 
-let select ?(obs = Obs.null) ?(criterion = Criteria.Aicc) ?scorer ~tree
-    ~candidates ~points ~responses () =
+let select ?(obs = Obs.null) ?(criterion = Criteria.Aicc) ~tree ~candidates
+    ~points ~responses () =
   let p = Array.length points in
   if p <> Array.length responses then
     invalid_arg "Selection.select: points/responses mismatch";
   if p = 0 then invalid_arg "Selection.select: empty sample";
   Obs.with_span obs "rbf.select" @@ fun () ->
   (* Full design matrix over every candidate, computed once; subsets are
-     scored through precomputed Gram moments.  A caller that already holds
-     the moments — the streaming-refit path extends them row by row as
-     simulation points arrive — passes [?scorer] and skips both the design
-     matrix and the Gram recomputation. *)
+     scored through precomputed Gram moments. *)
   let all_centers = Array.map (fun c -> c.Tree_centers.center) candidates in
   let scorer =
-    match scorer with
-    | Some s ->
-        if Ils.p (Subset_scorer.incremental s) <> p then
-          invalid_arg "Selection.select: scorer row count mismatch";
-        s
-    | None ->
-        let design = Network.design_matrix all_centers points in
-        Subset_scorer.create ~design ~responses
+    Subset_scorer.create
+      ~design:(Network.design_matrix all_centers points)
+      ~responses
   in
   let fac = Ils.factor (Subset_scorer.incremental scorer) in
   let selected = Array.make (Array.length candidates) false in
@@ -166,8 +158,11 @@ let select_forward ?(obs = Obs.null) ?(criterion = Criteria.Aicc) ?max_centers
   if p = 0 then invalid_arg "Selection.select_forward: empty sample";
   Obs.with_span obs "rbf.select_forward" @@ fun () ->
   let all_centers = Array.map (fun c -> c.Tree_centers.center) candidates in
-  let design = Network.design_matrix all_centers points in
-  let scorer = Subset_scorer.create ~design ~responses in
+  let scorer =
+    Subset_scorer.create
+      ~design:(Network.design_matrix all_centers points)
+      ~responses
+  in
   let fac = Ils.factor (Subset_scorer.incremental scorer) in
   let m_cap = match max_centers with Some m -> m | None -> max 1 (p / 2) in
   let chosen = ref [] in

@@ -30,7 +30,6 @@ val evaluate_subset :
 val select :
   ?obs:Archpred_obs.t ->
   ?criterion:Criteria.t ->
-  ?scorer:Subset_scorer.t ->
   tree:Archpred_regtree.Tree.t ->
   candidates:Tree_centers.candidate array ->
   points:float array array ->
@@ -40,13 +39,8 @@ val select :
 (** Run the tree-ordered selection and fit the final network.  Records the
     ["rbf.select"] span plus ["rbf.centers_tried"] (combination scorings),
     ["rbf.centers_kept"], and ["ils.pushes"]/["ils.pops"] (Cholesky factor
-    work) counters on [obs].  [?scorer] supplies precomputed Gram moments
-    of the full candidate design over exactly these [points]/[responses]
-    (the streaming-refit path maintains them incrementally via
-    {!Subset_scorer.add_row}); without it the design matrix and moments
-    are computed here.  Raises [Invalid_argument] on dimension
-    mismatches, including a [?scorer] whose row count disagrees with
-    [points]. *)
+    work) counters on [obs].  Raises [Invalid_argument] on dimension
+    mismatches. *)
 
 val select_forward :
   ?obs:Archpred_obs.t ->

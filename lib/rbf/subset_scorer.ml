@@ -12,8 +12,6 @@ let create ~design ~responses =
 
 let incremental t = t.ils
 
-let add_row t ~row ~y = Ils.add_row t.ils ~row ~y
-
 let score_factor t fac ~criterion =
   match Ils.sigma2 fac with
   | None -> infinity

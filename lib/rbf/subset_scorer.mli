@@ -1,7 +1,7 @@
 (** Fast scoring of candidate center subsets.
 
     The tree-ordered selection evaluates thousands of subsets that differ
-    by one to three columns.  Refitting each by QR costs O(p m^2) per
+    by one to three columns.  Fitting each by QR costs O(p m^2) per
     subset; instead this scorer precomputes the Gram matrix [G = H'H], the
     moment vector [H'y] and [y'y] once
     (see {!Archpred_linalg.Incremental_ls}), after which any subset's
@@ -20,14 +20,6 @@ val create : design:Archpred_linalg.Matrix.t -> responses:float array -> t
 val incremental : t -> Archpred_linalg.Incremental_ls.t
 (** The underlying moments, for callers that walk subsets incrementally
     (create one factor per domain from this). *)
-
-val add_row : t -> row:float array -> y:float -> unit
-(** Stream one new observation — a design-matrix row (the kernel value of
-    every candidate center at the new point) and its response — into the
-    precomputed moments ({!Archpred_linalg.Incremental_ls.add_row}).
-    Factors built on {!incremental} are stale after this call:
-    [Incremental_ls.set] rebuilds them, while a factor driven by
-    push/pop alone must be re-[set] before scoring. *)
 
 val score_factor :
   t -> Archpred_linalg.Incremental_ls.factor -> criterion:Criteria.t -> float

@@ -18,12 +18,15 @@ type t = {
   p_min_grid : int list;
   alpha_grid : float list;
   shard_unit : int;
-  stream_refit : bool;
-  refit_full_every : int;
+  nested : bool;
   mode : mode;
 }
 
 let where = "Shard.Spec"
+
+(* Version 2: the nested schedule tunes each prefix from scratch, so a
+   version-1 run directory would resume into a different model. *)
+let version = 2
 
 let validate t =
   if t.sample_size < 2 then
@@ -33,8 +36,6 @@ let validate t =
   if t.shard_unit < 1 then
     Obs.Error.invalid_input ~where "shard_unit must be >= 1";
   if t.test_n < 0 then Obs.Error.invalid_input ~where "test_n must be >= 0";
-  if t.refit_full_every < 0 then
-    Obs.Error.invalid_input ~where "refit_full_every must be >= 0";
   (match t.p_min_grid, t.alpha_grid with
   | [], _ | _, [] -> Obs.Error.invalid_input ~where "empty tuning grid"
   | _ :: _, _ :: _ -> ());
@@ -78,7 +79,7 @@ let to_json t =
   Json.Obj
     ([
        ("format", Json.String "archpred-shard-spec");
-       ("version", Json.Int 1);
+       ("version", Json.Int version);
        ("benchmark", Json.String t.benchmark);
        ("metric", Json.String (Core.Response.metric_to_string t.metric));
        ("seed", Json.Int t.seed);
@@ -90,8 +91,7 @@ let to_json t =
        ("p_min_grid", Json.List (List.map (fun p -> Json.Int p) t.p_min_grid));
        ("alpha_grid", Json.List (List.map hex t.alpha_grid));
        ("shard_unit", Json.Int t.shard_unit);
-       ("stream_refit", Json.Bool t.stream_refit);
-       ("refit_full_every", Json.Int t.refit_full_every);
+       ("nested", Json.Bool t.nested);
      ]
     @ mode_fields)
 
@@ -173,7 +173,7 @@ let of_json json =
   | Some (Json.String "archpred-shard-spec") -> ()
   | _ -> fail_parse "not an archpred shard spec");
   (match Json.member "version" json with
-  | Some (Json.Int 1) -> ()
+  | Some (Json.Int v) when v = version -> ()
   | _ -> fail_parse "unsupported spec version");
   let metric =
     let s = string_field json "metric" in
@@ -211,8 +211,7 @@ let of_json json =
       p_min_grid = int_list_field json "p_min_grid";
       alpha_grid = hex_list_field json "alpha_grid";
       shard_unit = int_field json "shard_unit";
-      stream_refit = bool_field json "stream_refit";
-      refit_full_every = int_field json "refit_full_every";
+      nested = bool_field json "nested";
       mode;
     }
 
@@ -247,8 +246,7 @@ let config ?obs (t : t) =
     |> C.with_p_min_grid t.p_min_grid
     |> C.with_alpha_grid t.alpha_grid
     |> C.with_sim_batch t.shard_unit
-    |> C.with_stream_refit t.stream_refit
-    |> C.with_refit_full_every t.refit_full_every
+    |> C.with_nested t.nested
   in
   let c = match obs with None -> c | Some obs -> C.with_obs obs c in
   C.validate c

@@ -31,8 +31,8 @@ type t = {
   shard_unit : int;
       (** indices per work unit ({!Plan.units} chunk): the
           [Config.sim_batch] of {!config} *)
-  stream_refit : bool;
-  refit_full_every : int;
+  nested : bool;
+      (** the nested size schedule ({!Archpred_core.Config.t.nested}) *)
   mode : mode;
 }
 
@@ -55,7 +55,10 @@ val load : dir:string -> t
 (** Read and validate [<dir>/spec.json].  Total over the file's bytes:
     any content gives a spec or a typed error — [Archpred (Io_error _)],
     [Archpred (Parse_error _)], or [Archpred (Invalid_input _)] for a
-    well-formed spec that breaks an invariant. *)
+    well-formed spec that breaks an invariant.  A spec whose
+    ["version"] is not 2 is the [Parse_error] ["unsupported spec
+    version"]: a version-1 spec predates the nested schedule's
+    from-scratch tuning, and resuming it would give another model. *)
 
 val config : ?obs:Archpred_obs.t -> t -> Archpred_core.Config.t
 (** The {!Archpred_core.Config.t} a run derives from the

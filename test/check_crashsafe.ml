@@ -49,8 +49,7 @@ let spec ?(seed = 11) () =
     p_min_grid = [ 1 ];
     alpha_grid = [ 7. ];
     shard_unit = 2;
-    stream_refit = false;
-    refit_full_every = 0;
+    nested = false;
     mode = Shard.Spec.Train;
   }
 

@@ -76,14 +76,11 @@ let predictions name (t : Build.trained) ~seed =
 
 (* Every size step is pinned, not just the final model, so a drift that
    only shows at one step of the schedule is still caught. *)
-let accuracy name ~response ~seed ~stream =
+let accuracy name ~response ~seed ~nested =
   let test_rng = Rng.create (seed + 1) in
   let test_points = Paper_space.test_points test_rng ~n:10 in
   let test_responses = Array.map response.Response.eval test_points in
-  let config =
-    base ~seed |> Config.with_stream_refit stream
-    |> Config.with_refit_full_every (if stream then 2 else 0)
-  in
+  let config = base ~seed |> Config.with_nested nested in
   let h =
     Build.build_to_accuracy ~config ~space:Paper_space.space ~response
       ~sizes:[ 20; 30; 40 ] ~test_points ~test_responses ~target_mean_pct:0.
@@ -212,8 +209,7 @@ let shard_spec =
     p_min_grid = Config.default.p_min_grid;
     alpha_grid = Config.default.alpha_grid;
     shard_unit = 4;
-    stream_refit = false;
-    refit_full_every = 0;
+    nested = false;
     mode = Shard.Spec.Train;
   }
 
@@ -326,9 +322,9 @@ let rows () =
      # dune build @test/runtest; dune promote test/golden_digests.expected\n";
   ignore (train "train.smooth.n40" ~response:smooth ~n:40 ~seed:99);
   let mcf40 = train "train.mcf.n40" ~response:mcf ~n:40 ~seed:7 in
-  accuracy "accuracy.smooth" ~response:smooth ~seed:31 ~stream:false;
-  accuracy "stream_refit.smooth" ~response:smooth ~seed:31 ~stream:true;
-  accuracy "stream_refit.mcf" ~response:mcf ~seed:7 ~stream:true;
+  accuracy "accuracy.smooth" ~response:smooth ~seed:31 ~nested:false;
+  accuracy "nested.smooth" ~response:smooth ~seed:31 ~nested:true;
+  accuracy "nested.mcf" ~response:mcf ~seed:7 ~nested:true;
   stepwise "linreg.stepwise.n30" ~n:30 ~seed:17;
   stepwise "linreg.stepwise.n80" ~n:80 ~seed:18;
   subset_scores "subset_scores.n60" ~n:60 ~seed:19;

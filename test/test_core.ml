@@ -213,6 +213,50 @@ let test_build_to_accuracy_exhausts_schedule () =
   in
   Alcotest.(check int) "both steps" 2 (List.length history.Build.steps)
 
+(* The nested schedule grows one sample, and each size is tuned from
+   scratch: every step's model is the one a fresh [Tune.tune] fits to
+   that step's sample, and every step's sample is a prefix of the last. *)
+let test_build_to_accuracy_nested_tunes_from_scratch () =
+  let rng = Rng.create 15 in
+  let response = Response.synthetic_cliff ~dim:9 in
+  let test = Paper_space.test_points rng ~n:10 in
+  let actual = Array.map response.Response.eval test in
+  let config =
+    Config.default |> Config.with_rng rng |> Config.with_lhs_candidates 5
+    |> Config.with_nested true
+  in
+  let history =
+    Build.build_to_accuracy ~config ~space:Paper_space.space ~response
+      ~sizes:[ 8; 12; 16 ] ~test_points:test ~test_responses:actual
+      ~target_mean_pct:0. ()
+  in
+  let last = history.Build.final.Build.trained.Build.sample in
+  Alcotest.(check (list int))
+    "every size built" [ 8; 12; 16 ]
+    (List.map (fun (s : Build.step) -> s.Build.size) history.Build.steps);
+  List.iter
+    (fun (s : Build.step) ->
+      let trained = s.Build.trained in
+      let points = trained.Build.sample in
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d sample is a prefix" s.Build.size)
+        true
+        (points = Array.sub last 0 s.Build.size);
+      let tune =
+        Tune.tune ~config ~dim:Paper_space.dim ~points
+          ~responses:trained.Build.sample_responses ()
+      in
+      let fresh =
+        Predictor.make ~space:Paper_space.space
+          ~network:tune.Tune.selection.Archpred_rbf.Selection.network
+          ~tree:tune.Tune.tree ~p_min:tune.Tune.p_min ~alpha:tune.Tune.alpha ()
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "n=%d model = from-scratch tune" s.Build.size)
+        (Core.Persist.to_string fresh)
+        (Core.Persist.to_string trained.Build.predictor))
+    history.Build.steps
+
 (* The paper's shape claim on a simulated benchmark at reduced scale:
    along the size schedule the mean test error does not rise by more
    than a tenth from one size to the next.  The seed was fixed before
@@ -987,6 +1031,8 @@ let () =
           Alcotest.test_case "beats linear on cliff" `Quick test_build_beats_linear_on_cliff;
           Alcotest.test_case "early stop" `Quick test_build_to_accuracy_stops_early;
           Alcotest.test_case "exhausts schedule" `Quick test_build_to_accuracy_exhausts_schedule;
+          Alcotest.test_case "nested tunes each size from scratch" `Quick
+            test_build_to_accuracy_nested_tunes_from_scratch;
           Alcotest.test_case "error falls along the schedule on mcf" `Quick
             test_build_to_accuracy_error_falls_on_mcf;
           Alcotest.test_case "tune domain invariant" `Quick

@@ -78,8 +78,7 @@ let spec ?(seed = 11) () =
     p_min_grid = [ 1 ];
     alpha_grid = [ 7. ];
     shard_unit = 3;
-    stream_refit = false;
-    refit_full_every = 0;
+    nested = false;
     mode = Spec.Train;
   }
 

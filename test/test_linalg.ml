@@ -509,12 +509,11 @@ let prop_ils_gram_paths =
         (Simd.supported ());
       !ok)
 
-(* A factor driven by random set / push / pop / add_row sequences holds,
-   after every step, exactly what a fresh factor pushed with its columns
-   holds.  After [add_row] its rows are stale until the next [set], which
-   must notice and rebuild rather than reuse them. *)
+(* A factor driven by random set / push / pop sequences holds, after
+   every step, exactly what a fresh factor pushed with its columns
+   holds. *)
 let prop_ils_sequences =
-  qtest ~count:300 "set/push/pop/add_row = fresh factor"
+  qtest ~count:300 "set/push/pop = fresh factor"
     QCheck2.Gen.(int_range 0 1_000_000)
     (fun seed ->
       let rng = Rng.create seed in
@@ -527,46 +526,33 @@ let prop_ils_sequences =
           ~design ~responses ()
       in
       let fac = Ils.factor ils in
-      let stale = ref false and ok = ref true in
+      let ok = ref true in
       let random_cols () =
         List.init (Rng.int rng (n + 1)) (fun _ -> Rng.int rng n)
       in
       let check () =
         if Ils.pushes fac - Ils.pops fac <> Ils.size fac then ok := false;
-        if not !stale then begin
-          let fresh = Ils.factor ils in
-          Array.iter (fun j -> if not (Ils.push fresh j) then ok := false)
-            (Ils.ids fac);
-          let sigma_same =
-            match (Ils.sigma2 fac, Ils.sigma2 fresh) with
-            | None, None -> true
-            | Some a, Some b -> same_bits a b
-            | _ -> false
-          in
-          if not (sigma_same && Ils.ids fac = Ils.ids fresh
-                  && same_vec (Ils.solve fac) (Ils.solve fresh))
-          then ok := false
-        end
+        let fresh = Ils.factor ils in
+        Array.iter (fun j -> if not (Ils.push fresh j) then ok := false)
+          (Ils.ids fac);
+        let sigma_same =
+          match (Ils.sigma2 fac, Ils.sigma2 fresh) with
+          | None, None -> true
+          | Some a, Some b -> same_bits a b
+          | _ -> false
+        in
+        if not (sigma_same && Ils.ids fac = Ils.ids fresh
+                && same_vec (Ils.solve fac) (Ils.solve fresh))
+        then ok := false
       in
       for _ = 1 to 30 do
-        (match Rng.int rng 6 with
-        | 0 | 1 ->
-            ignore (Ils.set fac (random_cols ()));
-            stale := false
+        (match Rng.int rng 5 with
+        | 0 | 1 -> ignore (Ils.set fac (random_cols ()))
         | 2 ->
-            (* Re-set the live columns: a no-op for a current factor, a
-               full rebuild for a stale one. *)
-            ignore (Ils.set fac (Array.to_list (Ils.ids fac)));
-            stale := false
-        | 3 when not !stale ->
-            if Ils.size fac < n then ignore (Ils.push fac (Rng.int rng n))
-        | 4 when not !stale -> if Ils.size fac > 0 then Ils.pop fac
-        | 5 ->
-            Ils.add_row ils
-              ~row:(Array.init n (fun _ -> Rng.unit_float rng -. 0.5))
-              ~y:(Rng.unit_float rng);
-            stale := true
-        | _ -> ());
+            (* Re-set the live columns: a no-op. *)
+            ignore (Ils.set fac (Array.to_list (Ils.ids fac)))
+        | 3 -> if Ils.size fac < n then ignore (Ils.push fac (Rng.int rng n))
+        | _ -> if Ils.size fac > 0 then Ils.pop fac);
         check ()
       done;
       !ok)
@@ -659,7 +645,7 @@ end
 
 (* The right-looking sweep at every level the host has, and the
    left-looking oracle, driven by one random sequence of set / push /
-   pop / add_row, hold the same bits after every step.
+   pop, hold the same bits after every step.
    Column counts straddle the 4-lane vectors, and factors grow past the
    16- and 32-column capacities; repeated columns make pushes fail. *)
 let prop_ils_sweep_paths =
@@ -688,7 +674,7 @@ let prop_ils_sweep_paths =
       let each f =
         List.map (fun (level, fac) -> Simd.with_cap level (fun () -> f fac)) facs
       in
-      let stale = ref false and ok = ref true in
+      let ok = ref true in
       let agree oracle l = if not (List.for_all (( = ) oracle) l) then ok := false in
       let random_cols () =
         if Rng.int rng 2 = 0 then
@@ -704,35 +690,27 @@ let prop_ils_sweep_paths =
       in
       let check () =
         agree (Array.sub fo.Left_looking.ids 0 fo.m) (each Ils.ids);
-        if not !stale then begin
-          let w = Left_looking.solve fo in
-          if
-            not
-              (List.for_all Fun.id
-                 (each (fun f ->
-                      same_vec w (Ils.solve f)
-                      && same_bits (Left_looking.explained fo) (Ils.explained f)
-                      && same_opt (Left_looking.sigma2 fo) (Ils.sigma2 f))))
-          then ok := false
-        end
+        let w = Left_looking.solve fo in
+        if
+          not
+            (List.for_all Fun.id
+               (each (fun f ->
+                    same_vec w (Ils.solve f)
+                    && same_bits (Left_looking.explained fo) (Ils.explained f)
+                    && same_opt (Left_looking.sigma2 fo) (Ils.sigma2 f))))
+        then ok := false
       in
       for _ = 1 to 40 do
-        (match Rng.int rng 6 with
+        (match Rng.int rng 5 with
         | 0 | 1 ->
             let cols = random_cols () in
-            agree (Left_looking.set fo cols) (each (fun f -> Ils.set f cols));
-            stale := false
-        | 2 | 3 when (not !stale) && Ils.size fs < n ->
+            agree (Left_looking.set fo cols) (each (fun f -> Ils.set f cols))
+        | (2 | 3) when Ils.size fs < n ->
             let j = Rng.int rng n in
             agree (Left_looking.push fo j) (each (fun f -> Ils.push f j))
-        | 4 when (not !stale) && Ils.size fs > 0 ->
+        | 4 when Ils.size fs > 0 ->
             ignore (each Ils.pop);
             fo.m <- fo.m - 1
-        | 5 ->
-            let row = Array.init n (fun _ -> Rng.unit_float rng -. 0.5) in
-            let y = Rng.unit_float rng in
-            List.iter (fun (_, ls) -> Ils.add_row ls ~row ~y) lss;
-            stale := true
         | _ -> ());
         check ()
       done;

@@ -69,7 +69,7 @@ let plan_partition_exact =
 (* Spec                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let spec ?(stream_refit = false) ?(mode = Spec.Train) () =
+let spec ?(nested = false) ?(mode = Spec.Train) () =
   {
     Spec.benchmark = "synthetic:smooth";
     metric = Response.Cpi;
@@ -82,8 +82,7 @@ let spec ?(stream_refit = false) ?(mode = Spec.Train) () =
     p_min_grid = [ 1; 2 ];
     alpha_grid = [ 5.; 7. ];
     shard_unit = 3;
-    stream_refit;
-    refit_full_every = 0;
+    nested;
     mode;
   }
 
@@ -286,6 +285,41 @@ let test_spec_every_prefix () =
 let spec_byte_soup =
   prop "spec: byte soup gives a spec or a typed error" 300 byte_soup spec_total
 
+(* A run directory an older archpred wrote: [spec ~nested:true] with an
+   accuracy schedule, as version 1 serialised it.  Its nested steps
+   tuned by rank-1 refit, so resuming it here would give another model:
+   both the loader and a run on the directory must refuse it with the
+   typed error. *)
+let version_1_spec =
+  {|{"format":"archpred-shard-spec","version":1,"benchmark":"synthetic:smooth","metric":"cpi","seed":11,"trace_length":2000,"sample_size":12,"test_n":6,"lhs_candidates":5,"criterion":"aicc","p_min_grid":[1,2],"alpha_grid":["0x1.4p+2","0x1.cp+2"],"shard_unit":3,"stream_refit":true,"refit_full_every":0,"mode":"accuracy","sizes":[8,12],"target_mean_pct":"0x0p+0"}|}
+
+let test_spec_version_1_refused () =
+  with_dir @@ fun dir ->
+  let path = Filename.concat dir "spec.json" in
+  write_file path (version_1_spec ^ "\n");
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: a version-1 spec was accepted" what
+    | exception
+        Obs.Error.Archpred
+          (Obs.Error.Parse_error { what = "unsupported spec version"; _ }) ->
+        ()
+  in
+  refused "Spec.load" (fun () -> Spec.load ~dir);
+  let s =
+    spec ~nested:true
+      ~mode:(Spec.Accuracy { sizes = [ 8; 12 ]; target_mean_pct = 0. })
+      ()
+  in
+  refused "Coordinator.run" (fun () ->
+      Coordinator.run ~dir ~spec:s ~domains:1 ());
+  Alcotest.(check string)
+    "spec.json untouched" (version_1_spec ^ "\n")
+    (In_channel.with_open_bin path In_channel.input_all);
+  Alcotest.(check bool)
+    "no journal written" false
+    (Sys.file_exists (Filename.concat dir "journals"))
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end: run directory vs single process                       *)
 (* ------------------------------------------------------------------ *)
@@ -353,20 +387,20 @@ let test_accuracy_schedule () =
         (model b.Build.trained))
     ref_steps outcome.Pipeline.steps
 
-let test_stream_refit () =
+let test_nested_schedule () =
   let s =
-    spec ~stream_refit:true
+    spec ~nested:true
       ~mode:(Spec.Accuracy { sizes = [ 8; 12 ]; target_mean_pct = 0. })
       ()
   in
   let ref_trained, _ = reference_train ~domains:1 s in
   Alcotest.(check string)
-    "stream reference stable at 4 domains"
+    "nested reference stable at 4 domains"
     (model ref_trained)
     (model (fst (reference_train ~domains:4 s)));
   let outcome = checkpointed ~domains:2 s in
   Alcotest.(check string)
-    "streamed run-directory model bit-identical" (model ref_trained)
+    "nested run-directory model bit-identical" (model ref_trained)
     (model outcome.Pipeline.final)
 
 (* Kill the run mid-unit (an injected fault at [site]), rerun it on the
@@ -439,6 +473,8 @@ let () =
           Alcotest.test_case "every prefix is typed" `Quick
             test_spec_every_prefix;
           spec_byte_soup;
+          Alcotest.test_case "version 1 refused" `Quick
+            test_spec_version_1_refused;
         ] );
       ( "journal",
         [
@@ -461,7 +497,7 @@ let () =
           Alcotest.test_case "1/2/4 domains vs single process" `Quick
             test_domains_match_single_process;
           Alcotest.test_case "accuracy schedule" `Quick test_accuracy_schedule;
-          Alcotest.test_case "stream refit" `Quick test_stream_refit;
+          Alcotest.test_case "nested schedule" `Quick test_nested_schedule;
           Alcotest.test_case "crash mid-unit recovers" `Quick
             test_crash_mid_unit_recovers;
           Alcotest.test_case "no test points" `Quick test_no_test_points;

@@ -1,20 +1,22 @@
-/* The Gram matrix H'H of a row-major design and the forward
- * substitution of a Cholesky push (see incremental_ls.ml).
+/* The Gram matrix H'H of a design given in row blocks, packed as its
+ * upper triangle, and the forward substitution of a Cholesky push (see
+ * incremental_ls.ml).
  *
- * One call adds rows [k0, k1) of the design into the upper-triangle
- * entries (a, b >= a) of Gram rows [a0, a1):
+ * Gram row a holds the entries b >= a: entry (a, b) is g[row_base(a) + b],
+ * row_base(a) = a*n - a(a-1)/2 - a.  One call adds the kn rows of a
+ * block h (row-major, stride n) into Gram rows [a0, a1):
  *
  *   g[a][b] = g[a][b] + h[k][a] * h[k][b]        (k ascending)
  *
- * The caller zeroes g, walks k in ascending blocks and mirrors the
- * upper triangle at the end, so every entry is its ascending-k sum from
- * +0 whatever the blocking: an accumulator stored to g and loaded back
- * between blocks is the same double.  The AVX2 path puts consecutive b
- * in the lanes of a vector and register-blocks four a rows by two
- * vectors, so each loaded run of row k of the design serves four Gram
- * rows; the four-row block may also fill up to three entries below the
- * diagonal, which the mirror then overwrites with the same bits
- * (h[k][a] * h[k][b] and h[k][b] * h[k][a] round alike).
+ * The caller zeroes g and passes the design's row blocks in ascending
+ * order, so every entry is its ascending-row sum from +0 whatever the
+ * blocking: an accumulator stored to g and loaded back between blocks is
+ * the same double.  The AVX2 path puts consecutive b in the lanes of a
+ * vector and register-blocks four a rows by two vectors, so each loaded
+ * run of a design row serves four Gram rows.  The four rows' leading
+ * 4x4 triangle is summed on its own first: a dense kernel may fill the
+ * three entries below the diagonal and mirror over them, but in packed
+ * rows those slots are the previous row's tail.
  *
  * The dune stanza compiles this file with -ffp-contract=off: a fused
  * multiply-add would change results in the last ulp. */
@@ -24,13 +26,17 @@
 #include <immintrin.h>
 #endif
 
+static inline long row_base(long a, long n) {
+  return a * n - a * (a - 1) / 2 - a;
+}
+
 /* Rank-1 updates of one Gram row at a time: lanes are b in whatever
  * vector width the compiler picks, each entry in ascending k. */
-static void gram_scalar(const double *h, long n, double *g, long k0, long k1,
+static void gram_scalar(const double *h, long n, double *g, long kn,
                         long a0, long a1) {
   for (long a = a0; a < a1; a++) {
-    double *ga = g + a * n;
-    for (long k = k0; k < k1; k++) {
+    double *ga = g + row_base(a, n);
+    for (long k = 0; k < kn; k++) {
       const double *hk = h + k * n;
       double x = hk[a];
       for (long b = a; b < n; b++) ga[b] = ga[b] + x * hk[b];
@@ -40,14 +46,14 @@ static void gram_scalar(const double *h, long n, double *g, long k0, long k1,
 
 #if defined(__x86_64__)
 
-/* Columns [b, n) of Gram row a, one vector then single entries. */
+/* Columns [b, n) of the Gram row ga (row a), one vector then single
+ * entries. */
 __attribute__((target("avx2")))
-static void gram_row_avx2(const double *h, long n, double *g, long k0,
-                          long k1, long a, long b) {
-  double *ga = g + a * n;
+static void gram_row_avx2(const double *h, long n, double *ga, long kn,
+                          long a, long b) {
   for (; b + 4 <= n; b += 4) {
     __m256d s = _mm256_loadu_pd(ga + b);
-    for (long k = k0; k < k1; k++) {
+    for (long k = 0; k < kn; k++) {
       const double *hk = h + k * n;
       s = _mm256_add_pd(
           s, _mm256_mul_pd(_mm256_set1_pd(hk[a]), _mm256_loadu_pd(hk + b)));
@@ -56,24 +62,34 @@ static void gram_row_avx2(const double *h, long n, double *g, long k0,
   }
   for (; b < n; b++) {
     double s = ga[b];
-    for (long k = k0; k < k1; k++) s = s + h[k * n + a] * h[k * n + b];
+    for (long k = 0; k < kn; k++) s = s + h[k * n + a] * h[k * n + b];
     ga[b] = s;
   }
 }
 
 __attribute__((target("avx2")))
-static void gram_avx2(const double *h, long n, double *g, long k0, long k1,
-                      long a0, long a1) {
+static void gram_avx2(const double *h, long n, double *g, long kn, long a0,
+                      long a1) {
   long a = a0;
   for (; a + 4 <= a1; a += 4) {
-    double *g0 = g + a * n, *g1 = g0 + n, *g2 = g1 + n, *g3 = g2 + n;
-    long b = a;
+    double *gr[4];
+    for (long r = 0; r < 4; r++) gr[r] = g + row_base(a + r, n);
+    /* The leading triangle, entries (a + r, a + c) with c >= r. */
+    for (long r = 0; r < 4; r++)
+      for (long c = r; c < 4; c++) {
+        double s = gr[r][a + c];
+        for (long k = 0; k < kn; k++)
+          s = s + h[k * n + a + r] * h[k * n + a + c];
+        gr[r][a + c] = s;
+      }
+    double *g0 = gr[0], *g1 = gr[1], *g2 = gr[2], *g3 = gr[3];
+    long b = a + 4;
     for (; b + 8 <= n; b += 8) {
       __m256d s00 = _mm256_loadu_pd(g0 + b), s01 = _mm256_loadu_pd(g0 + b + 4);
       __m256d s10 = _mm256_loadu_pd(g1 + b), s11 = _mm256_loadu_pd(g1 + b + 4);
       __m256d s20 = _mm256_loadu_pd(g2 + b), s21 = _mm256_loadu_pd(g2 + b + 4);
       __m256d s30 = _mm256_loadu_pd(g3 + b), s31 = _mm256_loadu_pd(g3 + b + 4);
-      for (long k = k0; k < k1; k++) {
+      for (long k = 0; k < kn; k++) {
         const double *hk = h + k * n;
         __m256d y0 = _mm256_loadu_pd(hk + b), y1 = _mm256_loadu_pd(hk + b + 4);
         __m256d x0 = _mm256_set1_pd(hk[a]), x1 = _mm256_set1_pd(hk[a + 1]);
@@ -96,35 +112,35 @@ static void gram_avx2(const double *h, long n, double *g, long k0, long k1,
       _mm256_storeu_pd(g3 + b, s30);
       _mm256_storeu_pd(g3 + b + 4, s31);
     }
-    for (long r = 0; r < 4; r++) gram_row_avx2(h, n, g, k0, k1, a + r, b);
+    for (long r = 0; r < 4; r++) gram_row_avx2(h, n, gr[r], kn, a + r, b);
   }
-  for (; a < a1; a++) gram_row_avx2(h, n, g, k0, k1, a, a);
+  for (; a < a1; a++) gram_row_avx2(h, n, g + row_base(a, n), kn, a, a);
+  _mm256_zeroupper();
 }
 
 #endif /* __x86_64__ */
 
 int archpred_simd_level(void); /* lib/simd */
 
-CAMLprim value archpred_linalg_gram_block(value vh, intnat n, value vg,
-                                          intnat k0, intnat k1, intnat a0,
-                                          intnat a1) {
+CAMLprim value archpred_linalg_gram_packed(value vh, intnat n, value vg,
+                                           intnat kn, intnat a0, intnat a1) {
   const double *h = (const double *)vh;
   double *g = (double *)vg;
 #if defined(__x86_64__)
   if (archpred_simd_level() >= 1) {
-    gram_avx2(h, n, g, k0, k1, a0, a1);
+    gram_avx2(h, n, g, kn, a0, a1);
     return Val_unit;
   }
 #endif
-  gram_scalar(h, n, g, k0, k1, a0, a1);
+  gram_scalar(h, n, g, kn, a0, a1);
   return Val_unit;
 }
 
-CAMLprim value archpred_linalg_gram_block_byte(value *argv, int argn) {
+CAMLprim value archpred_linalg_gram_packed_byte(value *argv, int argn) {
   (void)argn;
-  return archpred_linalg_gram_block(
-      argv[0], Long_val(argv[1]), argv[2], Long_val(argv[3]),
-      Long_val(argv[4]), Long_val(argv[5]), Long_val(argv[6]));
+  return archpred_linalg_gram_packed(argv[0], Long_val(argv[1]), argv[2],
+                                     Long_val(argv[3]), Long_val(argv[4]),
+                                     Long_val(argv[5]));
 }
 
 /* The forward substitution L a = acc of a Cholesky push, in place, by

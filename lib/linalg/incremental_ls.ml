@@ -1,70 +1,88 @@
 type t = {
   p : int;
   n_cols : int;
-  gram : float array; (* n_cols x n_cols, row-major; symmetric *)
+  gram : float array;
+      (* upper triangle of H'H by rows: entry (a, b >= a) at
+         [row_base n a + b] *)
   hy : float array; (* n_cols *)
   yty : float;
   jitter : float;
 }
 
-(* The Gram matrix is built in gram_stubs.c straight from the row-major
-   design, with consecutive columns [b] of one Gram row in SIMD lanes.
-   The design rows are taken in blocks of [k_block], so a block stays in
-   cache while every Gram row adds it in; each entry still sums its rows
-   in ascending order from +0, exactly the order [transpose design *
-   design] sums it in, so the moments are bit-identical to the plain
-   triple loop's.  A call covers [a_block] Gram rows of one row block,
-   which keeps each stretch of C short: a domain inside a C call cannot
-   join a stop-the-world collection another domain requests. *)
-external gram_block :
+(* Entry (a, b >= a) of the packed Gram is at [row_base n a + b], with
+   row_base = a*n - a(a-1)/2 - a: the rows before row [a] hold n, n-1,
+   ..., n-a+1 entries, and row [a] starts at column [a].  a(2n-a-1) is
+   even. *)
+let row_base n a = (a * ((2 * n) - a - 1)) lsr 1
+
+(* Where entry (a, b) of the symmetric Gram is stored: at (a, b) or at
+   (b, a), whichever is in the upper triangle.  An index, not the float,
+   so that a call that is not inlined boxes nothing. *)
+let[@inline] index n a b = if a <= b then row_base n a + b else row_base n b + a
+
+(* One row block of the design into the packed upper triangle, in
+   gram_stubs.c, with consecutive columns [b] of one Gram row in SIMD
+   lanes.  Each entry sums its rows in ascending order from +0, exactly
+   the order [transpose design * design] sums it in, so the moments are
+   bit-identical to the plain triple loop's whatever the blocking.  A
+   call covers [a_block] Gram rows of one row block, which keeps each
+   stretch of C short: a domain inside a C call cannot join a
+   stop-the-world collection another domain requests. *)
+external gram_packed :
   float array ->
   (int[@untagged]) ->
   float array ->
   (int[@untagged]) ->
   (int[@untagged]) ->
   (int[@untagged]) ->
-  (int[@untagged]) ->
-  unit = "archpred_linalg_gram_block_byte" "archpred_linalg_gram_block"
+  unit = "archpred_linalg_gram_packed_byte" "archpred_linalg_gram_packed"
 [@@noalloc]
 
 let k_block = 48
 let a_block = 32
 
-let create ?(jitter = 0.) ~design ~responses () =
-  let p = Matrix.rows design in
-  if p <> Array.length responses then
-    invalid_arg "Incremental_ls.create: dimension mismatch";
+let create ?(jitter = 0.) ~n_cols:n ~rows ~responses () =
+  if n < 0 then invalid_arg "Incremental_ls.create: negative n_cols";
   if jitter < 0. then invalid_arg "Incremental_ls.create: negative jitter";
-  let n = Matrix.cols design in
-  let h = Matrix.data design in
-  let gram = Array.make (n * n) 0. in
+  let p = Array.length responses in
+  let gram = Array.make (n * (n + 1) / 2) 0. in
+  let hy = Array.make n 0. in
   let k0 = ref 0 in
   while !k0 < p do
     let k1 = Int.min p (!k0 + k_block) in
+    let kn = k1 - !k0 in
+    let h = rows !k0 k1 in
+    if Array.length h < kn * n then
+      invalid_arg "Incremental_ls.create: short row block";
     let a0 = ref 0 in
     while !a0 < n do
       let a1 = Int.min n (!a0 + a_block) in
-      gram_block h n gram !k0 k1 !a0 a1;
+      gram_packed h n gram kn !a0 a1;
       a0 := a1
+    done;
+    (* H'y in the same ascending row order, one design row at a time. *)
+    for i = 0 to kn - 1 do
+      let y = Array.unsafe_get responses (!k0 + i) and row = i * n in
+      for j = 0 to n - 1 do
+        Array.unsafe_set hy j
+          (Array.unsafe_get hy j +. (Array.unsafe_get h (row + j) *. y))
+      done
     done;
     k0 := k1
   done;
-  for a = 0 to n - 1 do
-    for b = a + 1 to n - 1 do
-      Array.unsafe_set gram ((b * n) + a) (Array.unsafe_get gram ((a * n) + b))
-    done
-  done;
-  (* H'y in the same ascending row order, one design row at a time. *)
-  let hy = Array.make n 0. in
+  let yty = ref 0. in
   for i = 0 to p - 1 do
-    let y = responses.(i) and row = i * n in
-    for j = 0 to n - 1 do
-      Array.unsafe_set hy j
-        (Array.unsafe_get hy j +. (Array.unsafe_get h (row + j) *. y))
-    done
+    let y = Array.unsafe_get responses i in
+    yty := !yty +. (y *. y)
   done;
-  let yty = Array.fold_left (fun acc y -> acc +. (y *. y)) 0. responses in
-  { p; n_cols = n; gram; hy; yty; jitter }
+  { p; n_cols = n; gram; hy; yty = !yty; jitter }
+
+let matrix_rows design =
+  let n = Matrix.cols design and h = Matrix.data design in
+  let buf = Array.make (k_block * n) 0. in
+  fun k0 k1 ->
+    Array.blit h (k0 * n) buf 0 ((k1 - k0) * n);
+    buf
 
 let p t = t.p
 let n_cols t = t.n_cols
@@ -73,7 +91,7 @@ let gram t a b =
   let n = t.n_cols in
   if a < 0 || a >= n || b < 0 || b >= n then
     invalid_arg "Incremental_ls.gram: out of bounds";
-  t.gram.((a * n) + b)
+  t.gram.(index n a b)
 
 let hy t a = t.hy.(a)
 
@@ -141,16 +159,16 @@ let push f j =
   f.pushes <- f.pushes + 1;
   if (m + 1) * n > Array.length f.l then grow f m;
   let l = f.l and ids = f.ids and gram = ls.gram and acc = f.acc in
-  (* The new row a of L solves L a = G_{ids, j} (read along Gram row j:
-     the Gram is exactly symmetric), right-looking: a_q = acc_q / L_qq,
-     then acc_k -= a_q L_kq down column q.  Each acc_k still takes its
-     terms in ascending q, as the row-by-row dot product did. *)
-  let jrow = j * n in
+  (* The new row a of L solves L a = G_{ids, j}, right-looking:
+     a_q = acc_q / L_qq, then acc_k -= a_q L_kq down column q.  Each
+     acc_k still takes its terms in ascending q, as the row-by-row dot
+     product did. *)
   for k = 0 to m - 1 do
-    Array.unsafe_set acc k (Array.unsafe_get gram (jrow + Array.unsafe_get ids k))
+    Array.unsafe_set acc k
+      (Array.unsafe_get gram (index n (Array.unsafe_get ids k) j))
   done;
   push_sweep l acc n m;
-  let d2 = ref (Array.unsafe_get gram (jrow + j) +. ls.jitter) in
+  let d2 = ref (Array.unsafe_get gram (index n j j) +. ls.jitter) in
   for q = 0 to m - 1 do
     let v = Array.unsafe_get acc q in
     d2 := !d2 -. (v *. v)

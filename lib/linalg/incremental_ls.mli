@@ -20,18 +20,35 @@
 type t
 (** Precomputed moments of a p-by-M design matrix and response vector. *)
 
+val k_block : int
+(** Rows per call of a {!create} producer: 48. *)
+
 val create :
   ?jitter:float ->
-  design:Matrix.t ->
+  n_cols:int ->
+  rows:(int -> int -> float array) ->
   responses:float array ->
   unit ->
   t
-(** Precompute [H'H], [H'y] and [y'y].  [jitter] (default 0) is added to
-    the Gram diagonal as each column is pushed, keeping the factor defined
-    when columns nearly coincide.  The Gram is a C kernel with columns in
-    SIMD lanes (AVX2 or portable C, at {!Archpred_simd.Simd.training});
-    every entry is its ascending-row sum from +0 on both paths, so they
-    agree bit for bit.  Raises [Invalid_argument] on dimension mismatch or negative jitter. *)
+(** Precompute [H'H], [H'y] and [y'y] of the p-by-[n_cols] design [H],
+    p = [Array.length responses], without holding [H] whole.  [rows k0
+    k1] gives design rows [\[k0, k1)]: entry [(k, j)] at [(k - k0) *
+    n_cols + j].  [create] asks for the rows once each, in ascending
+    blocks of at most {!k_block}, and is done with a block before it
+    asks for the next, so the producer may hand back one buffer every
+    time.  The Gram is held as its packed upper triangle, [n_cols *
+    (n_cols + 1) / 2] floats, and each block goes straight into it
+    through a C kernel with columns in SIMD lanes (AVX2 or portable C,
+    at {!Archpred_simd.Simd.training}); every entry is its
+    ascending-row sum from +0 on both paths, so they agree bit for bit
+    with the plain triple loop over [H].  [jitter] (default 0) is added to the Gram
+    diagonal as each column is pushed, keeping the factor defined when
+    columns nearly coincide.  Raises [Invalid_argument] on a negative
+    [n_cols] or jitter, or a block shorter than its rows. *)
+
+val matrix_rows : Matrix.t -> int -> int -> float array
+(** [matrix_rows h] is a {!create} producer over an existing design: each
+    call copies the rows asked for into one buffer of {!k_block} rows. *)
 
 val p : t -> int
 (** Number of rows (observations) of the design. *)
@@ -43,7 +60,7 @@ val yty : t -> float
 (** [y'y], the response sum of squares. *)
 
 val gram : t -> int -> int -> float
-(** [gram t a b] is entry [(a, b)] of [H'H]. *)
+(** [gram t a b] is entry [(a, b)] of [H'H], equal to [gram t b a]. *)
 
 val hy : t -> int -> float
 (** [hy t a] is entry [a] of [H'y]. *)

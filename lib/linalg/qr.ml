@@ -23,6 +23,32 @@ let apply_reflector v ~vo x ~xo ~k ~p =
       (Array.unsafe_get x (xo + i) +. (s *. Array.unsafe_get v (vo + i)))
   done
 
+(* [apply_reflector] to the four adjacent columns from [xo] in one pass
+   over [v]: each column still sums its own dot product in ascending
+   [i] and takes its own update, so the bits are those of four calls. *)
+let apply_reflector4 v ~vo x ~xo ~k ~p =
+  let x1 = xo + p in
+  let x2 = x1 + p in
+  let x3 = x2 + p in
+  let s0 = ref 0. and s1 = ref 0. and s2 = ref 0. and s3 = ref 0. in
+  for i = k to p - 1 do
+    let vi = Array.unsafe_get v (vo + i) in
+    s0 := !s0 +. (vi *. Array.unsafe_get x (xo + i));
+    s1 := !s1 +. (vi *. Array.unsafe_get x (x1 + i));
+    s2 := !s2 +. (vi *. Array.unsafe_get x (x2 + i));
+    s3 := !s3 +. (vi *. Array.unsafe_get x (x3 + i))
+  done;
+  let vk = Array.unsafe_get v (vo + k) in
+  let s0 = -. !s0 /. vk and s1 = -. !s1 /. vk in
+  let s2 = -. !s2 /. vk and s3 = -. !s3 /. vk in
+  for i = k to p - 1 do
+    let vi = Array.unsafe_get v (vo + i) in
+    Array.unsafe_set x (xo + i) (Array.unsafe_get x (xo + i) +. (s0 *. vi));
+    Array.unsafe_set x (x1 + i) (Array.unsafe_get x (x1 + i) +. (s1 *. vi));
+    Array.unsafe_set x (x2 + i) (Array.unsafe_get x (x2 + i) +. (s2 *. vi));
+    Array.unsafe_set x (x3 + i) (Array.unsafe_get x (x3 + i) +. (s3 *. vi))
+  done
+
 (* Householder QR in place over a column-major [p x m] array. *)
 let factorize qr ~p ~m =
   let rdiag = Array.make m 0. in
@@ -40,8 +66,13 @@ let factorize qr ~p ~m =
         qr.(ck + i) <- qr.(ck + i) /. nrm
       done;
       qr.(ck + k) <- qr.(ck + k) +. 1.;
-      (* Apply the reflector to the remaining columns. *)
-      for j = k + 1 to m - 1 do
+      (* Apply the reflector to the remaining columns, four a pass. *)
+      let j = ref (k + 1) in
+      while !j + 4 <= m do
+        apply_reflector4 qr ~vo:ck qr ~xo:(!j * p) ~k ~p;
+        j := !j + 4
+      done;
+      for j = !j to m - 1 do
         apply_reflector qr ~vo:ck qr ~xo:(j * p) ~k ~p
       done;
       rdiag.(k) <- -.nrm

@@ -52,8 +52,10 @@ let stepwise ?(obs = Archpred_obs.null) ?(criterion = aic) ~points ~responses
      matrix, so its Gram moments are computed once and each candidate set
      is scored by an incremental Cholesky — no per-candidate design
      rebuild, no per-candidate QR. *)
+  let design = design_matrix pool points in
   let ils =
-    Ils.create ~design:(design_matrix pool points) ~responses ()
+    Ils.create ~n_cols:(Matrix.cols design) ~rows:(Ils.matrix_rows design)
+      ~responses ()
   in
   let fac = Ils.factor ils in
   let score_factor m =

@@ -1,5 +1,6 @@
 module Matrix = Archpred_linalg.Matrix
 module Least_squares = Archpred_linalg.Least_squares
+module Ils = Archpred_linalg.Incremental_ls
 module Simd = Archpred_simd.Simd
 
 type center = { c : float array; r : float array }
@@ -53,12 +54,14 @@ let pack t =
 let eval_batch packed points = Batch_kernel.eval_points packed points
 
 (* The design entry of rbf_kernel_stubs.c (AVX2, dim <= 64), which fills
-   the matrix: centers and 1/r flat, the points in place, the matrix,
-   then m, dim and the row range. *)
+   rows of the matrix: centers and 1/r flat, the points in place, the
+   destination, then m, dim, the point range and the point that lands in
+   row 0 of the destination. *)
 external design_stub :
   float array -> float array -> float array array -> float array ->
   (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
-  (int[@untagged]) -> Batch_kernel.buffer -> Batch_kernel.buffer -> unit
+  (int[@untagged]) -> (int[@untagged]) -> Batch_kernel.buffer ->
+  Batch_kernel.buffer -> unit
   = "archpred_rbf_design_bytecode" "archpred_rbf_design"
 [@@noalloc]
 
@@ -66,7 +69,10 @@ external design_stub :
    (a domain in a [@@noalloc] call cannot join a collection). *)
 let design_block = 64
 
-let design_matrix centers points =
+(* Checks the arities and packs the centers once.  [write dst i0 i1 h0]
+   then puts rows [i0, i1) of the design into [dst], point [i] at row
+   [i - h0]. *)
+let design_writer centers points =
   let m = Array.length centers and n = Array.length points in
   let dim = if n > 0 then Array.length points.(0) else 0 in
   let arity v = Array.length v <> dim in
@@ -75,20 +81,42 @@ let design_matrix centers points =
         || Array.exists arity points)
   then invalid_arg "Network.design_matrix: arity mismatch";
   let scalar = match Simd.training () with Scalar -> true | _ -> false in
-  if m = 0 || n = 0 || dim > 64 || scalar then
-    Matrix.init n m (fun i j -> basis centers.(j) points.(i))
+  if m = 0 || n = 0 || dim > 64 || scalar then fun dst i0 i1 h0 ->
+    for i = i0 to i1 - 1 do
+      let row = (i - h0) * m in
+      for j = 0 to m - 1 do
+        dst.(row + j) <- basis centers.(j) points.(i)
+      done
+    done
   else begin
-    let h = Matrix.create n m in
     (* Bitwise the [1. /. r.(k)] of [basis], as in [pack]. *)
     let ir = Array.init (m * dim) (fun x -> 1. /. centers.(x / dim).r.(x mod dim)) in
     let cs = Array.init (m * dim) (fun x -> centers.(x / dim).c.(x mod dim)) in
-    for b = 0 to (n - 1) / design_block do
-      let i0 = b * design_block in
-      design_stub cs ir points (Matrix.data h) m dim i0 (Int.min n (i0 + design_block))
-        Rbf_math.t2j Rbf_math.pow2
-    done;
-    h
+    fun dst i0 i1 h0 ->
+      let i = ref i0 in
+      while !i < i1 do
+        let e = Int.min i1 (!i + design_block) in
+        design_stub cs ir points dst m dim !i e h0 Rbf_math.t2j Rbf_math.pow2;
+        i := e
+      done
   end
+
+let design_matrix centers points =
+  let write = design_writer centers points in
+  let n = Array.length points in
+  let h = Matrix.create n (Array.length centers) in
+  write (Matrix.data h) 0 n 0;
+  h
+
+let design_rows centers points =
+  let write = design_writer centers points in
+  let n = Array.length points in
+  let buf = Array.make (Ils.k_block * Array.length centers) 0. in
+  fun k0 k1 ->
+    if k0 < 0 || k1 > n || k1 - k0 > Ils.k_block then
+      invalid_arg "Network.design_rows: bad row range";
+    write buf k0 k1 k0;
+    buf
 
 type fit_diagnostics = { rss : float; sigma2 : float; regularized : bool }
 

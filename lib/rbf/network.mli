@@ -49,6 +49,17 @@ val design_matrix : center array -> float array array -> Archpred_linalg.Matrix.
     dimension is at most 64, else from [basis] itself.  Raises [Invalid_argument] on an arity
     mismatch. *)
 
+val design_rows :
+  center array -> float array array -> int -> int -> float array
+(** [design_rows centers points] is an
+    {!Archpred_linalg.Incremental_ls.create} producer over
+    [design_matrix centers points] that never holds the matrix whole:
+    the centers and their [1/r] are packed once, and [rows k0 k1]
+    evaluates rows [\[k0, k1)] (at most
+    {!Archpred_linalg.Incremental_ls.k_block}) into one buffer that the
+    next call overwrites, with the same bits as {!design_matrix}.  Raises
+    [Invalid_argument] on an arity mismatch or a bad row range. *)
+
 type fit_diagnostics = {
   rss : float;
   sigma2 : float;  (** maximum-likelihood error variance, [rss / p] *)

@@ -151,12 +151,12 @@ static inline void center_avx2(const double xT[64][8], const double *cj,
 
 /* Points [i0, i1) (q and rows as in load_block), dim <= 64, eight to a
  * block, the last block padded.  Two sinks for the per-center step:
- * with h, the design's h[i*m + j] = e; without, evaluation's
+ * with h, the design's h[(i - h0)*m + j] = e; without, evaluation's
  * out[i] = sum_j w[j] * e. */
 __attribute__((target("avx2")))
 static void blocks_avx2(const double *c, const double *ir, const double *w,
                         long m, long dim, const double *q, const value *rows,
-                        long i0, long i1, double *out, double *h,
+                        long i0, long i1, double *out, double *h, long h0,
                         const double *t2j, const double *p2) {
   double xT[64][8] __attribute__((aligned(32)));
   double e[8] __attribute__((aligned(32)));
@@ -170,7 +170,7 @@ static void blocks_avx2(const double *c, const double *ir, const double *w,
       if (h) {
         _mm256_store_pd(e, e0);
         _mm256_store_pd(e + 4, e1);
-        for (long l = 0; l < nl; l++) h[(i + l) * m + j] = e[l];
+        for (long l = 0; l < nl; l++) h[(i + l - h0) * m + j] = e[l];
       } else {
         __m256d wj = _mm256_set1_pd(w[j]);
         acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(wj, e0));
@@ -272,7 +272,7 @@ CAMLprim value archpred_rbf_eval_batch(value vc, value vir, value vw,
   if (level == 2)
     eval_avx512(c, ir, w, m, dim, q, n, out, t2j, p2);
   else if (level == 1)
-    blocks_avx2(c, ir, w, m, dim, q, NULL, 0, n, out, NULL, t2j, p2);
+    blocks_avx2(c, ir, w, m, dim, q, NULL, 0, n, out, NULL, 0, t2j, p2);
   else
 #endif
     eval_scalar(c, ir, w, m, dim, q, n, out, t2j, p2);
@@ -286,18 +286,18 @@ CAMLprim value archpred_rbf_eval_batch_bytecode(value *argv, int argn) {
                                  argv[5], argv[6], argv[7], argv[8], argv[9]);
 }
 
-/* Rows [i0, i1) of the n-by-m design h (row-major): h[i*m + j] =
- * exp_neg(s) for center j at point i, with c and ir flat as in the
- * packed model and q a float array array.  AVX2 only, dim <= 64
- * (AVX-512 hosts too: a twin saved ~1% of selection time):
- * Network.design_matrix takes its OCaml loop over Network.basis
- * everywhere else. */
+/* Rows [i0, i1) of the n-by-m design, with point i at row i - h0 of h
+ * (row-major): h[(i - h0)*m + j] = exp_neg(s) for center j at point i,
+ * with c and ir flat as in the packed model and q a float array array.
+ * AVX2 only, dim <= 64 (AVX-512 hosts too: a twin saved ~1% of
+ * selection time): Network.design_rows takes its OCaml loop over
+ * Network.basis everywhere else. */
 CAMLprim value archpred_rbf_design(value c, value ir, value q, value h,
                                    intnat m, intnat dim, intnat i0, intnat i1,
-                                   value vt2j, value vp2) {
+                                   intnat h0, value vt2j, value vp2) {
 #if defined(__x86_64__)
   blocks_avx2((const double *)c, (const double *)ir, NULL, m, dim, NULL,
-              Op_val(q), i0, i1, NULL, (double *)h, Caml_ba_data_val(vt2j),
+              Op_val(q), i0, i1, NULL, (double *)h, h0, Caml_ba_data_val(vt2j),
               Caml_ba_data_val(vp2));
 #endif
   return Val_unit;
@@ -307,6 +307,6 @@ CAMLprim value archpred_rbf_design_bytecode(value *argv, int argn) {
   (void)argn;
   return archpred_rbf_design(argv[0], argv[1], argv[2], argv[3],
                              Long_val(argv[4]), Long_val(argv[5]),
-                             Long_val(argv[6]), Long_val(argv[7]), argv[8],
-                             argv[9]);
+                             Long_val(argv[6]), Long_val(argv[7]),
+                             Long_val(argv[8]), argv[9], argv[10]);
 }

@@ -38,14 +38,9 @@ let select ?(obs = Obs.null) ?(criterion = Criteria.Aicc) ~tree ~candidates
     invalid_arg "Selection.select: points/responses mismatch";
   if p = 0 then invalid_arg "Selection.select: empty sample";
   Obs.with_span obs "rbf.select" @@ fun () ->
-  (* Full design matrix over every candidate, computed once; subsets are
-     scored through precomputed Gram moments. *)
+  (* Subsets are scored through precomputed Gram moments. *)
   let all_centers = Array.map (fun c -> c.Tree_centers.center) candidates in
-  let scorer =
-    Subset_scorer.create
-      ~design:(Network.design_matrix all_centers points)
-      ~responses
-  in
+  let scorer = Subset_scorer.create ~centers:all_centers ~points ~responses in
   let fac = Ils.factor (Subset_scorer.incremental scorer) in
   let selected = Array.make (Array.length candidates) false in
   let current_ids () =
@@ -158,11 +153,7 @@ let select_forward ?(obs = Obs.null) ?(criterion = Criteria.Aicc) ?max_centers
   if p = 0 then invalid_arg "Selection.select_forward: empty sample";
   Obs.with_span obs "rbf.select_forward" @@ fun () ->
   let all_centers = Array.map (fun c -> c.Tree_centers.center) candidates in
-  let scorer =
-    Subset_scorer.create
-      ~design:(Network.design_matrix all_centers points)
-      ~responses
-  in
+  let scorer = Subset_scorer.create ~centers:all_centers ~points ~responses in
   let fac = Ils.factor (Subset_scorer.incremental scorer) in
   let m_cap = match max_centers with Some m -> m | None -> max 1 (p / 2) in
   let chosen = ref [] in

@@ -6,8 +6,14 @@ type t = { ils : Ils.t; scratch : Ils.factor }
    is fitted under the same regularisation *)
 let jitter = 1e-8
 
-let create ~design ~responses =
-  let ils = Ils.create ~jitter ~design ~responses () in
+(* The p-by-candidates design is never built whole: its rows go into
+   the Gram one block at a time. *)
+let create ~centers ~points ~responses =
+  let ils =
+    Ils.create ~jitter ~n_cols:(Array.length centers)
+      ~rows:(Network.design_rows centers points)
+      ~responses ()
+  in
   { ils; scratch = Ils.factor ils }
 
 let incremental t = t.ils

@@ -14,8 +14,14 @@
 
 type t
 
-val create : design:Archpred_linalg.Matrix.t -> responses:float array -> t
-(** Precompute moments of the full p-by-M design matrix. *)
+val create :
+  centers:Network.center array ->
+  points:float array array ->
+  responses:float array ->
+  t
+(** Precompute moments of the p-by-M design of [M] candidate centers
+    over the sample, fed a block of rows at a time
+    ({!Network.design_rows}), so the design is never held whole. *)
 
 val incremental : t -> Archpred_linalg.Incremental_ls.t
 (** The underlying moments, for callers that walk subsets incrementally

@@ -230,9 +230,17 @@ let load ~dir =
         | s -> s
         | exception End_of_file -> Obs.Error.io_error ~path:p "truncated spec")
   in
-  match Json.of_string (String.trim text) with
-  | Ok json -> of_json json
-  | Error msg -> fail_parse msg
+  (* Every refusal of the file's contents names the file. *)
+  match
+    match Json.of_string (String.trim text) with
+    | Ok json -> of_json json
+    | Error msg -> fail_parse msg
+  with
+  | t -> t
+  | exception Obs.Error.Archpred (Parse_error { line; what; _ }) ->
+      Obs.Error.parse_error ~where:p ~line what
+  | exception Obs.Error.Archpred (Invalid_input { what; _ }) ->
+      Obs.Error.invalid_input ~where:p what
 
 let config ?obs (t : t) =
   let module C = Core.Config in

@@ -55,7 +55,8 @@ val load : dir:string -> t
 (** Read and validate [<dir>/spec.json].  Total over the file's bytes:
     any content gives a spec or a typed error — [Archpred (Io_error _)],
     [Archpred (Parse_error _)], or [Archpred (Invalid_input _)] for a
-    well-formed spec that breaks an invariant.  A spec whose
+    well-formed spec that breaks an invariant; the last two name the
+    file, [<dir>/spec.json], as their [where].  A spec whose
     ["version"] is not 2 is the [Parse_error] ["unsupported spec
     version"]: a version-1 spec predates the nested schedule's
     from-scratch tuning, and resuming it would give another model. *)

@@ -124,8 +124,11 @@ let subset_scores name ~n ~seed =
       (fun c -> c.Rbf.Tree_centers.center)
       (Rbf.Tree_centers.of_tree ~alpha:7. tree)
   in
-  let design = Rbf.Network.design_matrix centers points in
-  let ils = Ils.create ~jitter:1e-8 ~design ~responses () in
+  let ils =
+    Ils.create ~jitter:1e-8 ~n_cols:(Array.length centers)
+      ~rows:(Rbf.Network.design_rows centers points)
+      ~responses ()
+  in
   let fac = Ils.factor ils in
   let cols = Array.length centers in
   let selected = Array.make cols false and size = ref 0 in
@@ -179,7 +182,9 @@ let moments name ~rows ~cols ~seed =
         if Rng.int rng 8 = 0 then 0. else Rng.unit_float rng -. 0.25)
   in
   let responses = Array.init rows (fun _ -> Rng.unit_float rng -. 0.5) in
-  let ils = Ils.create ~design ~responses () in
+  let ils =
+    Ils.create ~n_cols:cols ~rows:(Ils.matrix_rows design) ~responses ()
+  in
   let buf = Buffer.create (8 * cols * (cols + 1)) in
   for a = 0 to cols - 1 do
     for b = 0 to cols - 1 do

@@ -312,7 +312,9 @@ let prop_qr_bit_identical =
     QCheck2.Gen.(int_range 0 1_000_000)
     (fun seed ->
       let rng = Rng.create seed in
-      let m = 1 + Rng.int rng 6 in
+      (* Up to 12 columns: [factorize] applies each reflector four
+         columns a pass, then one at a time. *)
+      let m = 1 + Rng.int rng 12 in
       let p = m + Rng.int rng 6 in
       let a =
         if Rng.int rng 2 = 0 then awkward_matrix rng p m
@@ -354,11 +356,16 @@ let test_ls_fallback () =
 
 module Ils = Archpred_linalg.Incremental_ls
 
+(* The moments of an existing design, through the matrix producer. *)
+let ils_create ?jitter ~design ~responses () =
+  Ils.create ?jitter ~n_cols:(Matrix.cols design) ~rows:(Ils.matrix_rows design)
+    ~responses ()
+
 let ils_fixture () =
   let rng = Rng.create 91 in
   let design = random_matrix rng 30 8 in
   let responses = Array.init 30 (fun _ -> Rng.unit_float rng -. 0.5) in
-  (design, responses, Ils.create ~design ~responses ())
+  (design, responses, ils_create ~design ~responses ())
 
 let test_ils_matches_full_solve () =
   let design, responses, ils = ils_fixture () in
@@ -394,7 +401,7 @@ let test_ils_factor_grows () =
   let p = 120 and n = 70 in
   let design = random_matrix rng p n in
   let responses = Array.init p (fun _ -> Rng.unit_float rng -. 0.5) in
-  let ils = Ils.create ~design ~responses () in
+  let ils = ils_create ~design ~responses () in
   let live = Ils.factor ils in
   for _ = 1 to 8 do
     let m = 15 + Rng.int rng 55 in
@@ -436,7 +443,7 @@ let test_ils_dependent_column_rejected () =
      and leave the factor unchanged. *)
   let design = Matrix.init 10 2 (fun i _ -> float_of_int (i + 1)) in
   let responses = Array.init 10 float_of_int in
-  let ils = Ils.create ~design ~responses () in
+  let ils = ils_create ~design ~responses () in
   let fac = Ils.factor ils in
   Alcotest.(check bool) "first push ok" true (Ils.push fac 0);
   Alcotest.(check bool) "dependent push rejected" false (Ils.push fac 1);
@@ -461,7 +468,7 @@ let prop_ils_gram_bit_identical =
       let n = 1 + Rng.int rng 11 in
       let design = awkward_matrix rng p n in
       let responses = Array.init p (fun _ -> awkward_float rng) in
-      let ils = Ils.create ~design ~responses () in
+      let ils = ils_create ~design ~responses () in
       let g = tmul design design in
       let hy = tmul design (Matrix.init p 1 (fun i _ -> responses.(i))) in
       let ok = ref true in
@@ -496,7 +503,7 @@ let prop_ils_gram_paths =
       List.iter
         (fun level ->
           let ils =
-            Simd.with_cap level (fun () -> Ils.create ~design ~responses ())
+            Simd.with_cap level (fun () -> ils_create ~design ~responses ())
           in
           for a = 0 to n - 1 do
             if not (same_bits (Matrix.get hy a 0) (Ils.hy ils a)) then
@@ -508,6 +515,79 @@ let prop_ils_gram_paths =
           done)
         (Simd.supported ());
       !ok)
+
+(* The packed kernel against the plain triple loop: each entry (a, b),
+   b >= a, summed over the rows in ascending order from +0, read back
+   as [gram a b] and as [gram b a].  Row counts straddle the 48-row
+   blocks; column counts cover every remainder of the 4-row register
+   block (whose leading 4x4 triangle the kernel sums on its own) and of
+   the 8-wide column run, the 32-row call boundary, and a 799-column
+   design, at every level the host has. *)
+let test_ils_packed_gram () =
+  let rng = Rng.create 95 in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun n ->
+          (* Subnormal arithmetic is slow: the wide design is plain. *)
+          let design =
+            if n > 64 then random_matrix rng p n else awkward_matrix rng p n
+          in
+          let responses = Array.init p (fun _ -> awkward_float rng) in
+          let h = Matrix.data design in
+          let oracle = Array.make (n * n) 0. in
+          for k = 0 to p - 1 do
+            for a = 0 to n - 1 do
+              let x = h.((k * n) + a) in
+              for b = a to n - 1 do
+                oracle.((a * n) + b) <- oracle.((a * n) + b) +. (x *. h.((k * n) + b))
+              done
+            done
+          done;
+          List.iter
+            (fun level ->
+              let ils =
+                Simd.with_cap level (fun () -> ils_create ~design ~responses ())
+              in
+              for a = 0 to n - 1 do
+                for b = a to n - 1 do
+                  let o = oracle.((a * n) + b) in
+                  if not (same_bits o (Ils.gram ils a b) && same_bits o (Ils.gram ils b a))
+                  then
+                    Alcotest.failf "%s p=%d n=%d: gram (%d, %d)"
+                      (Simd.to_string level) p n a b
+                done
+              done)
+            (Simd.supported ()))
+        (List.init 13 (fun i -> i + 1) @ [ 31; 32; 33; 799 ]))
+    [ 1; 47; 48; 49; 97; 400 ]
+
+(* The moments of a selection cell's shape (400 rows, 799 candidate
+   columns) are built without an n x n Gram or a p x n design: with the
+   producer's row blocks prepared beforehand, [create] allocates the
+   packed triangle, H'y and a few words of its own. *)
+let test_ils_create_memory () =
+  let p = 400 and n = 799 in
+  let rng = Rng.create 96 in
+  let blocks =
+    Array.init ((p + Ils.k_block - 1) / Ils.k_block) (fun b ->
+        Array.init (Int.min Ils.k_block (p - (b * Ils.k_block)) * n) (fun _ ->
+            Rng.unit_float rng))
+  in
+  let rows k0 _ = blocks.(k0 / Ils.k_block) in
+  let responses = Array.init p (fun _ -> Rng.unit_float rng) in
+  let words (st : Gc.stat) = st.minor_words +. st.major_words -. st.promoted_words in
+  (* An empty minor heap first: a minor collection inside the window
+     then counts only the window's words. *)
+  Gc.minor ();
+  let before = Gc.quick_stat () in
+  let ils = Ils.create ~n_cols:n ~rows ~responses () in
+  let after = Gc.quick_stat () in
+  let allocated = words after -. words before in
+  let bound = (n * (n + 1) / 2) + (2 * n) + 64 in
+  if allocated > float_of_int bound then
+    Alcotest.failf "create allocated %.0f words, more than %d" allocated bound;
+  Alcotest.(check int) "columns" n (Ils.n_cols ils)
 
 (* A factor driven by random set / push / pop sequences holds, after
    every step, exactly what a fresh factor pushed with its columns
@@ -522,7 +602,7 @@ let prop_ils_sequences =
       (* A repeated column makes some pushes fail. *)
       set_col design (n - 1) (mcol design 0);
       let responses = Array.init p (fun _ -> Rng.unit_float rng) in
-      let ils = Ils.create ~jitter:(float_of_int (Rng.int rng 2) *. 1e-8)
+      let ils = ils_create ~jitter:(float_of_int (Rng.int rng 2) *. 1e-8)
           ~design ~responses ()
       in
       let fac = Ils.factor ils in
@@ -664,7 +744,7 @@ let prop_ils_sweep_paths =
       let lss =
         List.map
           (fun level ->
-            (level, Simd.with_cap level (fun () -> Ils.create ~jitter ~design ~responses ())))
+            (level, Simd.with_cap level (fun () -> ils_create ~jitter ~design ~responses ())))
           (Simd.supported ())
       in
       let facs = List.map (fun (level, ls) -> (level, Ils.factor ls)) lss in
@@ -746,6 +826,10 @@ let () =
             test_ils_empty_and_accounting;
           prop_ils_gram_bit_identical;
           prop_ils_gram_paths;
+          Alcotest.test_case "packed Gram = triple loop at every level" `Quick
+            test_ils_packed_gram;
+          Alcotest.test_case "moments without the n x n Gram" `Quick
+            test_ils_create_memory;
           prop_ils_sequences;
           prop_ils_sweep_paths;
         ] );

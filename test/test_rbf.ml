@@ -12,6 +12,7 @@ module Subset_scorer = Rbf.Subset_scorer
 module Tree = Archpred_regtree.Tree
 module Matrix = Archpred_linalg.Matrix
 module Least_squares = Archpred_linalg.Least_squares
+module Ils = Archpred_linalg.Incremental_ls
 module Rng = Archpred_stats.Rng
 module Simd = Archpred_simd.Simd
 
@@ -188,7 +189,7 @@ let prop_scorer_matches_qr =
             })
       in
       let design = Network.design_matrix centers points in
-      let scorer = Subset_scorer.create ~design ~responses in
+      let scorer = Subset_scorer.create ~centers ~points ~responses in
       let subset = [ 0; 2; 4 ] in
       match Subset_scorer.sigma2 scorer subset with
       | None -> false
@@ -201,8 +202,7 @@ let test_scorer_empty_subset () =
   let tree, points, responses = small_tree () in
   let candidates = Tree_centers.of_tree ~alpha:5. tree in
   let centers = Array.map (fun c -> c.Tree_centers.center) candidates in
-  let design = Network.design_matrix centers points in
-  let scorer = Subset_scorer.create ~design ~responses in
+  let scorer = Subset_scorer.create ~centers ~points ~responses in
   Alcotest.(check bool) "empty is None" true
     (Subset_scorer.sigma2 scorer [] = None);
   Alcotest.(check bool) "empty scores infinity" true
@@ -325,7 +325,8 @@ let prop_batch_matches_scalar =
       true)
 
 (* The design entry: every entry equals [Network.basis] bit for bit, at
-   every level the host has.  Above [Scalar] dimensions 1-12 take the C
+   every level the host has, and [design_rows] gives the same rows a
+   block at a time.  Above [Scalar] dimensions 1-12 take the C
    kernel and 65 the OCaml fallback; point counts 1-17 and 400 cover
    every remainder of the 8-point blocks and more than one 64-point
    call; some points lie far outside the cube, where the exponent
@@ -349,9 +350,10 @@ let prop_design_matches_basis =
               in
               List.iter
                 (fun level ->
-                  let h =
+                  let h, rows =
                     Simd.with_cap level (fun () ->
-                        Network.design_matrix centers points)
+                        ( Network.design_matrix centers points,
+                          Network.design_rows centers points ))
                   in
                   Array.iteri
                     (fun i x ->
@@ -362,7 +364,23 @@ let prop_design_matches_basis =
                                (Simd.to_string level) dim n i j)
                             (Network.basis ctr x) (Matrix.get h i j))
                         centers)
-                    points)
+                    points;
+                  (* The row producer, one block of rows at a time. *)
+                  let k0 = ref 0 in
+                  while !k0 < n do
+                    let k1 = Int.min n (!k0 + Ils.k_block) in
+                    let block = rows !k0 k1 in
+                    for i = !k0 to k1 - 1 do
+                      for j = 0 to m - 1 do
+                        check_bits
+                          (Printf.sprintf "%s dim=%d n=%d rows (%d,%d)"
+                             (Simd.to_string level) dim n i j)
+                          (Matrix.get h i j)
+                          block.(((i - !k0) * m) + j)
+                      done
+                    done;
+                    k0 := k1
+                  done)
                 (Simd.supported ()))
             (List.init 17 (fun i -> i + 1) @ [ 400 ]))
         (List.init 12 (fun i -> i + 1) @ [ 65 ]);

@@ -320,6 +320,26 @@ let test_spec_version_1_refused () =
     "no journal written" false
     (Sys.file_exists (Filename.concat dir "journals"))
 
+(* The refusal names the file it refuses, as the fingerprint refusal
+   names the run directory, from [Spec.load] and from a resume alike. *)
+let test_spec_refusal_names_file () =
+  with_dir @@ fun dir ->
+  let path = Filename.concat dir "spec.json" in
+  write_file path (version_1_spec ^ "\n");
+  let names_file what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: a version-1 spec was accepted" what
+    | exception Obs.Error.Archpred (Obs.Error.Parse_error { where; _ } as e) ->
+        Alcotest.(check string) what path where;
+        Alcotest.(check string)
+          (what ^ " message")
+          (path ^ ": line 1: unsupported spec version")
+          (Obs.Error.to_string e)
+  in
+  names_file "Spec.load" (fun () -> Spec.load ~dir);
+  names_file "Coordinator.run" (fun () ->
+      Coordinator.run ~dir ~spec:(spec ()) ~domains:1 ())
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end: run directory vs single process                       *)
 (* ------------------------------------------------------------------ *)
@@ -475,6 +495,8 @@ let () =
           spec_byte_soup;
           Alcotest.test_case "version 1 refused" `Quick
             test_spec_version_1_refused;
+          Alcotest.test_case "version 1 refusal names the file" `Quick
+            test_spec_refusal_names_file;
         ] );
       ( "journal",
         [
